@@ -48,7 +48,6 @@ from .classical import (
     channel_from_dilation,
     classical_choi,
     classical_teleport,
-    embed_diagonal,
     is_doubly_stochastic,
     is_stochastic,
     is_unital,

@@ -79,12 +79,6 @@ def is_doubly_stochastic(weights, atol: float = ATOL) -> bool:
     return is_unital(weights, atol) and is_stochastic(weights, atol)
 
 
-def embed_diagonal(p) -> FactoredOperator:
-    """Embed a probability vector as a diagonal density operator."""
-    v = as_probability_vector(p)
-    return FactoredOperator(np.diag(v.astype(complex)), (v.size,))
-
-
 def _contract(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     if x.shape[0] != weights.shape[0]:
         raise DimensionMismatchError(

@@ -46,15 +46,18 @@ def _emit(payload: dict, out_path: str | None):
 
 
 def _seed_value(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("LIFTLAB_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise SchemaError(f"LIFTLAB_SEED must be an integer, got {env!r}") from None
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        env = os.environ.get("LIFTLAB_SEED")
+        if env is None:
+            return 0
+        try:
+            seed = int(env)
+        except ValueError:
+            raise SchemaError(f"LIFTLAB_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise SchemaError(f"seed must be at least 0, got {seed}")
+    return seed
 
 
 def _real_matrix(text: str, what: str) -> np.ndarray:
@@ -83,6 +86,8 @@ def cmd_channel_kraus(args) -> int:
     payload = {"kraus": [jsonio.matrix_to_json(k) for k in ops]}
     code = 0
     if args.verify:
+        if args.trials < 1:
+            raise SchemaError(f"trials must be at least 1, got {args.trials}")
         g = sampling.rng(_seed_value(args))
         dev = 0.0
         for _ in range(args.trials):

@@ -203,6 +203,31 @@ def test_verify_seed_env_fallback(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_negative_seed_exits_two(capsys, monkeypatch):
+    assert cli.main(["verify", "matcore", "--seed", "-1"]) == 2
+    kraus = ["channel", "kraus", "--matrix", "[[1,0],[0,1]]", "--verify"]
+    assert cli.main(kraus + ["--seed", "-2"]) == 2
+    monkeypatch.setenv("LIFTLAB_SEED", "-4")
+    assert cli.main(["verify", "classical"]) == 2
+    assert cli.main(kraus) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_tol_override(capsys):
+    assert cli.main(["verify", "matcore", "--trials", "2", "--tol", "nan"]) == 2
+    assert cli.main(["verify", "matcore", "--trials", "2", "--tol", "-1"]) == 2
+    assert capsys.readouterr().out == ""
+    code, blob = run_cli(capsys, "verify", "matcore", "--seed", "1", "--trials", "2", "--tol", "0")
+    assert code == 1
+    assert {c["tolerance"] for c in blob["checks"]} == {0.0}
+
+
+def test_kraus_self_check_needs_a_trial(capsys):
+    code = cli.main(["channel", "kraus", "--matrix", "[[1,0],[0,1]]", "--verify", "--trials", "0"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code = cli.main(

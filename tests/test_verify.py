@@ -30,7 +30,7 @@ def test_each_module_suite_passes():
 
 def test_module_results_match_within_all():
     combined = {c.name: c for c in run_suite("all", seed=11, trials=4).checks}
-    for suite in ("classical", "qlift"):
+    for suite in ("matcore", "classical", "clift", "qlift", "circulant"):
         solo = run_suite(suite, seed=11, trials=4)
         for check in solo.checks:
             assert combined[check.name].measured == check.measured
@@ -44,6 +44,21 @@ def test_unknown_suite_rejected():
 def test_trials_and_seed_validation():
     with pytest.raises(SchemaError):
         run_suite("matcore", seed=0, trials=0)
+
+
+def test_negative_seed_and_bad_tol_rejected():
+    with pytest.raises(SchemaError):
+        run_suite("matcore", seed=-1, trials=1)
+    for tol in (float("nan"), float("inf"), -1e-12):
+        with pytest.raises(SchemaError):
+            run_suite("matcore", seed=0, trials=1, tol=tol)
+
+
+def test_tol_override_applies_to_every_check():
+    report = run_suite("matcore", seed=1, trials=2, tol=0.0)
+    assert [c.tolerance for c in report.checks] == [0.0] * len(report.checks)
+    assert all(c.passed == (c.measured <= 0.0) for c in report.checks)
+    assert not report.passed
 
 
 def test_timestamp_honors_source_date_epoch(monkeypatch):
