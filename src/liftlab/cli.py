@@ -126,7 +126,7 @@ def cmd_channel_apply(args) -> int:
 
 
 def cmd_lift_classical(args) -> int:
-    tensor = jsonio.json_to_lifting_tensor(jsonio.load_argument(args.tensor))
+    tensor = jsonio.json_to_tensor_data(jsonio.load_argument(args.tensor))
     p = as_probability_vector(_vector(args.p))
     _emit({"state": jsonio.factored_to_json(lift(tensor, p))}, args.out)
     return 0
@@ -176,7 +176,7 @@ def cmd_lift_bell(args) -> int:
 
 
 def cmd_lift_nlift(args) -> int:
-    tensor = jsonio.json_to_lifting_tensor(jsonio.load_argument(args.tensor))
+    tensor = jsonio.json_to_tensor_data(jsonio.load_argument(args.tensor))
     p = as_probability_vector(_vector(args.p))
     _emit({"state": jsonio.factored_to_json(n_lift(tensor, p, args.parties))}, args.out)
     return 0

@@ -21,7 +21,7 @@ from .errors import (
     NegativeEntryError,
     NotNormalizedError,
 )
-from .matcore import FactoredOperator, is_psd
+from .matcore import FactoredOperator, check_dense_size, is_psd
 
 ATOL = 1e-12
 
@@ -154,9 +154,10 @@ def n_lift(t, p, parties: int) -> FactoredOperator:
     w = as_probability_vector(p)
     if w.size != e.shape[0]:
         raise DimensionMismatchError(f"state of length {w.size} does not match tensor input size {e.shape[0]}")
+    dims = (e.shape[1],) * (parties - 1) + (e.shape[0],)
+    check_dense_size(dims)
     for _ in range(parties - 1):
         w = np.einsum("...i,ijk->...jk", w, e)
-    dims = (e.shape[1],) * (parties - 1) + (e.shape[0],)
     return FactoredOperator(np.diag(w.reshape(-1).astype(complex)), dims)
 
 
@@ -202,6 +203,7 @@ def markov_weights(spec: MarkovSpec, parties: int) -> np.ndarray:
 
 def markov_state(spec: MarkovSpec, parties: int) -> FactoredOperator:
     """Diagonal N-party state of a Markov chain, latest index leftmost."""
+    check_dense_size((spec.n,) * parties)
     w = markov_weights(spec, parties)
     return FactoredOperator(np.diag(w.reshape(-1).astype(complex)), (spec.n,) * parties)
 

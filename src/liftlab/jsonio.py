@@ -4,7 +4,13 @@ Complex matrices travel as {"rows", "cols", "data"} with data a flat
 row-major list of [re, im] pairs; factored operators add "dims" listed
 leftmost factor first. Plain nested JSON arrays of numbers are accepted
 wherever a real matrix or vector is expected. Loaders raise SchemaError on
-any malformed payload so the command line can map them to exit code 2.
+any malformed payload so the command line can map them to exit code 2; a
+well-formed payload that breaks a mathematical precondition raises the
+constructor's MathDomainError (exit code 3). json_to_lifting_tensor and
+json_to_markov are the exceptions: they report every invalid payload as a
+SchemaError, and the command line decodes lifting tensors with
+json_to_tensor_data and validates them in the lifting itself. JSON text may
+not hold NaN or Infinity, in or out.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ import numpy as np
 from .circulant import BellSpectrum, CirculantSpec
 from .classical import as_permutation
 from .clift import MarkovSpec, as_lifting_tensor
-from .errors import SchemaError
+from .errors import MathDomainError, SchemaError
 from .matcore import FactoredOperator
 from .qlift import CpMap
 
@@ -29,6 +35,21 @@ def _require(cond: bool, message: str):
 def _as_int(value, name: str) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
     return value
+
+
+def _decoded(build, *args):
+    """Call a constructor on decoded data: its MathDomainError passes
+    through, any other ValueError becomes a SchemaError."""
+    try:
+        return build(*args)
+    except MathDomainError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+
+def _reject_constant(name: str):
+    raise SchemaError(f"invalid JSON: {name} is not a finite number")
 
 
 def _pair_to_complex(entry, name: str) -> complex:
@@ -88,11 +109,7 @@ def json_to_factored(obj) -> FactoredOperator:
         isinstance(dims, list) and dims and all(isinstance(d, int) and d > 0 for d in dims),
         "dims must be a non-empty list of positive integers",
     )
-    m = json_to_matrix(obj)
-    try:
-        return FactoredOperator(m, tuple(dims))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    return _decoded(FactoredOperator, json_to_matrix(obj), tuple(dims))
 
 
 def vector_to_json(v) -> list:
@@ -132,7 +149,9 @@ def lifting_tensor_to_json(t) -> dict:
     }
 
 
-def json_to_lifting_tensor(obj) -> np.ndarray:
+def json_to_tensor_data(obj) -> np.ndarray:
+    """Decode {"n1", "n2", "data"} to an (n1, n2, n1) array without checking
+    that it is a lifting tensor."""
     _require(
         isinstance(obj, dict) and set(obj) >= {"n1", "n2", "data"},
         "lifting tensor object needs keys n1, n2, data",
@@ -145,8 +164,15 @@ def json_to_lifting_tensor(obj) -> np.ndarray:
         "data must be a list of numbers",
     )
     _require(len(data) == n1 * n2 * n1, f"data has {len(data)} entries, expected {n1 * n2 * n1}")
+    return np.array(data, dtype=float).reshape(n1, n2, n1)
+
+
+def json_to_lifting_tensor(obj) -> np.ndarray:
+    """Decode and validate a lifting tensor; a negative or unnormalized one
+    is a SchemaError here."""
+    e = json_to_tensor_data(obj)
     try:
-        return as_lifting_tensor(np.array(data, dtype=float).reshape(n1, n2, n1))
+        return as_lifting_tensor(e)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -194,10 +220,7 @@ def json_to_cpmap(obj) -> CpMap:
     mats = [json_to_matrix(u) for u in units]
     for k, m in enumerate(mats):
         _require(m.shape == (d, d), f"unit {k} has shape {m.shape}, expected ({d}, {d})")
-    try:
-        return CpMap(np.array(mats, dtype=complex).reshape(d, d, d, d))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    return _decoded(CpMap, np.array(mats, dtype=complex).reshape(d, d, d, d))
 
 
 def circulant_to_json(spec: CirculantSpec) -> dict:
@@ -218,10 +241,7 @@ def json_to_circulant(obj) -> CirculantSpec:
     mats = [json_to_matrix(b) for b in blocks]
     for k, m in enumerate(mats):
         _require(m.shape == (d, d), f"block {k} has shape {m.shape}, expected ({d}, {d})")
-    try:
-        return CirculantSpec(np.array(mats, dtype=complex))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    return _decoded(CirculantSpec, np.array(mats, dtype=complex))
 
 
 def bell_spectrum_to_json(bs: BellSpectrum) -> dict:
@@ -237,15 +257,18 @@ def json_to_bell_spectrum(obj) -> BellSpectrum:
     p = json_to_matrix(obj["p"])
     _require(np.allclose(p.imag, 0.0), "spectrum must be real")
     _require(p.shape == (d, d), f"spectrum has shape {p.shape}, expected ({d}, {d})")
-    try:
-        return BellSpectrum(p.real)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    return _decoded(BellSpectrum, p.real)
 
 
 def canonical_dumps(obj) -> str:
-    """Stable serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    """Stable serialization: sorted keys, two-space indent, trailing newline.
+
+    A NaN or infinite value is a SchemaError, never an invalid JSON token.
+    """
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SchemaError(f"result is not finite JSON: {exc}") from None
 
 
 def load_argument(text: str):
@@ -257,6 +280,6 @@ def load_argument(text: str):
         except OSError as exc:
             raise SchemaError(f"cannot read {text[1:]}: {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None

@@ -20,9 +20,13 @@ from .errors import (
     NotAStateError,
     NotHermitianError,
     NotPSDError,
+    SchemaError,
 )
 
 DEFAULT_TOL = 1e-9
+# Largest dense complex operator an N-party constructor may allocate: a
+# 2^13-sided matrix (d=2, N=13) is exactly 1 GiB.
+MAX_DENSE_BYTES = 1 << 30
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -78,6 +82,32 @@ def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Kronecker product in row-major convention (a is the left factor)."""
     return np.kron(_as_matrix(a), _as_matrix(b))
+
+
+def check_dense_size(dims) -> None:
+    """Raise SchemaError when a dense complex operator on factors ``dims``
+    would exceed MAX_DENSE_BYTES; call it before allocating."""
+    side = prod(int(d) for d in dims)
+    nbytes = side * side * np.dtype(complex).itemsize
+    if nbytes > MAX_DENSE_BYTES:
+        raise SchemaError(f"dense {side} x {side} operator needs {nbytes} bytes, limit is {MAX_DENSE_BYTES}")
+
+
+def sandwich_right(x, r) -> np.ndarray:
+    """(I x r) x (I x r) with the k x k matrix r on the rightmost slots of x.
+
+    r multiplies each k-row block of x from the left (a batched product on
+    the (side/k, k, side) reshape), then each k-column block from the right
+    (one product on the (side^2/k, k) reshape): O(side^2 k) in all, and
+    I x r is never formed.
+    """
+    x = np.asarray(x)
+    r = np.asarray(r)
+    side, k = x.shape[0], r.shape[0]
+    if x.shape != (side, side) or r.shape != (k, k) or side % k:
+        raise DimensionMismatchError(f"cannot sandwich shape {x.shape} with a {r.shape} right factor")
+    left = np.matmul(r, x.reshape(side // k, k, side))
+    return (left.reshape(-1, k) @ r).reshape(side, side)
 
 
 def tensor(a: FactoredOperator, b: FactoredOperator) -> FactoredOperator:

@@ -8,6 +8,10 @@ state to a joint state whose first-slot partial trace is rho and whose
 second-slot partial trace is the transpose of the adjoint channel applied to
 rho. Chaining sandwiched copies of pi yields N-party liftings that reduce to
 Markov chains on diagonal data.
+
+Every sandwich acts only on the slots it names: a stage of an N-party chain
+contracts sqrt(pi) (d^2 x d^2) against the rightmost two slots of a d^N x d^N
+operator in O(d^(2N+2)) time, and I x sqrt(pi) is never formed.
 """
 from __future__ import annotations
 
@@ -26,10 +30,12 @@ from .errors import (
 )
 from .matcore import (
     FactoredOperator,
+    check_dense_size,
     check_state,
     herm_sqrt,
     is_psd,
     partial_trace,
+    sandwich_right,
     unit_matrix,
 )
 
@@ -183,8 +189,7 @@ def nonlinear_lift(pi, rho, tol: float = DEFAULT_TOL) -> FactoredOperator:
     state = check_state(rho, tol)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != conditional side {d}")
-    s = np.kron(np.eye(d), herm_sqrt(state.matrix, tol))
-    return FactoredOperator(s @ m @ s, (d, d))
+    return FactoredOperator(sandwich_right(m, herm_sqrt(state.matrix, tol)), (d, d))
 
 
 def ohya_lift(rho, parties: int = 2, tol: float = DEFAULT_TOL) -> FactoredOperator:
@@ -198,17 +203,14 @@ def ohya_lift(rho, parties: int = 2, tol: float = DEFAULT_TOL) -> FactoredOperat
         raise DimensionMismatchError(f"parties must be at least 2, got {parties}")
     state = check_state(rho, tol)
     d = state.matrix.shape[0]
+    check_dense_size((d,) * parties)
     w, v = np.linalg.eigh(state.matrix)
     w = np.clip(w, 0.0, None)
-    side = d**parties
-    out = np.zeros((side, side), dtype=complex)
-    for k in range(d):
-        proj = np.outer(v[:, k], v[:, k].conj())
-        term = np.ones((1, 1), dtype=complex)
-        for _ in range(parties):
-            term = np.kron(term, proj)
-        out += w[k] * term
-    return FactoredOperator(out, (d,) * parties)
+    # Column k of copies is the parties-fold Kronecker power of eigenvector k.
+    copies = v
+    for _ in range(parties - 1):
+        copies = (copies[:, None, :] * v[None, :, :]).reshape(-1, d)
+    return FactoredOperator((copies * w) @ copies.conj().T, (d,) * parties)
 
 
 def compose_qcp(pi1, pi2, tol: float = DEFAULT_TOL) -> FactoredOperator:
@@ -222,29 +224,31 @@ def compose_qcp(pi1, pi2, tol: float = DEFAULT_TOL) -> FactoredOperator:
     m2, d2 = _qcp_matrix(pi2)
     if d1 != d2:
         raise DimensionMismatchError(f"factor sizes differ: {d1} vs {d2}")
-    s = np.kron(np.eye(d1), herm_sqrt(m1, tol))
-    return FactoredOperator(s @ np.kron(m2, np.eye(d1)) @ s, (d1, d1, d1))
+    return FactoredOperator(sandwich_right(np.kron(m2, np.eye(d1)), herm_sqrt(m1, tol)), (d1, d1, d1))
 
 
 def n_compose_qcp(pis, tol: float = DEFAULT_TOL) -> FactoredOperator:
     """Chain N-1 conditional operators into an N-factor composite.
 
     The list orders operators from the innermost link outward: element 0
-    couples slots 2 and 1, element 1 couples slots 3 and 2, and so on.
+    couples slots 2 and 1, element 1 couples slots 3 and 2, and so on. The
+    square root of each distinct operator object is taken once.
     """
+    pis = list(pis)
     mats = [_qcp_matrix(p) for p in pis]
     if not mats:
         raise DimensionMismatchError("need at least one conditional operator")
     d = mats[0][1]
     if any(dk != d for _, dk in mats):
         raise DimensionMismatchError("conditional operators must share one factor size")
+    check_dense_size((d,) * (len(mats) + 1))
+    roots: dict[int, np.ndarray] = {}
     cur = mats[-1][0]
-    n_factors = 2
-    for m, _ in mats[-2::-1]:
-        s = np.kron(np.eye(d ** (n_factors - 1)), herm_sqrt(m, tol))
-        cur = s @ np.kron(cur, np.eye(d)) @ s
-        n_factors += 1
-    return FactoredOperator(cur, (d,) * n_factors)
+    for p, (m, _) in zip(pis[-2::-1], mats[-2::-1]):
+        if id(p) not in roots:
+            roots[id(p)] = herm_sqrt(m, tol)
+        cur = sandwich_right(np.kron(cur, np.eye(d)), roots[id(p)])
+    return FactoredOperator(cur, (d,) * (len(mats) + 1))
 
 
 def n_nonlinear_lift(pi, rho, parties: int, tol: float = DEFAULT_TOL) -> FactoredOperator:
@@ -258,12 +262,12 @@ def n_nonlinear_lift(pi, rho, parties: int, tol: float = DEFAULT_TOL) -> Factore
     if parties < 2:
         raise DimensionMismatchError(f"parties must be at least 2, got {parties}")
     m, d = _qcp_matrix(pi)
+    check_dense_size((d,) * parties)
     state = check_state(rho, tol)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != conditional side {d}")
     chain = n_compose_qcp([pi] * (parties - 1), tol)
-    s = np.kron(np.eye(d ** (parties - 1)), herm_sqrt(state.matrix, tol))
-    return FactoredOperator(s @ chain.matrix @ s, (d,) * parties)
+    return FactoredOperator(sandwich_right(chain.matrix, herm_sqrt(state.matrix, tol)), (d,) * parties)
 
 
 def channel_from_compound(theta: FactoredOperator, rho, tol: float = DEFAULT_TOL) -> CpMap:

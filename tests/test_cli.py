@@ -260,3 +260,25 @@ def test_unknown_suite_is_a_usage_error(capsys):
         cli.main(["verify", "bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _assert_error_exit(capsys, argv, code):
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_oversized_output_exits_two(capsys):
+    _assert_error_exit(capsys, ["lift", "ohya", "--rho", "[[0.6,0],[0,0.4]]", "--parties", "40"], 2)
+
+
+def test_non_finite_json_exits_two(capsys):
+    _assert_error_exit(capsys, ["channel", "apply", "--matrix", "[[1,0],[0,1]]", "--state", "[NaN, 1]"], 2)
+    _assert_error_exit(capsys, ["channel", "kraus", "--matrix", "[[Infinity,0],[0,1]]"], 2)
+
+
+def test_unnormalized_lifting_tensor_exits_three(capsys):
+    half = json.dumps({"n1": 2, "n2": 2, "data": [0.5, 0, 0, 0, 0, 0, 0, 0.5]})
+    _assert_error_exit(capsys, ["lift", "classical", "--tensor", half, "--p", "[0.6,0.4]"], 3)
+    _assert_error_exit(capsys, ["lift", "nlift", "--tensor", half, "--p", "[0.6,0.4]", "--parties", "3"], 3)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from liftlab.errors import SchemaError
+from liftlab.errors import BlockNotPSDError, NotHermitianError, SchemaError
 from liftlab.circulant import BellSpectrum
 from liftlab.clift import MarkovSpec, ohya_tensor
 from liftlab.jsonio import (
@@ -21,6 +21,7 @@ from liftlab.jsonio import (
     json_to_markov,
     json_to_matrix,
     json_to_permutation,
+    json_to_tensor_data,
     json_to_vector,
     lifting_tensor_to_json,
     load_argument,
@@ -165,3 +166,33 @@ def test_load_argument_inline_and_file(tmp_path):
         load_argument("{not json")
     with pytest.raises(SchemaError):
         load_argument(f"@{tmp_path / 'missing.json'}")
+
+
+def test_load_argument_rejects_non_finite_constants(tmp_path):
+    for text in ("[NaN, 1]", "[[Infinity, 0], [0, 1]]", '{"x": -Infinity}'):
+        with pytest.raises(SchemaError, match="not a finite number"):
+            load_argument(text)
+    path = tmp_path / "nan.json"
+    path.write_text("[0.5, NaN]")
+    with pytest.raises(SchemaError):
+        load_argument(f"@{path}")
+
+
+def test_canonical_dumps_rejects_non_finite():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(SchemaError):
+            canonical_dumps({"value": [1.0, bad]})
+
+
+def test_decoders_pass_math_domain_errors_through():
+    e01 = matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    units = [matrix_to_json(np.eye(2)), e01, e01, matrix_to_json(np.eye(2))]
+    with pytest.raises(NotHermitianError):
+        json_to_cpmap({"d": 2, "units": units})
+    blocks = [matrix_to_json(np.diag([0.6, -0.1])), matrix_to_json(np.diag([0.25, 0.25]))]
+    with pytest.raises(BlockNotPSDError):
+        json_to_circulant({"d": 2, "blocks": blocks})
+    with pytest.raises(BlockNotPSDError):
+        json_to_bell_spectrum({"d": 2, "p": [[0.5, 0.6], [0.1, -0.2]]})
+    half = {"n1": 2, "n2": 2, "data": [0.5, 0, 0, 0, 0, 0, 0, 0.5]}
+    np.testing.assert_allclose(json_to_tensor_data(half).sum(axis=(1, 2)), [0.5, 0.5])

@@ -16,6 +16,7 @@ from liftlab.matcore import (
     is_psd,
     partial_trace,
     partial_transpose,
+    sandwich_right,
     tensor,
     trace_out,
     unit_matrix,
@@ -152,3 +153,16 @@ def test_check_state():
         check_state(np.eye(2))
     with pytest.raises(NotAStateError):
         check_state(np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+
+def test_sandwich_right_matches_kron_sandwich():
+    g = rng(19)
+    for side, k in ((6, 3), (8, 4), (12, 2), (5, 5), (4, 1)):
+        x = g.standard_normal((side, side)) + 1j * g.standard_normal((side, side))
+        r = g.standard_normal((k, k)) + 1j * g.standard_normal((k, k))
+        s = np.kron(np.eye(side // k), r)
+        np.testing.assert_allclose(sandwich_right(x, r), s @ x @ s, atol=1e-12)
+    with pytest.raises(DimensionMismatchError):
+        sandwich_right(np.eye(6), np.eye(4))
+    with pytest.raises(DimensionMismatchError):
+        sandwich_right(np.eye(6), np.ones((3, 2)))

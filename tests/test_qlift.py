@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from liftlab import matcore
 from liftlab.errors import (
     DimensionMismatchError,
     NotCompatibleError,
@@ -9,9 +10,10 @@ from liftlab.errors import (
     NotFaithfulError,
     NotHermitianError,
     NotUnitalError,
+    SchemaError,
 )
-from liftlab.clift import markov_state
-from liftlab.matcore import FactoredOperator, is_psd, partial_trace, trace_out
+from liftlab.clift import markov_state, n_lift, ohya_tensor
+from liftlab.matcore import FactoredOperator, herm_sqrt, is_psd, partial_trace, trace_out
 from liftlab.qlift import (
     CpMap,
     channel_from_compound,
@@ -308,3 +310,84 @@ def test_positive_map_witnessed_not_cp():
         state = density(g, 2)
         assert is_psd(phi(state), 1e-9)[0]
     assert not is_psd(choi_matrix(phi, 2).matrix, 1e-9)[0]
+
+
+def _dense_sandwich(x, r):
+    """Definitional sandwich: kron(I, r) on both sides of x."""
+    s = np.kron(np.eye(x.shape[0] // r.shape[0]), r)
+    return s @ x @ s
+
+
+def _dense_chain(mats):
+    """Definitional N-factor composite: each link sandwiches kron(cur, I)
+    with kron(I, sqrt(pi)), innermost link first in the list."""
+    d = int(round(mats[0].shape[0] ** 0.5))
+    cur = mats[-1]
+    for m in mats[-2::-1]:
+        cur = _dense_sandwich(np.kron(cur, np.eye(d)), herm_sqrt(m))
+    return cur
+
+
+def _dense_ohya(rho, parties):
+    """Definitional copy lifting: sum_k w_k (v_k v_k^dagger)^(x parties)."""
+    w, v = np.linalg.eigh(rho)
+    out = 0.0
+    for k in range(w.size):
+        proj = np.outer(v[:, k], v[:, k].conj())
+        term = np.ones((1, 1))
+        for _ in range(parties):
+            term = np.kron(term, proj)
+        out = out + max(w[k], 0.0) * term
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_chain_matches_dense_reference(d):
+    g = rng(58 + d)
+    for parties in range(2, 6):
+        pi = qcp_from_channel(unital_cpmap(g, d))
+        pis = [qcp_from_channel(unital_cpmap(g, d)) for _ in range(parties - 1)]
+        state = density(g, d)
+        root = herm_sqrt(state)
+        np.testing.assert_allclose(nonlinear_lift(pi, state).matrix, _dense_sandwich(pi.matrix, root), atol=1e-12)
+        np.testing.assert_allclose(
+            compose_qcp(pi, pis[0]).matrix,
+            _dense_sandwich(np.kron(pis[0].matrix, np.eye(d)), herm_sqrt(pi.matrix)),
+            atol=1e-12,
+        )
+        repeated = _dense_chain([pi.matrix] * (parties - 1))
+        np.testing.assert_allclose(n_compose_qcp([pi] * (parties - 1)).matrix, repeated, atol=1e-12)
+        np.testing.assert_allclose(
+            n_compose_qcp(pis).matrix, _dense_chain([p.matrix for p in pis]), atol=1e-12
+        )
+        # Two objects alternating along the chain: a root reused across
+        # links must belong to the link's own operator.
+        mixed = [pis[0].matrix, pi.matrix] * parties
+        np.testing.assert_allclose(n_compose_qcp(mixed[: parties - 1]).matrix,
+                                   _dense_chain(mixed[: parties - 1]), atol=1e-12)
+        np.testing.assert_allclose(
+            n_nonlinear_lift(pi, state, parties).matrix, _dense_sandwich(repeated, root), atol=1e-12
+        )
+        np.testing.assert_allclose(ohya_lift(state, parties).matrix, _dense_ohya(state, parties), atol=1e-12)
+
+
+def test_ohya_lift_rejects_oversized_output():
+    with pytest.raises(SchemaError):
+        ohya_lift(np.eye(2) / 2, 40)
+
+
+def test_dense_size_guard_precedes_every_n_party_build(monkeypatch):
+    monkeypatch.setattr(matcore, "MAX_DENSE_BYTES", 16 * 8 * 8)
+    g = rng(61)
+    pi, state, spec = qcp_from_channel(unital_cpmap(g, 2)), density(g, 2), markov_spec(g, 2)
+    builds = [
+        lambda n: ohya_lift(state, n),
+        lambda n: n_compose_qcp([pi] * (n - 1)),
+        lambda n: n_nonlinear_lift(pi, state, n),
+        lambda n: n_lift(ohya_tensor(2), spec.initial, n),
+        lambda n: markov_state(spec, n),
+    ]
+    for build in builds:
+        assert build(3).dims == (2, 2, 2)
+        with pytest.raises(SchemaError, match="limit"):
+            build(4)
