@@ -22,7 +22,7 @@ from .errors import (
     NotNormalizedError,
     TraceNotOneError,
 )
-from .matcore import FactoredOperator, check_state, is_psd
+from .matcore import FactoredOperator, _psd_stack, check_state
 
 DEFAULT_TOL = 1e-9
 
@@ -36,10 +36,7 @@ def circulant_subspaces(d: int) -> list[list[tuple[int, int]]]:
 
 def shift_matrix(d: int) -> np.ndarray:
     """Cyclic shift S e_k = e_{k+1 mod d}."""
-    s = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        s[(k + 1) % d, k] = 1.0
-    return s
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
 
 
 def _as_blocks(blocks) -> np.ndarray:
@@ -59,11 +56,11 @@ class CirculantSpec:
 
     def __post_init__(self):
         b = _as_blocks(self.blocks).copy()
-        for alpha in range(b.shape[0]):
-            ok, lo = is_psd(b[alpha], self.tol)
-            if not ok:
-                raise BlockNotPSDError(f"block {alpha} has eigenvalue {lo:.3e}")
-        total = sum(np.trace(b[alpha]).real for alpha in range(b.shape[0]))
+        ok, lows = _psd_stack(b, self.tol)
+        if not ok.all():
+            alpha = int(np.argmin(ok))
+            raise BlockNotPSDError(f"block {alpha} has eigenvalue {lows[alpha]:.3e}")
+        total = np.trace(b, axis1=1, axis2=2).real.sum()
         if abs(total - 1.0) > max(self.tol, 1e-10):
             raise TraceNotOneError(f"block traces sum to {total!r}, expected 1")
         b.setflags(write=False)
@@ -74,14 +71,15 @@ class CirculantSpec:
         return self.blocks.shape[0]
 
 
-def _assemble(blocks: np.ndarray, row_map, col_map) -> FactoredOperator:
-    """Place block entries at (i * d + row_map(i, alpha), j * d + col_map(j, alpha))."""
+def _assemble(blocks: np.ndarray, slot_map) -> FactoredOperator:
+    """Place entry [alpha, i, j] at (pos[alpha, i], pos[alpha, j]) by one
+    scatter, with pos[alpha, i] = i * d + slot_map(i, alpha); the d^3
+    positions are distinct."""
     d = blocks.shape[0]
+    k = np.arange(d)
+    pos = k * d + slot_map(k, k[:, None])
     m = np.zeros((d * d, d * d), dtype=complex)
-    for alpha in range(d):
-        for i in range(d):
-            for j in range(d):
-                m[i * d + row_map(i, alpha), j * d + col_map(j, alpha)] += blocks[alpha][i, j]
+    m[pos[:, :, None], pos[:, None, :]] = blocks
     return FactoredOperator(m, (d, d))
 
 
@@ -89,7 +87,7 @@ def build_circulant(spec: CirculantSpec) -> FactoredOperator:
     """Assemble the two-party state sum_alpha sum_ij a^(alpha)_ij
     e_ij x e_{i+alpha, j+alpha}."""
     d = spec.d
-    return _assemble(spec.blocks, lambda i, a: (i + a) % d, lambda j, a: (j + a) % d)
+    return _assemble(spec.blocks, lambda i, a: (i + a) % d)
 
 
 def circulant_partial_transpose(blocks) -> np.ndarray:
@@ -104,12 +102,9 @@ def circulant_partial_transpose(blocks) -> np.ndarray:
     """
     b = _as_blocks(blocks)
     d = b.shape[0]
-    out = np.zeros_like(b)
-    for alpha in range(d):
-        for i in range(d):
-            for j in range(d):
-                out[alpha, i, j] = b[(alpha - i - j) % d, i, j]
-    return out
+    k = np.arange(d)
+    i, j = k[:, None], k
+    return b[(k[:, None, None] - (i + j)) % d, i, j]
 
 
 def assemble_partial_transpose(tilde_blocks) -> FactoredOperator:
@@ -117,7 +112,7 @@ def assemble_partial_transpose(tilde_blocks) -> FactoredOperator:
     sum_alpha sum_ij a~^(alpha)_ij e_ij x e_{-i+alpha, -j+alpha}."""
     b = _as_blocks(tilde_blocks)
     d = b.shape[0]
-    return _assemble(b, lambda i, a: (a - i) % d, lambda j, a: (a - j) % d)
+    return _assemble(b, lambda i, a: (a - i) % d)
 
 
 def is_ppt_circulant(spec: CirculantSpec, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndarray]:
@@ -126,14 +121,8 @@ def is_ppt_circulant(spec: CirculantSpec, tol: float = DEFAULT_TOL) -> tuple[boo
     Returns (all blocks of the partial transpose PSD, the vector of their
     minimal eigenvalues).
     """
-    tilde = circulant_partial_transpose(spec.blocks)
-    lows = np.empty(spec.d)
-    flags = []
-    for alpha in range(spec.d):
-        ok, lo = is_psd(tilde[alpha], tol)
-        flags.append(ok)
-        lows[alpha] = lo
-    return all(flags), lows
+    ok, lows = _psd_stack(circulant_partial_transpose(spec.blocks), tol)
+    return bool(ok.all()), lows
 
 
 def circulant_lift(cs, rho, tol: float = DEFAULT_TOL) -> FactoredOperator:
@@ -148,16 +137,16 @@ def circulant_lift(cs, rho, tol: float = DEFAULT_TOL) -> FactoredOperator:
     state = check_state(rho, tol)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != block count {d}")
-    for alpha in range(d):
-        ok, lo = is_psd(profiles[alpha], tol)
-        if not ok:
-            raise BlockNotPSDError(f"profile {alpha} has eigenvalue {lo:.3e}")
-        tr = np.trace(profiles[alpha]).real
-        if abs(tr - 1.0) > max(tol, 1e-10):
-            raise TraceNotOneError(f"profile {alpha} has trace {tr!r}, expected 1")
+    ok, lows = _psd_stack(profiles, tol)
+    traces = np.trace(profiles, axis1=1, axis2=2).real
+    bad = ~ok | (np.abs(traces - 1.0) > max(tol, 1e-10))
+    if bad.any():
+        alpha = int(np.argmax(bad))
+        if not ok[alpha]:
+            raise BlockNotPSDError(f"profile {alpha} has eigenvalue {lows[alpha]:.3e}")
+        raise TraceNotOneError(f"profile {alpha} has trace {traces[alpha]!r}, expected 1")
     p = np.real(np.diag(state.matrix))
-    spec = CirculantSpec(np.array([p[alpha] * profiles[alpha] for alpha in range(d)]), tol)
-    return build_circulant(spec)
+    return build_circulant(CirculantSpec(p[:, None, None] * profiles, tol))
 
 
 def circulant_lift_isometry(cvecs, rho, tol: float = DEFAULT_TOL) -> tuple[FactoredOperator, np.ndarray]:
@@ -179,21 +168,18 @@ def circulant_lift_isometry(cvecs, rho, tol: float = DEFAULT_TOL) -> tuple[Facto
     state = check_state(rho, tol)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != vector count {d}")
+    k = np.arange(d)
+    alpha, j = k[:, None], k[None, :]
     v = np.zeros((d * d, d), dtype=complex)
-    for alpha in range(d):
-        for j in range(d):
-            v[j * d + (j + alpha) % d, alpha] = c[alpha, j]
+    v[j * d + (j + alpha) % d, alpha] = c
     out = v @ np.diag(np.real(np.diag(state.matrix)).astype(complex)) @ v.conj().T
     return FactoredOperator(out, (d, d)), v
 
 
 def maximally_entangled(d: int) -> FactoredOperator:
     """Projector onto (1/sqrt d) sum_i e_i x e_i."""
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[i * d + i, j * d + j] = 1.0 / d
-    return FactoredOperator(m, (d, d))
+    v = np.eye(d).reshape(d * d)
+    return FactoredOperator(np.outer(v, v) / d, (d, d))
 
 
 def bell_unitary(m: int, n: int, d: int) -> np.ndarray:
@@ -204,10 +190,7 @@ def bell_unitary(m: int, n: int, d: int) -> np.ndarray:
     """
     if not (0 <= m < d and 0 <= n < d):
         raise IndexOutOfRangeError(f"indices ({m},{n}) outside range 0..{d - 1}")
-    u = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        u[(k + n) % d, k] = np.exp(2j * np.pi * m * k / d)
-    return u
+    return np.roll(np.diag(np.exp(2j * np.pi * m * np.arange(d) / d)), n, axis=0)
 
 
 def bell_state(m: int, n: int, d: int) -> FactoredOperator:
@@ -255,10 +238,9 @@ def bell_diagonal_lift(p, rho, tol: float = DEFAULT_TOL) -> tuple[FactoredOperat
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != weight count {d}")
     phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
-    profile = np.zeros((d, d), dtype=complex)
-    for m in range(d):
-        profile += weights[m] * np.outer(phases[m], phases[m].conj())
-    profile /= d
-    lifted = circulant_lift(np.array([profile] * d), state, tol)
+    # A sum over axis 0 adds in the order, and so with the rounding, of a loop over m.
+    outers = phases[:, :, None] * phases[:, None, :].conj()
+    profile = (weights[:, None, None] * outers).sum(axis=0) / d
+    lifted = circulant_lift(np.broadcast_to(profile, (d, d, d)), state, tol)
     spectrum = BellSpectrum(np.outer(weights, np.real(np.diag(state.matrix))))
     return lifted, spectrum

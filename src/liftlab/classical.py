@@ -29,6 +29,8 @@ def as_probability_vector(p, atol: float = ATOL) -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DimensionMismatchError(f"probability vector must be 1-d and nonempty, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise SchemaError("probability vector entries must be finite")
     if v.min(initial=0.0) < -atol:
         raise NegativeEntryError(f"probability vector has negative entry {v.min():.3e}")
     if abs(v.sum() - 1.0) > atol * max(1, v.size):
@@ -41,6 +43,8 @@ def as_channel(weights, atol: float = ATOL) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or 0 in w.shape:
         raise DimensionMismatchError(f"channel weights must be a nonempty 2-d matrix, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise SchemaError("channel weights must be finite")
     if w.min() < -atol:
         raise NegativeEntryError(f"channel weights have negative entry {w.min():.3e}")
     return np.clip(w, 0.0, None)
@@ -112,13 +116,10 @@ def kraus_from_channel(weights) -> list[np.ndarray]:
     """
     w = as_channel(weights)
     n1, n2 = w.shape
-    ops = []
-    for i in range(n1):
-        for j in range(n2):
-            k = np.zeros((n2, n1), dtype=complex)
-            k[j, i] = np.sqrt(w[i, j])
-            ops.append(k)
-    return ops
+    i, j = np.arange(n1)[:, None], np.arange(n2)[None, :]
+    ops = np.zeros((n1, n2, n2, n1), dtype=complex)
+    ops[i, j, j, i] = np.sqrt(w)
+    return list(ops.reshape(n1 * n2, n2, n1))
 
 
 def apply_kraus(ops, rho) -> np.ndarray:
@@ -152,11 +153,9 @@ def channel_from_dilation(perm, sigma) -> np.ndarray:
     n = q.size
     if s.size != n * n:
         raise DimensionMismatchError(f"permutation acts on {s.size} labels, expected n^2 = {n * n}")
+    # Pair (j, k) lands on letter s[j*n + k] // n; np.add.at adds in (j, k) order.
     out = np.zeros((n, n))
-    for j in range(n):
-        for k in range(n):
-            a, _ = divmod(int(s[j * n + k]), n)
-            out[j, a] += q[k]
+    np.add.at(out, (np.arange(n)[:, None], s.reshape(n, n) // n), np.broadcast_to(q, (n, n)))
     return out
 
 
@@ -164,10 +163,9 @@ def max_correlated_state(perm) -> FactoredOperator:
     """Two-party diagonal state (1/n) sum_i e_ii x e_{pi(i) pi(i)}."""
     s = as_permutation(perm)
     n = s.size
+    pos = np.arange(n) * n + s
     m = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        pos = i * n + int(s[i])
-        m[pos, pos] = 1.0 / n
+    m[pos, pos] = 1.0 / n
     return FactoredOperator(m, (n, n))
 
 
@@ -182,12 +180,7 @@ def classical_choi(weights, atol: float = ATOL) -> FactoredOperator:
     if not is_unital(w, atol):
         raise NotUnitalError(f"columns sum to {w.sum(axis=0).tolist()}, expected all 1")
     n1, n2 = w.shape
-    m = np.zeros((n1 * n2, n1 * n2), dtype=complex)
-    for i in range(n1):
-        for j in range(n2):
-            pos = i * n2 + j
-            m[pos, pos] = w[i, j] / n2
-    return FactoredOperator(m, (n1, n2))
+    return FactoredOperator(np.diag((w / n2).reshape(-1).astype(complex)), (n1, n2))
 
 
 def classical_teleport(p, perm) -> tuple[np.ndarray, np.ndarray]:

@@ -45,26 +45,26 @@ def pure_tensor(images, n2: int | None = None) -> np.ndarray:
     s = np.asarray(images, dtype=int)
     n1 = s.size
     n2 = int(n2) if n2 is not None else int(s.max()) + 1
+    i = np.arange(n1)
     e = np.zeros((n1, n2, n1))
-    for i in range(n1):
-        e[i, int(s[i]), i] = 1.0
+    e[i, s, i] = 1.0
     return e
 
 
 def product_tensor(q, n1: int) -> np.ndarray:
     """Constant-output lifting E[i, j, k] = delta(k, i) q_j."""
     v = as_probability_vector(q)
+    i = np.arange(n1)
     e = np.zeros((n1, v.size, n1))
-    for i in range(n1):
-        e[i, :, i] = v
+    e[i, :, i] = v
     return e
 
 
 def ohya_tensor(n: int) -> np.ndarray:
     """Perfect copy lifting E[i, j, k] = delta(k, i) delta(j, k)."""
+    i = np.arange(n)
     e = np.zeros((n, n, n))
-    for i in range(n):
-        e[i, i, i] = 1.0
+    e[i, i, i] = 1.0
     return e
 
 
@@ -75,9 +75,9 @@ def markov_tensor(conditional) -> np.ndarray:
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatchError(f"conditional must be square, got {c.shape}")
     n = c.shape[0]
+    i = np.arange(n)
     e = np.zeros((n, n, n))
-    for i in range(n):
-        e[i, :, i] = c[:, i]
+    e[i, :, i] = c.T
     return as_lifting_tensor(e)
 
 

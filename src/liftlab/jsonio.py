@@ -9,8 +9,8 @@ well-formed payload that breaks a mathematical precondition raises the
 constructor's MathDomainError (exit code 3). json_to_lifting_tensor and
 json_to_markov are the exceptions: they report every invalid payload as a
 SchemaError, and the command line decodes lifting tensors with
-json_to_tensor_data and validates them in the lifting itself. JSON text may
-not hold NaN or Infinity, in or out.
+json_to_tensor_data and validates them in the lifting itself. No JSON text
+in or out may hold NaN, Infinity, or a number that overflows to inf (1e999).
 """
 from __future__ import annotations
 
@@ -46,6 +46,11 @@ def _decoded(build, *args):
         raise
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    _require(bool(np.all(np.isfinite(a))), f"{what} entries must be finite numbers")
+    return a
 
 
 def _reject_constant(name: str):
@@ -84,14 +89,14 @@ def json_to_matrix(obj) -> np.ndarray:
         _require(isinstance(data, list), "data must be a list")
         _require(len(data) == rows * cols, f"data has {len(data)} entries, expected {rows * cols}")
         flat = [_pair_to_complex(e, "data") for e in data]
-        return np.array(flat, dtype=complex).reshape(rows, cols)
+        return _finite(np.array(flat, dtype=complex).reshape(rows, cols), "matrix")
     if isinstance(obj, list):
         try:
             a = np.array(obj, dtype=float)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"matrix rows are not numeric: {exc}") from None
         _require(a.ndim == 2, f"nested array must be two-dimensional, got shape {a.shape}")
-        return a.astype(complex)
+        return _finite(a, "matrix").astype(complex)
     raise SchemaError(f"cannot read a matrix from {type(obj).__name__}")
 
 
@@ -123,7 +128,7 @@ def json_to_vector(obj) -> np.ndarray:
         isinstance(obj, list) and all(isinstance(x, Real) for x in obj),
         "vector must be a list of numbers",
     )
-    return np.array(obj, dtype=float)
+    return _finite(np.array(obj, dtype=float), "vector")
 
 
 def json_to_permutation(obj) -> np.ndarray:
@@ -164,7 +169,7 @@ def json_to_tensor_data(obj) -> np.ndarray:
         "data must be a list of numbers",
     )
     _require(len(data) == n1 * n2 * n1, f"data has {len(data)} entries, expected {n1 * n2 * n1}")
-    return np.array(data, dtype=float).reshape(n1, n2, n1)
+    return _finite(np.array(data, dtype=float).reshape(n1, n2, n1), "lifting tensor")
 
 
 def json_to_lifting_tensor(obj) -> np.ndarray:

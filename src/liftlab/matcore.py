@@ -167,17 +167,30 @@ def partial_transpose(op: FactoredOperator, factor: int) -> FactoredOperator:
     return FactoredOperator(t.reshape(side, side), op.dims)
 
 
-def _spectral_scale(w: np.ndarray) -> float:
-    """Tolerance scale: spectral-norm estimate floored at 1."""
-    return max(1.0, float(np.abs(w).max(initial=0.0)))
+def _spectral_scale(w: np.ndarray) -> np.ndarray:
+    """Tolerance scale of each spectrum (last axis): spectral norm floored at 1."""
+    return np.abs(w).max(axis=-1, initial=1.0)
 
 
 def _check_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
-    dev = float(np.abs(m - m.conj().T).max(initial=0.0))
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if dev > tol * scale:
+    """Hermitian part of each matrix of a (..., n, n) stack; raises for the first that is not."""
+    mh = np.swapaxes(m, -1, -2).conj()
+    dev = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
+    bad = dev > tol * scale
+    if bad.any():
+        k = int(np.argmax(bad))
+        dev, scale = dev.flat[k], scale.flat[k]
         raise NotHermitianError(f"deviation from Hermiticity {dev:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + mh)
+
+
+def _psd_stack(ms: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`is_psd` of every matrix in a (..., n, n) stack by one stacked
+    eigensolve: (ok, min_eigenvalue) arrays of the stack's shape."""
+    w = np.linalg.eigvalsh(_check_hermitian(ms, tol))
+    lows = w.min(axis=-1, initial=np.inf)  # a 0 x 0 matrix passes
+    return lows >= -tol * _spectral_scale(w), lows
 
 
 def is_psd(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -187,10 +200,8 @@ def is_psd(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     is above ``-tol`` relative to the spectral-norm estimate. Raises
     :class:`NotHermitianError` on non-Hermitian input.
     """
-    h = _check_hermitian(_as_matrix(m), tol)
-    w = np.linalg.eigvalsh(h)
-    lo = float(w[0])
-    return lo >= -tol * _spectral_scale(w), lo
+    ok, lo = _psd_stack(_as_matrix(m), tol)
+    return bool(ok), float(lo)
 
 
 def herm_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:

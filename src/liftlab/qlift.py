@@ -36,7 +36,6 @@ from .matcore import (
     is_psd,
     partial_trace,
     sandwich_right,
-    unit_matrix,
 )
 
 DEFAULT_TOL = 1e-9
@@ -56,11 +55,14 @@ class CpMap:
         u = np.array(self.units, dtype=complex)
         if u.ndim != 4 or len(set(u.shape)) != 1:
             raise DimensionMismatchError(f"units must have shape (d, d, d, d), got {u.shape}")
-        d = u.shape[0]
-        for i in range(d):
-            for j in range(i, d):
-                if not np.allclose(u[i, j].conj().T, u[j, i], atol=1e-10):
-                    raise NotHermitianError(f"units[{i},{j}]^dagger differs from units[{j},{i}]")
+        if not np.all(np.isfinite(u)):
+            raise DimensionMismatchError("units entries must be finite")
+        # np.allclose(units[i, j]^dagger, units[j, i]) for every i <= j.
+        close = np.isclose(u.transpose(0, 1, 3, 2).conj(), u.transpose(1, 0, 2, 3), rtol=1e-5, atol=1e-10)
+        bad = np.argwhere(np.triu(~close.all(axis=(2, 3))))
+        if bad.size:
+            i, j = bad[0]
+            raise NotHermitianError(f"units[{i},{j}]^dagger differs from units[{j},{i}]")
         u.setflags(write=False)
         object.__setattr__(self, "units", u)
 
@@ -95,11 +97,7 @@ class CpMap:
 
 
 def cp_identity(d: int) -> CpMap:
-    units = np.zeros((d, d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            units[i, j] = unit_matrix(d, i, j)
-    return CpMap(units)
+    return CpMap(np.eye(d * d, dtype=complex).reshape(d, d, d, d))
 
 
 def cp_from_kraus(ops) -> CpMap:
@@ -107,12 +105,9 @@ def cp_from_kraus(ops) -> CpMap:
     ks = [np.asarray(k, dtype=complex) for k in ops]
     if not ks or any(k.shape != ks[0].shape or k.ndim != 2 or k.shape[0] != k.shape[1] for k in ks):
         raise DimensionMismatchError("Kraus operators must be square matrices of one common size")
-    d = ks[0].shape[0]
-    units = np.zeros((d, d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            units[i, j] = sum(k @ unit_matrix(d, i, j) @ k.conj().T for k in ks)
-    return CpMap(units)
+    k = np.array(ks)
+    # units[i, j] = sum_m K_m e_ij K_m^dagger, entrywise K_m[a, i] conj(K_m[b, j]).
+    return CpMap(np.einsum("kai,kbj->ijab", k, k.conj()))
 
 
 def classical_cpmap(conditional) -> CpMap:
@@ -126,9 +121,9 @@ def classical_cpmap(conditional) -> CpMap:
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatchError(f"conditional must be square, got shape {c.shape}")
     d = c.shape[0]
+    a, i = np.arange(d)[:, None], np.arange(d)[None, :]
     units = np.zeros((d, d, d, d), dtype=complex)
-    for a in range(d):
-        units[a, a] = np.diag(c[a, :].astype(complex))
+    units[a, a, i, i] = c
     return CpMap(units)
 
 
@@ -213,6 +208,35 @@ def ohya_lift(rho, parties: int = 2, tol: float = DEFAULT_TOL) -> FactoredOperat
     return FactoredOperator((copies * w) @ copies.conj().T, (d,) * parties)
 
 
+def _kron_eye(x: np.ndarray, d: int) -> np.ndarray:
+    """x (x) I_d by d strided copies into a zeroed buffer, with no multiply."""
+    s = x.shape[0]
+    out = np.zeros((s, d, s, d), dtype=complex)
+    for k in range(d):
+        out[:, k, :, k] = x
+    return out.reshape(s * d, s * d)
+
+
+def _chain(pis, tol: float) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Dense matrix of the composite chained from pis, and its factor dims."""
+    pis = list(pis)
+    mats = [_qcp_matrix(p) for p in pis]
+    if not mats:
+        raise DimensionMismatchError("need at least one conditional operator")
+    d = mats[0][1]
+    if any(dk != d for _, dk in mats):
+        raise DimensionMismatchError("conditional operators must share one factor size")
+    dims = (d,) * (len(mats) + 1)
+    check_dense_size(dims)
+    roots: dict[int, np.ndarray] = {}
+    cur = mats[-1][0]
+    for p, (m, _) in zip(pis[-2::-1], mats[-2::-1]):
+        if id(p) not in roots:
+            roots[id(p)] = herm_sqrt(m, tol)
+        cur = sandwich_right(_kron_eye(cur, d), roots[id(p)])
+    return cur, dims
+
+
 def compose_qcp(pi1, pi2, tol: float = DEFAULT_TOL) -> FactoredOperator:
     """Three-factor composite (I x sqrt(pi1)) (pi2 x I) (I x sqrt(pi1)).
 
@@ -220,11 +244,7 @@ def compose_qcp(pi1, pi2, tol: float = DEFAULT_TOL) -> FactoredOperator:
     the leftmost slot returns pi1; tracing out the two leftmost returns the
     identity.
     """
-    m1, d1 = _qcp_matrix(pi1)
-    m2, d2 = _qcp_matrix(pi2)
-    if d1 != d2:
-        raise DimensionMismatchError(f"factor sizes differ: {d1} vs {d2}")
-    return FactoredOperator(sandwich_right(np.kron(m2, np.eye(d1)), herm_sqrt(m1, tol)), (d1, d1, d1))
+    return FactoredOperator(*_chain([pi1, pi2], tol))
 
 
 def n_compose_qcp(pis, tol: float = DEFAULT_TOL) -> FactoredOperator:
@@ -234,21 +254,7 @@ def n_compose_qcp(pis, tol: float = DEFAULT_TOL) -> FactoredOperator:
     couples slots 2 and 1, element 1 couples slots 3 and 2, and so on. The
     square root of each distinct operator object is taken once.
     """
-    pis = list(pis)
-    mats = [_qcp_matrix(p) for p in pis]
-    if not mats:
-        raise DimensionMismatchError("need at least one conditional operator")
-    d = mats[0][1]
-    if any(dk != d for _, dk in mats):
-        raise DimensionMismatchError("conditional operators must share one factor size")
-    check_dense_size((d,) * (len(mats) + 1))
-    roots: dict[int, np.ndarray] = {}
-    cur = mats[-1][0]
-    for p, (m, _) in zip(pis[-2::-1], mats[-2::-1]):
-        if id(p) not in roots:
-            roots[id(p)] = herm_sqrt(m, tol)
-        cur = sandwich_right(np.kron(cur, np.eye(d)), roots[id(p)])
-    return FactoredOperator(cur, (d,) * (len(mats) + 1))
+    return FactoredOperator(*_chain(pis, tol))
 
 
 def n_nonlinear_lift(pi, rho, parties: int, tol: float = DEFAULT_TOL) -> FactoredOperator:
@@ -266,8 +272,8 @@ def n_nonlinear_lift(pi, rho, parties: int, tol: float = DEFAULT_TOL) -> Factore
     state = check_state(rho, tol)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != conditional side {d}")
-    chain = n_compose_qcp([pi] * (parties - 1), tol)
-    return FactoredOperator(sandwich_right(chain.matrix, herm_sqrt(state.matrix, tol)), (d,) * parties)
+    chain, _ = _chain([pi] * (parties - 1), tol)
+    return FactoredOperator(sandwich_right(chain, herm_sqrt(state.matrix, tol)), (d,) * parties)
 
 
 def channel_from_compound(theta: FactoredOperator, rho, tol: float = DEFAULT_TOL) -> CpMap:
@@ -349,9 +355,8 @@ def lifting_assisted_map(psi: Callable[[np.ndarray], np.ndarray], omega, tol: fl
 
 def choi_matrix(phi: Callable[[np.ndarray], np.ndarray], d: int) -> FactoredOperator:
     """Normalized Choi matrix (1/d) sum_ij e_ij x phi(e_ij)."""
-    side = d * d
-    out = np.zeros((side, side), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            out += np.kron(unit_matrix(d, i, j), np.asarray(phi(unit_matrix(d, i, j)), dtype=complex))
-    return FactoredOperator(out / d, (d, d))
+    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[i, j] = e_ij
+    images = np.array([[phi(e) for e in row] for row in units], dtype=complex)
+    if images.shape != units.shape:
+        raise DimensionMismatchError(f"phi returned shape {images.shape[2:]}, expected {(d, d)}")
+    return FactoredOperator(images.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d, (d, d))

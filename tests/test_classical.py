@@ -189,3 +189,11 @@ def test_teleport_random_roundtrip():
         np.testing.assert_allclose(bob, p[permutation_inverse(s)], atol=1e-13)
         np.testing.assert_allclose(corrected, p, atol=1e-13)
         assert bob.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_validators_reject_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SchemaError, match="probability vector entries must be finite"):
+            as_probability_vector([bad, 1.0])
+        with pytest.raises(SchemaError, match="channel weights must be finite"):
+            as_channel([[bad, 0.0], [0.0, 1.0]])

@@ -282,3 +282,12 @@ def test_unnormalized_lifting_tensor_exits_three(capsys):
     half = json.dumps({"n1": 2, "n2": 2, "data": [0.5, 0, 0, 0, 0, 0, 0, 0.5]})
     _assert_error_exit(capsys, ["lift", "classical", "--tensor", half, "--p", "[0.6,0.4]"], 3)
     _assert_error_exit(capsys, ["lift", "nlift", "--tensor", half, "--p", "[0.6,0.4]", "--parties", "3"], 3)
+
+
+def test_overflowing_numbers_exit_two(capsys):
+    inf_matrix = "[[1e999,0],[0,1]]"
+    for argv in (["channel", "apply", "--matrix", inf_matrix, "--state", "[0.5,0.5]"],
+                 ["channel", "kraus", "--matrix", inf_matrix]):
+        _assert_error_exit(capsys, argv, 2)
+        assert cli.main(argv) == 2
+        assert "matrix entries must be finite" in capsys.readouterr().err

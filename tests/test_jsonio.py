@@ -196,3 +196,15 @@ def test_decoders_pass_math_domain_errors_through():
         json_to_bell_spectrum({"d": 2, "p": [[0.5, 0.6], [0.1, -0.2]]})
     half = {"n1": 2, "n2": 2, "data": [0.5, 0, 0, 0, 0, 0, 0, 0.5]}
     np.testing.assert_allclose(json_to_tensor_data(half).sum(axis=(1, 2)), [0.5, 0.5])
+
+
+def test_decoders_reject_numbers_that_overflow_to_infinity():
+    # JSON reads 1e999 as inf without calling parse_constant.
+    with pytest.raises(SchemaError, match="matrix entries must be finite"):
+        json_to_matrix(load_argument("[[1e999, 0], [0, 1]]"))
+    with pytest.raises(SchemaError, match="matrix entries must be finite"):
+        json_to_matrix(load_argument('{"rows": 1, "cols": 1, "data": [[0, -1e999]]}'))
+    with pytest.raises(SchemaError, match="vector entries must be finite"):
+        json_to_vector(load_argument("[1e999, 0]"))
+    with pytest.raises(SchemaError, match="lifting tensor entries must be finite"):
+        json_to_tensor_data(load_argument('{"n1": 1, "n2": 1, "data": [1e999]}'))

@@ -1,0 +1,211 @@
+"""The vectorized circulant and Kraus kernels against their loop definitions.
+
+Each reference below writes a kernel's definition as an index loop; the
+library computes the same with one scatter, gather or einsum. Scatters and
+gathers only move entries, and the einsum sums the same products in another
+order, so every comparison holds to 1e-13 over seeded d = 1..9.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from liftlab.circulant import (
+    CirculantSpec,
+    assemble_partial_transpose,
+    bell_diagonal_lift,
+    bell_unitary,
+    build_circulant,
+    circulant_lift,
+    circulant_lift_isometry,
+    circulant_partial_transpose,
+    maximally_entangled,
+    shift_matrix,
+)
+from liftlab.errors import BlockNotPSDError, NotHermitianError, TraceNotOneError
+from liftlab.matcore import partial_transpose, unit_matrix
+from liftlab.qlift import CpMap, choi_matrix, classical_cpmap, cp_from_kraus, cp_identity
+from liftlab.sampling import circulant_spec, density, markov_spec, probability_vector, rng
+
+DIMS = range(1, 10)
+ATOL = 1e-13
+
+
+def _loop_assemble(blocks, row_map, col_map):
+    d = blocks.shape[0]
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for alpha in range(d):
+        for i in range(d):
+            for j in range(d):
+                m[i * d + row_map(i, alpha), j * d + col_map(j, alpha)] += blocks[alpha][i, j]
+    return m
+
+
+def _loop_partial_transpose(b):
+    d = b.shape[0]
+    out = np.zeros_like(b)
+    for alpha in range(d):
+        for i in range(d):
+            for j in range(d):
+                out[alpha, i, j] = b[(alpha - i - j) % d, i, j]
+    return out
+
+
+def _loop_kraus_units(ks):
+    d = ks[0].shape[0]
+    units = np.zeros((d, d, d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            units[i, j] = sum(k @ unit_matrix(d, i, j) @ k.conj().T for k in ks)
+    return units
+
+
+def _loop_isometry(c):
+    d = c.shape[0]
+    v = np.zeros((d * d, d), dtype=complex)
+    for alpha in range(d):
+        for j in range(d):
+            v[j * d + (j + alpha) % d, alpha] = c[alpha, j]
+    return v
+
+
+def _loop_bell_unitary(m, n, d):
+    u = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        u[(k + n) % d, k] = np.exp(2j * np.pi * m * k / d)
+    return u
+
+
+def _loop_shift(d):
+    s = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        s[(k + 1) % d, k] = 1.0
+    return s
+
+
+def _loop_bell_profile(weights):
+    d = weights.size
+    phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
+    profile = np.zeros((d, d), dtype=complex)
+    for m in range(d):
+        profile += weights[m] * np.outer(phases[m], phases[m].conj())
+    return profile / d
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
+
+
+def _blocks(g, d):
+    return g.standard_normal((d, d, d)) + 1j * g.standard_normal((d, d, d))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_circulant_kernels_match_loops(d):
+    g = rng(700 + d)
+    spec = circulant_spec(g, d)
+    _close(build_circulant(spec).matrix,
+           _loop_assemble(spec.blocks, lambda i, a: (i + a) % d, lambda j, a: (j + a) % d))
+    raw = _blocks(g, d)
+    _close(circulant_partial_transpose(raw), _loop_partial_transpose(raw))
+    _close(assemble_partial_transpose(raw).matrix,
+           _loop_assemble(raw, lambda i, a: (a - i) % d, lambda j, a: (a - j) % d))
+    _close(shift_matrix(d), _loop_shift(d))
+    for m in range(d):
+        for n in range(d):
+            _close(bell_unitary(m, n, d), _loop_bell_unitary(m, n, d))
+    _close(maximally_entangled(d).matrix, np.outer(np.eye(d).ravel(), np.eye(d).ravel()) / d)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_circulant_lifts_match_loops(d):
+    g = rng(720 + d)
+    raw = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+    cvecs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    state = density(g, d)
+    lifted, v = circulant_lift_isometry(cvecs, state)
+    want_v = _loop_isometry(cvecs)
+    _close(v, want_v)
+    _close(lifted.matrix, want_v @ np.diag(np.diag(state).real) @ want_v.conj().T)
+    weights = probability_vector(g, d)
+    bell, _ = bell_diagonal_lift(weights, state)
+    pops = np.real(np.diag(state))
+    profile = _loop_bell_profile(weights)
+    want = _loop_assemble(np.array([p * profile for p in pops]),
+                          lambda i, a: (i + a) % d, lambda j, a: (j + a) % d)
+    np.testing.assert_array_equal(bell.matrix, want)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_cp_kernels_match_loops(d):
+    g = rng(740 + d)
+    for count in (1, 3, d + 1):
+        ks = [g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for _ in range(count)]
+        _close(cp_from_kraus(ks).units, _loop_kraus_units(ks))
+    units = cp_identity(d).units
+    for i in range(d):
+        for j in range(d):
+            np.testing.assert_array_equal(units[i, j], unit_matrix(d, i, j))
+    cond = markov_spec(g, d).conditional
+    want = np.zeros((d, d, d, d), dtype=complex)
+    for a in range(d):
+        want[a, a] = np.diag(cond[a, :])
+    np.testing.assert_array_equal(classical_cpmap(cond).units, want)
+    ks = [g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for _ in range(2)]
+    phi = lambda x: sum(k @ x @ k.conj().T for k in ks)
+    choi = sum(np.kron(unit_matrix(d, i, j), phi(unit_matrix(d, i, j))) for i in range(d) for j in range(d))
+    np.testing.assert_array_equal(choi_matrix(phi, d).matrix, choi / d)
+
+
+def test_stacked_checks_name_the_lowest_bad_index():
+    d = 4
+    blocks = np.stack([np.eye(d) / (d * d)] * d).astype(complex)
+    blocks[1] = np.diag([0.2, -0.1, 0.1, 0.05])
+    blocks[3] = np.diag([0.2, -0.3, 0.1, 0.05])
+    with pytest.raises(BlockNotPSDError, match=r"^block 1 has eigenvalue -1\.000e-01$"):
+        CirculantSpec(blocks)
+    with pytest.raises(TraceNotOneError):
+        CirculantSpec(np.zeros((0, 0, 0)))
+    state = np.eye(d) / d
+    profiles = np.stack([np.eye(d) / d] * d).astype(complex)
+    profiles[2] = np.diag([0.6, -0.1, 0.3, 0.2])
+    profiles[3] = np.diag([0.7, -0.2, 0.3, 0.2])
+    with pytest.raises(BlockNotPSDError, match=r"^profile 2 has eigenvalue -1\.000e-01$"):
+        circulant_lift(profiles, state)
+    # A trace failure at a lower index than a PSD failure is reported first.
+    profiles[1] = np.eye(d) / 2
+    with pytest.raises(TraceNotOneError, match=r"^profile 1 has trace"):
+        circulant_lift(profiles, state)
+    units = cp_identity(3).units.copy()
+    units[2, 1] += np.eye(3)
+    units[0, 2] += np.eye(3)
+    with pytest.raises(NotHermitianError, match=r"^units\[0,2\]\^dagger differs from units\[2,0\]$"):
+        CpMap(units)
+    units = cp_identity(3).units.copy()
+    units[1, 2] += np.eye(3)
+    units[2, 1] += 2 * np.eye(3)
+    with pytest.raises(NotHermitianError, match=r"^units\[1,2\]\^dagger differs from units\[2,1\]$"):
+        CpMap(units)
+
+
+def test_cpmap_hermiticity_keeps_allclose_tolerances():
+    # Pair (i, j) passes when |a - b| <= 1e-10 + 1e-5 |b|, with a from
+    # units[i, j]^dagger and b from units[j, i], as np.allclose(a, b) does.
+    units = cp_identity(2).units * 1e3
+    units[0, 1, 0, 1] += 5e-3
+    CpMap(units)
+    units[0, 1, 0, 1] += 1.5e-2
+    with pytest.raises(NotHermitianError, match=r"units\[0,1\]"):
+        CpMap(units)
+    # Only pairs with i <= j are compared: b = 1.000005e-10 against a = 0
+    # passes, and the swapped comparison would fail.
+    units = cp_identity(2).units.copy()
+    units[1, 0, 0, 0] = 1.000005e-10
+    CpMap(units)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_blockwise_partial_transpose_property(d, seed):
+    spec = circulant_spec(rng(seed), d)
+    reassembled = assemble_partial_transpose(circulant_partial_transpose(spec.blocks))
+    np.testing.assert_array_equal(reassembled.matrix, partial_transpose(build_circulant(spec), 1).matrix)

@@ -391,3 +391,11 @@ def test_dense_size_guard_precedes_every_n_party_build(monkeypatch):
         assert build(3).dims == (2, 2, 2)
         with pytest.raises(SchemaError, match="limit"):
             build(4)
+
+
+def test_cpmap_rejects_non_finite_units():
+    for bad in (np.nan, np.inf):
+        units = cp_identity(2).units.copy()
+        units[0, 0, 0, 0] = bad
+        with pytest.raises(DimensionMismatchError, match="units entries must be finite"):
+            CpMap(units)
