@@ -38,7 +38,6 @@ from .matcore import (
     unit_matrix,
 )
 from .classical import (
-    apply_channel,
     apply_kraus,
     apply_to_observable,
     apply_to_state,

@@ -22,9 +22,7 @@ from .errors import (
     NotNormalizedError,
     TraceNotOneError,
 )
-from .matcore import FactoredOperator, _psd_stack, check_state
-
-DEFAULT_TOL = 1e-9
+from .matcore import PROB_TOL, STRUCT_TOL, TOL, FactoredOperator, _psd_stack, check_state
 
 
 def circulant_subspaces(d: int) -> list[list[tuple[int, int]]]:
@@ -46,23 +44,26 @@ def _as_blocks(blocks) -> np.ndarray:
     return b
 
 
+def _check_trace_sum(blocks: np.ndarray) -> None:
+    total = np.trace(blocks, axis1=1, axis2=2).real.sum()
+    if abs(total - 1.0) > TOL:
+        raise TraceNotOneError(f"block traces sum to {total!r}, expected 1")
+
+
 @dataclass(frozen=True)
 class CirculantSpec:
     """Circulant state data: one PSD d x d block per subspace, traces
     summing to one."""
 
     blocks: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         b = _as_blocks(self.blocks).copy()
-        ok, lows = _psd_stack(b, self.tol)
+        ok, lows = _psd_stack(b)
         if not ok.all():
             alpha = int(np.argmin(ok))
             raise BlockNotPSDError(f"block {alpha} has eigenvalue {lows[alpha]:.3e}")
-        total = np.trace(b, axis1=1, axis2=2).real.sum()
-        if abs(total - 1.0) > max(self.tol, 1e-10):
-            raise TraceNotOneError(f"block traces sum to {total!r}, expected 1")
+        _check_trace_sum(b)
         b.setflags(write=False)
         object.__setattr__(self, "blocks", b)
 
@@ -73,11 +74,11 @@ class CirculantSpec:
 
 def _assemble(blocks: np.ndarray, slot_map) -> FactoredOperator:
     """Place entry [alpha, i, j] at (pos[alpha, i], pos[alpha, j]) by one
-    scatter, with pos[alpha, i] = i * d + slot_map(i, alpha); the d^3
+    scatter, with pos[alpha, i] = i * d + slot_map(i, alpha) mod d; the d^3
     positions are distinct."""
     d = blocks.shape[0]
     k = np.arange(d)
-    pos = k * d + slot_map(k, k[:, None])
+    pos = k * d + slot_map(k, k[:, None]) % d
     m = np.zeros((d * d, d * d), dtype=complex)
     m[pos[:, :, None], pos[:, None, :]] = blocks
     return FactoredOperator(m, (d, d))
@@ -86,8 +87,7 @@ def _assemble(blocks: np.ndarray, slot_map) -> FactoredOperator:
 def build_circulant(spec: CirculantSpec) -> FactoredOperator:
     """Assemble the two-party state sum_alpha sum_ij a^(alpha)_ij
     e_ij x e_{i+alpha, j+alpha}."""
-    d = spec.d
-    return _assemble(spec.blocks, lambda i, a: (i + a) % d)
+    return _assemble(spec.blocks, np.add)
 
 
 def circulant_partial_transpose(blocks) -> np.ndarray:
@@ -110,46 +110,48 @@ def circulant_partial_transpose(blocks) -> np.ndarray:
 def assemble_partial_transpose(tilde_blocks) -> FactoredOperator:
     """Reassemble partially transposed blocks on the reflected subspaces:
     sum_alpha sum_ij a~^(alpha)_ij e_ij x e_{-i+alpha, -j+alpha}."""
-    b = _as_blocks(tilde_blocks)
-    d = b.shape[0]
-    return _assemble(b, lambda i, a: (a - i) % d)
+    return _assemble(_as_blocks(tilde_blocks), lambda i, a: a - i)
 
 
-def is_ppt_circulant(spec: CirculantSpec, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndarray]:
+def is_ppt_circulant(spec: CirculantSpec) -> tuple[bool, np.ndarray]:
     """Block-level PPT test.
 
     Returns (all blocks of the partial transpose PSD, the vector of their
     minimal eigenvalues).
     """
-    ok, lows = _psd_stack(circulant_partial_transpose(spec.blocks), tol)
+    ok, lows = _psd_stack(circulant_partial_transpose(spec.blocks))
     return bool(ok.all()), lows
 
 
-def circulant_lift(cs, rho, tol: float = DEFAULT_TOL) -> FactoredOperator:
+def circulant_lift(cs, rho) -> FactoredOperator:
     """Lift a state along fixed circulant profiles.
 
     cs[alpha] is a PSD unit-trace d x d matrix; the output circulant state
     carries block rho[alpha, alpha] * cs[alpha], so it depends on rho only
     through its diagonal. Output traces to one for any unit-trace input.
+    Block alpha's eigenvalues are rho[alpha, alpha] >= -TOL times those of
+    cs[alpha], so the profile check stands in for a block check; only the
+    blocks' trace sum is checked again.
     """
     profiles = _as_blocks(cs)
     d = profiles.shape[0]
-    state = check_state(rho, tol)
+    state = check_state(rho)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != block count {d}")
-    ok, lows = _psd_stack(profiles, tol)
+    ok, lows = _psd_stack(profiles)
     traces = np.trace(profiles, axis1=1, axis2=2).real
-    bad = ~ok | (np.abs(traces - 1.0) > max(tol, 1e-10))
+    bad = ~ok | (np.abs(traces - 1.0) > TOL)
     if bad.any():
         alpha = int(np.argmax(bad))
         if not ok[alpha]:
             raise BlockNotPSDError(f"profile {alpha} has eigenvalue {lows[alpha]:.3e}")
         raise TraceNotOneError(f"profile {alpha} has trace {traces[alpha]!r}, expected 1")
-    p = np.real(np.diag(state.matrix))
-    return build_circulant(CirculantSpec(p[:, None, None] * profiles, tol))
+    blocks = np.real(np.diag(state.matrix))[:, None, None] * profiles
+    _check_trace_sum(blocks)
+    return _assemble(blocks, np.add)
 
 
-def circulant_lift_isometry(cvecs, rho, tol: float = DEFAULT_TOL) -> tuple[FactoredOperator, np.ndarray]:
+def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
     """Isometry form of the circulant lifting.
 
     cvecs[alpha] is a unit vector; V maps e_alpha to
@@ -163,9 +165,9 @@ def circulant_lift_isometry(cvecs, rho, tol: float = DEFAULT_TOL) -> tuple[Facto
     d = c.shape[0]
     for alpha in range(d):
         nrm = np.linalg.norm(c[alpha])
-        if abs(nrm - 1.0) > max(tol, 1e-10):
+        if abs(nrm - 1.0) > TOL:
             raise NotNormalizedError(f"vector {alpha} has norm {nrm!r}, expected 1")
-    state = check_state(rho, tol)
+    state = check_state(rho)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != vector count {d}")
     k = np.arange(d)
@@ -211,9 +213,9 @@ class BellSpectrum:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise DimensionMismatchError(f"spectrum must be (d, d), got {p.shape}")
-        if p.min() < -1e-12:
+        if p.min() < -PROB_TOL:
             raise BlockNotPSDError(f"spectrum has negative weight {p.min():.3e}")
-        if abs(p.sum() - 1.0) > 1e-10:
+        if abs(p.sum() - 1.0) > STRUCT_TOL:
             raise TraceNotOneError(f"spectrum sums to {p.sum()!r}, expected 1")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
@@ -224,7 +226,7 @@ class BellSpectrum:
         return self.p.shape[0]
 
 
-def bell_diagonal_lift(p, rho, tol: float = DEFAULT_TOL) -> tuple[FactoredOperator, BellSpectrum]:
+def bell_diagonal_lift(p, rho) -> tuple[FactoredOperator, BellSpectrum]:
     """Circulant lifting whose output is Bell diagonal.
 
     The single profile c[k, l] = (1/d) sum_m p_m lambda^{m(k-l)} is used on
@@ -234,13 +236,13 @@ def bell_diagonal_lift(p, rho, tol: float = DEFAULT_TOL) -> tuple[FactoredOperat
     """
     weights = as_probability_vector(p)
     d = weights.size
-    state = check_state(rho, tol)
+    state = check_state(rho)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != weight count {d}")
     phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
     # A sum over axis 0 adds in the order, and so with the rounding, of a loop over m.
     outers = phases[:, :, None] * phases[:, None, :].conj()
     profile = (weights[:, None, None] * outers).sum(axis=0) / d
-    lifted = circulant_lift(np.broadcast_to(profile, (d, d, d)), state, tol)
+    lifted = circulant_lift(np.broadcast_to(profile, (d, d, d)), state)
     spectrum = BellSpectrum(np.outer(weights, np.real(np.diag(state.matrix))))
     return lifted, spectrum

@@ -19,33 +19,31 @@ from .errors import (
     NotUnitalError,
     SchemaError,
 )
-from .matcore import FactoredOperator
-
-ATOL = 1e-12
+from .matcore import PROB_TOL, FactoredOperator
 
 
-def as_probability_vector(p, atol: float = ATOL) -> np.ndarray:
+def as_probability_vector(p) -> np.ndarray:
     """Validate and return a probability vector as a float array."""
     v = np.asarray(p, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DimensionMismatchError(f"probability vector must be 1-d and nonempty, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise SchemaError("probability vector entries must be finite")
-    if v.min(initial=0.0) < -atol:
+    if v.min(initial=0.0) < -PROB_TOL:
         raise NegativeEntryError(f"probability vector has negative entry {v.min():.3e}")
-    if abs(v.sum() - 1.0) > atol * max(1, v.size):
+    if abs(v.sum() - 1.0) > PROB_TOL * max(1, v.size):
         raise NotNormalizedError(f"probability vector sums to {v.sum()!r}, not 1")
     return np.clip(v, 0.0, None)
 
 
-def as_channel(weights, atol: float = ATOL) -> np.ndarray:
+def as_channel(weights) -> np.ndarray:
     """Validate a channel weight matrix: 2-d, real, nonnegative."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or 0 in w.shape:
         raise DimensionMismatchError(f"channel weights must be a nonempty 2-d matrix, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise SchemaError("channel weights must be finite")
-    if w.min() < -atol:
+    if w.min() < -PROB_TOL:
         raise NegativeEntryError(f"channel weights have negative entry {w.min():.3e}")
     return np.clip(w, 0.0, None)
 
@@ -67,19 +65,19 @@ def permutation_inverse(perm) -> np.ndarray:
     return inv
 
 
-def is_unital(weights, atol: float = ATOL) -> bool:
+def is_unital(weights, atol: float = PROB_TOL) -> bool:
     """Columns sum to one (the identity observable is preserved)."""
     w = as_channel(weights)
     return bool(np.allclose(w.sum(axis=0), 1.0, atol=atol))
 
 
-def is_stochastic(weights, atol: float = ATOL) -> bool:
+def is_stochastic(weights, atol: float = PROB_TOL) -> bool:
     """Rows sum to one (the state action preserves total probability)."""
     w = as_channel(weights)
     return bool(np.allclose(w.sum(axis=1), 1.0, atol=atol))
 
 
-def is_doubly_stochastic(weights, atol: float = ATOL) -> bool:
+def is_doubly_stochastic(weights, atol: float = PROB_TOL) -> bool:
     return is_unital(weights, atol) and is_stochastic(weights, atol)
 
 
@@ -101,11 +99,6 @@ def apply_to_state(weights, p) -> np.ndarray:
     """State action on a probability vector: b_j = sum_i L[i, j] p_i."""
     w = as_channel(weights)
     return _contract(w, as_probability_vector(p))
-
-
-def apply_channel(weights, p) -> np.ndarray:
-    """Alias for the state action."""
-    return apply_to_state(weights, p)
 
 
 def kraus_from_channel(weights) -> list[np.ndarray]:
@@ -169,7 +162,7 @@ def max_correlated_state(perm) -> FactoredOperator:
     return FactoredOperator(m, (n, n))
 
 
-def classical_choi(weights, atol: float = ATOL) -> FactoredOperator:
+def classical_choi(weights) -> FactoredOperator:
     """Joint state sum_ij (L[i, j]/n2) e_ii x e_jj of a unital channel.
 
     Column j carries the conditional distribution of the input letter given
@@ -177,7 +170,7 @@ def classical_choi(weights, atol: float = ATOL) -> FactoredOperator:
     uniform. Requires unitality.
     """
     w = as_channel(weights)
-    if not is_unital(w, atol):
+    if not is_unital(w):
         raise NotUnitalError(f"columns sum to {w.sum(axis=0).tolist()}, expected all 1")
     n1, n2 = w.shape
     return FactoredOperator(np.diag((w / n2).reshape(-1).astype(complex)), (n1, n2))

@@ -31,9 +31,7 @@ from .classical import (
 from .clift import lift, n_lift
 from .errors import MathDomainError, SchemaError
 from .qlift import nonlinear_lift, ohya_lift, qcp_from_channel
-from .matcore import check_state
-
-KRAUS_CHECK_TOL = 1e-9
+from .matcore import TOL, check_state
 
 
 def _emit(payload: dict, out_path: str | None):
@@ -94,10 +92,10 @@ def cmd_channel_kraus(args) -> int:
             p = sampling.probability_vector(g, w.shape[0])
             via_kraus = np.diag(apply_kraus(ops, np.diag(p.astype(complex)))).real
             dev = max(dev, float(np.abs(via_kraus - apply_to_state(w, p)).max()))
-        passed = dev <= KRAUS_CHECK_TOL
+        passed = dev <= TOL
         payload["self_check"] = {
             "max_deviation": dev,
-            "tolerance": KRAUS_CHECK_TOL,
+            "tolerance": TOL,
             "passed": passed,
         }
         code = 0 if passed else 1
@@ -113,7 +111,7 @@ def cmd_channel_dilate(args) -> int:
     w = channel_from_dilation(perm, sigma)
     _emit({
         "weights": jsonio.matrix_to_json(w),
-        "doubly_stochastic": is_doubly_stochastic(w, 1e-9),
+        "doubly_stochastic": is_doubly_stochastic(w, TOL),
     }, args.out)
     return 0
 

@@ -9,7 +9,6 @@ liftings; Markov chains arise from the tensors E[i, j, k] = p(j|i) delta_ik.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,21 +20,19 @@ from .errors import (
     NegativeEntryError,
     NotNormalizedError,
 )
-from .matcore import FactoredOperator, check_dense_size, is_psd
-
-ATOL = 1e-12
+from .matcore import PROB_TOL, FactoredOperator, _psd_stack, check_dense_size
 
 
-def as_lifting_tensor(t, atol: float = ATOL) -> np.ndarray:
+def as_lifting_tensor(t) -> np.ndarray:
     """Validate a lifting tensor: shape (n1, n2, n1), nonnegative, each
     input slice summing to one."""
     e = np.asarray(t, dtype=float)
     if e.ndim != 3 or e.shape[0] != e.shape[2]:
         raise DimensionMismatchError(f"lifting tensor must have shape (n1, n2, n1), got {e.shape}")
-    if e.min() < -atol:
+    if e.min() < -PROB_TOL:
         raise NegativeEntryError(f"lifting tensor has negative entry {e.min():.3e}")
     row = e.sum(axis=(1, 2))
-    if not np.allclose(row, 1.0, atol=atol * max(1, e.shape[1] * e.shape[2])):
+    if not np.allclose(row, 1.0, atol=PROB_TOL * max(1, e.shape[1] * e.shape[2])):
         raise NotNormalizedError(f"input slices sum to {row.tolist()}, expected all 1")
     return np.clip(e, 0.0, None)
 
@@ -96,7 +93,7 @@ def lift(t, p) -> FactoredOperator:
     return FactoredOperator(np.diag(w.reshape(-1).astype(complex)), (n2, n1))
 
 
-def is_nondemolition(t, atol: float = ATOL) -> bool:
+def is_nondemolition(t, atol: float = PROB_TOL) -> bool:
     """True when summing out the new factor returns the identity:
     sum_j E[i, j, k] = delta(i, k), so the retained marginal equals the
     input for every state."""
@@ -104,7 +101,7 @@ def is_nondemolition(t, atol: float = ATOL) -> bool:
     return bool(np.allclose(e.sum(axis=1), np.eye(e.shape[0]), atol=atol * max(1, e.shape[1])))
 
 
-def is_markovian_lifting(t, atol: float = ATOL) -> tuple[bool, np.ndarray | None]:
+def is_markovian_lifting(t) -> tuple[bool, np.ndarray | None]:
     """Detect the form E[i, j, k] = p(j|i) delta(k, i).
 
     Returns (True, conditional) with conditional[j, i] = p(j|i) when the
@@ -114,13 +111,13 @@ def is_markovian_lifting(t, atol: float = ATOL) -> tuple[bool, np.ndarray | None
     n1 = e.shape[0]
     off = e.copy()
     off[np.arange(n1), :, np.arange(n1)] = 0.0
-    if np.abs(off).max() > atol:
+    if np.abs(off).max() > PROB_TOL:
         return False, None
     cond = e[np.arange(n1), :, np.arange(n1)].T.copy()
     return True, cond
 
 
-def gamma_lifting(gamma, sigma, p, atol: float = ATOL) -> FactoredOperator:
+def gamma_lifting(gamma, sigma, p) -> FactoredOperator:
     """Lifting assisted by a channel on the joint diagonal algebra.
 
     Forms the product weights sigma x p (flat index j*n1 + k), pushes them
@@ -133,9 +130,9 @@ def gamma_lifting(gamma, sigma, p, atol: float = ATOL) -> FactoredOperator:
     n2, n1 = q.size, v.size
     if g.shape != (n2 * n1, n2 * n1):
         raise DimensionMismatchError(f"joint channel shape {g.shape}, expected {(n2 * n1, n2 * n1)}")
-    if g.min() < -atol:
+    if g.min() < -PROB_TOL:
         raise NegativeEntryError(f"joint channel has negative entry {g.min():.3e}")
-    if not np.allclose(g.sum(axis=1), 1.0, atol=atol * max(1, g.shape[0])):
+    if not np.allclose(g.sum(axis=1), 1.0, atol=PROB_TOL * max(1, g.shape[0])):
         raise NotNormalizedError("joint channel rows must sum to 1 (trace preservation)")
     w = g.T @ np.outer(q, v).reshape(-1)
     return FactoredOperator(np.diag(w.astype(complex)), (n2, n1))
@@ -176,9 +173,9 @@ class MarkovSpec:
             raise DimensionMismatchError(f"conditional must be square, got shape {c.shape}")
         if c.shape[0] != p0.size:
             raise DimensionMismatchError(f"conditional side {c.shape[0]} != initial length {p0.size}")
-        if c.min() < -ATOL:
+        if c.min() < -PROB_TOL:
             raise NegativeEntryError(f"conditional has negative entry {c.min():.3e}")
-        if not np.allclose(c.sum(axis=0), 1.0, atol=ATOL * max(1, c.shape[0])):
+        if not np.allclose(c.sum(axis=0), 1.0, atol=PROB_TOL * max(1, c.shape[0])):
             raise NotNormalizedError(f"conditional columns sum to {c.sum(axis=0).tolist()}, expected all 1")
         c = np.clip(c, 0.0, None)
         c.setflags(write=False)
@@ -242,7 +239,7 @@ def transition_expectation_sides(spec: MarkovSpec, observables) -> tuple[float, 
     return float(lhs), rhs
 
 
-def verify_transition_expectation(spec: MarkovSpec, parties: int, observables, atol: float = ATOL) -> bool:
+def verify_transition_expectation(spec: MarkovSpec, parties: int, observables, atol: float = PROB_TOL) -> bool:
     """Check the joint expectation against the nested one-step form."""
     obs = list(observables)
     if len(obs) != parties:
@@ -251,7 +248,7 @@ def verify_transition_expectation(spec: MarkovSpec, parties: int, observables, a
     return abs(lhs - rhs) <= atol * max(1.0, abs(lhs), abs(rhs))
 
 
-def separable_n_state(p, maps, atol: float = 1e-9) -> FactoredOperator:
+def separable_n_state(p, maps) -> FactoredOperator:
     """Separable N-party state sum_i p_i phi_1(e_ii) x ... x phi_N(e_ii).
 
     Each map is given by its images on diagonal units: maps[k][i] is the
@@ -267,21 +264,14 @@ def separable_n_state(p, maps, atol: float = 1e-9) -> FactoredOperator:
             raise DimensionMismatchError(
                 f"map {mi} images must have shape ({v.size}, d, d), got {m.shape}"
             )
-        for i in range(v.size):
-            ok, lo = is_psd(m[i], atol)
-            if not ok:
-                raise MapNotPositiveError(f"map {mi} sends unit {i} to eigenvalue {lo:.3e}")
-    dims = tuple(m.shape[1] for m in images)
-    side = int(np.prod(dims))
-    out = np.zeros((side, side), dtype=complex)
-    for i in range(v.size):
-        term = np.ones((1, 1), dtype=complex)
-        for m in images:
-            term = np.kron(term, m[i])
-        out += v[i] * term
-    return FactoredOperator(out, dims)
-
-
-def all_index_tuples(n: int, parties: int):
-    """Iterate over index tuples (i_N, ..., i_1)."""
-    return itertools.product(range(n), repeat=parties)
+        ok, lows = _psd_stack(m)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise MapNotPositiveError(f"map {mi} sends unit {i} to eigenvalue {lows[i]:.3e}")
+    # terms[i] = phi_1(e_ii) x ... x phi_k(e_ii), one Kronecker factor per step.
+    terms = images[0]
+    for m in images[1:]:
+        side = terms.shape[1] * m.shape[1]
+        terms = (terms[:, :, None, :, None] * m[:, None, :, None, :]).reshape(v.size, side, side)
+    # A sum over axis 0 adds the terms in unit order.
+    return FactoredOperator((v[:, None, None] * terms).sum(axis=0), tuple(m.shape[1] for m in images))

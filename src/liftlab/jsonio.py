@@ -6,11 +6,8 @@ leftmost factor first. Plain nested JSON arrays of numbers are accepted
 wherever a real matrix or vector is expected. Loaders raise SchemaError on
 any malformed payload so the command line can map them to exit code 2; a
 well-formed payload that breaks a mathematical precondition raises the
-constructor's MathDomainError (exit code 3). json_to_lifting_tensor and
-json_to_markov are the exceptions: they report every invalid payload as a
-SchemaError, and the command line decodes lifting tensors with
-json_to_tensor_data and validates them in the lifting itself. No JSON text
-in or out may hold NaN, Infinity, or a number that overflows to inf (1e999).
+constructor's MathDomainError (exit code 3). No JSON text in or out may
+hold NaN, Infinity, or a number that overflows to inf (1e999).
 """
 from __future__ import annotations
 
@@ -21,7 +18,6 @@ import numpy as np
 
 from .circulant import BellSpectrum, CirculantSpec
 from .classical import as_permutation
-from .clift import MarkovSpec, as_lifting_tensor
 from .errors import MathDomainError, SchemaError
 from .matcore import FactoredOperator
 from .qlift import CpMap
@@ -172,37 +168,6 @@ def json_to_tensor_data(obj) -> np.ndarray:
     return _finite(np.array(data, dtype=float).reshape(n1, n2, n1), "lifting tensor")
 
 
-def json_to_lifting_tensor(obj) -> np.ndarray:
-    """Decode and validate a lifting tensor; a negative or unnormalized one
-    is a SchemaError here."""
-    e = json_to_tensor_data(obj)
-    try:
-        return as_lifting_tensor(e)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-
-
-def markov_to_json(spec: MarkovSpec) -> dict:
-    return {
-        "conditional": [[float(x) for x in row] for row in np.asarray(spec.conditional, dtype=float)],
-        "initial": vector_to_json(spec.initial),
-    }
-
-
-def json_to_markov(obj) -> MarkovSpec:
-    _require(
-        isinstance(obj, dict) and set(obj) >= {"conditional", "initial"},
-        "markov object needs keys conditional, initial",
-    )
-    cond = json_to_matrix(obj["conditional"])
-    _require(np.allclose(cond.imag, 0.0), "conditional matrix must be real")
-    initial = json_to_vector(obj["initial"])
-    try:
-        return MarkovSpec(cond.real, initial)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-
-
 def cpmap_to_json(cp: CpMap) -> dict:
     """Encode as {"d", "units"} with the d^2 unit images in (i, j)
     lexicographic order."""
@@ -251,18 +216,6 @@ def json_to_circulant(obj) -> CirculantSpec:
 
 def bell_spectrum_to_json(bs: BellSpectrum) -> dict:
     return {"d": int(bs.d), "p": [[float(x) for x in row] for row in bs.p]}
-
-
-def json_to_bell_spectrum(obj) -> BellSpectrum:
-    _require(
-        isinstance(obj, dict) and set(obj) >= {"d", "p"},
-        "bell spectrum object needs keys d, p",
-    )
-    d = _as_int(obj["d"], "d")
-    p = json_to_matrix(obj["p"])
-    _require(np.allclose(p.imag, 0.0), "spectrum must be real")
-    _require(p.shape == (d, d), f"spectrum has shape {p.shape}, expected ({d}, {d})")
-    return _decoded(BellSpectrum, p.real)
 
 
 def canonical_dumps(obj) -> str:

@@ -6,6 +6,31 @@ systems N, ..., 2, 1 is laid out as d_N x ... x d_2 x d_1 in row-major kron
 order, and factor labels passed to :func:`partial_trace` and
 :func:`partial_transpose` count 1-based from the right (rightmost slot is
 system 1). Basis indices are 0-based everywhere.
+
+Tolerance policy: every check in liftlab compares against one of the
+constants below. Only is_psd, is_unital, is_stochastic, is_doubly_stochastic,
+is_nondemolition, verify_transition_expectation and run_suite (--tol) take
+a tolerance argument, defaulting to the same value.
+
+  TOL         1e-9   relative: Hermiticity (to the largest entry) and the
+                     lowest eigenvalue (to the spectral norm, floored at 1)
+                     of states, circulant blocks and profiles, conditional
+                     operators and separable-map images;
+                     absolute: circulant trace sums, isometry vector norms,
+                     the compound-state marginal and faithfulness floor, and
+                     the CLI's Kraus self-check and doubly-stochastic flag
+  TRACE_TOL   1e-8   absolute: a state's trace (10 * TOL)
+  STRUCT_TOL  1e-10  absolute: CpMap Hermiticity preservation and
+                     unitality, the BellSpectrum sum
+  CPMAP_RTOL  1e-5   relative: CpMap Hermiticity preservation
+  PROB_TOL    1e-12  absolute: negative probabilities, channel weights,
+                     lifting-tensor, joint-channel and Markov entries, and
+                     sums of these (scaled by the entry count, except in
+                     is_unital and is_stochastic)
+
+Sums compared with np.allclose (lifting tensors, joint channels, Markov
+conditionals, is_unital/is_stochastic, is_nondemolition, CpMap unitality,
+the compound-state marginal) also carry numpy's default relative 1e-5.
 """
 from __future__ import annotations
 
@@ -23,7 +48,12 @@ from .errors import (
     SchemaError,
 )
 
-DEFAULT_TOL = 1e-9
+# The tolerance policy; the table in the module docstring says what each bounds.
+TOL = 1e-9
+TRACE_TOL = 10 * TOL
+STRUCT_TOL = 1e-10
+CPMAP_RTOL = 1e-5
+PROB_TOL = 1e-12
 # Largest dense complex operator an N-party constructor may allocate: a
 # 2^13-sided matrix (d=2, N=13) is exactly 1 GiB.
 MAX_DENSE_BYTES = 1 << 30
@@ -172,7 +202,7 @@ def _spectral_scale(w: np.ndarray) -> np.ndarray:
     return np.abs(w).max(axis=-1, initial=1.0)
 
 
-def _check_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+def _check_hermitian(m: np.ndarray, tol: float = TOL) -> np.ndarray:
     """Hermitian part of each matrix of a (..., n, n) stack; raises for the first that is not."""
     mh = np.swapaxes(m, -1, -2).conj()
     dev = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
@@ -185,7 +215,7 @@ def _check_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
     return 0.5 * (m + mh)
 
 
-def _psd_stack(ms: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _psd_stack(ms: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
     """:func:`is_psd` of every matrix in a (..., n, n) stack by one stacked
     eigensolve: (ok, min_eigenvalue) arrays of the stack's shape."""
     w = np.linalg.eigvalsh(_check_hermitian(ms, tol))
@@ -193,7 +223,7 @@ def _psd_stack(ms: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return lows >= -tol * _spectral_scale(w), lows
 
 
-def is_psd(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+def is_psd(m, tol: float = TOL) -> tuple[bool, float]:
     """Positivity test for a Hermitian matrix.
 
     Returns ``(ok, min_eigenvalue)`` where ok means the smallest eigenvalue
@@ -204,33 +234,33 @@ def is_psd(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     return bool(ok), float(lo)
 
 
-def herm_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def herm_sqrt(m) -> np.ndarray:
     """Principal square root of a PSD matrix via Hermitian eigendecomposition.
 
     Eigenvalues inside the negative tolerance band are clipped to zero;
     anything below it raises :class:`NotPSDError`.
     """
-    h = _check_hermitian(_as_matrix(m), tol)
+    h = _check_hermitian(_as_matrix(m))
     w, v = np.linalg.eigh(h)
-    if w[0] < -tol * _spectral_scale(w):
+    if w[0] < -TOL * _spectral_scale(w):
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e}, below PSD tolerance")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def check_state(op, tol: float = DEFAULT_TOL) -> FactoredOperator:
+def check_state(op) -> FactoredOperator:
     """Validate a density operator: Hermitian, PSD, unit trace.
 
     Accepts a FactoredOperator or raw matrix; returns a FactoredOperator.
     """
     fo = op if isinstance(op, FactoredOperator) else FactoredOperator(np.asarray(op, dtype=complex))
     try:
-        ok, lo = is_psd(fo.matrix, tol)
+        ok, lo = is_psd(fo.matrix)
     except NotHermitianError as exc:
         raise NotAStateError(f"state is not Hermitian: {exc}") from exc
     if not ok:
         raise NotAStateError(f"state has negative eigenvalue {lo:.3e}")
     tr = fo.trace()
-    if abs(tr - 1.0) > max(tol, 1e-12) * 10:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise NotAStateError(f"state trace {tr} differs from 1")
     return fo

@@ -29,6 +29,9 @@ from .errors import (
     NotUnitalError,
 )
 from .matcore import (
+    CPMAP_RTOL,
+    STRUCT_TOL,
+    TOL,
     FactoredOperator,
     check_dense_size,
     check_state,
@@ -37,8 +40,6 @@ from .matcore import (
     partial_trace,
     sandwich_right,
 )
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,9 @@ class CpMap:
         if not np.all(np.isfinite(u)):
             raise DimensionMismatchError("units entries must be finite")
         # np.allclose(units[i, j]^dagger, units[j, i]) for every i <= j.
-        close = np.isclose(u.transpose(0, 1, 3, 2).conj(), u.transpose(1, 0, 2, 3), rtol=1e-5, atol=1e-10)
+        close = np.isclose(
+            u.transpose(0, 1, 3, 2).conj(), u.transpose(1, 0, 2, 3), rtol=CPMAP_RTOL, atol=STRUCT_TOL
+        )
         bad = np.argwhere(np.triu(~close.all(axis=(2, 3))))
         if bad.size:
             i, j = bad[0]
@@ -73,7 +76,7 @@ class CpMap:
     @property
     def unital(self) -> bool:
         total = self.units[np.arange(self.d), np.arange(self.d)].sum(axis=0)
-        return bool(np.allclose(total, np.eye(self.d), atol=1e-10))
+        return bool(np.allclose(total, np.eye(self.d), atol=STRUCT_TOL))
 
     @property
     def transfer(self) -> np.ndarray:
@@ -144,7 +147,7 @@ class QcpOperator:
         return self.op.matrix
 
 
-def qcp_from_channel(cp: CpMap, tol: float = DEFAULT_TOL) -> QcpOperator:
+def qcp_from_channel(cp: CpMap) -> QcpOperator:
     """Build pi from a unital CP map and validate both properties.
 
     Raises NotUnitalError when the unit-sum of images differs from the
@@ -154,7 +157,7 @@ def qcp_from_channel(cp: CpMap, tol: float = DEFAULT_TOL) -> QcpOperator:
     if not cp.unital:
         raise NotUnitalError("sum of diagonal-unit images differs from the identity")
     pi = cp.units.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    ok, lo = is_psd(pi, tol)
+    ok, lo = is_psd(pi)
     if not ok:
         raise NotCPError(f"conditional operator has eigenvalue {lo:.3e}; map is not CP")
     return QcpOperator(FactoredOperator(pi, (d, d)), cp)
@@ -174,20 +177,20 @@ def _qcp_matrix(pi) -> tuple[np.ndarray, int]:
     return m, d
 
 
-def nonlinear_lift(pi, rho, tol: float = DEFAULT_TOL) -> FactoredOperator:
+def nonlinear_lift(pi, rho) -> FactoredOperator:
     """Sandwich lifting E(rho) = (I x sqrt(rho)) pi (I x sqrt(rho)).
 
     Tracing out the first (leftmost) slot returns rho exactly; tracing out
     the second slot returns the transposed adjoint channel of rho.
     """
     m, d = _qcp_matrix(pi)
-    state = check_state(rho, tol)
+    state = check_state(rho)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != conditional side {d}")
-    return FactoredOperator(sandwich_right(m, herm_sqrt(state.matrix, tol)), (d, d))
+    return FactoredOperator(sandwich_right(m, herm_sqrt(state.matrix)), (d, d))
 
 
-def ohya_lift(rho, parties: int = 2, tol: float = DEFAULT_TOL) -> FactoredOperator:
+def ohya_lift(rho, parties: int = 2) -> FactoredOperator:
     """Copy lifting sum_k p_k E_k x ... x E_k from the spectral decomposition.
 
     Eigenprojectors come from the Hermitian eigensolver, so the choice of
@@ -196,7 +199,7 @@ def ohya_lift(rho, parties: int = 2, tol: float = DEFAULT_TOL) -> FactoredOperat
     """
     if parties < 2:
         raise DimensionMismatchError(f"parties must be at least 2, got {parties}")
-    state = check_state(rho, tol)
+    state = check_state(rho)
     d = state.matrix.shape[0]
     check_dense_size((d,) * parties)
     w, v = np.linalg.eigh(state.matrix)
@@ -217,7 +220,7 @@ def _kron_eye(x: np.ndarray, d: int) -> np.ndarray:
     return out.reshape(s * d, s * d)
 
 
-def _chain(pis, tol: float) -> tuple[np.ndarray, tuple[int, ...]]:
+def _chain(pis) -> tuple[np.ndarray, tuple[int, ...]]:
     """Dense matrix of the composite chained from pis, and its factor dims."""
     pis = list(pis)
     mats = [_qcp_matrix(p) for p in pis]
@@ -232,32 +235,32 @@ def _chain(pis, tol: float) -> tuple[np.ndarray, tuple[int, ...]]:
     cur = mats[-1][0]
     for p, (m, _) in zip(pis[-2::-1], mats[-2::-1]):
         if id(p) not in roots:
-            roots[id(p)] = herm_sqrt(m, tol)
+            roots[id(p)] = herm_sqrt(m)
         cur = sandwich_right(_kron_eye(cur, d), roots[id(p)])
     return cur, dims
 
 
-def compose_qcp(pi1, pi2, tol: float = DEFAULT_TOL) -> FactoredOperator:
+def compose_qcp(pi1, pi2) -> FactoredOperator:
     """Three-factor composite (I x sqrt(pi1)) (pi2 x I) (I x sqrt(pi1)).
 
     pi1 occupies the two rightmost slots, pi2 the two leftmost. Tracing out
     the leftmost slot returns pi1; tracing out the two leftmost returns the
     identity.
     """
-    return FactoredOperator(*_chain([pi1, pi2], tol))
+    return FactoredOperator(*_chain([pi1, pi2]))
 
 
-def n_compose_qcp(pis, tol: float = DEFAULT_TOL) -> FactoredOperator:
+def n_compose_qcp(pis) -> FactoredOperator:
     """Chain N-1 conditional operators into an N-factor composite.
 
     The list orders operators from the innermost link outward: element 0
     couples slots 2 and 1, element 1 couples slots 3 and 2, and so on. The
     square root of each distinct operator object is taken once.
     """
-    return FactoredOperator(*_chain(pis, tol))
+    return FactoredOperator(*_chain(pis))
 
 
-def n_nonlinear_lift(pi, rho, parties: int, tol: float = DEFAULT_TOL) -> FactoredOperator:
+def n_nonlinear_lift(pi, rho, parties: int) -> FactoredOperator:
     """N-party sandwich lifting from one conditional operator.
 
     Chains parties-1 copies of pi and sandwiches with sqrt(rho) on the
@@ -269,14 +272,14 @@ def n_nonlinear_lift(pi, rho, parties: int, tol: float = DEFAULT_TOL) -> Factore
         raise DimensionMismatchError(f"parties must be at least 2, got {parties}")
     m, d = _qcp_matrix(pi)
     check_dense_size((d,) * parties)
-    state = check_state(rho, tol)
+    state = check_state(rho)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != conditional side {d}")
-    chain, _ = _chain([pi] * (parties - 1), tol)
-    return FactoredOperator(sandwich_right(chain, herm_sqrt(state.matrix, tol)), (d,) * parties)
+    chain, _ = _chain([pi] * (parties - 1))
+    return FactoredOperator(sandwich_right(chain, herm_sqrt(state.matrix)), (d,) * parties)
 
 
-def channel_from_compound(theta: FactoredOperator, rho, tol: float = DEFAULT_TOL) -> CpMap:
+def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
     """Recover the unital CP map of a compound state with faithful marginal.
 
     Requires theta PSD with blocks B_ij = theta[(i, :), (j, :)] and
@@ -291,13 +294,13 @@ def channel_from_compound(theta: FactoredOperator, rho, tol: float = DEFAULT_TOL
     if rm.shape != (d, d):
         raise DimensionMismatchError(f"marginal shape {rm.shape}, expected {(d, d)}")
     w, v = np.linalg.eigh(0.5 * (rm + rm.conj().T))
-    if w[0] <= tol:
+    if w[0] <= TOL:
         raise NotFaithfulError(f"marginal has eigenvalue {w[0]:.3e}; need strict positivity")
-    ok, lo = is_psd(theta.matrix, tol)
+    ok, lo = is_psd(theta.matrix)
     if not ok:
         raise NotCompatibleError(f"compound state has eigenvalue {lo:.3e}; blocks admit no CP map")
     marg = partial_trace(theta, keep={1}).matrix
-    if not np.allclose(marg, rm, atol=max(tol, 1e-10)):
+    if not np.allclose(marg, rm, atol=TOL):
         raise NotCompatibleError("first-slot partial trace of the compound state differs from the marginal")
     inv_s = (v / np.sqrt(w)) @ v.conj().T
     blocks = theta.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
@@ -330,7 +333,7 @@ def robertson_map(x) -> np.ndarray:
     return 0.5 * out
 
 
-def lifting_assisted_map(psi: Callable[[np.ndarray], np.ndarray], omega, tol: float = DEFAULT_TOL):
+def lifting_assisted_map(psi: Callable[[np.ndarray], np.ndarray], omega):
     """Reduce a map on the product space to a map on the system alone.
 
     Given psi acting on (d * d_omega)-dimensional matrices and an ancilla
@@ -338,7 +341,7 @@ def lifting_assisted_map(psi: Callable[[np.ndarray], np.ndarray], omega, tol: fl
     psi(rho x omega); the system rides the leftmost slot. psi = identity
     gives phi = identity.
     """
-    om = check_state(omega, tol).matrix
+    om = check_state(omega).matrix
     dw = om.shape[0]
 
     def phi(rho: np.ndarray) -> np.ndarray:

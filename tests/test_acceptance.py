@@ -29,7 +29,6 @@ from liftlab.classical import (
     permutation_inverse,
 )
 from liftlab.clift import (
-    all_index_tuples,
     markov_weights,
     n_lift,
     ohya_tensor,
@@ -184,7 +183,7 @@ def test_criterion_04_transition_expectation_identity():
         worst = max(worst, abs(lhs - rhs))
         joint = markov_weights(spec, parties)
         direct = 0.0
-        for idx in all_index_tuples(n, parties):
+        for idx in itertools.product(range(n), repeat=parties):
             term = joint[idx]
             for slot, a in enumerate(reversed(obs)):
                 term *= a[idx[slot]]

@@ -166,6 +166,15 @@ def test_circulant_lift_rejects_bad_profiles():
         circulant_lift(bad_trace, state)
 
 
+def test_circulant_lift_checks_the_lifted_trace_sum():
+    # rho passes check_state (trace 1 + 5e-9 <= 1e-8) but the blocks'
+    # traces sum to 1 + 5e-9, beyond the 1e-9 trace-sum tolerance.
+    with pytest.raises(TraceNotOneError, match="block traces sum to"):
+        circulant_lift([np.eye(2) / 2, np.eye(2) / 2], np.diag([0.6, 0.4 + 5e-9]))
+    lifted = circulant_lift([np.eye(2) / 2, np.eye(2) / 2], np.diag([0.6, 0.4 + 5e-10]))
+    assert lifted.trace().real == pytest.approx(1.0, abs=1e-9)
+
+
 def test_isometry_lift():
     g = rng(67)
     for _ in range(20):

@@ -11,7 +11,6 @@ from liftlab.errors import (
     SchemaError,
 )
 from liftlab.classical import (
-    apply_channel,
     apply_kraus,
     apply_to_observable,
     apply_to_state,

@@ -1,4 +1,6 @@
 """Tests for classical lifting tensors, Markov chains, and separable states."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from liftlab.errors import (
 )
 from liftlab.clift import (
     MarkovSpec,
-    all_index_tuples,
     as_lifting_tensor,
     gamma_lifting,
     is_markovian_lifting,
@@ -172,7 +173,7 @@ def test_markov_weights_match_product_formula():
     w = markov_weights(spec, 3)
     c = spec.conditional
     p = spec.initial
-    for idx in all_index_tuples(2, 3):
+    for idx in itertools.product(range(2), repeat=3):
         i3, i2, i1 = idx
         assert w[idx] == pytest.approx(c[i3, i2] * c[i2, i1] * p[i1], abs=1e-13)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)

@@ -5,27 +5,20 @@ import numpy as np
 import pytest
 
 from liftlab.errors import BlockNotPSDError, NotHermitianError, SchemaError
-from liftlab.circulant import BellSpectrum
-from liftlab.clift import MarkovSpec, ohya_tensor
 from liftlab.jsonio import (
-    bell_spectrum_to_json,
     canonical_dumps,
     circulant_to_json,
     cpmap_to_json,
     factored_to_json,
-    json_to_bell_spectrum,
     json_to_circulant,
     json_to_cpmap,
     json_to_factored,
-    json_to_lifting_tensor,
-    json_to_markov,
     json_to_matrix,
     json_to_permutation,
     json_to_tensor_data,
     json_to_vector,
     lifting_tensor_to_json,
     load_argument,
-    markov_to_json,
     matrix_to_json,
     vector_to_json,
 )
@@ -34,8 +27,6 @@ from liftlab.sampling import (
     circulant_spec,
     density,
     lifting_tensor,
-    markov_spec,
-    probability_vector,
     rng,
     unital_cpmap,
 )
@@ -98,26 +89,10 @@ def test_lifting_tensor_roundtrip():
     g = rng(74)
     for _ in range(10):
         e = lifting_tensor(g, int(g.integers(2, 4)), int(g.integers(2, 4)))
-        back = json_to_lifting_tensor(lifting_tensor_to_json(e))
+        back = json_to_tensor_data(lifting_tensor_to_json(e))
         np.testing.assert_allclose(back, e, atol=1e-12)
     with pytest.raises(SchemaError):
-        json_to_lifting_tensor({"n1": 2, "n2": 2, "data": [1.0] * 7})
-    blob = lifting_tensor_to_json(ohya_tensor(2))
-    blob["data"][0] = -1.0
-    with pytest.raises(SchemaError):
-        json_to_lifting_tensor(blob)
-
-
-def test_markov_roundtrip():
-    g = rng(75)
-    spec = markov_spec(g, 3)
-    back = json_to_markov(markov_to_json(spec))
-    np.testing.assert_allclose(back.conditional, spec.conditional, atol=1e-15)
-    np.testing.assert_allclose(back.initial, spec.initial, atol=1e-15)
-    with pytest.raises(SchemaError):
-        json_to_markov({"initial": [0.5, 0.5]})
-    with pytest.raises(SchemaError):
-        json_to_markov({"conditional": [[0.5, 0.5], [0.5, 0.5]], "initial": [0.7, 0.6]})
+        json_to_tensor_data({"n1": 2, "n2": 2, "data": [1.0] * 7})
 
 
 def test_cpmap_roundtrip():
@@ -136,15 +111,6 @@ def test_circulant_roundtrip():
     np.testing.assert_allclose(back.blocks, spec.blocks, atol=1e-15)
     with pytest.raises(SchemaError):
         json_to_circulant({"d": 2, "blocks": [matrix_to_json(np.eye(2) / 4)]})
-
-
-def test_bell_spectrum_roundtrip():
-    g = rng(78)
-    p = np.outer(probability_vector(g, 2), probability_vector(g, 2))
-    back = json_to_bell_spectrum(bell_spectrum_to_json(BellSpectrum(p)))
-    np.testing.assert_allclose(back.p, p, atol=1e-12)
-    with pytest.raises(SchemaError):
-        json_to_bell_spectrum({"d": 2, "p": [[0.5, 0.5]]})
 
 
 def test_canonical_dumps_is_stable():
@@ -192,8 +158,6 @@ def test_decoders_pass_math_domain_errors_through():
     blocks = [matrix_to_json(np.diag([0.6, -0.1])), matrix_to_json(np.diag([0.25, 0.25]))]
     with pytest.raises(BlockNotPSDError):
         json_to_circulant({"d": 2, "blocks": blocks})
-    with pytest.raises(BlockNotPSDError):
-        json_to_bell_spectrum({"d": 2, "p": [[0.5, 0.6], [0.1, -0.2]]})
     half = {"n1": 2, "n2": 2, "data": [0.5, 0, 0, 0, 0, 0, 0, 0.5]}
     np.testing.assert_allclose(json_to_tensor_data(half).sum(axis=(1, 2)), [0.5, 0.5])
 

@@ -1,4 +1,4 @@
-"""The vectorized circulant and Kraus kernels against their loop definitions.
+"""The vectorized circulant, Kraus and separable-state kernels against their loop definitions.
 
 Each reference below writes a kernel's definition as an index loop; the
 library computes the same with one scatter, gather or einsum. Scatters and
@@ -21,7 +21,8 @@ from liftlab.circulant import (
     maximally_entangled,
     shift_matrix,
 )
-from liftlab.errors import BlockNotPSDError, NotHermitianError, TraceNotOneError
+from liftlab.clift import separable_n_state
+from liftlab.errors import BlockNotPSDError, MapNotPositiveError, NotHermitianError, TraceNotOneError
 from liftlab.matcore import partial_transpose, unit_matrix
 from liftlab.qlift import CpMap, choi_matrix, classical_cpmap, cp_from_kraus, cp_identity
 from liftlab.sampling import circulant_spec, density, markov_spec, probability_vector, rng
@@ -201,6 +202,35 @@ def test_cpmap_hermiticity_keeps_allclose_tolerances():
     units = cp_identity(2).units.copy()
     units[1, 0, 0, 0] = 1.000005e-10
     CpMap(units)
+
+
+def test_separable_state_matches_kron_sum():
+    g = rng(41)
+    for n, dims in ((1, (3,)), (2, (2, 3)), (3, (2, 1, 3)), (4, (3, 2, 2, 2))):
+        p = probability_vector(g, n)
+        maps = [np.array([density(g, d) for _ in range(n)]) for d in dims]
+        want = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+        for i in range(n):
+            term = np.ones((1, 1), dtype=complex)
+            for m in maps:
+                term = np.kron(term, m[i])
+            want += p[i] * term
+        got = separable_n_state(p, maps)
+        np.testing.assert_array_equal(got.matrix, want)
+        assert got.dims == dims
+
+
+def test_separable_state_names_the_first_bad_map_and_unit():
+    good = np.array([np.eye(2) / 2] * 3, dtype=complex)
+    late = good.copy()
+    late[2] = np.diag([1.0, -0.5])
+    early = good.copy()
+    early[1] = np.diag([1.0, -0.25])
+    early[2] = np.diag([1.0, -0.5])
+    with pytest.raises(MapNotPositiveError, match=r"^map 1 sends unit 1 to eigenvalue -2\.500e-01$"):
+        separable_n_state(np.ones(3) / 3, [good, early, late])
+    with pytest.raises(MapNotPositiveError, match=r"^map 0 sends unit 2 to eigenvalue -5\.000e-01$"):
+        separable_n_state(np.ones(3) / 3, [late, early])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

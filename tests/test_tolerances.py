@@ -1,0 +1,71 @@
+"""The tolerance policy: which functions take a tolerance, and the edges of the fixed ones.
+
+The values live in one block in ``liftlab.matcore``; these tests pin the
+edges that each fixed check sits on.
+"""
+import inspect
+
+import numpy as np
+import pytest
+
+import liftlab
+from liftlab.circulant import circulant_lift_isometry
+from liftlab.classical import as_probability_vector
+from liftlab.errors import NegativeEntryError, NotAStateError, NotNormalizedError
+from liftlab.matcore import check_state
+
+TUNABLE = {
+    "is_psd",
+    "is_unital",
+    "is_stochastic",
+    "is_doubly_stochastic",
+    "is_nondemolition",
+    "verify_transition_expectation",
+    "run_suite",
+}
+
+
+def test_only_the_checks_callers_tune_take_a_tolerance():
+    tunable = set()
+    for name in liftlab.__all__:
+        obj = getattr(liftlab, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # some builtin classes expose no signature
+            continue
+        if {"tol", "atol"} & set(params):
+            tunable.add(name)
+    assert tunable == TUNABLE
+
+
+def test_state_trace_tolerance_is_ten_times_the_spectral_one():
+    check_state(np.eye(2) * (0.5 + 4.5e-9))  # trace 1 + 9e-9
+    with pytest.raises(NotAStateError, match="trace"):
+        check_state(np.eye(2) * (0.5 + 1e-8))  # trace 1 + 2e-8
+
+
+def test_isometry_vector_norms_use_the_spectral_tolerance():
+    rho = np.eye(2) / 2
+    circulant_lift_isometry(np.eye(2) * (1 + 5e-10), rho)
+    with pytest.raises(NotNormalizedError, match="norm"):
+        circulant_lift_isometry(np.eye(2) * (1 + 2e-9), rho)
+
+
+def test_probability_sum_tolerance_scales_with_the_entry_count():
+    # One entry: |sum - 1| <= 1e-12.
+    as_probability_vector([1 + 5e-13])
+    with pytest.raises(NotNormalizedError):
+        as_probability_vector([1 + 2e-12])
+    # Ten entries: |sum - 1| <= 1e-11, so 5e-12 passes where one entry would fail.
+    v = np.full(10, 0.1)
+    v[0] += 5e-12
+    as_probability_vector(v)
+    v[0] += 1.5e-11
+    with pytest.raises(NotNormalizedError):
+        as_probability_vector(v)
+    # Entries down to -1e-12 pass and are clipped to 0; the bound does not scale.
+    assert as_probability_vector([-5e-13, 1 + 5e-13])[0] == 0.0
+    with pytest.raises(NegativeEntryError):
+        as_probability_vector([-2e-12, 1 + 2e-12])
