@@ -7,7 +7,12 @@ wherever a real matrix or vector is expected. Loaders raise SchemaError on
 any malformed payload so the command line can map them to exit code 2; a
 well-formed payload that breaks a mathematical precondition raises the
 constructor's MathDomainError (exit code 3). No JSON text in or out may
-hold NaN, Infinity, or a number that overflows to inf (1e999).
+hold NaN, Infinity, or a number too large for a float (1e999, 10**400), and
+no size may be negative. Matrix "data" is read with one np.array call and
+written in bulk: canonical_dumps dumps the document around a placeholder and
+renders each matrix_to_json pair list with one str.join at its depth, byte
+for byte as json.dumps(indent=2), whose pure-Python encoder would otherwise
+make a call per number.
 """
 from __future__ import annotations
 
@@ -30,7 +35,16 @@ def _require(cond: bool, message: str):
 
 def _as_int(value, name: str) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
+    _require(value >= 0, f"{name} must be at least 0, got {value}")
     return value
+
+
+def _array(data, dtype, what: str) -> np.ndarray:
+    """np.array(data, dtype), with an integer too large for dtype as a SchemaError."""
+    try:
+        return np.array(data, dtype=dtype)
+    except OverflowError:
+        raise SchemaError(f"{what} holds an integer too large for its type") from None
 
 
 def _decoded(build, *args):
@@ -53,14 +67,8 @@ def _reject_constant(name: str):
     raise SchemaError(f"invalid JSON: {name} is not a finite number")
 
 
-def _pair_to_complex(entry, name: str) -> complex:
-    _require(
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and all(isinstance(x, Real) for x in entry),
-        f"{name} entries must be [re, im] pairs",
-    )
-    return complex(entry[0], entry[1])
+class _Pairs(list):
+    """Matrix data as [re, im] float pairs, rendered in bulk by canonical_dumps."""
 
 
 def matrix_to_json(m) -> dict:
@@ -68,7 +76,7 @@ def matrix_to_json(m) -> dict:
     row-major [re, im] pairs."""
     a = np.asarray(m, dtype=complex)
     _require(a.ndim == 2, f"expected a matrix, got array of shape {a.shape}")
-    data = [[float(z.real), float(z.imag)] for z in a.ravel(order="C")]
+    data = _Pairs(np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist())
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
@@ -84,12 +92,19 @@ def json_to_matrix(obj) -> np.ndarray:
         data = obj["data"]
         _require(isinstance(data, list), "data must be a list")
         _require(len(data) == rows * cols, f"data has {len(data)} entries, expected {rows * cols}")
-        flat = [_pair_to_complex(e, "data") for e in data]
-        return _finite(np.array(flat, dtype=complex).reshape(rows, cols), "matrix")
+        not_pairs = "data entries must be [re, im] pairs"
+        try:
+            a = np.array(data or np.zeros((0, 2)))
+        except ValueError:  # ragged
+            raise SchemaError(not_pairs) from None
+        if a.dtype.kind == "O" and all(isinstance(x, Real) for x in a.flat):
+            a = _array(a, float, "matrix")  # integers beyond 64 bits
+        _require(a.shape == (rows * cols, 2) and a.dtype.kind in "biuf", not_pairs)
+        return _finite(np.ascontiguousarray(a, dtype=float).view(complex).reshape(rows, cols), "matrix")
     if isinstance(obj, list):
         try:
             a = np.array(obj, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"matrix rows are not numeric: {exc}") from None
         _require(a.ndim == 2, f"nested array must be two-dimensional, got shape {a.shape}")
         return _finite(a, "matrix").astype(complex)
@@ -116,7 +131,7 @@ def json_to_factored(obj) -> FactoredOperator:
 def vector_to_json(v) -> list:
     a = np.asarray(v, dtype=float)
     _require(a.ndim == 1, f"expected a vector, got array of shape {a.shape}")
-    return [float(x) for x in a]
+    return a.tolist()
 
 
 def json_to_vector(obj) -> np.ndarray:
@@ -124,7 +139,7 @@ def json_to_vector(obj) -> np.ndarray:
         isinstance(obj, list) and all(isinstance(x, Real) for x in obj),
         "vector must be a list of numbers",
     )
-    return _finite(np.array(obj, dtype=float), "vector")
+    return _finite(_array(obj, float, "vector"), "vector")
 
 
 def json_to_permutation(obj) -> np.ndarray:
@@ -132,7 +147,7 @@ def json_to_permutation(obj) -> np.ndarray:
         isinstance(obj, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in obj),
         "permutation must be a list of integer images",
     )
-    return as_permutation(np.array(obj, dtype=int))
+    return as_permutation(_array(obj, int, "permutation"))
 
 
 def lifting_tensor_to_json(t) -> dict:
@@ -143,11 +158,7 @@ def lifting_tensor_to_json(t) -> dict:
         e.ndim == 3 and e.shape[0] == e.shape[2],
         f"lifting tensor must have shape (n1, n2, n1), got {e.shape}",
     )
-    return {
-        "n1": int(e.shape[0]),
-        "n2": int(e.shape[1]),
-        "data": [float(x) for x in e.ravel(order="C")],
-    }
+    return {"n1": int(e.shape[0]), "n2": int(e.shape[1]), "data": e.ravel().tolist()}
 
 
 def json_to_tensor_data(obj) -> np.ndarray:
@@ -165,7 +176,7 @@ def json_to_tensor_data(obj) -> np.ndarray:
         "data must be a list of numbers",
     )
     _require(len(data) == n1 * n2 * n1, f"data has {len(data)} entries, expected {n1 * n2 * n1}")
-    return _finite(np.array(data, dtype=float).reshape(n1, n2, n1), "lifting tensor")
+    return _finite(_array(data, float, "lifting tensor").reshape(n1, n2, n1), "lifting tensor")
 
 
 def cpmap_to_json(cp: CpMap) -> dict:
@@ -215,7 +226,26 @@ def json_to_circulant(obj) -> CirculantSpec:
 
 
 def bell_spectrum_to_json(bs: BellSpectrum) -> dict:
-    return {"d": int(bs.d), "p": [[float(x) for x in row] for row in bs.p]}
+    return {"d": int(bs.d), "p": bs.p.tolist()}
+
+
+# Stands in for a rendered pair list; json.dumps writes it as "\u0000pairs".
+# Any other string that writes it adds a piece, so the splice raises ValueError
+# rather than misplace a list.
+_SLOT = "\x00pairs"
+
+
+def _render_pairs(pairs: _Pairs, level: int) -> str:
+    """What json.dumps(indent=2) writes for the pair list `level` containers deep."""
+    if not pairs:
+        return "[]"
+    outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    head, mid, tail = outer + "[" + inner, "," + inner, outer + "]"
+    # !r is float.__repr__, json's float format, as tolist() made exact floats.
+    body = (tail + "," + head).join([f"{re!r}{mid}{im!r}" for re, im in pairs])
+    # A finite float's repr never holds an "n"; inf and nan do.
+    _require("n" not in body, "result is not finite JSON: Out of range float values are not JSON compliant")
+    return "".join(("[", head, body, tail, "\n", "  " * level, "]"))
 
 
 def canonical_dumps(obj) -> str:
@@ -223,10 +253,27 @@ def canonical_dumps(obj) -> str:
 
     A NaN or infinite value is a SchemaError, never an invalid JSON token.
     """
+    rendered = []
+
+    def mark(node, level):  # in json's order: sorted keys, then list order
+        if isinstance(node, _Pairs):
+            rendered.append(_render_pairs(node, level))
+            return _SLOT
+        if isinstance(node, dict):
+            return {k: mark(node[k], level + 1) for k in sorted(node)}
+        if isinstance(node, list):
+            return [mark(v, level + 1) for v in node]
+        return node
+
+    skeleton = mark(obj, 0)
     try:
-        return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True, allow_nan=False) + "\n"
+        skeleton = json.dumps(skeleton, indent=2, sort_keys=True, ensure_ascii=True, allow_nan=False)
     except ValueError as exc:
         raise SchemaError(f"result is not finite JSON: {exc}") from None
+    pieces = skeleton.split(json.dumps(_SLOT))
+    out = [""] * (2 * len(pieces))
+    out[::2], out[1::2] = pieces, [*rendered, "\n"]
+    return "".join(out)
 
 
 def load_argument(text: str):

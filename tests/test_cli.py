@@ -291,3 +291,28 @@ def test_overflowing_numbers_exit_two(capsys):
         _assert_error_exit(capsys, argv, 2)
         assert cli.main(argv) == 2
         assert "matrix entries must be finite" in capsys.readouterr().err
+
+
+def test_integers_too_large_for_a_float_exit_two(capsys):
+    big = "1" + "0" * 400
+    tensor = '{"n1":1,"n2":1,"data":[1.0]}'
+    for argv in (
+        ["channel", "apply", "--matrix", f"[[{big},0],[0,1]]", "--state", "[0.5,0.5]"],
+        ["channel", "apply", "--matrix", f'{{"rows":1,"cols":1,"data":[[{big},0]]}}', "--state", "[1]"],
+        ["channel", "apply", "--matrix", "[[1,0],[0,1]]", "--state", f"[{big},0]"],
+        ["lift", "classical", "--tensor", f'{{"n1":1,"n2":1,"data":[{big}]}}', "--p", "[1]"],
+        ["lift", "classical", "--tensor", tensor, "--p", f"[{big}]"],
+        ["teleport", "--p", "[0.5,0.5]", "--perm", f"[{big},0]"],
+    ):
+        _assert_error_exit(capsys, argv, 2)
+
+
+def test_negative_sizes_exit_two(capsys):
+    for argv in (
+        ["channel", "apply", "--matrix", '{"rows":-1,"cols":-1,"data":[[1,0]]}', "--state", "[1]"],
+        ["lift", "classical", "--tensor", '{"n1":-1,"n2":1,"data":[1.0]}', "--p", "[1]"],
+        ["lift", "nlift", "--tensor", '{"n1":1,"n2":-1,"data":[]}', "--p", "[1]", "--parties", "2"],
+    ):
+        _assert_error_exit(capsys, argv, 2)
+        assert cli.main(argv) == 2
+        assert "must be at least 0" in capsys.readouterr().err

@@ -1,11 +1,15 @@
 """Tests for the JSON wire formats and argument loading."""
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from liftlab.circulant import bell_diagonal_lift
 from liftlab.errors import BlockNotPSDError, NotHermitianError, SchemaError
 from liftlab.jsonio import (
+    bell_spectrum_to_json,
     canonical_dumps,
     circulant_to_json,
     cpmap_to_json,
@@ -27,6 +31,7 @@ from liftlab.sampling import (
     circulant_spec,
     density,
     lifting_tensor,
+    probability_vector,
     rng,
     unital_cpmap,
 )
@@ -172,3 +177,105 @@ def test_decoders_reject_numbers_that_overflow_to_infinity():
         json_to_vector(load_argument("[1e999, 0]"))
     with pytest.raises(SchemaError, match="lifting tensor entries must be finite"):
         json_to_tensor_data(load_argument('{"n1": 1, "n2": 1, "data": [1e999]}'))
+
+
+HUGE = 10**400  # a JSON integer too large for a float
+
+
+def test_decoders_reject_integers_too_large_for_their_type():
+    with pytest.raises(SchemaError, match="not numeric"):
+        json_to_matrix([[HUGE, 0], [0, 1]])
+    with pytest.raises(SchemaError, match="too large"):
+        json_to_matrix({"rows": 1, "cols": 1, "data": [[HUGE, 0]]})
+    with pytest.raises(SchemaError, match="too large"):
+        json_to_vector([HUGE, 0])
+    with pytest.raises(SchemaError, match="too large"):
+        json_to_tensor_data({"n1": 1, "n2": 1, "data": [HUGE]})
+    with pytest.raises(SchemaError, match="too large"):
+        json_to_permutation([HUGE, 0])
+    # Integers beyond 64 bits that a float holds are still numbers.
+    np.testing.assert_array_equal(
+        json_to_matrix({"rows": 1, "cols": 2, "data": [[10**30, 0], [2**64, -1]]}),
+        [[1e30, 2.0**64 - 1j]],
+    )
+
+
+def test_decoders_reject_negative_sizes():
+    for bad in ({"rows": -1, "cols": -1, "data": [[1, 0]]}, {"rows": -1, "cols": 0, "data": []}):
+        with pytest.raises(SchemaError, match="rows must be at least 0"):
+            json_to_matrix(bad)
+    with pytest.raises(SchemaError, match="cols must be at least 0"):
+        json_to_matrix({"rows": 0, "cols": -2, "data": []})
+    with pytest.raises(SchemaError, match="n1 must be at least 0"):
+        json_to_tensor_data({"n1": -1, "n2": 1, "data": [1.0]})
+    with pytest.raises(SchemaError, match="n2 must be at least 0"):
+        json_to_tensor_data({"n1": 1, "n2": -1, "data": []})
+    with pytest.raises(SchemaError, match="d must be at least 0"):
+        json_to_cpmap({"d": -1, "units": [matrix_to_json(np.eye(1))]})
+
+
+def test_pair_data_is_checked_in_bulk():
+    for data in (
+        [[1]],  # short pair
+        [[1, 0, 0]],  # long pair
+        [1, 0],  # bare numbers
+        [["x", 0]],
+        [["1.5", 0]],
+        [[None, 0]],
+        [[{}, 0]],
+        [{"re": 1, "im": 0}],
+        [[[1, 0]]],  # one level too deep
+    ):
+        with pytest.raises(SchemaError, match=r"\[re, im\] pairs"):
+            json_to_matrix({"rows": 1, "cols": len(data), "data": data})
+    with pytest.raises(SchemaError, match=r"\[re, im\] pairs"):
+        json_to_matrix({"rows": 2, "cols": 1, "data": [[1, 0], [1]]})  # ragged
+    with pytest.raises(SchemaError, match="expected 4"):
+        json_to_matrix({"rows": 2, "cols": 2, "data": [[1, 0]] * 3})
+    np.testing.assert_array_equal(json_to_matrix({"rows": 1, "cols": 2, "data": [[True, 0], [2, -0.5]]}),
+                                  [[1, 2 - 0.5j]])
+    assert json_to_matrix({"rows": 0, "cols": 3, "data": []}).shape == (0, 3)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 1e-05, 1e-07, 0.1, 1e16, 1e22, 123456789.0, 5e-324,
+               2.2250738585072014e-308, 1.5e-310, sys.float_info.max, -sys.float_info.max]
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+@st.composite
+def complex_matrices(draw, rows=st.integers(0, 4), cols=None):
+    r = draw(rows)
+    c = r if cols is None else draw(cols)
+    parts = draw(st.lists(FLOATS, min_size=2 * r * c, max_size=2 * r * c))
+    return np.array(parts, dtype=float).view(complex).reshape(r, c)
+
+
+def _as_json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True, allow_nan=False) + "\n"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(m=complex_matrices(cols=st.integers(0, 4)), sq=complex_matrices(rows=st.integers(1, 3)),
+       extra=st.lists(FLOATS, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_canonical_dumps_matches_json_dumps(m, sq, extra, seed):
+    g = rng(seed)
+    d = int(g.integers(1, 4))
+    state, spectrum = bell_diagonal_lift(probability_vector(g, d), density(g, d))
+    for doc in (
+        matrix_to_json(m),
+        matrix_to_json(m[:1, :1]),
+        {"empty": matrix_to_json(np.zeros((0, 0)))},
+        {"state": factored_to_json(FactoredOperator(np.kron(sq, np.eye(2)), (sq.shape[0], 2)))},
+        {"kraus": [matrix_to_json(sq), matrix_to_json(m)], "self_check": {"max_deviation": extra}},
+        cpmap_to_json(unital_cpmap(g, d)),
+        {"state": factored_to_json(state), "spectrum": bell_spectrum_to_json(spectrum)},
+        [[matrix_to_json(sq)], {"z": matrix_to_json(sq), "a": [matrix_to_json(m), 1, None, True, "s"]}],
+    ):
+        assert canonical_dumps(doc) == _as_json_dumps(doc)
+
+
+def test_canonical_dumps_rejects_non_finite_matrices():
+    for bad in (np.inf, -np.inf, np.nan):
+        for m in (np.array([[1.0, bad]]), np.array([[1.0, 1j * bad]])):
+            with pytest.raises(SchemaError, match="not finite"):
+                canonical_dumps({"state": matrix_to_json(m)})
