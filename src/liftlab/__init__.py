@@ -9,6 +9,7 @@ command line.
 from .errors import (
     BlockNotPSDError,
     DimensionMismatchError,
+    EigensolverError,
     IndexOutOfRangeError,
     LiftlabError,
     MapNotPositiveError,

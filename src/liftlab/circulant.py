@@ -22,7 +22,7 @@ from .errors import (
     NotNormalizedError,
     TraceNotOneError,
 )
-from .matcore import PROB_TOL, STRUCT_TOL, TOL, FactoredOperator, _psd_stack, check_state
+from .matcore import PROB_TOL, STRUCT_TOL, TOL, FactoredOperator, _Fresh, _psd_stack, check_state
 
 
 def circulant_subspaces(d: int) -> list[list[tuple[int, int]]]:
@@ -81,7 +81,7 @@ def _assemble(blocks: np.ndarray, slot_map) -> FactoredOperator:
     pos = k * d + slot_map(k, k[:, None]) % d
     m = np.zeros((d * d, d * d), dtype=complex)
     m[pos[:, :, None], pos[:, None, :]] = blocks
-    return FactoredOperator(m, (d, d))
+    return FactoredOperator(_Fresh(m), (d, d))
 
 
 def build_circulant(spec: CirculantSpec) -> FactoredOperator:
@@ -175,13 +175,13 @@ def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
     v = np.zeros((d * d, d), dtype=complex)
     v[j * d + (j + alpha) % d, alpha] = c
     out = v @ np.diag(np.real(np.diag(state.matrix)).astype(complex)) @ v.conj().T
-    return FactoredOperator(out, (d, d)), v
+    return FactoredOperator(_Fresh(out), (d, d)), v
 
 
 def maximally_entangled(d: int) -> FactoredOperator:
     """Projector onto (1/sqrt d) sum_i e_i x e_i."""
     v = np.eye(d).reshape(d * d)
-    return FactoredOperator(np.outer(v, v) / d, (d, d))
+    return FactoredOperator(_Fresh(np.outer(v, v) / d), (d, d))
 
 
 def bell_unitary(m: int, n: int, d: int) -> np.ndarray:
@@ -200,7 +200,7 @@ def bell_state(m: int, n: int, d: int) -> FactoredOperator:
     subspace Sigma_n."""
     u = np.kron(np.eye(d), bell_unitary(m, n, d))
     base = maximally_entangled(d)
-    return FactoredOperator(u @ base.matrix @ u.conj().T, (d, d))
+    return FactoredOperator(_Fresh(u @ base.matrix @ u.conj().T), (d, d))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .errors import (
     NotUnitalError,
     SchemaError,
 )
-from .matcore import PROB_TOL, FactoredOperator
+from .matcore import PROB_TOL, FactoredOperator, diagonal_operator
 
 
 def as_probability_vector(p) -> np.ndarray:
@@ -156,10 +156,9 @@ def max_correlated_state(perm) -> FactoredOperator:
     """Two-party diagonal state (1/n) sum_i e_ii x e_{pi(i) pi(i)}."""
     s = as_permutation(perm)
     n = s.size
-    pos = np.arange(n) * n + s
-    m = np.zeros((n * n, n * n), dtype=complex)
-    m[pos, pos] = 1.0 / n
-    return FactoredOperator(m, (n, n))
+    w = np.zeros(n * n)
+    w[np.arange(n) * n + s] = 1.0 / n
+    return diagonal_operator(w, (n, n))
 
 
 def classical_choi(weights) -> FactoredOperator:
@@ -172,8 +171,7 @@ def classical_choi(weights) -> FactoredOperator:
     w = as_channel(weights)
     if not is_unital(w):
         raise NotUnitalError(f"columns sum to {w.sum(axis=0).tolist()}, expected all 1")
-    n1, n2 = w.shape
-    return FactoredOperator(np.diag((w / n2).reshape(-1).astype(complex)), (n1, n2))
+    return diagonal_operator(w / w.shape[1], w.shape)
 
 
 def classical_teleport(p, perm) -> tuple[np.ndarray, np.ndarray]:

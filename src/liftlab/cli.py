@@ -60,7 +60,7 @@ def _seed_value(args) -> int:
 
 def _real_matrix(text: str, what: str) -> np.ndarray:
     m = jsonio.json_to_matrix(jsonio.load_argument(text))
-    if np.abs(m.imag).max() > 0.0:
+    if np.abs(m.imag).max(initial=0.0) > 0.0:
         raise SchemaError(f"{what} must be real")
     return m.real
 

@@ -20,7 +20,7 @@ from .errors import (
     NegativeEntryError,
     NotNormalizedError,
 )
-from .matcore import PROB_TOL, FactoredOperator, _psd_stack, check_dense_size
+from .matcore import PROB_TOL, FactoredOperator, _Fresh, _psd_stack, check_dense_size, diagonal_operator
 
 
 def as_lifting_tensor(t) -> np.ndarray:
@@ -89,8 +89,7 @@ def lift(t, p) -> FactoredOperator:
     if v.size != e.shape[0]:
         raise DimensionMismatchError(f"state of length {v.size} does not match tensor input size {e.shape[0]}")
     w = np.einsum("ijk,i->jk", e, v)
-    n2, n1 = w.shape
-    return FactoredOperator(np.diag(w.reshape(-1).astype(complex)), (n2, n1))
+    return diagonal_operator(w, w.shape)
 
 
 def is_nondemolition(t, atol: float = PROB_TOL) -> bool:
@@ -135,7 +134,7 @@ def gamma_lifting(gamma, sigma, p) -> FactoredOperator:
     if not np.allclose(g.sum(axis=1), 1.0, atol=PROB_TOL * max(1, g.shape[0])):
         raise NotNormalizedError("joint channel rows must sum to 1 (trace preservation)")
     w = g.T @ np.outer(q, v).reshape(-1)
-    return FactoredOperator(np.diag(w.astype(complex)), (n2, n1))
+    return diagonal_operator(w, (n2, n1))
 
 
 def n_lift(t, p, parties: int) -> FactoredOperator:
@@ -155,7 +154,7 @@ def n_lift(t, p, parties: int) -> FactoredOperator:
     check_dense_size(dims)
     for _ in range(parties - 1):
         w = np.einsum("...i,ijk->...jk", w, e)
-    return FactoredOperator(np.diag(w.reshape(-1).astype(complex)), dims)
+    return diagonal_operator(w, dims)
 
 
 @dataclass(frozen=True)
@@ -201,8 +200,7 @@ def markov_weights(spec: MarkovSpec, parties: int) -> np.ndarray:
 def markov_state(spec: MarkovSpec, parties: int) -> FactoredOperator:
     """Diagonal N-party state of a Markov chain, latest index leftmost."""
     check_dense_size((spec.n,) * parties)
-    w = markov_weights(spec, parties)
-    return FactoredOperator(np.diag(w.reshape(-1).astype(complex)), (spec.n,) * parties)
+    return diagonal_operator(markov_weights(spec, parties), (spec.n,) * parties)
 
 
 def markov_operator(spec: MarkovSpec, a) -> np.ndarray:
@@ -274,4 +272,4 @@ def separable_n_state(p, maps) -> FactoredOperator:
         side = terms.shape[1] * m.shape[1]
         terms = (terms[:, :, None, :, None] * m[:, None, :, None, :]).reshape(v.size, side, side)
     # A sum over axis 0 adds the terms in unit order.
-    return FactoredOperator((v[:, None, None] * terms).sum(axis=0), tuple(m.shape[1] for m in images))
+    return FactoredOperator(_Fresh((v[:, None, None] * terms).sum(axis=0)), tuple(m.shape[1] for m in images))

@@ -35,6 +35,10 @@ class NotPSDError(MathDomainError):
     """Matrix has an eigenvalue below the negative tolerance."""
 
 
+class EigensolverError(MathDomainError):
+    """The Hermitian eigensolver did not converge on a finite matrix."""
+
+
 class NotAStateError(MathDomainError):
     """Operator is not a density operator (PSD with unit trace)."""
 

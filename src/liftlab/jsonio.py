@@ -102,10 +102,14 @@ def json_to_matrix(obj) -> np.ndarray:
         _require(a.shape == (rows * cols, 2) and a.dtype.kind in "biuf", not_pairs)
         return _finite(np.ascontiguousarray(a, dtype=float).view(complex).reshape(rows, cols), "matrix")
     if isinstance(obj, list):
+        # Read without a dtype, so that strings such as "0.5" stay strings.
         try:
-            a = np.array(obj, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
+            a = np.array(obj)
+            if a.dtype.kind == "O" and all(isinstance(x, Real) for x in a.flat):
+                a = a.astype(float)  # integers beyond 64 bits
+        except (ValueError, OverflowError) as exc:  # ragged, or too large for a float
             raise SchemaError(f"matrix rows are not numeric: {exc}") from None
+        _require(a.dtype.kind in "biuf", "matrix rows are not numeric: entries must be JSON numbers")
         _require(a.ndim == 2, f"nested array must be two-dimensional, got shape {a.shape}")
         return _finite(a, "matrix").astype(complex)
     raise SchemaError(f"cannot read a matrix from {type(obj).__name__}")

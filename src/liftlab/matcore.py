@@ -31,16 +31,25 @@ a tolerance argument, defaulting to the same value.
 Sums compared with np.allclose (lifting tensors, joint channels, Markov
 conditionals, is_unital/is_stochastic, is_nondemolition, CpMap unitality,
 the compound-state marginal) also carry numpy's default relative 1e-5.
+
+Copies and finiteness: FactoredOperator(m) copies m and checks that every
+entry is finite, so no caller's array is ever aliased. Constructors in this
+package that have just built a matrix no caller can write to hand it over
+without the copy (the private _Fresh marker), and the check still runs.
+diagonal_operator alone checks its n weights instead of the n^2 entries of
+the matrix that np.diag builds from them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    EigensolverError,
     IndexOutOfRangeError,
     NotAStateError,
     NotHermitianError,
@@ -64,23 +73,38 @@ def _as_matrix(m) -> np.ndarray:
     return np.asarray(getattr(m, "matrix", m), dtype=complex)
 
 
+class _Fresh(NamedTuple):
+    """A matrix that a constructor in this package has just built and that
+    no caller can write to: FactoredOperator takes it without a copy.
+    ``finite`` says that its entries are already known to be finite."""
+
+    array: np.ndarray
+    finite: bool = False
+
+
 @dataclass(frozen=True)
 class FactoredOperator:
     """Square complex matrix tagged with ordered tensor-factor dimensions.
 
     ``dims[0]`` is the leftmost (highest-numbered) factor. The matrix is
-    stored read-only; operations return new instances.
+    stored read-only; operations return new instances. The matrix passed in
+    is copied, so later writes to it do not reach the operator, and every
+    entry is checked to be finite (DimensionMismatchError otherwise).
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = self.matrix
+        if isinstance(m, _Fresh):
+            finite, m = m.finite, np.asarray(m.array, dtype=complex)
+        else:
+            finite, m = False, np.array(m, dtype=complex)
         dims = tuple(int(d) for d in (self.dims if self.dims else (m.shape[0],)))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not finite and not np.all(np.isfinite(m)):
             raise DimensionMismatchError("matrix entries must be finite")
         if any(d < 1 for d in dims):
             raise DimensionMismatchError(f"factor dimensions must be positive, got {dims}")
@@ -98,6 +122,23 @@ class FactoredOperator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
+
+
+def diagonal_operator(w, dims) -> FactoredOperator:
+    """Diagonal operator on factors ``dims`` with the weights ``w`` on its
+    diagonal, in row-major order (leftmost factor slowest).
+
+    Finiteness is checked on the complex weights, so a weight that
+    overflows on conversion fails too, and not on the dense matrix, which
+    np.diag builds once and which is never copied.
+    """
+    w = np.asarray(w, dtype=complex).reshape(-1)
+    dims = tuple(int(d) for d in dims)
+    if w.size != prod(dims):
+        raise DimensionMismatchError(f"product of dims {dims} is {prod(dims)}, weight count is {w.size}")
+    if not np.all(np.isfinite(w)):
+        raise DimensionMismatchError("matrix entries must be finite")
+    return FactoredOperator(_Fresh(np.diag(w), finite=True), dims)
 
 
 def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
@@ -142,7 +183,7 @@ def sandwich_right(x, r) -> np.ndarray:
 
 def tensor(a: FactoredOperator, b: FactoredOperator) -> FactoredOperator:
     """Tensor product of factored operators; a supplies the left factors."""
-    return FactoredOperator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
+    return FactoredOperator(_Fresh(np.kron(a.matrix, b.matrix)), a.dims + b.dims)
 
 
 def _positions(op: FactoredOperator, labels) -> list[int]:
@@ -177,7 +218,7 @@ def partial_trace(op: FactoredOperator, keep) -> FactoredOperator:
         m -= 1
     kept_dims = tuple(d for i, d in enumerate(op.dims) if i in keep_pos)
     side = prod(kept_dims)
-    return FactoredOperator(t.reshape(side, side), kept_dims)
+    return FactoredOperator(_Fresh(t.reshape(side, side)), kept_dims)
 
 
 def trace_out(op: FactoredOperator, factors) -> FactoredOperator:
@@ -194,7 +235,7 @@ def partial_transpose(op: FactoredOperator, factor: int) -> FactoredOperator:
     t = op.matrix.reshape(*op.dims, *op.dims)
     t = np.swapaxes(t, pos, pos + n)
     side = op.matrix.shape[0]
-    return FactoredOperator(t.reshape(side, side), op.dims)
+    return FactoredOperator(_Fresh(t.reshape(side, side)), op.dims)
 
 
 def _spectral_scale(w: np.ndarray) -> np.ndarray:
@@ -215,10 +256,19 @@ def _check_hermitian(m: np.ndarray, tol: float = TOL) -> np.ndarray:
     return 0.5 * (m + mh)
 
 
+def _eig(solve, h: np.ndarray):
+    """``solve(h)`` for an np.linalg Hermitian eigensolver, with its
+    LinAlgError (no convergence) raised as EigensolverError."""
+    try:
+        return solve(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"Hermitian eigensolver failed: {exc}") from None
+
+
 def _psd_stack(ms: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
     """:func:`is_psd` of every matrix in a (..., n, n) stack by one stacked
     eigensolve: (ok, min_eigenvalue) arrays of the stack's shape."""
-    w = np.linalg.eigvalsh(_check_hermitian(ms, tol))
+    w = _eig(np.linalg.eigvalsh, _check_hermitian(ms, tol))
     lows = w.min(axis=-1, initial=np.inf)  # a 0 x 0 matrix passes
     return lows >= -tol * _spectral_scale(w), lows
 
@@ -241,7 +291,7 @@ def herm_sqrt(m) -> np.ndarray:
     anything below it raises :class:`NotPSDError`.
     """
     h = _check_hermitian(_as_matrix(m))
-    w, v = np.linalg.eigh(h)
+    w, v = _eig(np.linalg.eigh, h)
     if w[0] < -TOL * _spectral_scale(w):
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e}, below PSD tolerance")
     w = np.clip(w, 0.0, None)

@@ -33,6 +33,8 @@ from .matcore import (
     STRUCT_TOL,
     TOL,
     FactoredOperator,
+    _eig,
+    _Fresh,
     check_dense_size,
     check_state,
     herm_sqrt,
@@ -160,7 +162,7 @@ def qcp_from_channel(cp: CpMap) -> QcpOperator:
     ok, lo = is_psd(pi)
     if not ok:
         raise NotCPError(f"conditional operator has eigenvalue {lo:.3e}; map is not CP")
-    return QcpOperator(FactoredOperator(pi, (d, d)), cp)
+    return QcpOperator(FactoredOperator(_Fresh(pi), (d, d)), cp)
 
 
 def _qcp_matrix(pi) -> tuple[np.ndarray, int]:
@@ -187,7 +189,7 @@ def nonlinear_lift(pi, rho) -> FactoredOperator:
     state = check_state(rho)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != conditional side {d}")
-    return FactoredOperator(sandwich_right(m, herm_sqrt(state.matrix)), (d, d))
+    return FactoredOperator(_Fresh(sandwich_right(m, herm_sqrt(state.matrix))), (d, d))
 
 
 def ohya_lift(rho, parties: int = 2) -> FactoredOperator:
@@ -202,13 +204,13 @@ def ohya_lift(rho, parties: int = 2) -> FactoredOperator:
     state = check_state(rho)
     d = state.matrix.shape[0]
     check_dense_size((d,) * parties)
-    w, v = np.linalg.eigh(state.matrix)
+    w, v = _eig(np.linalg.eigh, state.matrix)
     w = np.clip(w, 0.0, None)
     # Column k of copies is the parties-fold Kronecker power of eigenvector k.
     copies = v
     for _ in range(parties - 1):
         copies = (copies[:, None, :] * v[None, :, :]).reshape(-1, d)
-    return FactoredOperator((copies * w) @ copies.conj().T, (d,) * parties)
+    return FactoredOperator(_Fresh((copies * w) @ copies.conj().T), (d,) * parties)
 
 
 def _kron_eye(x: np.ndarray, d: int) -> np.ndarray:
@@ -221,7 +223,8 @@ def _kron_eye(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _chain(pis) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Dense matrix of the composite chained from pis, and its factor dims."""
+    """Dense matrix of the composite chained from pis, a new array, and its
+    factor dims."""
     pis = list(pis)
     mats = [_qcp_matrix(p) for p in pis]
     if not mats:
@@ -232,7 +235,7 @@ def _chain(pis) -> tuple[np.ndarray, tuple[int, ...]]:
     dims = (d,) * (len(mats) + 1)
     check_dense_size(dims)
     roots: dict[int, np.ndarray] = {}
-    cur = mats[-1][0]
+    cur = mats[-1][0].copy()  # a caller's array when pis has one element
     for p, (m, _) in zip(pis[-2::-1], mats[-2::-1]):
         if id(p) not in roots:
             roots[id(p)] = herm_sqrt(m)
@@ -247,7 +250,8 @@ def compose_qcp(pi1, pi2) -> FactoredOperator:
     the leftmost slot returns pi1; tracing out the two leftmost returns the
     identity.
     """
-    return FactoredOperator(*_chain([pi1, pi2]))
+    m, dims = _chain([pi1, pi2])
+    return FactoredOperator(_Fresh(m), dims)
 
 
 def n_compose_qcp(pis) -> FactoredOperator:
@@ -257,7 +261,8 @@ def n_compose_qcp(pis) -> FactoredOperator:
     couples slots 2 and 1, element 1 couples slots 3 and 2, and so on. The
     square root of each distinct operator object is taken once.
     """
-    return FactoredOperator(*_chain(pis))
+    m, dims = _chain(pis)
+    return FactoredOperator(_Fresh(m), dims)
 
 
 def n_nonlinear_lift(pi, rho, parties: int) -> FactoredOperator:
@@ -276,7 +281,7 @@ def n_nonlinear_lift(pi, rho, parties: int) -> FactoredOperator:
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != conditional side {d}")
     chain, _ = _chain([pi] * (parties - 1))
-    return FactoredOperator(sandwich_right(chain, herm_sqrt(state.matrix)), (d,) * parties)
+    return FactoredOperator(_Fresh(sandwich_right(chain, herm_sqrt(state.matrix))), (d,) * parties)
 
 
 def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
@@ -293,7 +298,7 @@ def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
     rm = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
     if rm.shape != (d, d):
         raise DimensionMismatchError(f"marginal shape {rm.shape}, expected {(d, d)}")
-    w, v = np.linalg.eigh(0.5 * (rm + rm.conj().T))
+    w, v = _eig(np.linalg.eigh, 0.5 * (rm + rm.conj().T))
     if w[0] <= TOL:
         raise NotFaithfulError(f"marginal has eigenvalue {w[0]:.3e}; need strict positivity")
     ok, lo = is_psd(theta.matrix)
@@ -362,4 +367,4 @@ def choi_matrix(phi: Callable[[np.ndarray], np.ndarray], d: int) -> FactoredOper
     images = np.array([[phi(e) for e in row] for row in units], dtype=complex)
     if images.shape != units.shape:
         raise DimensionMismatchError(f"phi returned shape {images.shape[2:]}, expected {(d, d)}")
-    return FactoredOperator(images.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d, (d, d))
+    return FactoredOperator(_Fresh(images.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d), (d, d))

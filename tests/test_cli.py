@@ -316,3 +316,26 @@ def test_negative_sizes_exit_two(capsys):
         _assert_error_exit(capsys, argv, 2)
         assert cli.main(argv) == 2
         assert "must be at least 0" in capsys.readouterr().err
+
+
+def test_empty_channel_matrix_exits_two(capsys):
+    _assert_error_exit(capsys, ["channel", "kraus", "--matrix", "[[]]"], 2)
+    _assert_error_exit(
+        capsys, ["channel", "apply", "--matrix", '{"rows":0,"cols":0,"data":[]}', "--state", "[]"], 2
+    )
+
+
+def test_string_matrix_entries_exit_two(capsys):
+    for matrix in ('[["0.5","0.5"],["0.25","0.75"]]', '[[0.5,"0.5"],[0.25,0.75]]'):
+        _assert_error_exit(capsys, ["channel", "apply", "--matrix", matrix, "--state", "[0.5,0.5]"], 2)
+
+
+def test_eigensolver_failure_exits_three(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    ohya = ["lift", "ohya", "--rho", "[[0.6,0],[0,0.4]]", "--parties", "2"]
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)  # ohya_lift's spectral decomposition
+    _assert_error_exit(capsys, ohya, 3)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)  # check_state's PSD test
+    _assert_error_exit(capsys, ohya, 3)

@@ -1,0 +1,199 @@
+"""Diagonal states built from their weights, and when FactoredOperator copies.
+
+The six diagonal constructors build their d^N x d^N matrix once with
+diagonal_operator and check finiteness on the d^N weights. Library
+constructors hand FactoredOperator arrays they have just made without a
+copy; a caller's array is always copied.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from liftlab import (
+    DimensionMismatchError,
+    FactoredOperator,
+    build_circulant,
+    classical_choi,
+    gamma_lifting,
+    lift,
+    markov_state,
+    markov_weights,
+    max_correlated_state,
+    n_compose_qcp,
+    n_lift,
+    n_nonlinear_lift,
+    partial_trace,
+    partial_transpose,
+    qcp_from_channel,
+    tensor,
+)
+from liftlab.clift import as_lifting_tensor
+from liftlab.classical import as_channel, as_permutation, as_probability_vector
+from liftlab.matcore import diagonal_operator
+from liftlab.sampling import (
+    circulant_spec,
+    density,
+    faithful_density,
+    lifting_tensor,
+    markov_spec,
+    permutation,
+    probability_vector,
+    rng,
+    stochastic,
+    unital_cpmap,
+)
+
+
+def _old_lift(t, p):
+    w = np.einsum("ijk,i->jk", as_lifting_tensor(t), as_probability_vector(p))
+    return np.diag(w.reshape(-1).astype(complex))
+
+
+def _old_n_lift(t, p, parties):
+    e, w = as_lifting_tensor(t), as_probability_vector(p)
+    for _ in range(parties - 1):
+        w = np.einsum("...i,ijk->...jk", w, e)
+    return np.diag(w.reshape(-1).astype(complex))
+
+
+def _old_gamma_lifting(gamma, sigma, p):
+    w = np.asarray(gamma, dtype=float).T @ np.outer(as_probability_vector(sigma), as_probability_vector(p)).reshape(-1)
+    return np.diag(w.astype(complex))
+
+
+def _old_markov_state(spec, parties):
+    return np.diag(markov_weights(spec, parties).reshape(-1).astype(complex))
+
+
+def _old_classical_choi(weights):
+    w = as_channel(weights)
+    return np.diag((w / w.shape[1]).reshape(-1).astype(complex))
+
+
+def _old_max_correlated_state(perm):
+    s = as_permutation(perm)
+    n = s.size
+    pos = np.arange(n) * n + s
+    m = np.zeros((n * n, n * n), dtype=complex)
+    m[pos, pos] = 1.0 / n
+    return m
+
+
+def _doubly_stochastic(g, n):
+    """A convex mix of permutation matrices: unital and stochastic."""
+    weights = probability_vector(g, 3)
+    return sum(c * np.eye(n)[permutation(g, n)] for c in weights)
+
+
+def _assert_same(op, old, dims):
+    assert op.dims == dims
+    assert op.matrix.dtype == old.dtype
+    np.testing.assert_array_equal(op.matrix, old)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n1=st.integers(1, 4), n2=st.integers(1, 4), parties=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_diagonal_constructors_equal_their_dense_forms(n1, n2, parties, seed):
+    g = rng(seed)
+    t, p = lifting_tensor(g, n1, n2), probability_vector(g, n1)
+    _assert_same(lift(t, p), _old_lift(t, p), (n2, n1))
+    square = lifting_tensor(g, n1, n1)
+    _assert_same(n_lift(square, p, parties), _old_n_lift(square, p, parties), (n1,) * parties)
+    joint, sigma = stochastic(g, n2 * n1, n2 * n1), probability_vector(g, n2)
+    _assert_same(gamma_lifting(joint, sigma, p), _old_gamma_lifting(joint, sigma, p), (n2, n1))
+    spec = markov_spec(g, n1)
+    _assert_same(markov_state(spec, parties), _old_markov_state(spec, parties), (n1,) * parties)
+    unital = _doubly_stochastic(g, n1)
+    _assert_same(classical_choi(unital), _old_classical_choi(unital), (n1, n1))
+    perm = permutation(g, n2)
+    _assert_same(max_correlated_state(perm), _old_max_correlated_state(perm), (n2, n2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_non_finite_weights_raise_as_before(bad):
+    with pytest.raises(DimensionMismatchError, match="^matrix entries must be finite$"):
+        diagonal_operator([0.5, bad], (2,))
+    with pytest.raises(DimensionMismatchError, match="^matrix entries must be finite$"):
+        FactoredOperator(np.diag([0.5, bad]))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max, reason="longdouble is double here")
+def test_weights_overflowing_to_inf_raise():
+    huge = np.longdouble(np.finfo(float).max) * 4
+    with np.errstate(over="ignore"), pytest.raises(DimensionMismatchError, match="^matrix entries must be finite$"):
+        diagonal_operator(np.array([huge, 0], dtype=np.longdouble), (2,))
+
+
+def test_diagonal_operator_checks_the_weight_count():
+    with pytest.raises(DimensionMismatchError, match="weight count is 3"):
+        diagonal_operator(np.ones(3) / 3, (2, 2))
+    with pytest.raises(DimensionMismatchError, match="must be positive"):
+        diagonal_operator(np.ones(0), (2, 0))
+
+
+def _constructed():
+    g = rng(5)
+    t, p = lifting_tensor(g, 2, 3), probability_vector(g, 2)
+    pi = qcp_from_channel(unital_cpmap(g, 2))
+    state = FactoredOperator(density(g, 2), (2,))
+    yield lift(t, p)
+    yield n_lift(lifting_tensor(g, 2, 2), p, 4)
+    yield gamma_lifting(stochastic(g, 6, 6), probability_vector(g, 3), p)
+    yield markov_state(markov_spec(g, 3), 3)
+    yield classical_choi(np.eye(3))
+    yield max_correlated_state([2, 0, 1])
+    yield tensor(state, state)
+    yield build_circulant(circulant_spec(g, 3))
+    yield n_nonlinear_lift(pi, faithful_density(g, 2), 3)
+    yield n_compose_qcp([pi, pi])
+    composite = n_compose_qcp([pi])
+    yield composite
+    yield partial_trace(composite, {1})
+    yield partial_trace(composite, {1, 2})
+    yield partial_transpose(composite, 1)
+
+
+@pytest.mark.parametrize("op", list(_constructed()), ids=lambda op: f"dims{op.dims}")
+def test_constructed_matrices_are_read_only(op):
+    assert not op.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("read_only", [False, True])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_caller_arrays_are_copied(dtype, read_only):
+    a = np.diag(np.array([0.25, 0.75], dtype=dtype))
+    a.setflags(write=not read_only)
+    op = FactoredOperator(a, (2,))
+    assert not np.shares_memory(op.matrix, a)
+    a.setflags(write=True)
+    a[0, 0] = 7.0
+    np.testing.assert_array_equal(op.matrix, np.diag([0.25, 0.75]))
+
+
+def test_single_link_chain_does_not_alias_the_callers_matrix():
+    pi = qcp_from_channel(unital_cpmap(rng(2), 2)).matrix.copy()
+    for op in (n_compose_qcp([pi]), partial_trace(FactoredOperator(pi, (2, 2)), {1, 2})):
+        assert not np.shares_memory(op.matrix, pi)
+
+
+N11_BYTES = 2**22 * 16  # the 2048 x 2048 complex result of n=2, N=11: 64 MiB
+
+
+@pytest.mark.parametrize("build", ["n_lift", "markov_state"])
+def test_diagonal_state_peak_memory_holds_one_copy(build):
+    g = rng(0)
+    t, p, spec = lifting_tensor(g, 2, 2), probability_vector(g, 2), markov_spec(g, 2)
+    run = {"n_lift": lambda: n_lift(t, p, 11), "markov_state": lambda: markov_state(spec, 11)}[build]
+    tracemalloc.start()
+    try:
+        op = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.matrix.nbytes == N11_BYTES
+    assert peak < 1.5 * N11_BYTES
+

@@ -179,6 +179,14 @@ def test_decoders_reject_numbers_that_overflow_to_infinity():
         json_to_tensor_data(load_argument('{"n1": 1, "n2": 1, "data": [1e999]}'))
 
 
+def test_nested_matrix_rejects_non_numeric_entries():
+    for bad in ([["0.5", "0.5"], ["0.25", "0.75"]], [[0.5, "0.5"], [0.25, 0.75]], [[0.5, None], [0, 1]],
+                [[0.5, [0.5]], [0, 1]], [[0.5, {}], [0, 1]]):
+        with pytest.raises(SchemaError, match="not numeric"):
+            json_to_matrix(bad)
+    np.testing.assert_array_equal(json_to_matrix([[1, 0.5], [0, 2**64]]), [[1, 0.5], [0, 2.0**64]])
+
+
 HUGE = 10**400  # a JSON integer too large for a float
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from liftlab.errors import (
     DimensionMismatchError,
+    EigensolverError,
     IndexOutOfRangeError,
     NotAStateError,
     NotHermitianError,
@@ -166,3 +167,16 @@ def test_sandwich_right_matches_kron_sandwich():
         sandwich_right(np.eye(6), np.eye(4))
     with pytest.raises(DimensionMismatchError):
         sandwich_right(np.eye(6), np.ones((3, 2)))
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_eigensolver_failure_is_a_typed_domain_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+    with pytest.raises(EigensolverError, match="did not converge"):
+        herm_sqrt(np.eye(2))
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+    with pytest.raises(EigensolverError, match="did not converge"):
+        is_psd(np.eye(2))
