@@ -68,13 +68,13 @@ def permutation_inverse(perm) -> np.ndarray:
 def is_unital(weights, atol: float = PROB_TOL) -> bool:
     """Columns sum to one (the identity observable is preserved)."""
     w = as_channel(weights)
-    return bool(np.allclose(w.sum(axis=0), 1.0, atol=atol))
+    return bool(np.allclose(w.sum(axis=0), 1.0, rtol=0, atol=atol))
 
 
 def is_stochastic(weights, atol: float = PROB_TOL) -> bool:
     """Rows sum to one (the state action preserves total probability)."""
     w = as_channel(weights)
-    return bool(np.allclose(w.sum(axis=1), 1.0, atol=atol))
+    return bool(np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=atol))
 
 
 def is_doubly_stochastic(weights, atol: float = PROB_TOL) -> bool:

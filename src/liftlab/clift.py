@@ -32,7 +32,7 @@ def as_lifting_tensor(t) -> np.ndarray:
     if e.min() < -PROB_TOL:
         raise NegativeEntryError(f"lifting tensor has negative entry {e.min():.3e}")
     row = e.sum(axis=(1, 2))
-    if not np.allclose(row, 1.0, atol=PROB_TOL * max(1, e.shape[1] * e.shape[2])):
+    if not np.allclose(row, 1.0, rtol=0, atol=PROB_TOL * max(1, e.shape[1] * e.shape[2])):
         raise NotNormalizedError(f"input slices sum to {row.tolist()}, expected all 1")
     return np.clip(e, 0.0, None)
 
@@ -97,7 +97,7 @@ def is_nondemolition(t, atol: float = PROB_TOL) -> bool:
     sum_j E[i, j, k] = delta(i, k), so the retained marginal equals the
     input for every state."""
     e = as_lifting_tensor(t)
-    return bool(np.allclose(e.sum(axis=1), np.eye(e.shape[0]), atol=atol * max(1, e.shape[1])))
+    return bool(np.allclose(e.sum(axis=1), np.eye(e.shape[0]), rtol=0, atol=atol * max(1, e.shape[1])))
 
 
 def is_markovian_lifting(t) -> tuple[bool, np.ndarray | None]:
@@ -131,7 +131,7 @@ def gamma_lifting(gamma, sigma, p) -> FactoredOperator:
         raise DimensionMismatchError(f"joint channel shape {g.shape}, expected {(n2 * n1, n2 * n1)}")
     if g.min() < -PROB_TOL:
         raise NegativeEntryError(f"joint channel has negative entry {g.min():.3e}")
-    if not np.allclose(g.sum(axis=1), 1.0, atol=PROB_TOL * max(1, g.shape[0])):
+    if not np.allclose(g.sum(axis=1), 1.0, rtol=0, atol=PROB_TOL * max(1, g.shape[0])):
         raise NotNormalizedError("joint channel rows must sum to 1 (trace preservation)")
     w = g.T @ np.outer(q, v).reshape(-1)
     return diagonal_operator(w, (n2, n1))
@@ -174,7 +174,7 @@ class MarkovSpec:
             raise DimensionMismatchError(f"conditional side {c.shape[0]} != initial length {p0.size}")
         if c.min() < -PROB_TOL:
             raise NegativeEntryError(f"conditional has negative entry {c.min():.3e}")
-        if not np.allclose(c.sum(axis=0), 1.0, atol=PROB_TOL * max(1, c.shape[0])):
+        if not np.allclose(c.sum(axis=0), 1.0, rtol=0, atol=PROB_TOL * max(1, c.shape[0])):
             raise NotNormalizedError(f"conditional columns sum to {c.sum(axis=0).tolist()}, expected all 1")
         c = np.clip(c, 0.0, None)
         c.setflags(write=False)

@@ -10,8 +10,9 @@ rho. Chaining sandwiched copies of pi yields N-party liftings that reduce to
 Markov chains on diagonal data.
 
 Every sandwich acts only on the slots it names: a stage of an N-party chain
-contracts sqrt(pi) (d^2 x d^2) against the rightmost two slots of a d^N x d^N
-operator in O(d^(2N+2)) time, and I x sqrt(pi) is never formed.
+applies sqrt(pi) (d^2 x d^2) on both sides of the rightmost two slots as one
+batched product with a d^2 x d^2 x d^2 kernel, d^2 multiply-adds per entry of
+the d^N x d^N output, and neither I x sqrt(pi) nor cur x I_d is formed.
 """
 from __future__ import annotations
 
@@ -78,7 +79,7 @@ class CpMap:
     @property
     def unital(self) -> bool:
         total = self.units[np.arange(self.d), np.arange(self.d)].sum(axis=0)
-        return bool(np.allclose(total, np.eye(self.d), atol=STRUCT_TOL))
+        return bool(np.allclose(total, np.eye(self.d), rtol=0, atol=STRUCT_TOL))
 
     @property
     def transfer(self) -> np.ndarray:
@@ -213,18 +214,27 @@ def ohya_lift(rho, parties: int = 2) -> FactoredOperator:
     return FactoredOperator(_Fresh((copies * w) @ copies.conj().T), (d,) * parties)
 
 
-def _kron_eye(x: np.ndarray, d: int) -> np.ndarray:
-    """x (x) I_d by d strided copies into a zeroed buffer, with no multiply."""
-    s = x.shape[0]
-    out = np.zeros((s, d, s, d), dtype=complex)
-    for k in range(d):
-        out[:, k, :, k] = x
-    return out.reshape(s * d, s * d)
+def _link_kernel(l: np.ndarray, d: int) -> np.ndarray:
+    """Kernel of the chain stage x -> (I x L) (x (x) I_d) (I x L)^dagger for a
+    d^2 x d^2 matrix L: the (d^2, d^2, d^2) array
+    K[(b,c),(x,y),(b',c')] = sum_z L[(b,c),(x,z)] conj(L[(b',c'),(y,z)])."""
+    rows = l.reshape(d**3, d)  # ((b, c, x), z)
+    k = (rows @ rows.conj().T).reshape(d * d, d, d * d, d)
+    return k.transpose(0, 1, 3, 2).reshape(d * d, d * d, d * d)
 
 
-def _chain(pis) -> tuple[np.ndarray, tuple[int, ...]]:
+def _chain(pis, root=None) -> tuple[np.ndarray, tuple[int, ...]]:
     """Dense matrix of the composite chained from pis, a new array, and its
-    factor dims."""
+    factor dims; with ``root`` it is sandwiched by (I x root) on slot 1.
+
+    A stage extends the composite cur, indexed ((a, x), (a', y)) with x and y
+    on its rightmost slot, to ((a, b, c), (a', b', c')) with L = sqrt(pi) on
+    the two rightmost slots. That is one batched product, d^2 multiply-adds
+    per output entry: cur goes to (a, a', (x, y)) order and meets the stage
+    kernel once for each (b, c), and the product comes out in the new
+    matrix's own order. root is folded into the last stage as
+    L = (I_d x root) sqrt(pi).
+    """
     pis = list(pis)
     mats = [_qcp_matrix(p) for p in pis]
     if not mats:
@@ -234,12 +244,21 @@ def _chain(pis) -> tuple[np.ndarray, tuple[int, ...]]:
         raise DimensionMismatchError("conditional operators must share one factor size")
     dims = (d,) * (len(mats) + 1)
     check_dense_size(dims)
+    cur = mats[-1][0]  # a caller's array when pis has one element
+    if len(mats) == 1:
+        return (cur.copy() if root is None else sandwich_right(cur, root)), dims
     roots: dict[int, np.ndarray] = {}
-    cur = mats[-1][0].copy()  # a caller's array when pis has one element
     for p, (m, _) in zip(pis[-2::-1], mats[-2::-1]):
         if id(p) not in roots:
             roots[id(p)] = herm_sqrt(m)
-        cur = sandwich_right(_kron_eye(cur, d), roots[id(p)])
+    kernels = {key: _link_kernel(r, d) for key, r in roots.items()}
+    stages = [kernels[id(p)] for p in pis[-2::-1]]
+    if root is not None:
+        stages[-1] = _link_kernel(np.kron(np.eye(d), root) @ roots[id(pis[0])], d)
+    for k in stages:
+        a = cur.shape[0] // d
+        pairs = cur.reshape(a, d, a, d).transpose(0, 2, 1, 3).reshape(a, 1, a, d * d)
+        cur = np.matmul(pairs, k).reshape(a * d * d, a * d * d)
     return cur, dims
 
 
@@ -280,8 +299,8 @@ def n_nonlinear_lift(pi, rho, parties: int) -> FactoredOperator:
     state = check_state(rho)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != conditional side {d}")
-    chain, _ = _chain([pi] * (parties - 1))
-    return FactoredOperator(_Fresh(sandwich_right(chain, herm_sqrt(state.matrix))), (d,) * parties)
+    chain, dims = _chain([pi] * (parties - 1), herm_sqrt(state.matrix))
+    return FactoredOperator(_Fresh(chain), dims)
 
 
 def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
@@ -305,7 +324,7 @@ def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
     if not ok:
         raise NotCompatibleError(f"compound state has eigenvalue {lo:.3e}; blocks admit no CP map")
     marg = partial_trace(theta, keep={1}).matrix
-    if not np.allclose(marg, rm, atol=TOL):
+    if not np.allclose(marg, rm, rtol=0, atol=TOL):
         raise NotCompatibleError("first-slot partial trace of the compound state differs from the marginal")
     inv_s = (v / np.sqrt(w)) @ v.conj().T
     blocks = theta.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)

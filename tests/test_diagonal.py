@@ -1,10 +1,15 @@
 """Diagonal states built from their weights, and when FactoredOperator copies.
 
 The six diagonal constructors build their d^N x d^N matrix once with
-diagonal_operator and check finiteness on the d^N weights. Library
-constructors hand FactoredOperator arrays they have just made without a
-copy; a caller's array is always copied.
+diagonal_operator and check finiteness on the d^N weights; from side
+MMAP_DIAGONAL_SIDE up the matrix lies on an anonymous mmap whose zero pages
+are never written. Library constructors hand FactoredOperator arrays they
+have just made without a copy; a caller's array is always copied.
 """
+import mmap
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -31,7 +36,8 @@ from liftlab import (
 )
 from liftlab.clift import as_lifting_tensor
 from liftlab.classical import as_channel, as_permutation, as_probability_vector
-from liftlab.matcore import diagonal_operator
+from liftlab import matcore
+from liftlab.matcore import MMAP_DIAGONAL_SIDE, diagonal_operator
 from liftlab.sampling import (
     circulant_spec,
     density,
@@ -126,6 +132,70 @@ def test_weights_overflowing_to_inf_raise():
         diagonal_operator(np.array([huge, 0], dtype=np.longdouble), (2,))
 
 
+def _on_mmap(a) -> bool:
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a.obj if isinstance(a, memoryview) else a, mmap.mmap)
+
+
+@pytest.mark.parametrize("side", [MMAP_DIAGONAL_SIDE - 1, MMAP_DIAGONAL_SIDE])
+def test_diagonal_operator_on_both_sides_of_the_mmap_switch(side):
+    w = rng(side).random(side) + 1j * rng(side + 1).random(side)
+    want = np.diag(w)
+    op = diagonal_operator(w, (side,))
+    assert _on_mmap(op.matrix) == (side >= MMAP_DIAGONAL_SIDE)
+    assert op.dims == (side,)
+    np.testing.assert_array_equal(op.matrix, want)
+    assert not op.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 1.0
+    w[:] = 7.0
+    np.testing.assert_array_equal(op.matrix, want)
+    w[0] = np.nan
+    with pytest.raises(DimensionMismatchError, match="^matrix entries must be finite$"):
+        diagonal_operator(w, (side,))
+
+
+def test_mmap_diagonals_build_the_diagonal_states(monkeypatch):
+    g = rng(9)
+    t, p, spec = lifting_tensor(g, 2, 2), probability_vector(g, 2), markov_spec(g, 2)
+    monkeypatch.setattr(matcore, "MMAP_DIAGONAL_SIDE", 4)
+    for op, old in ((n_lift(t, p, 4), _old_n_lift(t, p, 4)),
+                    (markov_state(spec, 4), _old_markov_state(spec, 4)),
+                    (lift(t, p), _old_lift(t, p)),
+                    (max_correlated_state([1, 0]), _old_max_correlated_state([1, 0]))):
+        assert _on_mmap(op.matrix)
+        _assert_same(op, old, op.dims)
+        assert not op.matrix.flags.writeable
+
+
+def _thp_always() -> bool:
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled", encoding="ascii") as fh:
+            return "[always]" in fh.read()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the Linux /proc/self/status peak")
+@pytest.mark.skipif(_thp_always(), reason="transparent huge pages are always on")
+def test_large_diagonal_state_touches_only_its_diagonal_pages():
+    # The n=2, N=12 matrix is 256 MiB; its 4096 diagonal entries sit on 4096
+    # pages, 16 MiB, and the interpreter with numpy adds about 40 MiB. The
+    # child reports VmHWM, its own peak: a forked child's ru_maxrss starts at
+    # the resident size of the parent that forked it.
+    code = (
+        "import numpy as np; from liftlab import n_lift; from liftlab.clift import ohya_tensor; "
+        "op = n_lift(ohya_tensor(2), [0.5, 0.5], 12); "
+        "assert op.matrix.nbytes == 1 << 28 and abs(np.trace(op.matrix) - 1) < 1e-12; "
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 128 * 1024  # KiB
+
+
 def test_diagonal_operator_checks_the_weight_count():
     with pytest.raises(DimensionMismatchError, match="weight count is 3"):
         diagonal_operator(np.ones(3) / 3, (2, 2))
@@ -180,20 +250,22 @@ def test_single_link_chain_does_not_alias_the_callers_matrix():
         assert not np.shares_memory(op.matrix, pi)
 
 
-N11_BYTES = 2**22 * 16  # the 2048 x 2048 complex result of n=2, N=11: 64 MiB
+N10_BYTES = 2**20 * 16  # the 1024 x 1024 complex result of n=2, N=10: 16 MiB
 
 
 @pytest.mark.parametrize("build", ["n_lift", "markov_state"])
 def test_diagonal_state_peak_memory_holds_one_copy(build):
+    # N=10 stays below MMAP_DIAGONAL_SIDE, on the np.diag path that
+    # tracemalloc sees; an mmap is not traced.
     g = rng(0)
     t, p, spec = lifting_tensor(g, 2, 2), probability_vector(g, 2), markov_spec(g, 2)
-    run = {"n_lift": lambda: n_lift(t, p, 11), "markov_state": lambda: markov_state(spec, 11)}[build]
+    run = {"n_lift": lambda: n_lift(t, p, 10), "markov_state": lambda: markov_state(spec, 10)}[build]
     tracemalloc.start()
     try:
         op = run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert op.matrix.nbytes == N11_BYTES
-    assert peak < 1.5 * N11_BYTES
+    assert op.matrix.nbytes == N10_BYTES
+    assert peak < 1.5 * N10_BYTES
 

@@ -1,9 +1,12 @@
-"""The vectorized circulant, Kraus and separable-state kernels against their loop definitions.
+"""The vectorized circulant, Kraus, separable-state and chain kernels against their references.
 
-Each reference below writes a kernel's definition as an index loop; the
-library computes the same with one scatter, gather or einsum. Scatters and
-gathers only move entries, and the einsum sums the same products in another
-order, so every comparison holds to 1e-13 over seeded d = 1..9.
+Each circulant, Kraus and separable reference below writes a kernel's
+definition as an index loop; the library computes the same with one scatter,
+gather or einsum. Scatters and gathers only move entries, and the einsum sums
+the same products in another order, so every comparison holds to 1e-13 over
+seeded d = 1..9. The N-party chain reference is the earlier two-product
+stage, cur x I_d in a zeroed buffer then sandwich_right with sqrt(pi); the
+library's one-product stage agrees with it to 1e-12.
 """
 import numpy as np
 import pytest
@@ -22,10 +25,33 @@ from liftlab.circulant import (
     shift_matrix,
 )
 from liftlab.clift import separable_n_state
-from liftlab.errors import BlockNotPSDError, MapNotPositiveError, NotHermitianError, TraceNotOneError
-from liftlab.matcore import partial_transpose, unit_matrix
-from liftlab.qlift import CpMap, choi_matrix, classical_cpmap, cp_from_kraus, cp_identity
-from liftlab.sampling import circulant_spec, density, markov_spec, probability_vector, rng
+from liftlab.errors import (
+    BlockNotPSDError,
+    MapNotPositiveError,
+    NotHermitianError,
+    NotPSDError,
+    TraceNotOneError,
+)
+from liftlab.matcore import herm_sqrt, partial_transpose, sandwich_right, unit_matrix
+from liftlab.qlift import (
+    CpMap,
+    choi_matrix,
+    classical_cpmap,
+    cp_from_kraus,
+    cp_identity,
+    n_compose_qcp,
+    n_nonlinear_lift,
+    qcp_from_channel,
+)
+from liftlab.sampling import (
+    circulant_spec,
+    density,
+    faithful_density,
+    markov_spec,
+    probability_vector,
+    rng,
+    unital_cpmap,
+)
 
 DIMS = range(1, 10)
 ATOL = 1e-13
@@ -239,3 +265,55 @@ def test_blockwise_partial_transpose_property(d, seed):
     spec = circulant_spec(rng(seed), d)
     reassembled = assemble_partial_transpose(circulant_partial_transpose(spec.blocks))
     np.testing.assert_array_equal(reassembled.matrix, partial_transpose(build_circulant(spec), 1).matrix)
+
+
+def _kron_eye(x, d):
+    """x (x) I_d by d strided copies into a zeroed buffer."""
+    s = x.shape[0]
+    out = np.zeros((s, d, s, d), dtype=complex)
+    for k in range(d):
+        out[:, k, :, k] = x
+    return out.reshape(s * d, s * d)
+
+
+def _two_product_chain(mats):
+    """The composite chained from mats (innermost link first), one stage at
+    a time as sandwich_right(cur x I_d, sqrt(pi))."""
+    d = int(round(mats[0].shape[0] ** 0.5))
+    cur = mats[-1]
+    for m in mats[-2::-1]:
+        cur = sandwich_right(_kron_eye(cur, d), herm_sqrt(m))
+    return cur
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_product_chain_matches_two_product_stages(d):
+    g = rng(760 + d)
+    for parties in range(2, 7 if d == 2 else 6):
+        pi = qcp_from_channel(unital_cpmap(g, d))
+        distinct = [qcp_from_channel(unital_cpmap(g, d)) for _ in range(parties - 1)]
+        rho = faithful_density(g, d)
+        repeated = _two_product_chain([pi.matrix] * (parties - 1))
+        np.testing.assert_allclose(n_compose_qcp([pi] * (parties - 1)).matrix, repeated, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(n_compose_qcp(distinct).matrix,
+                                   _two_product_chain([p.matrix for p in distinct]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(n_nonlinear_lift(pi, rho, parties).matrix,
+                                   sandwich_right(repeated, herm_sqrt(rho)), rtol=0, atol=1e-12)
+    # One link: the caller's operator, copied; parties=2: the plain sandwich.
+    pi, rho = qcp_from_channel(unital_cpmap(g, d)), density(g, d)
+    np.testing.assert_array_equal(n_compose_qcp([pi]).matrix, pi.matrix)
+    np.testing.assert_array_equal(n_nonlinear_lift(pi, rho, 2).matrix, sandwich_right(pi.matrix, herm_sqrt(rho)))
+
+
+def test_chain_roots_still_raise_the_square_root_errors():
+    pi = qcp_from_channel(unital_cpmap(rng(770), 2)).matrix
+    skew = pi.copy()
+    skew[0, 1] += 0.5
+    negative = pi - 2 * np.eye(4)
+    for bad, error in ((skew, NotHermitianError), (negative, NotPSDError)):
+        with pytest.raises(error):
+            n_compose_qcp([bad, pi])
+        with pytest.raises(error):
+            n_nonlinear_lift(bad, np.eye(2) / 2, 3)
+        # The outermost link is used as given, and no root of it is taken.
+        assert n_compose_qcp([pi, bad]).dims == (2, 2, 2)

@@ -10,9 +10,11 @@ import pytest
 
 import liftlab
 from liftlab.circulant import circulant_lift_isometry
-from liftlab.classical import as_probability_vector
-from liftlab.errors import NegativeEntryError, NotAStateError, NotNormalizedError
+from liftlab.classical import as_probability_vector, is_stochastic, is_unital
+from liftlab.clift import MarkovSpec, as_lifting_tensor, gamma_lifting, is_nondemolition, ohya_tensor
+from liftlab.errors import NegativeEntryError, NotAStateError, NotCompatibleError, NotNormalizedError
 from liftlab.matcore import check_state
+from liftlab.qlift import CpMap, channel_from_compound, cp_identity, nonlinear_lift, qcp_from_channel
 
 TUNABLE = {
     "is_psd",
@@ -69,3 +71,44 @@ def test_probability_sum_tolerance_scales_with_the_entry_count():
     assert as_probability_vector([-5e-13, 1 + 5e-13])[0] == 0.0
     with pytest.raises(NegativeEntryError):
         as_probability_vector([-2e-12, 1 + 2e-12])
+
+
+def _accepts(check, *args, **kwargs) -> bool:
+    """Run a validator or predicate: False when it raises NotNormalizedError
+    or NotCompatibleError or returns False, True otherwise."""
+    try:
+        return check(*args, **kwargs) is not False
+    except (NotNormalizedError, NotCompatibleError):
+        return False
+
+
+def _nondemolition_tensor(deficit):
+    """n1=4, n2=1: each retained marginal loses ``deficit`` on the diagonal,
+    spread evenly over the three other letters, so slices still sum to 1."""
+    spread = np.full((4, 4), deficit / 3)
+    np.fill_diagonal(spread, 1 - deficit)
+    return spread[:, None, :]
+
+
+_THETA_RHO = np.diag([0.6, 0.4])
+_THETA = nonlinear_lift(qcp_from_channel(cp_identity(2)), _THETA_RHO)
+
+# Each sum check at scale 1 + 5e-6, which numpy's default rtol=1e-5 let
+# through, and at a scale inside its absolute bound.
+SUM_CHECKS = {
+    "as_lifting_tensor": lambda s: _accepts(as_lifting_tensor, ohya_tensor(2) * s),
+    "gamma_lifting": lambda s: _accepts(gamma_lifting, np.eye(4) * s, [0.5, 0.5], [0.5, 0.5]),
+    "MarkovSpec": lambda s: _accepts(MarkovSpec, np.eye(2) * s, [0.5, 0.5]),
+    "is_nondemolition": lambda s: _accepts(is_nondemolition, _nondemolition_tensor(s - 1), atol=2e-6),
+    "is_unital": lambda s: _accepts(is_unital, np.eye(2) * s),
+    "is_stochastic": lambda s: _accepts(is_stochastic, np.eye(2) * s),
+    "CpMap.unital": lambda s: CpMap(cp_identity(2).units * s).unital,
+    "channel_from_compound": lambda s: _accepts(channel_from_compound, _THETA, _THETA_RHO * s),
+}
+
+
+@pytest.mark.parametrize("name", SUM_CHECKS)
+def test_sum_checks_carry_no_relative_tolerance(name):
+    check = SUM_CHECKS[name]
+    assert check(1 + 1e-13)
+    assert not check(1 + 5e-6)
