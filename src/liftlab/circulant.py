@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     NotNormalizedError,
+    SchemaError,
     TraceNotOneError,
 )
 from .matcore import PROB_TOL, STRUCT_TOL, TOL, FactoredOperator, _Fresh, _psd_stack, check_state
@@ -47,7 +48,7 @@ def _as_blocks(blocks) -> np.ndarray:
 def _check_trace_sum(blocks: np.ndarray) -> None:
     total = np.trace(blocks, axis1=1, axis2=2).real.sum()
     if abs(total - 1.0) > TOL:
-        raise TraceNotOneError(f"block traces sum to {total!r}, expected 1")
+        raise TraceNotOneError(f"block traces sum to {float(total)!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -123,21 +124,22 @@ def is_ppt_circulant(spec: CirculantSpec) -> tuple[bool, np.ndarray]:
     return bool(ok.all()), lows
 
 
-def circulant_lift(cs, rho) -> FactoredOperator:
-    """Lift a state along fixed circulant profiles.
-
-    cs[alpha] is a PSD unit-trace d x d matrix; the output circulant state
-    carries block rho[alpha, alpha] * cs[alpha], so it depends on rho only
-    through its diagonal. Output traces to one for any unit-trace input.
-    Block alpha's eigenvalues are rho[alpha, alpha] >= -TOL times those of
-    cs[alpha], so the profile check stands in for a block check; only the
-    blocks' trace sum is checked again.
-    """
-    profiles = _as_blocks(cs)
-    d = profiles.shape[0]
+def _state_diagonal(rho, d: int, what: str) -> np.ndarray:
+    """Real diagonal of the state rho, checked to have side d (the size of ``what``)."""
     state = check_state(rho)
     if state.matrix.shape[0] != d:
-        raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != block count {d}")
+        raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != {what} {d}")
+    return np.real(np.diag(state.matrix))
+
+
+def _lift_profiles(profiles: np.ndarray, diagonal: np.ndarray) -> FactoredOperator:
+    """Circulant state with block diagonal[alpha] * profiles[alpha], after
+    checking that each profile is PSD with unit trace.
+
+    Block alpha's eigenvalues are diagonal[alpha] >= -TOL times those of
+    profiles[alpha], so the profile check stands in for a block check; only
+    the blocks' trace sum is checked again.
+    """
     ok, lows = _psd_stack(profiles)
     traces = np.trace(profiles, axis1=1, axis2=2).real
     bad = ~ok | (np.abs(traces - 1.0) > TOL)
@@ -145,10 +147,21 @@ def circulant_lift(cs, rho) -> FactoredOperator:
         alpha = int(np.argmax(bad))
         if not ok[alpha]:
             raise BlockNotPSDError(f"profile {alpha} has eigenvalue {lows[alpha]:.3e}")
-        raise TraceNotOneError(f"profile {alpha} has trace {traces[alpha]!r}, expected 1")
-    blocks = np.real(np.diag(state.matrix))[:, None, None] * profiles
+        raise TraceNotOneError(f"profile {alpha} has trace {float(traces[alpha])!r}, expected 1")
+    blocks = diagonal[:, None, None] * profiles
     _check_trace_sum(blocks)
     return _assemble(blocks, np.add)
+
+
+def circulant_lift(cs, rho) -> FactoredOperator:
+    """Lift a state along fixed circulant profiles.
+
+    cs[alpha] is a PSD unit-trace d x d matrix; the output circulant state
+    carries block rho[alpha, alpha] * cs[alpha], so it depends on rho only
+    through its diagonal. Output traces to one for any unit-trace input.
+    """
+    profiles = _as_blocks(cs)
+    return _lift_profiles(profiles, _state_diagonal(rho, profiles.shape[0], "block count"))
 
 
 def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
@@ -166,15 +179,13 @@ def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
     for alpha in range(d):
         nrm = np.linalg.norm(c[alpha])
         if abs(nrm - 1.0) > TOL:
-            raise NotNormalizedError(f"vector {alpha} has norm {nrm!r}, expected 1")
-    state = check_state(rho)
-    if state.matrix.shape[0] != d:
-        raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != vector count {d}")
+            raise NotNormalizedError(f"vector {alpha} has norm {float(nrm)!r}, expected 1")
+    diagonal = _state_diagonal(rho, d, "vector count")
     k = np.arange(d)
     alpha, j = k[:, None], k[None, :]
     v = np.zeros((d * d, d), dtype=complex)
     v[j * d + (j + alpha) % d, alpha] = c
-    out = v @ np.diag(np.real(np.diag(state.matrix)).astype(complex)) @ v.conj().T
+    out = v @ np.diag(diagonal.astype(complex)) @ v.conj().T
     return FactoredOperator(_Fresh(out), (d, d)), v
 
 
@@ -213,10 +224,12 @@ class BellSpectrum:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise DimensionMismatchError(f"spectrum must be (d, d), got {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise SchemaError("spectrum entries must be finite")
         if p.min() < -PROB_TOL:
             raise BlockNotPSDError(f"spectrum has negative weight {p.min():.3e}")
         if abs(p.sum() - 1.0) > STRUCT_TOL:
-            raise TraceNotOneError(f"spectrum sums to {p.sum()!r}, expected 1")
+            raise TraceNotOneError(f"spectrum sums to {float(p.sum())!r}, expected 1")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -236,13 +249,11 @@ def bell_diagonal_lift(p, rho) -> tuple[FactoredOperator, BellSpectrum]:
     """
     weights = as_probability_vector(p)
     d = weights.size
-    state = check_state(rho)
-    if state.matrix.shape[0] != d:
-        raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != weight count {d}")
+    diagonal = _state_diagonal(rho, d, "weight count")
     phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
     # A sum over axis 0 adds in the order, and so with the rounding, of a loop over m.
     outers = phases[:, :, None] * phases[:, None, :].conj()
     profile = (weights[:, None, None] * outers).sum(axis=0) / d
-    lifted = circulant_lift(np.broadcast_to(profile, (d, d, d)), state)
-    spectrum = BellSpectrum(np.outer(weights, np.real(np.diag(state.matrix))))
+    lifted = _lift_profiles(np.broadcast_to(profile, (d, d, d)), diagonal)
+    spectrum = BellSpectrum(np.outer(weights, diagonal))
     return lifted, spectrum

@@ -32,7 +32,7 @@ def as_probability_vector(p) -> np.ndarray:
     if v.min(initial=0.0) < -PROB_TOL:
         raise NegativeEntryError(f"probability vector has negative entry {v.min():.3e}")
     if abs(v.sum() - 1.0) > PROB_TOL * max(1, v.size):
-        raise NotNormalizedError(f"probability vector sums to {v.sum()!r}, not 1")
+        raise NotNormalizedError(f"probability vector sums to {float(v.sum())!r}, not 1")
     return np.clip(v, 0.0, None)
 
 

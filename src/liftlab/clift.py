@@ -19,6 +19,7 @@ from .errors import (
     MapNotPositiveError,
     NegativeEntryError,
     NotNormalizedError,
+    SchemaError,
 )
 from .matcore import PROB_TOL, FactoredOperator, _Fresh, _psd_stack, check_dense_size, diagonal_operator
 
@@ -29,7 +30,9 @@ def as_lifting_tensor(t) -> np.ndarray:
     e = np.asarray(t, dtype=float)
     if e.ndim != 3 or e.shape[0] != e.shape[2]:
         raise DimensionMismatchError(f"lifting tensor must have shape (n1, n2, n1), got {e.shape}")
-    if e.min() < -PROB_TOL:
+    if not np.all(np.isfinite(e)):
+        raise SchemaError("lifting tensor entries must be finite")
+    if e.min(initial=0.0) < -PROB_TOL:
         raise NegativeEntryError(f"lifting tensor has negative entry {e.min():.3e}")
     row = e.sum(axis=(1, 2))
     if not np.allclose(row, 1.0, rtol=0, atol=PROB_TOL * max(1, e.shape[1] * e.shape[2])):
@@ -110,7 +113,7 @@ def is_markovian_lifting(t) -> tuple[bool, np.ndarray | None]:
     n1 = e.shape[0]
     off = e.copy()
     off[np.arange(n1), :, np.arange(n1)] = 0.0
-    if np.abs(off).max() > PROB_TOL:
+    if np.abs(off).max(initial=0.0) > PROB_TOL:
         return False, None
     cond = e[np.arange(n1), :, np.arange(n1)].T.copy()
     return True, cond
@@ -129,6 +132,8 @@ def gamma_lifting(gamma, sigma, p) -> FactoredOperator:
     n2, n1 = q.size, v.size
     if g.shape != (n2 * n1, n2 * n1):
         raise DimensionMismatchError(f"joint channel shape {g.shape}, expected {(n2 * n1, n2 * n1)}")
+    if not np.all(np.isfinite(g)):
+        raise SchemaError("joint channel entries must be finite")
     if g.min() < -PROB_TOL:
         raise NegativeEntryError(f"joint channel has negative entry {g.min():.3e}")
     if not np.allclose(g.sum(axis=1), 1.0, rtol=0, atol=PROB_TOL * max(1, g.shape[0])):
@@ -172,6 +177,8 @@ class MarkovSpec:
             raise DimensionMismatchError(f"conditional must be square, got shape {c.shape}")
         if c.shape[0] != p0.size:
             raise DimensionMismatchError(f"conditional side {c.shape[0]} != initial length {p0.size}")
+        if not np.all(np.isfinite(c)):
+            raise SchemaError("conditional entries must be finite")
         if c.min() < -PROB_TOL:
             raise NegativeEntryError(f"conditional has negative entry {c.min():.3e}")
         if not np.allclose(c.sum(axis=0), 1.0, rtol=0, atol=PROB_TOL * max(1, c.shape[0])):

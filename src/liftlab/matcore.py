@@ -260,10 +260,13 @@ def _spectral_scale(w: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """Hermitian part of each matrix of a (..., n, n) stack; raises for the first that is not."""
+    """Hermitian part of each matrix of a (..., n, n) stack; raises for the
+    first that is not, or DimensionMismatchError if any entry is not finite."""
+    scale = np.abs(m).max(axis=(-2, -1), initial=1.0)  # NaN or inf where an entry is
+    if not np.all(np.isfinite(scale)):
+        raise DimensionMismatchError("matrix entries must be finite")
     mh = np.swapaxes(m, -1, -2).conj()
     dev = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
-    scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
     bad = dev > tol * scale
     if bad.any():
         k = int(np.argmax(bad))
@@ -294,7 +297,8 @@ def is_psd(m, tol: float = TOL) -> tuple[bool, float]:
 
     Returns ``(ok, min_eigenvalue)`` where ok means the smallest eigenvalue
     is above ``-tol`` relative to the spectral-norm estimate. Raises
-    :class:`NotHermitianError` on non-Hermitian input.
+    :class:`NotHermitianError` on non-Hermitian input and
+    :class:`DimensionMismatchError` on a non-finite entry.
     """
     ok, lo = _psd_stack(_as_matrix(m), tol)
     return bool(ok), float(lo)

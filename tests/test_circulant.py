@@ -7,6 +7,7 @@ from liftlab.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     NotNormalizedError,
+    SchemaError,
     TraceNotOneError,
 )
 from liftlab.circulant import (
@@ -56,6 +57,12 @@ def test_circulant_spec_validation():
         CirculantSpec(np.stack([np.eye(2) / 4, np.eye(2) / 3]).astype(complex))
     with pytest.raises(DimensionMismatchError):
         CirculantSpec(np.eye(4))
+
+
+def test_circulant_spec_refuses_a_non_finite_block():
+    blocks = np.array([np.diag([np.nan, 0.5]), np.diag([0.0, 0.5])], dtype=complex)
+    with pytest.raises(DimensionMismatchError, match="must be finite"):
+        CirculantSpec(blocks)
 
 
 def test_build_circulant_places_blocks():
@@ -227,6 +234,18 @@ def test_bell_spectrum_validation():
         BellSpectrum(np.full((2, 2), 0.3))
     with pytest.raises(BlockNotPSDError):
         BellSpectrum(np.array([[0.75, 0.5], [0.0, -0.25]]))
+
+
+def test_bell_spectrum_refuses_non_finite_weights():
+    with pytest.raises(SchemaError, match="spectrum entries must be finite"):
+        BellSpectrum([[np.nan, 0], [0, 1]])
+
+
+def test_sum_errors_print_plain_floats():
+    with pytest.raises(TraceNotOneError, match=r"^profile 1 has trace 1\.5, expected 1$"):
+        circulant_lift([np.eye(2) / 2, np.diag([1.0, 0.5])], np.diag([0.6, 0.4]))
+    with pytest.raises(NotNormalizedError, match=r"^probability vector sums to 1\.1, not 1$"):
+        bell_diagonal_lift([0.5, 0.6], np.diag([0.6, 0.4]))
 
 
 def test_bell_diagonal_lift_worked_spectrum():

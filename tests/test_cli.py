@@ -339,3 +339,71 @@ def test_eigensolver_failure_exits_three(capsys, monkeypatch):
     _assert_error_exit(capsys, ohya, 3)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)  # check_state's PSD test
     _assert_error_exit(capsys, ohya, 3)
+
+
+def test_malformed_argument_is_reported_before_a_math_fault(capsys):
+    # The CLI decodes every argument before the library checks any of them.
+    _assert_error_exit(capsys, ["teleport", "--p", "[0.5,0.3,0.3]", "--perm", "[1,2,2]"], 2)
+    assert cli.main(["teleport", "--p", "[0.5,0.3,0.3]", "--perm", "[1,2,2]"]) == 2
+    assert "not a permutation" in capsys.readouterr().err
+    dilate = ["channel", "dilate", "--n", "3", "--perm", "[0,3,2,1]", "--sigma", "[0.7,0.4]"]
+    _assert_error_exit(capsys, dilate, 2)
+    assert cli.main(dilate) == 2
+    assert "expected 9" in capsys.readouterr().err
+
+
+def test_library_faults_keep_the_library_order(capsys):
+    # Both faults are found by bell_diagonal_lift, which checks --p first.
+    bell = ["lift", "bell", "--p", "[0.75,0.35]", "--rho", "[[0.6,0,0],[0,0.4,0]]"]
+    _assert_error_exit(capsys, bell, 3)
+    assert cli.main(bell) == 3
+    assert "probability vector sums to 1.1, not 1" in capsys.readouterr().err
+
+
+def test_quantum_lifts_check_the_state_once(capsys, monkeypatch):
+    import liftlab.circulant
+    import liftlab.qlift
+
+    calls = []
+
+    def counted(check):
+        def wrapper(rho):
+            calls.append(rho)
+            return check(rho)
+        return wrapper
+
+    for module in (liftlab.qlift, liftlab.circulant):
+        monkeypatch.setattr(module, "check_state", counted(module.check_state))
+    identity = {"d": 2, "units": [{"rows": 2, "cols": 2, "data": [[float(k == u), 0] for k in range(4)]}
+                                  for u in range(4)]}
+    rho = "[[0.6,0],[0,0.4]]"
+    for argv in (
+        ["lift", "ohya", "--rho", rho],
+        ["lift", "nonlinear", "--channel", json.dumps(identity), "--rho", rho],
+        ["lift", "circulant", "--profiles", "[[[0.5,0.5],[0.5,0.5]],[[1,0],[0,0]]]", "--rho", rho],
+        ["lift", "bell", "--p", "[0.75,0.25]", "--rho", rho],
+    ):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert len(calls) == 1, argv
+    capsys.readouterr()
+
+
+def test_every_subcommand_offers_out(capsys):
+    for argv in (["channel", "kraus"], ["channel", "dilate"], ["channel", "apply"], ["lift", "classical"],
+                 ["lift", "ohya"], ["lift", "qcp"], ["lift", "nonlinear"], ["lift", "circulant"],
+                 ["lift", "bell"], ["lift", "nlift"], ["verify"], ["teleport"]):
+        with pytest.raises(SystemExit):
+            cli.main([*argv, "--help"])
+        assert "--out OUT" in capsys.readouterr().out
+
+
+def test_profiles_of_mixed_sides_exit_two(capsys):
+    argv = ["lift", "circulant", "--profiles", "[[[1]],[[1,0],[0,0]]]", "--rho", "[[0.6,0],[0,0.4]]"]
+    _assert_error_exit(capsys, argv, 2)
+
+
+def test_empty_lifting_tensor_exits_two(capsys):
+    empty = '{"n1":0,"n2":0,"data":[]}'
+    _assert_error_exit(capsys, ["lift", "classical", "--tensor", empty, "--p", "[1]"], 2)
+    _assert_error_exit(capsys, ["lift", "nlift", "--tensor", empty, "--p", "[1]", "--parties", "2"], 2)

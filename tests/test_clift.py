@@ -9,6 +9,7 @@ from liftlab.errors import (
     MapNotPositiveError,
     NegativeEntryError,
     NotNormalizedError,
+    SchemaError,
 )
 from liftlab.clift import (
     MarkovSpec,
@@ -45,6 +46,13 @@ def test_lifting_tensor_validation():
         as_lifting_tensor(e)
     with pytest.raises(NotNormalizedError):
         as_lifting_tensor(np.full((2, 2, 2), 0.4))
+
+
+def test_lifting_tensor_refuses_non_finite_entries():
+    e = ohya_tensor(2)
+    e[0, 0, 0] = np.nan
+    with pytest.raises(SchemaError, match="lifting tensor entries must be finite"):
+        as_lifting_tensor(e)
 
 
 def test_lift_with_product_tensor():
@@ -141,6 +149,11 @@ def test_gamma_lifting_requires_stochastic_rows():
         gamma_lifting(np.full((4, 4), 0.3), [0.5, 0.5], [0.5, 0.5])
 
 
+def test_gamma_lifting_refuses_non_finite_entries():
+    with pytest.raises(SchemaError, match="joint channel entries must be finite"):
+        gamma_lifting([[np.inf, 0], [0, 1]], [1.0], [0.5, 0.5])
+
+
 def test_n_lift_ohya_copies():
     p = np.array([0.6, 0.4])
     op = n_lift(ohya_tensor(2), p, 3)
@@ -166,6 +179,11 @@ def test_n_lift_pure_tensor_reads_retained_system():
     w = np.diag(op.matrix).real.reshape(3, 3, 3)
     assert w[s[0], s[0], 0] == pytest.approx(1.0)
     assert w.sum() == pytest.approx(1.0)
+
+
+def test_markov_spec_refuses_non_finite_entries():
+    with pytest.raises(SchemaError, match="conditional entries must be finite"):
+        MarkovSpec([[np.nan, 0], [1, 1]], [0.5, 0.5])
 
 
 def test_markov_weights_match_product_formula():

@@ -25,6 +25,14 @@ from liftlab.matcore import (
 from liftlab.sampling import density, rng
 
 
+def test_non_finite_matrices_are_refused_by_the_psd_helpers():
+    # LAPACK returns [0, -0] for eigvalsh([[nan, 0], [0, 0.5]]), which would pass as PSD.
+    for bad in ([[np.nan, 0], [0, 1]], [[np.inf, 0], [0, 1]], [[1, 1j * np.inf], [0, 1]]):
+        for helper in (is_psd, herm_sqrt):
+            with pytest.raises(DimensionMismatchError, match="must be finite"):
+                helper(np.array(bad, dtype=complex))
+
+
 def test_factored_operator_validates_shape_and_dims():
     with pytest.raises(DimensionMismatchError):
         FactoredOperator(np.zeros((2, 3)))
