@@ -76,13 +76,16 @@ class CirculantSpec:
 def _assemble(blocks: np.ndarray, slot_map) -> FactoredOperator:
     """Place entry [alpha, i, j] at (pos[alpha, i], pos[alpha, j]) by one
     scatter, with pos[alpha, i] = i * d + slot_map(i, alpha) mod d; the d^3
-    positions are distinct."""
+    positions are distinct. The d^3 block entries are checked to be finite,
+    not the d^4 entries of the result."""
+    if not np.all(np.isfinite(blocks)):
+        raise DimensionMismatchError("matrix entries must be finite")
     d = blocks.shape[0]
     k = np.arange(d)
     pos = k * d + slot_map(k, k[:, None]) % d
     m = np.zeros((d * d, d * d), dtype=complex)
     m[pos[:, :, None], pos[:, None, :]] = blocks
-    return FactoredOperator(_Fresh(m), (d, d))
+    return FactoredOperator(_Fresh(m, finite=True), (d, d))
 
 
 def build_circulant(spec: CirculantSpec) -> FactoredOperator:
@@ -226,8 +229,9 @@ class BellSpectrum:
             raise DimensionMismatchError(f"spectrum must be (d, d), got {p.shape}")
         if not np.all(np.isfinite(p)):
             raise SchemaError("spectrum entries must be finite")
-        if p.min() < -PROB_TOL:
-            raise BlockNotPSDError(f"spectrum has negative weight {p.min():.3e}")
+        low = p.min(initial=0.0)  # a 0 x 0 spectrum fails the sum check below
+        if low < -PROB_TOL:
+            raise BlockNotPSDError(f"spectrum has negative weight {low:.3e}")
         if abs(p.sum() - 1.0) > STRUCT_TOL:
             raise TraceNotOneError(f"spectrum sums to {float(p.sum())!r}, expected 1")
         p = np.clip(p, 0.0, None)

@@ -2,9 +2,10 @@
 
 All inputs and outputs are JSON: flag values hold inline JSON or @path to a
 file, and every command prints one canonical JSON document (or writes it
-with --out). Exit codes: 0 success, 1 failed verification check, 2 usage or
-schema problem, 3 math-domain problem (non-positive state, non-unital
-channel, and so on). LIFTLAB_SEED supplies the seed when --seed is absent.
+with --out), piece by piece once every check has passed. Exit codes: 0
+success, 1 failed verification check, 2 usage or schema problem, 3
+math-domain problem (non-positive state, non-unital channel, and so on).
+LIFTLAB_SEED supplies the seed when --seed is absent.
 
 Each command decodes all of its arguments, then calls the library, which
 checks each input once, and returns its document and exit code for main to
@@ -246,12 +247,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         document, code = args.func(args)
-        text = jsonio.canonical_dumps(document)
+        pieces = jsonio.canonical_pieces(document)  # every check runs here
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
         return code
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,10 +9,12 @@ well-formed payload that breaks a mathematical precondition raises the
 constructor's MathDomainError (exit code 3). No JSON text in or out may
 hold NaN, Infinity, or a number too large for a float (1e999, 10**400), and
 no size may be negative. Matrix "data" is read with one np.array call and
-written in bulk: canonical_dumps dumps the document around a placeholder and
-renders each matrix_to_json pair list with one str.join at its depth, byte
+written from its distinct values: canonical_pieces dumps the document around
+a placeholder and renders each matrix chunk by chunk, with one repr per
+distinct value of a column in the chunk and a gather of those strings, byte
 for byte as json.dumps(indent=2), whose pure-Python encoder would otherwise
-make a call per number.
+make a call per number. The command line writes the pieces as they come, so
+a large matrix is never held as text.
 """
 from __future__ import annotations
 
@@ -68,7 +70,36 @@ def _reject_constant(name: str):
 
 
 class _Pairs(list):
-    """Matrix data as [re, im] float pairs, rendered in bulk by canonical_dumps."""
+    """Matrix data: an (n, 2) float array that reads as the list of its
+    [re, im] rows.
+
+    The list itself stays empty, so no Python object is made per entry:
+    canonical_pieces renders the array. len(), iteration (all that json.dump,
+    json.dumps and np.array read of a list subclass), indexing and comparison
+    see the rows.
+    """
+
+    def __init__(self, pairs: np.ndarray):
+        super().__init__()
+        self.pairs = pairs
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __iter__(self):
+        return iter(self.pairs.tolist())
+
+    def __getitem__(self, key):
+        return self.pairs[key].tolist()
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def __ne__(self, other):
+        return list(self) != other
+
+    def __repr__(self):
+        return repr(list(self))
 
 
 def matrix_to_json(m) -> dict:
@@ -76,8 +107,10 @@ def matrix_to_json(m) -> dict:
     row-major [re, im] pairs."""
     a = np.asarray(m, dtype=complex)
     _require(a.ndim == 2, f"expected a matrix, got array of shape {a.shape}")
-    data = _Pairs(np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist())
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
+    # The document keeps its values when the caller later writes to m; a
+    # read-only array, such as FactoredOperator.matrix, cannot change.
+    a = a.copy() if a.flags.writeable else np.ascontiguousarray(a)
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": _Pairs(a.view(float).reshape(-1, 2))}
 
 
 def json_to_matrix(obj) -> np.ndarray:
@@ -234,34 +267,56 @@ def bell_spectrum_to_json(bs: BellSpectrum) -> dict:
 
 
 # Stands in for a rendered pair list; json.dumps writes it as "\u0000pairs".
-# Any other string that writes it adds a piece, so the splice raises ValueError
-# rather than misplace a list.
+# Any other string that writes it adds a piece, which canonical_pieces
+# refuses rather than misplace a list.
 _SLOT = "\x00pairs"
 
+# Pairs per rendered piece: a streamed matrix is held as text one chunk at a time.
+_CHUNK = 1 << 16
 
-def _render_pairs(pairs: _Pairs, level: int) -> str:
-    """What json.dumps(indent=2) writes for the pair list `level` containers deep."""
-    if not pairs:
-        return "[]"
+
+def _render_pairs(pairs: np.ndarray, level: int):
+    """Yield what json.dumps(indent=2) writes for the (n, 2) pair array
+    `level` containers deep, one chunk of pairs per piece.
+
+    Each column of a chunk is rendered from its distinct values, found on
+    the int64 bit view so that -0.0 and 0.0 stay apart. Each distinct value
+    gets one repr (json's float format), joined to the separator before it,
+    and the chunk is a gather of those strings and one str.join.
+    """
+    if not len(pairs):
+        yield "[]"
+        return
     outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
     head, mid, tail = outer + "[" + inner, "," + inner, outer + "]"
-    # !r is float.__repr__, json's float format, as tolist() made exact floats.
-    body = (tail + "," + head).join([f"{re!r}{mid}{im!r}" for re, im in pairs])
-    # A finite float's repr never holds an "n"; inf and nan do.
-    _require("n" not in body, "result is not finite JSON: Out of range float values are not JSON compliant")
-    return "".join(("[", head, body, tail, "\n", "  " * level, "]"))
+    between = tail + "," + head
+    bits = pairs.view(np.int64)
+    for lo in range(0, len(bits), _CHUNK):
+        chunk = bits[lo:lo + _CHUNK]
+        tokens = np.empty(chunk.shape, dtype=object)
+        for col, before in enumerate((between, mid)):
+            values, index = np.unique(chunk[:, col], return_inverse=True)
+            reps = [before + repr(v) for v in values.view(float).tolist()]
+            tokens[:, col] = np.array(reps, dtype=object)[index]
+        if lo == 0:
+            tokens[0, 0] = "[" + head + tokens[0, 0][len(between):]
+        yield "".join(tokens.ravel().tolist())
+    yield tail + "\n" + "  " * level + "]"
 
 
-def canonical_dumps(obj) -> str:
-    """Stable serialization: sorted keys, two-space indent, trailing newline.
+def canonical_pieces(obj):
+    """canonical_dumps(obj) as an iterator of strings, to be written in turn.
 
-    A NaN or infinite value is a SchemaError, never an invalid JSON token.
+    Every check runs before this returns, so a caller that writes the pieces
+    as they come writes nothing for a document that fails them.
     """
-    rendered = []
+    matrices = []
 
     def mark(node, level):  # in json's order: sorted keys, then list order
         if isinstance(node, _Pairs):
-            rendered.append(_render_pairs(node, level))
+            _require(bool(np.isfinite(node.pairs).all()),
+                     "result is not finite JSON: Out of range float values are not JSON compliant")
+            matrices.append((node.pairs, level))
             return _SLOT
         if isinstance(node, dict):
             return {k: mark(node[k], level + 1) for k in sorted(node)}
@@ -275,9 +330,24 @@ def canonical_dumps(obj) -> str:
     except ValueError as exc:
         raise SchemaError(f"result is not finite JSON: {exc}") from None
     pieces = skeleton.split(json.dumps(_SLOT))
-    out = [""] * (2 * len(pieces))
-    out[::2], out[1::2] = pieces, [*rendered, "\n"]
-    return "".join(out)
+    if len(pieces) != len(matrices) + 1:
+        raise ValueError(f"a string in the document is written as the placeholder {json.dumps(_SLOT)}")
+    return _stream(pieces, matrices)
+
+
+def _stream(pieces: list[str], matrices: list):
+    for piece, (pairs, level) in zip(pieces, matrices):
+        yield piece
+        yield from _render_pairs(pairs, level)
+    yield pieces[-1] + "\n"
+
+
+def canonical_dumps(obj) -> str:
+    """Stable serialization: sorted keys, two-space indent, trailing newline.
+
+    A NaN or infinite value is a SchemaError, never an invalid JSON token.
+    """
+    return "".join(canonical_pieces(obj))
 
 
 def load_argument(text: str):

@@ -251,7 +251,8 @@ def partial_transpose(op: FactoredOperator, factor: int) -> FactoredOperator:
     t = op.matrix.reshape(*op.dims, *op.dims)
     t = np.swapaxes(t, pos, pos + n)
     side = op.matrix.shape[0]
-    return FactoredOperator(_Fresh(t.reshape(side, side)), op.dims)
+    # A permutation of op's entries, which are finite.
+    return FactoredOperator(_Fresh(t.reshape(side, side), finite=True), op.dims)
 
 
 def _spectral_scale(w: np.ndarray) -> np.ndarray:

@@ -65,6 +65,31 @@ def test_circulant_spec_refuses_a_non_finite_block():
         CirculantSpec(blocks)
 
 
+def test_assemble_partial_transpose_refuses_non_finite_blocks():
+    # These blocks reach the assembly unchecked, so it checks their entries.
+    tilde = circulant_partial_transpose(circulant_spec(rng(63), 3).blocks)
+    for bad in (np.nan, np.inf, 1j * np.inf):
+        broken = tilde.copy()
+        broken[2, 1, 0] = bad
+        with pytest.raises(DimensionMismatchError, match="^matrix entries must be finite$"):
+            assemble_partial_transpose(broken)
+
+
+def test_assembled_states_are_the_scattered_blocks():
+    g = rng(64)
+    for d in (1, 2, 3, 5):
+        spec = circulant_spec(g, d)
+        tilde = circulant_partial_transpose(spec.blocks)
+        for op, blocks, shift in ((build_circulant(spec), spec.blocks, 1), (assemble_partial_transpose(tilde), tilde, -1)):
+            want = np.zeros((d * d, d * d), dtype=complex)
+            for alpha in range(d):
+                for i in range(d):
+                    for j in range(d):
+                        want[i * d + (shift * i + alpha) % d, j * d + (shift * j + alpha) % d] = blocks[alpha, i, j]
+            np.testing.assert_array_equal(op.matrix, want)
+            assert op.dims == (d, d) and not op.matrix.flags.writeable
+
+
 def test_build_circulant_places_blocks():
     blocks = np.zeros((2, 2, 2), dtype=complex)
     blocks[0] = np.array([[0.3, 0.1], [0.1, 0.3]])
@@ -234,6 +259,11 @@ def test_bell_spectrum_validation():
         BellSpectrum(np.full((2, 2), 0.3))
     with pytest.raises(BlockNotPSDError):
         BellSpectrum(np.array([[0.75, 0.5], [0.0, -0.25]]))
+
+
+def test_empty_bell_spectrum_is_a_typed_error():
+    with pytest.raises(TraceNotOneError, match=r"^spectrum sums to 0\.0, expected 1$"):
+        BellSpectrum(np.zeros((0, 0)))
 
 
 def test_bell_spectrum_refuses_non_finite_weights():

@@ -1,11 +1,15 @@
 """End-to-end tests of the command line interface via its main() entry point."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from liftlab import cli
-from liftlab.jsonio import json_to_factored, json_to_matrix
+from liftlab.clift import ohya_tensor
+from liftlab.jsonio import json_to_factored, json_to_matrix, lifting_tensor_to_json
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +241,52 @@ def test_out_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     blob = json.loads(target.read_text())
     assert blob["state"] == [1.0, 0.0]
+
+
+def test_non_finite_result_writes_nothing(tmp_path, capsys, monkeypatch):
+    # The first Kraus operator is finite and the second is not, so a writer
+    # that checked each matrix as it went would already have written one.
+    target = tmp_path / "result.json"
+    monkeypatch.setattr(cli, "kraus_from_channel", lambda w: [np.eye(2), np.diag([1.0, np.nan])])
+    kraus = ["channel", "kraus", "--matrix", "[[1,0],[0,1]]"]
+    monkeypatch.setattr(cli, "apply_to_state", lambda w, p: np.array([np.inf, 0.0]))
+    apply = ["channel", "apply", "--matrix", "[[1,0],[0,1]]", "--state", "[1,0]"]
+    for argv in (kraus, kraus + ["--out", str(target)], apply, apply + ["--out", str(target)]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: result is not finite JSON")
+        assert not target.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the Linux /proc/self/status peak")
+def test_large_lift_is_written_in_bounded_memory(tmp_path):
+    # The n=2, N=11 state is a 2048 x 2048 matrix, 64 MiB, and its document
+    # 176 MB. The output is written chunk by chunk; held as text, as it once
+    # was, it took this call to a 1162 MiB peak. The child reports VmHWM, its
+    # own peak: a forked child's ru_maxrss starts at its parent's.
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text(json.dumps(lifting_tensor_to_json(ohya_tensor(2))))
+    target = tmp_path / "state.json"
+    code = (
+        "import sys; from liftlab.cli import main; code = main(sys.argv[1:]); "
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:'))); "
+        "sys.exit(code)"
+    )
+    argv = ["lift", "nlift", "--tensor", f"@{tensor}", "--p", "[0.5, 0.5]", "--parties", "11", "--out", str(target)]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    try:
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 256 * 1024  # KiB
+        with open(target, "rb") as fh:
+            head = fh.read(128)
+            fh.seek(-64, os.SEEK_END)
+            tail = fh.read()
+        assert head.startswith(b'{\n  "state": {\n    "cols": 2048,\n    "data": [\n      [\n        0.5,')
+        assert tail.endswith(b"\n    ],\n    \"rows\": 2048\n  }\n}\n")
+    finally:
+        target.unlink(missing_ok=True)
 
 
 def test_malformed_json_exits_two(capsys):

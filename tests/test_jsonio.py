@@ -1,4 +1,5 @@
 """Tests for the JSON wire formats and argument loading."""
+import io
 import json
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liftlab import jsonio
 from liftlab.circulant import bell_diagonal_lift
 from liftlab.errors import BlockNotPSDError, NotHermitianError, SchemaError
 from liftlab.jsonio import (
@@ -262,14 +264,35 @@ def _as_json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True, allow_nan=False) + "\n"
 
 
+def _assert_same_text(got: str, want: str):
+    """got == want, reported by the first difference: pytest's own diff of
+    two texts of megabytes would take minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"texts differ at {at} (lengths {len(got)}, {len(want)}): "
+                    f"{got[max(at - 40, 0):at + 40]!r} against {want[max(at - 40, 0):at + 40]!r}")
+
+
+@st.composite
+def few_valued_matrices(draw):
+    """Matrices whose doubles repeat: at most four distinct values, signed zeros included."""
+    values = draw(st.lists(FLOATS, min_size=1, max_size=4)) + [-0.0, 0.0]
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    parts = draw(st.lists(st.sampled_from(values), min_size=2 * r * c, max_size=2 * r * c))
+    return np.array(parts, dtype=float).view(complex).reshape(r, c)
+
+
+SIGNED_ZEROS = np.array([-0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0]).view(complex).reshape(2, 2)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(m=complex_matrices(cols=st.integers(0, 4)), sq=complex_matrices(rows=st.integers(1, 3)),
-       extra=st.lists(FLOATS, max_size=3), seed=st.integers(0, 2**32 - 1))
-def test_canonical_dumps_matches_json_dumps(m, sq, extra, seed):
+       few=few_valued_matrices(), extra=st.lists(FLOATS, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_canonical_dumps_matches_json_dumps(m, sq, few, extra, seed):
     g = rng(seed)
     d = int(g.integers(1, 4))
     state, spectrum = bell_diagonal_lift(probability_vector(g, d), density(g, d))
-    for doc in (
+    docs = (
         matrix_to_json(m),
         matrix_to_json(m[:1, :1]),
         {"empty": matrix_to_json(np.zeros((0, 0)))},
@@ -278,8 +301,57 @@ def test_canonical_dumps_matches_json_dumps(m, sq, extra, seed):
         cpmap_to_json(unital_cpmap(g, d)),
         {"state": factored_to_json(state), "spectrum": bell_spectrum_to_json(spectrum)},
         [[matrix_to_json(sq)], {"z": matrix_to_json(sq), "a": [matrix_to_json(m), 1, None, True, "s"]}],
-    ):
-        assert canonical_dumps(doc) == _as_json_dumps(doc)
+        {"few": [matrix_to_json(few), matrix_to_json(few.T)], "zeros": matrix_to_json(SIGNED_ZEROS)},
+    )
+    # Chunks of one and three pairs put chunk boundaries inside and at the
+    # end of these small matrices; the real chunk size holds them whole.
+    expected = [_as_json_dumps(doc) for doc in docs]
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk in (1, 3, jsonio._CHUNK):
+            mp.setattr(jsonio, "_CHUNK", chunk)
+            for doc, want in zip(docs, expected):
+                _assert_same_text(canonical_dumps(doc), want)
+
+
+@pytest.mark.parametrize("pairs", [jsonio._CHUNK, jsonio._CHUNK + 1])
+def test_canonical_dumps_matches_json_dumps_across_chunks(pairs):
+    g = rng(pairs)
+    values = np.array([0.0, -0.0, 0.5, -1e-300, 1 / 3, 1e22])
+    m = g.choice(values, size=2 * pairs).view(complex).reshape(1, pairs)
+    m[0, -1] = complex(g.standard_normal(), -0.0)  # one distinct value, at the very end
+    doc = {"a": 1, "state": {"rows": 1, "data": matrix_to_json(m)}}
+    _assert_same_text(canonical_dumps(doc), _as_json_dumps(doc))
+
+
+def test_canonical_pieces_are_the_document_in_chunks():
+    m = np.resize(np.arange(7.0), 6 * jsonio._CHUNK + 6).view(complex).reshape(-1, 1)
+    doc = {"first": matrix_to_json(m[:3]), "second": matrix_to_json(m)}
+    pieces = list(jsonio.canonical_pieces(doc))
+    _assert_same_text("".join(pieces), canonical_dumps(doc))
+    assert len(pieces) > 4 and max(map(len, pieces)) < len(canonical_dumps(doc)) / 3
+
+
+def test_matrix_to_json_is_written_by_the_stock_encoders():
+    g = rng(78)
+    for m in (g.standard_normal((3, 4)) + 1j * g.standard_normal((3, 4)), SIGNED_ZEROS,
+              np.zeros((0, 2)), density(g, 5)):
+        doc = matrix_to_json(m)
+        pairs = np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2).tolist()
+        assert doc["data"] == pairs and not doc["data"] != pairs and repr(doc["data"]) == repr(pairs)
+        fh = io.StringIO()
+        json.dump(doc, fh)  # the pure-Python encoder, which a file write uses
+        for text in (json.dumps(doc), fh.getvalue()):  # json.dumps with no indent is the C encoder
+            back = json_to_matrix(json.loads(text))
+            assert back.shape == m.shape
+            np.testing.assert_array_equal(back.view(np.int64), np.asarray(m, dtype=complex).view(np.int64))
+
+
+def test_matrix_to_json_keeps_the_values_it_was_given():
+    m = np.eye(2, dtype=complex)
+    doc = matrix_to_json(m)
+    m[0, 0] = 5.0
+    assert doc["data"][0] == [1.0, 0.0] and doc["data"][-1:] == [[1.0, 0.0]]
+    np.testing.assert_array_equal(json_to_matrix(doc), np.eye(2))
 
 
 def test_canonical_dumps_rejects_non_finite_matrices():
