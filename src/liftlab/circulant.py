@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
     TraceNotOneError,
 )
-from .matcore import PROB_TOL, STRUCT_TOL, TOL, FactoredOperator, _Fresh, _psd_stack, check_state
+from .matcore import PROB_TOL, STRUCT_TOL, TOL, FactoredOperator, _Fresh, _kron, _psd_stack, check_state
 
 
 def circulant_subspaces(d: int) -> list[list[tuple[int, int]]]:
@@ -46,7 +46,7 @@ def _as_blocks(blocks) -> np.ndarray:
 
 
 def _check_trace_sum(blocks: np.ndarray) -> None:
-    total = np.trace(blocks, axis1=1, axis2=2).real.sum()
+    total = blocks.trace(axis1=1, axis2=2).real.sum()
     if abs(total - 1.0) > TOL:
         raise TraceNotOneError(f"block traces sum to {float(total)!r}, expected 1")
 
@@ -78,7 +78,7 @@ def _assemble(blocks: np.ndarray, slot_map) -> FactoredOperator:
     scatter, with pos[alpha, i] = i * d + slot_map(i, alpha) mod d; the d^3
     positions are distinct. The d^3 block entries are checked to be finite,
     not the d^4 entries of the result."""
-    if not np.all(np.isfinite(blocks)):
+    if not np.isfinite(blocks).all():
         raise DimensionMismatchError("matrix entries must be finite")
     d = blocks.shape[0]
     k = np.arange(d)
@@ -132,7 +132,7 @@ def _state_diagonal(rho, d: int, what: str) -> np.ndarray:
     state = check_state(rho)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != {what} {d}")
-    return np.real(np.diag(state.matrix))
+    return state.matrix.diagonal().real
 
 
 def _lift_profiles(profiles: np.ndarray, diagonal: np.ndarray) -> FactoredOperator:
@@ -144,7 +144,7 @@ def _lift_profiles(profiles: np.ndarray, diagonal: np.ndarray) -> FactoredOperat
     the blocks' trace sum is checked again.
     """
     ok, lows = _psd_stack(profiles)
-    traces = np.trace(profiles, axis1=1, axis2=2).real
+    traces = profiles.trace(axis1=1, axis2=2).real
     bad = ~ok | (np.abs(traces - 1.0) > TOL)
     if bad.any():
         alpha = int(np.argmax(bad))
@@ -195,7 +195,7 @@ def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
 def maximally_entangled(d: int) -> FactoredOperator:
     """Projector onto (1/sqrt d) sum_i e_i x e_i."""
     v = np.eye(d).reshape(d * d)
-    return FactoredOperator(_Fresh(np.outer(v, v) / d), (d, d))
+    return FactoredOperator(_Fresh((np.outer(v, v) / d).astype(complex)), (d, d))
 
 
 def bell_unitary(m: int, n: int, d: int) -> np.ndarray:
@@ -206,13 +206,16 @@ def bell_unitary(m: int, n: int, d: int) -> np.ndarray:
     """
     if not (0 <= m < d and 0 <= n < d):
         raise IndexOutOfRangeError(f"indices ({m},{n}) outside range 0..{d - 1}")
-    return np.roll(np.diag(np.exp(2j * np.pi * m * np.arange(d) / d)), n, axis=0)
+    k = np.arange(d)
+    u = np.zeros((d, d), dtype=complex)
+    u[(k + n) % d, k] = np.exp(2j * np.pi * m * k / d)
+    return u
 
 
 def bell_state(m: int, n: int, d: int) -> FactoredOperator:
     """Rank-one projector (I x U_mn) P+ (I x U_mn)^dagger, supported on
     subspace Sigma_n."""
-    u = np.kron(np.eye(d), bell_unitary(m, n, d))
+    u = _kron(np.eye(d), bell_unitary(m, n, d))
     base = maximally_entangled(d)
     return FactoredOperator(_Fresh(u @ base.matrix @ u.conj().T), (d, d))
 
@@ -227,14 +230,14 @@ class BellSpectrum:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise DimensionMismatchError(f"spectrum must be (d, d), got {p.shape}")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise SchemaError("spectrum entries must be finite")
         low = p.min(initial=0.0)  # a 0 x 0 spectrum fails the sum check below
         if low < -PROB_TOL:
             raise BlockNotPSDError(f"spectrum has negative weight {low:.3e}")
         if abs(p.sum() - 1.0) > STRUCT_TOL:
             raise TraceNotOneError(f"spectrum sums to {float(p.sum())!r}, expected 1")
-        p = np.clip(p, 0.0, None)
+        p = np.maximum(p, 0.0)
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 

@@ -19,7 +19,7 @@ from .errors import (
     NotUnitalError,
     SchemaError,
 )
-from .matcore import PROB_TOL, FactoredOperator, diagonal_operator
+from .matcore import PROB_TOL, FactoredOperator, _abs_close, diagonal_operator
 
 
 def as_probability_vector(p) -> np.ndarray:
@@ -27,13 +27,13 @@ def as_probability_vector(p) -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DimensionMismatchError(f"probability vector must be 1-d and nonempty, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise SchemaError("probability vector entries must be finite")
     if v.min(initial=0.0) < -PROB_TOL:
         raise NegativeEntryError(f"probability vector has negative entry {v.min():.3e}")
     if abs(v.sum() - 1.0) > PROB_TOL * max(1, v.size):
         raise NotNormalizedError(f"probability vector sums to {float(v.sum())!r}, not 1")
-    return np.clip(v, 0.0, None)
+    return np.maximum(v, 0.0)
 
 
 def as_channel(weights) -> np.ndarray:
@@ -41,11 +41,11 @@ def as_channel(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or 0 in w.shape:
         raise DimensionMismatchError(f"channel weights must be a nonempty 2-d matrix, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise SchemaError("channel weights must be finite")
     if w.min() < -PROB_TOL:
         raise NegativeEntryError(f"channel weights have negative entry {w.min():.3e}")
-    return np.clip(w, 0.0, None)
+    return np.maximum(w, 0.0)
 
 
 def as_permutation(perm) -> np.ndarray:
@@ -68,13 +68,13 @@ def permutation_inverse(perm) -> np.ndarray:
 def is_unital(weights, atol: float = PROB_TOL) -> bool:
     """Columns sum to one (the identity observable is preserved)."""
     w = as_channel(weights)
-    return bool(np.allclose(w.sum(axis=0), 1.0, rtol=0, atol=atol))
+    return _abs_close(w.sum(axis=0), 1.0, atol)
 
 
 def is_stochastic(weights, atol: float = PROB_TOL) -> bool:
     """Rows sum to one (the state action preserves total probability)."""
     w = as_channel(weights)
-    return bool(np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=atol))
+    return _abs_close(w.sum(axis=1), 1.0, atol)
 
 
 def is_doubly_stochastic(weights, atol: float = PROB_TOL) -> bool:
@@ -148,7 +148,7 @@ def channel_from_dilation(perm, sigma) -> np.ndarray:
         raise DimensionMismatchError(f"permutation acts on {s.size} labels, expected n^2 = {n * n}")
     # Pair (j, k) lands on letter s[j*n + k] // n; np.add.at adds in (j, k) order.
     out = np.zeros((n, n))
-    np.add.at(out, (np.arange(n)[:, None], s.reshape(n, n) // n), np.broadcast_to(q, (n, n)))
+    np.add.at(out, (np.arange(n)[:, None], s.reshape(n, n) // n), q)
     return out
 
 

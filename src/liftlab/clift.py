@@ -21,7 +21,15 @@ from .errors import (
     NotNormalizedError,
     SchemaError,
 )
-from .matcore import PROB_TOL, FactoredOperator, _Fresh, _psd_stack, check_dense_size, diagonal_operator
+from .matcore import (
+    PROB_TOL,
+    FactoredOperator,
+    _abs_close,
+    _Fresh,
+    _psd_stack,
+    check_dense_size,
+    diagonal_operator,
+)
 
 
 def as_lifting_tensor(t) -> np.ndarray:
@@ -30,14 +38,14 @@ def as_lifting_tensor(t) -> np.ndarray:
     e = np.asarray(t, dtype=float)
     if e.ndim != 3 or e.shape[0] != e.shape[2]:
         raise DimensionMismatchError(f"lifting tensor must have shape (n1, n2, n1), got {e.shape}")
-    if not np.all(np.isfinite(e)):
+    if not np.isfinite(e).all():
         raise SchemaError("lifting tensor entries must be finite")
     if e.min(initial=0.0) < -PROB_TOL:
         raise NegativeEntryError(f"lifting tensor has negative entry {e.min():.3e}")
     row = e.sum(axis=(1, 2))
-    if not np.allclose(row, 1.0, rtol=0, atol=PROB_TOL * max(1, e.shape[1] * e.shape[2])):
+    if not _abs_close(row, 1.0, PROB_TOL * max(1, e.shape[1] * e.shape[2])):
         raise NotNormalizedError(f"input slices sum to {row.tolist()}, expected all 1")
-    return np.clip(e, 0.0, None)
+    return np.maximum(e, 0.0)
 
 
 def pure_tensor(images, n2: int | None = None) -> np.ndarray:
@@ -100,7 +108,7 @@ def is_nondemolition(t, atol: float = PROB_TOL) -> bool:
     sum_j E[i, j, k] = delta(i, k), so the retained marginal equals the
     input for every state."""
     e = as_lifting_tensor(t)
-    return bool(np.allclose(e.sum(axis=1), np.eye(e.shape[0]), rtol=0, atol=atol * max(1, e.shape[1])))
+    return _abs_close(e.sum(axis=1), np.eye(e.shape[0]), atol * max(1, e.shape[1]))
 
 
 def is_markovian_lifting(t) -> tuple[bool, np.ndarray | None]:
@@ -132,11 +140,11 @@ def gamma_lifting(gamma, sigma, p) -> FactoredOperator:
     n2, n1 = q.size, v.size
     if g.shape != (n2 * n1, n2 * n1):
         raise DimensionMismatchError(f"joint channel shape {g.shape}, expected {(n2 * n1, n2 * n1)}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise SchemaError("joint channel entries must be finite")
     if g.min() < -PROB_TOL:
         raise NegativeEntryError(f"joint channel has negative entry {g.min():.3e}")
-    if not np.allclose(g.sum(axis=1), 1.0, rtol=0, atol=PROB_TOL * max(1, g.shape[0])):
+    if not _abs_close(g.sum(axis=1), 1.0, PROB_TOL * max(1, g.shape[0])):
         raise NotNormalizedError("joint channel rows must sum to 1 (trace preservation)")
     w = g.T @ np.outer(q, v).reshape(-1)
     return diagonal_operator(w, (n2, n1))
@@ -177,13 +185,13 @@ class MarkovSpec:
             raise DimensionMismatchError(f"conditional must be square, got shape {c.shape}")
         if c.shape[0] != p0.size:
             raise DimensionMismatchError(f"conditional side {c.shape[0]} != initial length {p0.size}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise SchemaError("conditional entries must be finite")
         if c.min() < -PROB_TOL:
             raise NegativeEntryError(f"conditional has negative entry {c.min():.3e}")
-        if not np.allclose(c.sum(axis=0), 1.0, rtol=0, atol=PROB_TOL * max(1, c.shape[0])):
+        if not _abs_close(c.sum(axis=0), 1.0, PROB_TOL * max(1, c.shape[0])):
             raise NotNormalizedError(f"conditional columns sum to {c.sum(axis=0).tolist()}, expected all 1")
-        c = np.clip(c, 0.0, None)
+        c = np.maximum(c, 0.0)
         c.setflags(write=False)
         p0.setflags(write=False)
         object.__setattr__(self, "conditional", c)

@@ -61,7 +61,7 @@ def _decoded(build, *args):
 
 
 def _finite(a: np.ndarray, what: str) -> np.ndarray:
-    _require(bool(np.all(np.isfinite(a))), f"{what} entries must be finite numbers")
+    _require(bool(np.isfinite(a).all()), f"{what} entries must be finite numbers")
     return a
 
 
@@ -159,7 +159,9 @@ def json_to_factored(obj) -> FactoredOperator:
     _require(isinstance(obj, dict) and "dims" in obj, "factored operator needs a dims key")
     dims = obj["dims"]
     _require(
-        isinstance(dims, list) and dims and all(isinstance(d, int) and d > 0 for d in dims),
+        isinstance(dims, list)
+        and dims
+        and all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in dims),
         "dims must be a non-empty list of positive integers",
     )
     return _decoded(FactoredOperator, json_to_matrix(obj), tuple(dims))
@@ -275,6 +277,20 @@ _SLOT = "\x00pairs"
 _CHUNK = 1 << 16
 
 
+def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(col, return_inverse=True) for a 1-d array, by the same
+    argsort, without np.unique's set-up, which costs about 20 us a call and
+    which a small matrix would pay once per column."""
+    order = col.argsort()
+    ordered = col[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    index = np.empty(len(ordered), dtype=np.intp)
+    index[order] = first.cumsum() - 1
+    return ordered[first], index
+
+
 def _render_pairs(pairs: np.ndarray, level: int):
     """Yield what json.dumps(indent=2) writes for the (n, 2) pair array
     `level` containers deep, one chunk of pairs per piece.
@@ -282,7 +298,10 @@ def _render_pairs(pairs: np.ndarray, level: int):
     Each column of a chunk is rendered from its distinct values, found on
     the int64 bit view so that -0.0 and 0.0 stay apart. Each distinct value
     gets one repr (json's float format), joined to the separator before it,
-    and the chunk is a gather of those strings and one str.join.
+    and the chunk is a gather of those strings and one str.join. The columns
+    are sorted apart: one sort of both would mix a nearly constant column,
+    such as the zero imaginary parts of a real state, into the other, and
+    the argsort slows on such runs of one value.
     """
     if not len(pairs):
         yield "[]"
@@ -295,7 +314,7 @@ def _render_pairs(pairs: np.ndarray, level: int):
         chunk = bits[lo:lo + _CHUNK]
         tokens = np.empty(chunk.shape, dtype=object)
         for col, before in enumerate((between, mid)):
-            values, index = np.unique(chunk[:, col], return_inverse=True)
+            values, index = _distinct(chunk[:, col])
             reps = [before + repr(v) for v in values.view(float).tolist()]
             tokens[:, col] = np.array(reps, dtype=object)[index]
         if lo == 0:

@@ -28,25 +28,36 @@ a tolerance argument, defaulting to the same value.
                      sums of these (scaled by the entry count, except in
                      is_unital and is_stochastic)
 
-Sums compared with np.allclose (lifting tensors, joint channels, Markov
-conditionals, is_unital/is_stochastic, is_nondemolition, CpMap unitality,
-the compound-state marginal) pass rtol=0, so the bound is the absolute one
-listed above and nothing more.
+Sums (lifting tensors, joint channels, Markov conditionals,
+is_unital/is_stochastic, is_nondemolition, CpMap unitality, the
+compound-state marginal) are compared by _abs_close, |a - b| <= atol entry
+by entry: the bound is the absolute one listed above and nothing more. On
+finite arrays it gives np.allclose(a, b, rtol=0, atol=atol)'s verdict
+without that wrapper's per-call set-up.
 
 Copies and finiteness: FactoredOperator(m) copies m and checks that every
 entry is finite, so no caller's array is ever aliased. Constructors in this
-package that have just built a matrix no caller can write to hand it over
-without the copy (the private _Fresh marker), and the check still runs.
-diagonal_operator alone checks its n weights instead of the n^2 entries of
-the matrix it builds from them. Below MMAP_DIAGONAL_SIDE that matrix is
-np.diag's; from that side up it lies on a fresh anonymous mmap of which only
-the pages holding the diagonal are written, so the zeros cost no memory.
+package that have just built a complex matrix no caller can write to hand it
+over without the copy (the private _Fresh marker), and the check still runs,
+except where the inputs bound the result: diagonal_operator checks its n
+weights instead of the n^2 entries of the matrix it builds from them, and an
+N-party chain whose links are bounded is not scanned (see qlift._chain). Below
+MMAP_DIAGONAL_SIDE a diagonal matrix is np.zeros'; from that side up it lies
+on a fresh anonymous mmap of which only the pages holding the diagonal are
+written, so the zeros cost no memory.
+
+Per-call cost: on the small matrices of the verify suites the checks cost
+more in numpy's Python-level wrappers than in arithmetic, so they call
+ufuncs and array methods (np.maximum.reduce, x.trace(),
+np.isfinite(x).all(), np.maximum(x, 0.0) for np.clip(x, 0.0, None)) and
+_kron for np.kron. Each gives the same bits as the call it replaces.
 """
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass, field
 from math import prod
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -83,10 +94,29 @@ def _as_matrix(m) -> np.ndarray:
     return np.asarray(getattr(m, "matrix", m), dtype=complex)
 
 
+def _abs_close(a, b, atol: float) -> bool:
+    """Every entry of a within atol of b (broadcast). For finite arrays this
+    is np.allclose(a, b, rtol=0, atol=atol)."""
+    return bool((np.abs(a - b) <= atol).all())
+
+
+def _read_dims(dims) -> tuple[int, ...]:
+    """Factor dimensions as a tuple of ints: each must be an integer (not a
+    bool) by operator.index, so 2.7 or "2" is refused, not truncated."""
+    try:
+        dims = tuple(dims)
+        if bool not in map(type, dims):
+            return tuple(map(index, dims))
+    except TypeError:
+        pass
+    raise DimensionMismatchError(f"factor dimensions must be integers, got {dims!r}")
+
+
 class _Fresh(NamedTuple):
-    """A matrix that a constructor in this package has just built and that
-    no caller can write to: FactoredOperator takes it without a copy.
-    ``finite`` says that its entries are already known to be finite."""
+    """A complex matrix that a constructor in this package has just built
+    and that no caller can write to: FactoredOperator takes it as it is,
+    without a copy or a dtype conversion. ``finite`` says that its entries
+    are already known to be finite."""
 
     array: np.ndarray
     finite: bool = False
@@ -96,10 +126,11 @@ class _Fresh(NamedTuple):
 class FactoredOperator:
     """Square complex matrix tagged with ordered tensor-factor dimensions.
 
-    ``dims[0]`` is the leftmost (highest-numbered) factor. The matrix is
-    stored read-only; operations return new instances. The matrix passed in
-    is copied, so later writes to it do not reach the operator, and every
-    entry is checked to be finite (DimensionMismatchError otherwise).
+    ``dims[0]`` is the leftmost (highest-numbered) factor; each must be an
+    integer. The matrix is stored read-only; operations return new
+    instances. The matrix passed in is copied, so later writes to it do not
+    reach the operator, and every entry is checked to be finite
+    (DimensionMismatchError otherwise).
     """
 
     matrix: np.ndarray
@@ -107,20 +138,21 @@ class FactoredOperator:
 
     def __post_init__(self):
         m = self.matrix
-        if isinstance(m, _Fresh):
-            finite, m = m.finite, np.asarray(m.array, dtype=complex)
+        if isinstance(m, _Fresh):  # a complex array
+            m, finite = m
         else:
-            finite, m = False, np.array(m, dtype=complex)
-        dims = tuple(int(d) for d in (self.dims if self.dims else (m.shape[0],)))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"matrix must be square, got shape {m.shape}")
-        if not finite and not np.all(np.isfinite(m)):
+            m, finite = np.array(m, dtype=complex), False
+        shape = m.shape
+        dims = _read_dims(self.dims) if self.dims else shape[:1]
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DimensionMismatchError(f"matrix must be square, got shape {shape}")
+        if not finite and not np.isfinite(m).all():
             raise DimensionMismatchError("matrix entries must be finite")
-        if any(d < 1 for d in dims):
+        if min(dims) < 1:
             raise DimensionMismatchError(f"factor dimensions must be positive, got {dims}")
-        if prod(dims) != m.shape[0]:
+        if prod(dims) != shape[0]:
             raise DimensionMismatchError(
-                f"product of dims {dims} is {prod(dims)}, matrix side is {m.shape[0]}"
+                f"product of dims {dims} is {prod(dims)}, matrix side is {shape[0]}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -131,7 +163,7 @@ class FactoredOperator:
         return len(self.dims)
 
     def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
+        return complex(self.matrix.trace())
 
 
 def diagonal_operator(w, dims) -> FactoredOperator:
@@ -145,15 +177,17 @@ def diagonal_operator(w, dims) -> FactoredOperator:
     and stay unallocated.
     """
     w = np.asarray(w, dtype=complex).reshape(-1)
-    dims = tuple(int(d) for d in dims)
+    dims = _read_dims(dims)
     if w.size != prod(dims):
         raise DimensionMismatchError(f"product of dims {dims} is {prod(dims)}, weight count is {w.size}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise DimensionMismatchError("matrix entries must be finite")
-    if w.size < MMAP_DIAGONAL_SIDE:
-        return FactoredOperator(_Fresh(np.diag(w), finite=True), dims)
-    m = np.frombuffer(mmap.mmap(-1, w.size * w.size * w.itemsize), dtype=complex).reshape(w.size, w.size)
-    np.einsum("ii->i", m)[:] = w
+    n = w.size
+    if n < MMAP_DIAGONAL_SIDE:
+        m = np.zeros((n, n), dtype=complex)
+    else:
+        m = np.frombuffer(mmap.mmap(-1, n * n * w.itemsize), dtype=complex).reshape(n, n)
+    m.reshape(-1)[:: n + 1] = w
     return FactoredOperator(_Fresh(m, finite=True), dims)
 
 
@@ -164,6 +198,13 @@ def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((d, d), dtype=complex)
     m[i, j] = 1.0
     return m
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same one product a[i, j] * b[k, l] per
+    entry, without np.kron's shape handling for arrays of any rank."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
 def kron(a, b) -> np.ndarray:
@@ -199,7 +240,7 @@ def sandwich_right(x, r) -> np.ndarray:
 
 def tensor(a: FactoredOperator, b: FactoredOperator) -> FactoredOperator:
     """Tensor product of factored operators; a supplies the left factors."""
-    return FactoredOperator(_Fresh(np.kron(a.matrix, b.matrix)), a.dims + b.dims)
+    return FactoredOperator(_Fresh(_kron(a.matrix, b.matrix)), a.dims + b.dims)
 
 
 def _positions(op: FactoredOperator, labels) -> list[int]:
@@ -230,7 +271,7 @@ def partial_trace(op: FactoredOperator, keep) -> FactoredOperator:
     t = op.matrix.reshape(*op.dims, *op.dims)
     m = n
     for pos in drop:
-        t = np.trace(t, axis1=pos, axis2=pos + m)
+        t = t.trace(axis1=pos, axis2=pos + m)
         m -= 1
     kept_dims = tuple(d for i, d in enumerate(op.dims) if i in keep_pos)
     side = prod(kept_dims)
@@ -257,17 +298,17 @@ def partial_transpose(op: FactoredOperator, factor: int) -> FactoredOperator:
 
 def _spectral_scale(w: np.ndarray) -> np.ndarray:
     """Tolerance scale of each spectrum (last axis): spectral norm floored at 1."""
-    return np.abs(w).max(axis=-1, initial=1.0)
+    return np.maximum.reduce(np.abs(w), axis=-1, initial=1.0)
 
 
 def _check_hermitian(m: np.ndarray, tol: float = TOL) -> np.ndarray:
     """Hermitian part of each matrix of a (..., n, n) stack; raises for the
     first that is not, or DimensionMismatchError if any entry is not finite."""
-    scale = np.abs(m).max(axis=(-2, -1), initial=1.0)  # NaN or inf where an entry is
-    if not np.all(np.isfinite(scale)):
+    scale = np.maximum.reduce(np.abs(m), axis=(-2, -1), initial=1.0)  # NaN or inf where an entry is
+    if not np.isfinite(scale).all():
         raise DimensionMismatchError("matrix entries must be finite")
-    mh = np.swapaxes(m, -1, -2).conj()
-    dev = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
+    mh = m.swapaxes(-1, -2).conj()
+    dev = np.maximum.reduce(np.abs(m - mh), axis=(-2, -1), initial=0.0)
     bad = dev > tol * scale
     if bad.any():
         k = int(np.argmax(bad))
@@ -289,7 +330,7 @@ def _psd_stack(ms: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray
     """:func:`is_psd` of every matrix in a (..., n, n) stack by one stacked
     eigensolve: (ok, min_eigenvalue) arrays of the stack's shape."""
     w = _eig(np.linalg.eigvalsh, _check_hermitian(ms, tol))
-    lows = w.min(axis=-1, initial=np.inf)  # a 0 x 0 matrix passes
+    lows = np.minimum.reduce(w, axis=-1, initial=np.inf)  # a 0 x 0 matrix passes
     return lows >= -tol * _spectral_scale(w), lows
 
 
@@ -315,7 +356,7 @@ def herm_sqrt(m) -> np.ndarray:
     w, v = _eig(np.linalg.eigh, h)
     if w[0] < -TOL * _spectral_scale(w):
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e}, below PSD tolerance")
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -324,7 +365,7 @@ def check_state(op) -> FactoredOperator:
 
     Accepts a FactoredOperator or raw matrix; returns a FactoredOperator.
     """
-    fo = op if isinstance(op, FactoredOperator) else FactoredOperator(np.asarray(op, dtype=complex))
+    fo = op if isinstance(op, FactoredOperator) else FactoredOperator(op)
     try:
         ok, lo = is_psd(fo.matrix)
     except NotHermitianError as exc:

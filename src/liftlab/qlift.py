@@ -34,8 +34,10 @@ from .matcore import (
     STRUCT_TOL,
     TOL,
     FactoredOperator,
+    _abs_close,
     _eig,
     _Fresh,
+    _kron,
     check_dense_size,
     check_state,
     herm_sqrt,
@@ -59,16 +61,17 @@ class CpMap:
         u = np.array(self.units, dtype=complex)
         if u.ndim != 4 or len(set(u.shape)) != 1:
             raise DimensionMismatchError(f"units must have shape (d, d, d, d), got {u.shape}")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise DimensionMismatchError("units entries must be finite")
-        # np.allclose(units[i, j]^dagger, units[j, i]) for every i <= j.
-        close = np.isclose(
-            u.transpose(0, 1, 3, 2).conj(), u.transpose(1, 0, 2, 3), rtol=CPMAP_RTOL, atol=STRUCT_TOL
-        )
-        bad = np.argwhere(np.triu(~close.all(axis=(2, 3))))
-        if bad.size:
-            i, j = bad[0]
-            raise NotHermitianError(f"units[{i},{j}]^dagger differs from units[{j},{i}]")
+        # np.allclose(units[i, j]^dagger, units[j, i]) for every i <= j: np.isclose's
+        # test, which on finite entries is |a - b| <= atol + rtol |b|.
+        b = u.transpose(1, 0, 2, 3)
+        close = np.abs(u.transpose(0, 1, 3, 2).conj() - b) <= STRUCT_TOL + CPMAP_RTOL * np.abs(b)
+        if not close.all():
+            bad = np.argwhere(np.triu(~close.all(axis=(2, 3))))
+            if bad.size:
+                i, j = bad[0]
+                raise NotHermitianError(f"units[{i},{j}]^dagger differs from units[{j},{i}]")
         u.setflags(write=False)
         object.__setattr__(self, "units", u)
 
@@ -79,7 +82,7 @@ class CpMap:
     @property
     def unital(self) -> bool:
         total = self.units[np.arange(self.d), np.arange(self.d)].sum(axis=0)
-        return bool(np.allclose(total, np.eye(self.d), rtol=0, atol=STRUCT_TOL))
+        return _abs_close(total, np.eye(self.d), STRUCT_TOL)
 
     @property
     def transfer(self) -> np.ndarray:
@@ -206,7 +209,7 @@ def ohya_lift(rho, parties: int = 2) -> FactoredOperator:
     d = state.matrix.shape[0]
     check_dense_size((d,) * parties)
     w, v = _eig(np.linalg.eigh, state.matrix)
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     # Column k of copies is the parties-fold Kronecker power of eigenvector k.
     copies = v
     for _ in range(parties - 1):
@@ -223,9 +226,9 @@ def _link_kernel(l: np.ndarray, d: int) -> np.ndarray:
     return k.transpose(0, 1, 3, 2).reshape(d * d, d * d, d * d)
 
 
-def _chain(pis, root=None) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Dense matrix of the composite chained from pis, a new array, and its
-    factor dims; with ``root`` it is sandwiched by (I x root) on slot 1.
+def _chain(pis, root=None) -> FactoredOperator:
+    """Composite chained from pis, on a new array; with ``root`` it is
+    sandwiched by (I x root) on slot 1.
 
     A stage extends the composite cur, indexed ((a, x), (a', y)) with x and y
     on its rightmost slot, to ((a, b, c), (a', b', c')) with L = sqrt(pi) on
@@ -234,6 +237,15 @@ def _chain(pis, root=None) -> tuple[np.ndarray, tuple[int, ...]]:
     kernel once for each (b, c), and the product comes out in the new
     matrix's own order. root is folded into the last stage as
     L = (I_d x root) sqrt(pi).
+
+    The output is scanned for finiteness unless every link's entries are at
+    most d in modulus, as a validated conditional operator's are (they are
+    at most 1). Every link but the innermost is then PSD (herm_sqrt checks
+    it) with spectral norm at most d^3, root (the root of a checked state)
+    has norm at most 1, and a stage multiplies the composite's norm by at
+    most d^3: on the at most 2^13-sided output (check_dense_size) no entry
+    or partial sum can come near overflow. A link with a larger, infinite
+    or NaN entry leaves the scan on.
     """
     pis = list(pis)
     mats = [_qcp_matrix(p) for p in pis]
@@ -244,9 +256,11 @@ def _chain(pis, root=None) -> tuple[np.ndarray, tuple[int, ...]]:
         raise DimensionMismatchError("conditional operators must share one factor size")
     dims = (d,) * (len(mats) + 1)
     check_dense_size(dims)
+    bounded = all(np.abs(m).max(initial=0.0) <= d for m, _ in mats)
     cur = mats[-1][0]  # a caller's array when pis has one element
     if len(mats) == 1:
-        return (cur.copy() if root is None else sandwich_right(cur, root)), dims
+        cur = cur.copy() if root is None else sandwich_right(cur, root)
+        return FactoredOperator(_Fresh(cur, bounded), dims)
     roots: dict[int, np.ndarray] = {}
     for p, (m, _) in zip(pis[-2::-1], mats[-2::-1]):
         if id(p) not in roots:
@@ -254,12 +268,12 @@ def _chain(pis, root=None) -> tuple[np.ndarray, tuple[int, ...]]:
     kernels = {key: _link_kernel(r, d) for key, r in roots.items()}
     stages = [kernels[id(p)] for p in pis[-2::-1]]
     if root is not None:
-        stages[-1] = _link_kernel(np.kron(np.eye(d), root) @ roots[id(pis[0])], d)
+        stages[-1] = _link_kernel(_kron(np.eye(d), root) @ roots[id(pis[0])], d)
     for k in stages:
         a = cur.shape[0] // d
         pairs = cur.reshape(a, d, a, d).transpose(0, 2, 1, 3).reshape(a, 1, a, d * d)
         cur = np.matmul(pairs, k).reshape(a * d * d, a * d * d)
-    return cur, dims
+    return FactoredOperator(_Fresh(cur, bounded), dims)
 
 
 def compose_qcp(pi1, pi2) -> FactoredOperator:
@@ -269,8 +283,7 @@ def compose_qcp(pi1, pi2) -> FactoredOperator:
     the leftmost slot returns pi1; tracing out the two leftmost returns the
     identity.
     """
-    m, dims = _chain([pi1, pi2])
-    return FactoredOperator(_Fresh(m), dims)
+    return _chain([pi1, pi2])
 
 
 def n_compose_qcp(pis) -> FactoredOperator:
@@ -280,8 +293,7 @@ def n_compose_qcp(pis) -> FactoredOperator:
     couples slots 2 and 1, element 1 couples slots 3 and 2, and so on. The
     square root of each distinct operator object is taken once.
     """
-    m, dims = _chain(pis)
-    return FactoredOperator(_Fresh(m), dims)
+    return _chain(pis)
 
 
 def n_nonlinear_lift(pi, rho, parties: int) -> FactoredOperator:
@@ -299,8 +311,7 @@ def n_nonlinear_lift(pi, rho, parties: int) -> FactoredOperator:
     state = check_state(rho)
     if state.matrix.shape[0] != d:
         raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != conditional side {d}")
-    chain, dims = _chain([pi] * (parties - 1), herm_sqrt(state.matrix))
-    return FactoredOperator(_Fresh(chain), dims)
+    return _chain([pi] * (parties - 1), herm_sqrt(state.matrix))
 
 
 def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
@@ -324,7 +335,7 @@ def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
     if not ok:
         raise NotCompatibleError(f"compound state has eigenvalue {lo:.3e}; blocks admit no CP map")
     marg = partial_trace(theta, keep={1}).matrix
-    if not np.allclose(marg, rm, rtol=0, atol=TOL):
+    if not _abs_close(marg, rm, TOL):
         raise NotCompatibleError("first-slot partial trace of the compound state differs from the marginal")
     inv_s = (v / np.sqrt(w)) @ v.conj().T
     blocks = theta.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
@@ -371,7 +382,9 @@ def lifting_assisted_map(psi: Callable[[np.ndarray], np.ndarray], omega):
     def phi(rho: np.ndarray) -> np.ndarray:
         rm = np.asarray(rho, dtype=complex)
         d = rm.shape[0]
-        out = np.asarray(psi(np.kron(rm, om)), dtype=complex)
+        if rm.shape != (d, d):
+            raise DimensionMismatchError(f"input shape {rm.shape} is not square")
+        out = np.asarray(psi(_kron(rm, om)), dtype=complex)
         if out.shape != (d * dw, d * dw):
             raise DimensionMismatchError(f"psi returned shape {out.shape}, expected {(d * dw, d * dw)}")
         joint = FactoredOperator(out, (d, dw))

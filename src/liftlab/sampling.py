@@ -26,7 +26,7 @@ def probability_vector(g: np.random.Generator, n: int) -> np.ndarray:
 
 def stochastic(g: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
     """Weight matrix with unit row sums (trace preserving on states)."""
-    return np.stack([probability_vector(g, n_out) for _ in range(n_in)])
+    return np.array([probability_vector(g, n_out) for _ in range(n_in)])
 
 
 def permutation(g: np.random.Generator, n: int) -> np.ndarray:
@@ -42,7 +42,7 @@ def unitary(g: np.random.Generator, d: int) -> np.ndarray:
     convention that makes R's diagonal positive."""
     z = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
     q, r = np.linalg.qr(z)
-    diag = np.diag(r)
+    diag = r.diagonal()
     return q * (diag / np.abs(diag))
 
 
@@ -73,7 +73,7 @@ def unital_cpmap(g: np.random.Generator, d: int, terms: int | None = None) -> Cp
 
 def lifting_tensor(g: np.random.Generator, n1: int, n2: int) -> np.ndarray:
     slices = [probability_vector(g, n2 * n1).reshape(n2, n1) for _ in range(n1)]
-    return as_lifting_tensor(np.stack(slices))
+    return as_lifting_tensor(np.array(slices))
 
 
 def markov_spec(g: np.random.Generator, n: int) -> MarkovSpec:
@@ -89,7 +89,7 @@ def circulant_spec(g: np.random.Generator, d: int) -> CirculantSpec:
     for alpha in range(d):
         z = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
         b = z @ z.conj().T
-        b = (1.0 - mix) * b + mix * np.diag(np.diag(b).real)
-        b /= np.trace(b).real
+        b = (1.0 - mix) * b + mix * np.diag(b.diagonal().real)
+        b /= b.trace().real
         blocks.append(weights[alpha] * b)
     return CirculantSpec(np.array(blocks))

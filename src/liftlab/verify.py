@@ -59,6 +59,7 @@ from .clift import (
 from .errors import SchemaError
 from .matcore import (
     FactoredOperator,
+    _kron,
     is_psd,
     herm_sqrt,
     partial_trace,
@@ -138,7 +139,7 @@ def _timestamp() -> str:
 
 
 def _dev(a, b) -> float:
-    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+    return float(np.maximum.reduce(np.abs(np.asarray(a) - np.asarray(b)), axis=None))
 
 
 def _every(trials: int) -> int:
@@ -177,7 +178,7 @@ def _check(*outputs: tuple[str, str, float], repeat=_every):
 def _product_marginals(g):
     d2, d1 = int(g.integers(2, 4)), int(g.integers(2, 4))
     r2, r1 = sampling.density(g, d2), sampling.density(g, d1)
-    op = FactoredOperator(np.kron(r2, r1), (d2, d1))
+    op = FactoredOperator(_kron(r2, r1), (d2, d1))
     return max(_dev(partial_trace(op, {1}).matrix, r1), _dev(partial_trace(op, {2}).matrix, r2))
 
 

@@ -1,0 +1,305 @@
+"""The per-call validation helpers against the numpy calls they stand for.
+
+matcore._kron is np.kron for two matrices, matcore._abs_close is
+np.allclose(rtol=0) for finite arrays, jsonio._distinct is np.unique with
+return_inverse, and CpMap's Hermiticity test is np.isclose's formula
+written out. These tests hold them to those calls bit
+for bit and verdict for verdict, pin the error type and message of every
+check whose code changed, and cover FactoredOperator's integer dims and the
+finiteness scan that N-party chains skip only when every link is bounded.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from liftlab import jsonio
+from liftlab.circulant import (
+    BellSpectrum,
+    CirculantSpec,
+    assemble_partial_transpose,
+    bell_diagonal_lift,
+    bell_state,
+    circulant_lift,
+    maximally_entangled,
+)
+from liftlab.classical import as_channel, as_probability_vector, is_stochastic, is_unital
+from liftlab.clift import MarkovSpec, as_lifting_tensor, gamma_lifting, is_nondemolition
+from liftlab.errors import DimensionMismatchError, NotHermitianError, SchemaError
+from liftlab.matcore import (
+    STRUCT_TOL,
+    FactoredOperator,
+    _abs_close,
+    _kron,
+    check_state,
+    diagonal_operator,
+    herm_sqrt,
+    is_psd,
+    partial_trace,
+    partial_transpose,
+    tensor,
+)
+from liftlab.qlift import (
+    CpMap,
+    channel_from_compound,
+    choi_matrix,
+    compose_qcp,
+    n_compose_qcp,
+    n_nonlinear_lift,
+    nonlinear_lift,
+    QcpOperator,
+    ohya_lift,
+    qcp_from_channel,
+    robertson_map,
+    lifting_assisted_map,
+)
+from liftlab.sampling import density, rng, unital_cpmap
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# Entries that make signed zeros, subnormals and overflow appear in products.
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300, 1e300, -1e300, 5e-324])
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    return a.view(np.int64).reshape(-1) if a.size else np.zeros(0, dtype=np.int64)
+
+
+def _draw(g, shape, complex_):
+    """Gaussian entries with a share of SPECIAL values, real or complex."""
+    def part():
+        x = g.standard_normal(shape)
+        return np.where(g.random(shape) < 0.3, g.choice(SPECIAL, size=shape), x)
+    return part() + 1j * part() if complex_ else part()
+
+
+@SETTINGS
+@given(
+    shapes=st.tuples(*[st.integers(0, 4)] * 4),
+    kinds=st.sampled_from([(True, True), (False, True), (True, False), (False, False)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kron_is_np_kron_bit_for_bit(shapes, kinds, seed):
+    g = rng(seed)
+    p, q, r, s = shapes
+    a, b = _draw(g, (p, q), kinds[0]), _draw(g, (r, s), kinds[1])
+    with np.errstate(all="ignore"):
+        got, want = _kron(a, b), np.kron(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@SETTINGS
+@given(
+    shape=st.sampled_from([(3,), (2, 2), (4, 3), (2, 3, 2)]),
+    atol=st.sampled_from([0.0, 1e-12, 1e-10, 1e-9, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_abs_close_gives_np_allclose_verdicts_on_finite_arrays(shape, atol, seed):
+    g = rng(seed)
+    b = g.standard_normal(shape)
+    steps = g.choice([0.0, 1.0, -1.0, 0.5, 2.0], size=shape)
+    # Within, on and beyond the bound, as float sums make them.
+    for a in (b + steps * atol, b + atol, b - atol, b + np.nextafter(atol, 1.0), b.copy()):
+        assert _abs_close(a, b, atol) == bool(np.allclose(a, b, rtol=0, atol=atol))
+        assert _abs_close(a, 1.0, atol) == bool(np.allclose(a, 1.0, rtol=0, atol=atol))
+    z = b + 1j * g.standard_normal(shape)
+    w = z + atol * np.exp(2j * np.pi * g.random(shape))
+    assert _abs_close(w, z, atol) == bool(np.allclose(w, z, rtol=0, atol=atol))
+
+
+@SETTINGS
+@given(n=st.integers(1, 300), pool=st.integers(1, 40), step=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_distinct_is_np_unique_with_inverse(n, pool, step, seed):
+    g = rng(seed)
+    values = g.choice(np.concatenate([SPECIAL, g.standard_normal(pool)]), size=2 * n)
+    col = values.view(np.int64)[::step][:n]  # strided like a column of the pair array
+    got_values, got_index = jsonio._distinct(col)
+    want_values, want_index = np.unique(col, return_inverse=True)
+    np.testing.assert_array_equal(got_values, want_values)
+    np.testing.assert_array_equal(got_index, want_index.reshape(-1))
+
+
+def _head_cpmap_offender(u):
+    """The Hermiticity test CpMap ran through np.isclose: the first (i, j),
+    i <= j, whose units[i, j]^dagger is not close to units[j, i]."""
+    close = np.isclose(u.transpose(0, 1, 3, 2).conj(), u.transpose(1, 0, 2, 3), rtol=1e-5, atol=STRUCT_TOL)
+    bad = np.argwhere(np.triu(~close.all(axis=(2, 3))))
+    return tuple(int(k) for k in bad[0]) if bad.size else None
+
+
+@SETTINGS
+@given(d=st.integers(1, 4), scale=st.sampled_from([1e-11, 1e-10, 1e-6, 1e-5, 1e-3]), seed=st.integers(0, 2**32 - 1))
+def test_cpmap_hermiticity_check_matches_np_isclose(d, scale, seed):
+    g = rng(seed)
+    u = np.array(unital_cpmap(g, d).units)
+    mask = g.random(u.shape) < 0.2
+    u = u + mask * scale * (g.standard_normal(u.shape) + 1j * g.standard_normal(u.shape))
+    offender = _head_cpmap_offender(u)
+    if offender is None:
+        CpMap(u)
+    else:
+        i, j = offender
+        with pytest.raises(NotHermitianError) as info:
+            CpMap(u)
+        assert str(info.value) == f"units[{i},{j}]^dagger differs from units[{j},{i}]"
+
+
+NAN = np.array([[np.nan, 0], [0, 1]])
+INF = np.array([[np.inf, 0], [0, 1]])
+NON_HERMITIAN = np.array([[0.5, 0.3], [0.1, 0.5]])
+SKEW_UNITS = np.eye(4, dtype=complex).reshape(2, 2, 2, 2).copy()
+SKEW_UNITS[0, 1, 0, 0] = 0.3
+
+# (check, input, error type name, message), as raised before these checks
+# were rewritten without numpy's wrappers.
+ERRORS = [
+    (is_psd, NAN, "DimensionMismatchError", "matrix entries must be finite"),
+    (herm_sqrt, INF, "DimensionMismatchError", "matrix entries must be finite"),
+    (is_psd, np.array([[1, 1j * np.inf], [0, 1]]), "DimensionMismatchError", "matrix entries must be finite"),
+    (check_state, NAN, "DimensionMismatchError", "matrix entries must be finite"),
+    (FactoredOperator, INF, "DimensionMismatchError", "matrix entries must be finite"),
+    (lambda x: diagonal_operator(np.diag(x), (2,)), NAN, "DimensionMismatchError", "matrix entries must be finite"),
+    (as_channel, INF, "SchemaError", "channel weights must be finite"),
+    (is_unital, NAN, "SchemaError", "channel weights must be finite"),
+    (lambda x: as_probability_vector(x[0]), INF, "SchemaError", "probability vector entries must be finite"),
+    (lambda x: as_lifting_tensor(np.stack([x, x])), NAN, "SchemaError", "lifting tensor entries must be finite"),
+    (lambda x: is_nondemolition(np.stack([x, x])), INF, "SchemaError", "lifting tensor entries must be finite"),
+    (lambda x: MarkovSpec(x, [0.5, 0.5]), NAN, "SchemaError", "conditional entries must be finite"),
+    (lambda x: gamma_lifting(np.pad(x, (0, 2)), [0.5, 0.5], [0.5, 0.5]), INF, "SchemaError",
+     "joint channel entries must be finite"),
+    (lambda x: CpMap(np.kron(x, x).reshape(2, 2, 2, 2)), NAN, "DimensionMismatchError", "units entries must be finite"),
+    (lambda x: CirculantSpec(np.stack([x, x])), INF, "DimensionMismatchError", "matrix entries must be finite"),
+    (lambda x: assemble_partial_transpose(np.stack([x, x])), NAN, "DimensionMismatchError",
+     "matrix entries must be finite"),
+    (lambda x: BellSpectrum(x), INF, "SchemaError", "spectrum entries must be finite"),
+    (lambda x: jsonio.json_to_matrix(x.tolist()), NAN, "SchemaError", "matrix entries must be finite numbers"),
+    (lambda x: jsonio.json_to_vector(x[0].tolist()), INF, "SchemaError", "vector entries must be finite numbers"),
+    (is_psd, NON_HERMITIAN, "NotHermitianError", "deviation from Hermiticity 2.000e-01 exceeds 1.0e-09 * 1.000e+00"),
+    (check_state, NON_HERMITIAN, "NotAStateError",
+     "state is not Hermitian: deviation from Hermiticity 2.000e-01 exceeds 1.0e-09 * 1.000e+00"),
+    (lambda x: CirculantSpec(np.stack([x / 2, x / 2])), NON_HERMITIAN, "NotHermitianError",
+     "deviation from Hermiticity 1.000e-01 exceeds 1.0e-09 * 1.000e+00"),
+    (lambda x: n_compose_qcp([np.kron(x, x)] * 2), NON_HERMITIAN, "NotHermitianError",
+     "deviation from Hermiticity 1.000e-01 exceeds 1.0e-09 * 1.000e+00"),
+    (lambda x: as_lifting_tensor(np.stack([x / 2, x / 2])), NON_HERMITIAN, "NotNormalizedError",
+     "input slices sum to [0.7, 0.7], expected all 1"),
+    (lambda x: MarkovSpec(x, [0.5, 0.5]), NON_HERMITIAN, "NotNormalizedError",
+     "conditional columns sum to [0.6, 0.8], expected all 1"),
+    (lambda x: gamma_lifting(np.kron(x, x), [0.5, 0.5], [0.5, 0.5]), NON_HERMITIAN, "NotNormalizedError",
+     "joint channel rows must sum to 1 (trace preservation)"),
+    (lambda x: qcp_from_channel(CpMap(np.kron(x, x).reshape(2, 2, 2, 2))), NON_HERMITIAN, "NotUnitalError",
+     "sum of diagonal-unit images differs from the identity"),
+    (CpMap, SKEW_UNITS, "NotHermitianError", "units[0,1]^dagger differs from units[1,0]"),
+    (lambda x: channel_from_compound(FactoredOperator(np.eye(4) / 4, (2, 2)), x), np.diag([0.6, 0.4]),
+     "NotCompatibleError", "first-slot partial trace of the compound state differs from the marginal"),
+]
+
+
+@pytest.mark.parametrize("check, x, kind, message", ERRORS)
+def test_changed_checks_raise_as_before(check, x, kind, message):
+    with pytest.raises(Exception) as info:
+        check(x)
+    assert (type(info.value).__name__, str(info.value)) == (kind, message)
+
+
+def test_sum_checks_keep_their_verdicts():
+    assert is_unital([[0.5, 0.5], [0.5, 0.5]]) and is_stochastic([[0.25, 0.75], [1.0, 0.0]])
+    assert not is_unital([[1 + 5e-6, 0], [0, 1]])
+    assert is_unital([[1 + 5e-13, 0], [0, 1]])
+    assert not is_nondemolition(np.full((2, 2, 2), 0.25))
+    assert CpMap(np.eye(4).reshape(2, 2, 2, 2)).unital
+
+
+@pytest.mark.parametrize("dims", [(2.7, 2.2), ("2", 2), (2.0, 2.0), (True, 4), (np.True_, 4), (2, None)])
+def test_factored_operator_refuses_non_integer_dims(dims):
+    side = 4
+    with pytest.raises(DimensionMismatchError, match="factor dimensions must be integers"):
+        FactoredOperator(np.eye(side), dims)
+    with pytest.raises(DimensionMismatchError, match="factor dimensions must be integers"):
+        diagonal_operator(np.ones(side) / side, dims)
+
+
+def test_factored_operator_takes_integer_like_dims():
+    op = FactoredOperator(np.eye(6), (np.int64(2), np.uint8(3)))
+    assert op.dims == (2, 3) and all(type(d) is int for d in op.dims)
+    assert FactoredOperator(np.eye(6), [2, 3]).dims == (2, 3)
+    assert diagonal_operator(np.ones(6) / 6, (np.int32(3), 2)).dims == (3, 2)
+    with pytest.raises(DimensionMismatchError, match="factor dimensions must be integers"):
+        FactoredOperator(np.eye(4), 4)
+
+
+def test_json_dims_refuse_booleans():
+    doc = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]], "dims": [True]}
+    with pytest.raises(SchemaError, match="dims must be a non-empty list of positive integers"):
+        jsonio.json_to_factored(doc)
+
+
+def _constructors():
+    g = rng(31)
+    pi = qcp_from_channel(unital_cpmap(g, 2))
+    rho = density(g, 2)
+    a = FactoredOperator(density(g, 3), (3,))
+    yield maximally_entangled(3)
+    yield bell_state(1, 2, 3)
+    yield bell_diagonal_lift([0.5, 0.5], rho)[0]
+    yield circulant_lift(np.stack([rho, rho]), rho)
+    yield tensor(a, a)
+    yield partial_trace(tensor(a, a), {1})
+    yield partial_transpose(tensor(a, a), 2)
+    yield diagonal_operator([0.5, 0.5], (2,))
+    yield nonlinear_lift(pi, rho)
+    yield ohya_lift(rho, 3)
+    yield compose_qcp(pi, pi)
+    yield n_compose_qcp([pi.op, pi.op])
+    yield n_nonlinear_lift(pi, rho, 3)
+    yield choi_matrix(lifting_assisted_map(robertson_map, np.eye(2) / 2), 2)
+
+
+@pytest.mark.parametrize("op", list(_constructors()), ids=lambda op: f"dims{op.dims}")
+def test_constructors_hand_over_complex_arrays(op):
+    assert op.matrix.dtype == np.complex128 and op.matrix.ndim == 2
+
+
+@pytest.fixture
+def finiteness_scans(monkeypatch):
+    """Record the size of every array np.isfinite is asked about."""
+    sizes = []
+    real = np.isfinite
+
+    def spy(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("parties", [2, 3, 5])
+def test_bounded_chains_skip_the_output_scan_and_keep_their_bits(parties, finiteness_scans):
+    g = rng(parties)
+    pi = qcp_from_channel(unital_cpmap(g, 2))
+    rho = density(g, 2)
+    side2 = 4 ** parties
+    links = [pi] * (parties - 1)
+    finiteness_scans.clear()
+    chain, lifted = n_compose_qcp(links), n_nonlinear_lift(pi, rho, parties)
+    raw = np.array(pi.matrix)
+    raw_chain, raw_lifted = n_compose_qcp([raw] * (parties - 1)), n_nonlinear_lift(raw, rho, parties)
+    assert side2 not in finiteness_scans
+    np.testing.assert_array_equal(_bits(chain.matrix), _bits(raw_chain.matrix))
+    np.testing.assert_array_equal(_bits(lifted.matrix), _bits(raw_lifted.matrix))
+    # An entry above d = 2 (pi's largest is at least 1/2) turns the scan on.
+    big = 10.0 * raw
+    finiteness_scans.clear()
+    scanned = n_compose_qcp([raw] * (parties - 2) + [big])
+    assert finiteness_scans.count(side2) == 1
+    np.testing.assert_array_equal(_bits(scanned.matrix), _bits(n_compose_qcp(links[1:] + [big]).matrix))
+
+
+def test_links_near_overflow_still_fail_the_scan():
+    big = 1e200 * np.eye(4)
+    hand_built = QcpOperator(FactoredOperator(big, (2, 2)), unital_cpmap(rng(4), 2))
+    for links in ([big, big], [FactoredOperator(big, (2, 2))] * 3, [hand_built] * 2):
+        with np.errstate(all="ignore"), pytest.raises(DimensionMismatchError, match="matrix entries must be finite"):
+            n_compose_qcp(links)
