@@ -31,7 +31,6 @@ from .matcore import (
     check_state,
     herm_sqrt,
     is_psd,
-    kron,
     partial_trace,
     partial_transpose,
     tensor,

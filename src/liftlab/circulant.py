@@ -51,7 +51,7 @@ def _check_trace_sum(blocks: np.ndarray) -> None:
         raise TraceNotOneError(f"block traces sum to {float(total)!r}, expected 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CirculantSpec:
     """Circulant state data: one PSD d x d block per subspace, traces
     summing to one."""
@@ -220,7 +220,7 @@ def bell_state(m: int, n: int, d: int) -> FactoredOperator:
     return FactoredOperator(_Fresh(u @ base.matrix @ u.conj().T), (d, d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellSpectrum:
     """Joint weights p[m, n] over the d^2 Bell projectors."""
 

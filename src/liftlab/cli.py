@@ -30,7 +30,7 @@ from .classical import (
     permutation_channel,
     classical_teleport,
 )
-from .clift import lift, n_lift
+from .clift import n_lift
 from .errors import MathDomainError, SchemaError
 from .qlift import nonlinear_lift, ohya_lift, qcp_from_channel
 from .matcore import TOL
@@ -95,12 +95,6 @@ def cmd_channel_apply(args) -> tuple[dict, int]:
     w = _real_matrix(args.matrix, "channel matrix")
     p = _load(jsonio.json_to_vector, args.state)
     return {"state": jsonio.vector_to_json(apply_to_state(w, p))}, 0
-
-
-def cmd_lift_classical(args) -> tuple[dict, int]:
-    tensor = _load(jsonio.json_to_tensor_data, args.tensor)
-    p = _load(jsonio.json_to_vector, args.p)
-    return {"state": jsonio.factored_to_json(lift(tensor, p))}, 0
 
 
 def cmd_lift_ohya(args) -> tuple[dict, int]:
@@ -196,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     lcl = lsub.add_parser("classical", help="two-party lifting from a tensor")
     lcl.add_argument("--tensor", required=True, help='{"n1", "n2", "data"} (JSON or @path)')
     lcl.add_argument("--p", required=True, help="input distribution")
+    lcl.set_defaults(parties=2)  # the two-party case of nlift
 
     loh = lsub.add_parser("ohya", help="spectral copying lift of a state")
     loh.add_argument("--rho", required=True, help="input state matrix")
@@ -234,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     # One --out for every command, added after its own flags: usage lines list it last.
     for command, func in (
         (kraus, cmd_channel_kraus), (dilate, cmd_channel_dilate), (apply_p, cmd_channel_apply),
-        (lcl, cmd_lift_classical), (loh, cmd_lift_ohya), (lqcp, cmd_lift_qcp),
+        (lcl, cmd_lift_nlift), (loh, cmd_lift_ohya), (lqcp, cmd_lift_qcp),
         (lnl, cmd_lift_nonlinear), (lci, cmd_lift_circulant), (lbe, cmd_lift_bell),
         (lnn, cmd_lift_nlift), (ver, cmd_verify), (tel, cmd_teleport),
     ):

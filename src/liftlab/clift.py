@@ -90,17 +90,13 @@ def markov_tensor(conditional) -> np.ndarray:
 
 
 def lift(t, p) -> FactoredOperator:
-    """Apply a lifting tensor to a probability vector.
+    """Apply a lifting tensor to a probability vector: :func:`n_lift` with
+    parties = 2.
 
     Returns the diagonal two-factor state with weight w[j, k] at
     e_jj x e_kk, the new factor leftmost.
     """
-    e = as_lifting_tensor(t)
-    v = as_probability_vector(p)
-    if v.size != e.shape[0]:
-        raise DimensionMismatchError(f"state of length {v.size} does not match tensor input size {e.shape[0]}")
-    w = np.einsum("ijk,i->jk", e, v)
-    return diagonal_operator(w, w.shape)
+    return n_lift(t, p, 2)
 
 
 def is_nondemolition(t, atol: float = PROB_TOL) -> bool:
@@ -155,7 +151,8 @@ def n_lift(t, p, parties: int) -> FactoredOperator:
 
     Each stage re-lifts the rightmost (original) factor; new factors stack
     so that the earliest one ends up leftmost. parties counts the total
-    number of output factors (parties - 1 applications).
+    number of output factors (parties - 1 applications); parties = 2 is
+    :func:`lift`.
     """
     if parties < 2:
         raise DimensionMismatchError(f"parties must be at least 2, got {parties}")
@@ -170,7 +167,7 @@ def n_lift(t, p, parties: int) -> FactoredOperator:
     return diagonal_operator(w, dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovSpec:
     """Homogeneous Markov chain data: conditional[j, i] = p(j|i) with unit
     column sums, plus the initial distribution."""

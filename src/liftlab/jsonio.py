@@ -218,6 +218,15 @@ def json_to_tensor_data(obj) -> np.ndarray:
     return _finite(_array(data, float, "lifting tensor").reshape(n1, n2, n1), "lifting tensor")
 
 
+def _square_matrices(items: list, d: int, what: str) -> np.ndarray:
+    """Decode every matrix of a list, then require each to be d x d; they
+    come back stacked in one complex array."""
+    mats = [json_to_matrix(m) for m in items]
+    for k, m in enumerate(mats):
+        _require(m.shape == (d, d), f"{what} {k} has shape {m.shape}, expected ({d}, {d})")
+    return np.array(mats, dtype=complex)
+
+
 def cpmap_to_json(cp: CpMap) -> dict:
     """Encode as {"d", "units"} with the d^2 unit images in (i, j)
     lexicographic order."""
@@ -237,10 +246,7 @@ def json_to_cpmap(obj) -> CpMap:
     units = obj["units"]
     _require(isinstance(units, list), "units must be a list")
     _require(len(units) == d * d, f"units has {len(units)} entries, expected {d * d}")
-    mats = [json_to_matrix(u) for u in units]
-    for k, m in enumerate(mats):
-        _require(m.shape == (d, d), f"unit {k} has shape {m.shape}, expected ({d}, {d})")
-    return _decoded(CpMap, np.array(mats, dtype=complex).reshape(d, d, d, d))
+    return _decoded(CpMap, _square_matrices(units, d, "unit").reshape(d, d, d, d))
 
 
 def circulant_to_json(spec: CirculantSpec) -> dict:
@@ -258,10 +264,7 @@ def json_to_circulant(obj) -> CirculantSpec:
     d = _as_int(obj["d"], "d")
     blocks = obj["blocks"]
     _require(isinstance(blocks, list) and len(blocks) == d, f"blocks must list {d} matrices")
-    mats = [json_to_matrix(b) for b in blocks]
-    for k, m in enumerate(mats):
-        _require(m.shape == (d, d), f"block {k} has shape {m.shape}, expected ({d}, {d})")
-    return _decoded(CirculantSpec, np.array(mats, dtype=complex))
+    return _decoded(CirculantSpec, _square_matrices(blocks, d, "block"))
 
 
 def bell_spectrum_to_json(bs: BellSpectrum) -> dict:
@@ -277,31 +280,18 @@ _SLOT = "\x00pairs"
 _CHUNK = 1 << 16
 
 
-def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(col, return_inverse=True) for a 1-d array, by the same
-    argsort, without np.unique's set-up, which costs about 20 us a call and
-    which a small matrix would pay once per column."""
-    order = col.argsort()
-    ordered = col[order]
-    first = np.empty(len(ordered), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    index = np.empty(len(ordered), dtype=np.intp)
-    index[order] = first.cumsum() - 1
-    return ordered[first], index
-
-
 def _render_pairs(pairs: np.ndarray, level: int):
     """Yield what json.dumps(indent=2) writes for the (n, 2) pair array
     `level` containers deep, one chunk of pairs per piece.
 
-    Each column of a chunk is rendered from its distinct values, found on
-    the int64 bit view so that -0.0 and 0.0 stay apart. Each distinct value
-    gets one repr (json's float format), joined to the separator before it,
-    and the chunk is a gather of those strings and one str.join. The columns
-    are sorted apart: one sort of both would mix a nearly constant column,
-    such as the zero imaginary parts of a real state, into the other, and
-    the argsort slows on such runs of one value.
+    Each column of a chunk is rendered from its distinct values, found by
+    np.unique on the int64 bit view so that -0.0 and 0.0 stay apart. Each
+    distinct value gets one repr (json's float format), joined to the
+    separator before it, and the chunk is a gather of those strings and one
+    str.join. The columns are sorted apart: one sort of both would mix a
+    nearly constant column, such as the zero imaginary parts of a real
+    state, into the other, and np.unique's argsort slows on such runs of one
+    value.
     """
     if not len(pairs):
         yield "[]"
@@ -314,7 +304,7 @@ def _render_pairs(pairs: np.ndarray, level: int):
         chunk = bits[lo:lo + _CHUNK]
         tokens = np.empty(chunk.shape, dtype=object)
         for col, before in enumerate((between, mid)):
-            values, index = _distinct(chunk[:, col])
+            values, index = np.unique(chunk[:, col], return_inverse=True)
             reps = [before + repr(v) for v in values.view(float).tolist()]
             tokens[:, col] = np.array(reps, dtype=object)[index]
         if lo == 0:

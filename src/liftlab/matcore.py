@@ -122,7 +122,7 @@ class _Fresh(NamedTuple):
     finite: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactoredOperator:
     """Square complex matrix tagged with ordered tensor-factor dimensions.
 
@@ -205,11 +205,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     entry, without np.kron's shape handling for arrays of any rank."""
     (p, q), (r, s) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product in row-major convention (a is the left factor)."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
 
 
 def check_dense_size(dims) -> None:

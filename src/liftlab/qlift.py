@@ -35,6 +35,8 @@ from .matcore import (
     TOL,
     FactoredOperator,
     _abs_close,
+    _as_matrix,
+    _check_hermitian,
     _eig,
     _Fresh,
     _kron,
@@ -47,7 +49,7 @@ from .matcore import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpMap:
     """Linear map on M_d stored by its images on matrix units.
 
@@ -136,7 +138,7 @@ def classical_cpmap(conditional) -> CpMap:
     return CpMap(units)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QcpOperator:
     """Conditional-probability operator pi = sum_ij e_ij x Lambda(e_ij)
     together with its source map."""
@@ -184,16 +186,13 @@ def _qcp_matrix(pi) -> tuple[np.ndarray, int]:
 
 
 def nonlinear_lift(pi, rho) -> FactoredOperator:
-    """Sandwich lifting E(rho) = (I x sqrt(rho)) pi (I x sqrt(rho)).
+    """Sandwich lifting E(rho) = (I x sqrt(rho)) pi (I x sqrt(rho)): the
+    one-link chain :func:`n_nonlinear_lift` with parties = 2.
 
     Tracing out the first (leftmost) slot returns rho exactly; tracing out
     the second slot returns the transposed adjoint channel of rho.
     """
-    m, d = _qcp_matrix(pi)
-    state = check_state(rho)
-    if state.matrix.shape[0] != d:
-        raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != conditional side {d}")
-    return FactoredOperator(_Fresh(sandwich_right(m, herm_sqrt(state.matrix))), (d, d))
+    return n_nonlinear_lift(pi, rho, 2)
 
 
 def ohya_lift(rho, parties: int = 2) -> FactoredOperator:
@@ -300,7 +299,7 @@ def n_nonlinear_lift(pi, rho, parties: int) -> FactoredOperator:
     """N-party sandwich lifting from one conditional operator.
 
     Chains parties-1 copies of pi and sandwiches with sqrt(rho) on the
-    rightmost slot. parties = 2 reduces to :func:`nonlinear_lift`; with the
+    rightmost slot. parties = 2 is :func:`nonlinear_lift`; with the
     diagonal operator of a classical conditional matrix and diagonal rho it
     reproduces the Markov-chain state.
     """
@@ -318,17 +317,17 @@ def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
     """Recover the unital CP map of a compound state with faithful marginal.
 
     Requires theta PSD with blocks B_ij = theta[(i, :), (j, :)] and
-    first-slot partial trace equal to rho, and rho strictly positive. The
-    recovered map is Lambda(e_ij) = rho^{-1/2} B_ij rho^{-1/2}, so the
-    sandwich lifting of rho through it rebuilds theta.
+    first-slot partial trace equal to rho, and rho finite, Hermitian and
+    strictly positive. The recovered map is Lambda(e_ij) = rho^{-1/2} B_ij
+    rho^{-1/2}, so the sandwich lifting of rho through it rebuilds theta.
     """
     if not isinstance(theta, FactoredOperator) or theta.n_factors != 2 or theta.dims[0] != theta.dims[1]:
         raise DimensionMismatchError("compound state must be a FactoredOperator with dims (d, d)")
     d = theta.dims[0]
-    rm = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    rm = _as_matrix(rho)
     if rm.shape != (d, d):
         raise DimensionMismatchError(f"marginal shape {rm.shape}, expected {(d, d)}")
-    w, v = _eig(np.linalg.eigh, 0.5 * (rm + rm.conj().T))
+    w, v = _eig(np.linalg.eigh, _check_hermitian(rm))
     if w[0] <= TOL:
         raise NotFaithfulError(f"marginal has eigenvalue {w[0]:.3e}; need strict positivity")
     ok, lo = is_psd(theta.matrix)

@@ -53,21 +53,21 @@ def density(g: np.random.Generator, d: int) -> np.ndarray:
     return (u * w) @ u.conj().T
 
 
-def faithful_density(g: np.random.Generator, d: int, floor: float = 0.05) -> np.ndarray:
-    """Full-rank state: a random state mixed with the flat one."""
-    return (1.0 - floor) * density(g, d) + floor * np.eye(d) / d
+def faithful_density(g: np.random.Generator, d: int) -> np.ndarray:
+    """Full-rank state: a random state and the flat one, mixed 0.95 to 0.05."""
+    return 0.95 * density(g, d) + 0.05 * np.eye(d) / d
 
 
-def unital_cpmap(g: np.random.Generator, d: int, terms: int | None = None) -> CpMap:
-    """Unital completely positive map from a random isometry.
+def unital_cpmap(g: np.random.Generator, d: int) -> CpMap:
+    """Unital completely positive map with d Kraus operators from a random
+    isometry.
 
     Stacks the isometry's d x d blocks B_m and uses K_m = B_m^dagger, so
     sum K_m K_m^dagger = V^dagger V = I and the map fixes the identity.
     """
-    k = terms if terms is not None else d
-    z = g.standard_normal((k * d, d)) + 1j * g.standard_normal((k * d, d))
+    z = g.standard_normal((d * d, d)) + 1j * g.standard_normal((d * d, d))
     q, _ = np.linalg.qr(z)
-    blocks = q.reshape(k, d, d)
+    blocks = q.reshape(d, d, d)
     return cp_from_kraus([b.conj().T for b in blocks])
 
 

@@ -15,6 +15,7 @@ identical across runs. A tolerance override must be finite and >= 0.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -567,6 +568,13 @@ def _isometry_form(g):
     return max(_dev(v.conj().T @ v, np.eye(d)), _dev(state.matrix, circulant_lift(profiles, rho).matrix))
 
 
+@functools.cache
+def _bell_projectors(d: int) -> tuple[np.ndarray, ...]:
+    """The d^2 Bell projectors, m-major. They depend on d alone, and their
+    matrices are read-only, so every trial shares them."""
+    return tuple(bell_state(m, n, d).matrix for m in range(d) for n in range(d))
+
+
 @_check(
     ("circulant.bell-spectrum", "the lifted spectrum factorizes into input weight and state diagonal", 1e-12),
 )
@@ -577,10 +585,9 @@ def _bell_spectrum(g):
     state, spectrum = bell_diagonal_lift(p, rho)
     expected = np.outer(p, np.diag(rho).real)
     devs = [_dev(spectrum.p, expected)]
-    for m in range(d):
-        for n in range(d):
-            weight = np.trace(bell_state(m, n, d).matrix @ state.matrix).real
-            devs.append(abs(weight - expected[m, n]))
+    for projector, value in zip(_bell_projectors(d), expected.flat):
+        weight = np.trace(projector @ state.matrix).real
+        devs.append(abs(weight - value))
     return max(devs)
 
 
@@ -591,7 +598,7 @@ def _bell_spectrum(g):
 def _bell_orthonormal(g):
     devs = []
     for d in (2, 3):
-        projectors = [bell_state(m, n, d).matrix for m in range(d) for n in range(d)]
+        projectors = _bell_projectors(d)
         devs.append(_dev(sum(projectors), np.eye(d * d)))
         for a, pa in enumerate(projectors):
             for b, pb in enumerate(projectors):

@@ -77,17 +77,19 @@ def test_lift_classical_copying_tensor(capsys):
 
 
 def test_lift_nlift_two_parties_matches_classical(capsys):
-    tensor = {"n1": 2, "n2": 2, "data": [0.2, 0.8, 0, 0, 0, 0, 0.2, 0.8]}
-    code, one = run_cli(
-        capsys, "lift", "classical", "--tensor", json.dumps(tensor), "--p", "[0.5,0.5]"
-    )
-    assert code == 0
-    code, two = run_cli(
-        capsys,
-        "lift", "nlift", "--tensor", json.dumps(tensor), "--p", "[0.5,0.5]", "--parties", "2",
-    )
-    assert code == 0
-    assert one["state"] == two["state"]
+    """The two commands write the same stdout, stderr and exit code."""
+    square = json.dumps({"n1": 2, "n2": 2, "data": [0.2, 0.8, 0, 0, 0, 0, 0.2, 0.8]})
+    wide = json.dumps({"n1": 2, "n2": 3, "data": [0.1, 0.2, 0.3, 0.1, 0.2, 0.1, 0.3, 0.1, 0.1, 0.2, 0.2, 0.1]})
+    half = json.dumps({"n1": 2, "n2": 2, "data": [0.5, 0, 0, 0, 0, 0, 0, 1]})
+    for flags, code in ((["--tensor", square, "--p", "[0.5,0.5]"], 0),
+                        (["--tensor", wide, "--p", "[0.25,0.75]"], 0),
+                        (["--tensor", half, "--p", "[0.6,0.4]"], 3),
+                        (["--tensor", wide, "--p", "[0.2,0.3,0.5]"], 2)):
+        assert cli.main(["lift", "classical", *flags]) == code
+        one = capsys.readouterr()
+        assert cli.main(["lift", "nlift", *flags, "--parties", "2"]) == code
+        assert capsys.readouterr() == one
+        assert bool(one.out) == (code == 0) and bool(one.err) == (code != 0)
 
 
 def test_lift_ohya_three_parties(capsys):

@@ -29,6 +29,7 @@ from liftlab.clift import (
     transition_expectation_sides,
     verify_transition_expectation,
 )
+from liftlab import matcore
 from liftlab.matcore import partial_trace, trace_out
 from liftlab.qlift import ohya_lift
 from liftlab.sampling import lifting_tensor, markov_spec, probability_vector, rng
@@ -76,6 +77,13 @@ def test_lift_with_pure_tensor():
     got = np.diag(op.matrix).real.reshape(2, 2)
     assert got[1, 0] == pytest.approx(0.6)
     assert got[0, 1] == pytest.approx(0.4)
+
+
+def test_lift_refuses_oversized_output(monkeypatch):
+    monkeypatch.setattr(matcore, "MAX_DENSE_BYTES", 16 * 4 * 4)
+    assert lift(ohya_tensor(2), [0.5, 0.5]).dims == (2, 2)
+    with pytest.raises(SchemaError, match="limit"):
+        lift(product_tensor([0.5, 0.25, 0.25], 2), [0.5, 0.5])
 
 
 def test_nondemolition_predicate():

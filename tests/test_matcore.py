@@ -22,6 +22,9 @@ from liftlab.matcore import (
     trace_out,
     unit_matrix,
 )
+from liftlab.circulant import BellSpectrum, CirculantSpec
+from liftlab.clift import MarkovSpec
+from liftlab.qlift import cp_identity, qcp_from_channel
 from liftlab.sampling import density, rng
 
 
@@ -55,6 +58,22 @@ def test_matrix_is_read_only():
     op = FactoredOperator(np.eye(2))
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 2.0
+
+
+def test_array_holding_objects_compare_and_hash_by_identity():
+    builds = [
+        lambda: FactoredOperator(np.eye(2)),
+        lambda: cp_identity(2),
+        lambda: qcp_from_channel(cp_identity(2)),
+        lambda: CirculantSpec(np.stack([np.eye(2) / 4] * 2)),
+        lambda: BellSpectrum(np.full((2, 2), 0.25)),
+        lambda: MarkovSpec(np.eye(2), [0.5, 0.5]),
+    ]
+    for build in builds:
+        a, b = build(), build()
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2 and a in [b, a]
 
 
 def test_unit_matrix():

@@ -1,4 +1,6 @@
 """Tests for quantum conditional probability operators and quantum liftings."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,17 @@ def test_channel_from_compound_checks_marginal():
     bad = FactoredOperator(np.diag([0.5, -0.1, 0.3, 0.3]).astype(complex), (2, 2))
     with pytest.raises(NotCompatibleError):
         channel_from_compound(bad, np.eye(2) / 2)
+
+
+def test_channel_from_compound_refuses_malformed_marginal():
+    theta = nonlinear_lift(qcp_from_channel(cp_identity(2)), np.eye(2) / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DimensionMismatchError, match="must be finite"):
+                channel_from_compound(theta, [[bad, 0], [0, 0.5]])
+        with pytest.raises(NotHermitianError):
+            channel_from_compound(theta, [[0.5, 0.3], [0.0, 0.5]])
 
 
 def test_robertson_map_basics():

@@ -1,9 +1,8 @@
 """The per-call validation helpers against the numpy calls they stand for.
 
 matcore._kron is np.kron for two matrices, matcore._abs_close is
-np.allclose(rtol=0) for finite arrays, jsonio._distinct is np.unique with
-return_inverse, and CpMap's Hermiticity test is np.isclose's formula
-written out. These tests hold them to those calls bit
+np.allclose(rtol=0) for finite arrays, and CpMap's Hermiticity test is
+np.isclose's formula written out. These tests hold them to those calls bit
 for bit and verdict for verdict, pin the error type and message of every
 check whose code changed, and cover FactoredOperator's integer dims and the
 finiteness scan that N-party chains skip only when every link is bounded.
@@ -106,18 +105,6 @@ def test_abs_close_gives_np_allclose_verdicts_on_finite_arrays(shape, atol, seed
     z = b + 1j * g.standard_normal(shape)
     w = z + atol * np.exp(2j * np.pi * g.random(shape))
     assert _abs_close(w, z, atol) == bool(np.allclose(w, z, rtol=0, atol=atol))
-
-
-@SETTINGS
-@given(n=st.integers(1, 300), pool=st.integers(1, 40), step=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
-def test_distinct_is_np_unique_with_inverse(n, pool, step, seed):
-    g = rng(seed)
-    values = g.choice(np.concatenate([SPECIAL, g.standard_normal(pool)]), size=2 * n)
-    col = values.view(np.int64)[::step][:n]  # strided like a column of the pair array
-    got_values, got_index = jsonio._distinct(col)
-    want_values, want_index = np.unique(col, return_inverse=True)
-    np.testing.assert_array_equal(got_values, want_values)
-    np.testing.assert_array_equal(got_index, want_index.reshape(-1))
 
 
 def _head_cpmap_offender(u):
