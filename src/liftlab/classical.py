@@ -117,6 +117,8 @@ def kraus_from_channel(weights) -> list[np.ndarray]:
 
 def apply_kraus(ops, rho) -> np.ndarray:
     """Evaluate sum_k K rho K^dagger."""
+    if len(ops) == 0:
+        raise DimensionMismatchError("need at least one Kraus operator")
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros((ops[0].shape[0], ops[0].shape[0]), dtype=complex)
     for k in ops:
@@ -153,12 +155,9 @@ def channel_from_dilation(perm, sigma) -> np.ndarray:
 
 
 def max_correlated_state(perm) -> FactoredOperator:
-    """Two-party diagonal state (1/n) sum_i e_ii x e_{pi(i) pi(i)}."""
-    s = as_permutation(perm)
-    n = s.size
-    w = np.zeros(n * n)
-    w[np.arange(n) * n + s] = 1.0 / n
-    return diagonal_operator(w, (n, n))
+    """Two-party diagonal state (1/n) sum_i e_ii x e_{pi(i) pi(i)}: the
+    channel state (:func:`classical_choi`) of the permutation channel."""
+    return classical_choi(permutation_channel(perm))
 
 
 def classical_choi(weights) -> FactoredOperator:

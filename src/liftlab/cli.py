@@ -115,14 +115,9 @@ def cmd_lift_nonlinear(args) -> tuple[dict, int]:
 
 
 def cmd_lift_circulant(args) -> tuple[dict, int]:
-    raw = jsonio.load_argument(args.profiles)
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError("profiles must be a non-empty JSON list of matrices")
-    profiles = [jsonio.json_to_matrix(b) for b in raw]
-    if len({m.shape for m in profiles}) > 1:
-        raise SchemaError("profiles must all have one shape")
+    profiles = _load(jsonio.json_to_profiles, args.profiles)
     rho = _load(jsonio.json_to_matrix, args.rho)
-    return {"state": jsonio.factored_to_json(circulant_lift(np.stack(profiles), rho))}, 0
+    return {"state": jsonio.factored_to_json(circulant_lift(profiles, rho))}, 0
 
 
 def cmd_lift_bell(args) -> tuple[dict, int]:

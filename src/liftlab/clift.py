@@ -16,6 +16,7 @@ import numpy as np
 from .classical import as_probability_vector
 from .errors import (
     DimensionMismatchError,
+    IndexOutOfRangeError,
     MapNotPositiveError,
     NegativeEntryError,
     NotNormalizedError,
@@ -49,10 +50,16 @@ def as_lifting_tensor(t) -> np.ndarray:
 
 
 def pure_tensor(images, n2: int | None = None) -> np.ndarray:
-    """Deterministic lifting E[i, j, k] = delta(k, i) delta(j, images[i])."""
-    s = np.asarray(images, dtype=int)
+    """Deterministic lifting E[i, j, k] = delta(k, i) delta(j, images[i])
+    for integer images in 0..n2-1 (n2 defaults to the largest plus one)."""
+    s = np.asarray(images)
+    if s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iu":
+        raise DimensionMismatchError(f"images must be a non-empty 1-d array of integers, got {s.dtype} {s.shape}")
     n1 = s.size
     n2 = int(n2) if n2 is not None else int(s.max()) + 1
+    bad = s[(s < 0) | (s >= n2)]
+    if bad.size:
+        raise IndexOutOfRangeError(f"image {bad[0]} outside range 0..{n2 - 1}")
     i = np.arange(n1)
     e = np.zeros((n1, n2, n1))
     e[i, s, i] = 1.0

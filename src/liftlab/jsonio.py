@@ -227,6 +227,12 @@ def _square_matrices(items: list, d: int, what: str) -> np.ndarray:
     return np.array(mats, dtype=complex)
 
 
+def json_to_profiles(obj) -> np.ndarray:
+    """Decode a non-empty list of d matrices, each d x d, stacked."""
+    _require(isinstance(obj, list) and len(obj) > 0, "profiles must be a non-empty JSON list of matrices")
+    return _square_matrices(obj, len(obj), "profile")
+
+
 def cpmap_to_json(cp: CpMap) -> dict:
     """Encode as {"d", "units"} with the d^2 unit images in (i, j)
     lexicographic order."""

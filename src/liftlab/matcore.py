@@ -349,7 +349,7 @@ def herm_sqrt(m) -> np.ndarray:
     """
     h = _check_hermitian(_as_matrix(m))
     w, v = _eig(np.linalg.eigh, h)
-    if w[0] < -TOL * _spectral_scale(w):
+    if w.size and w[0] < -TOL * _spectral_scale(w):  # eigh sorts ascending; a 0 x 0 matrix passes
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e}, below PSD tolerance")
     w = np.maximum(w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T

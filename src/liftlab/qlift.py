@@ -86,12 +86,6 @@ class CpMap:
         total = self.units[np.arange(self.d), np.arange(self.d)].sum(axis=0)
         return _abs_close(total, np.eye(self.d), STRUCT_TOL)
 
-    @property
-    def transfer(self) -> np.ndarray:
-        """d^2 x d^2 matrix acting on row-major vectorized inputs."""
-        d = self.d
-        return self.units.transpose(2, 3, 0, 1).reshape(d * d, d * d)
-
     def apply(self, x) -> np.ndarray:
         """Evaluate Lambda(x) by linearity over matrix units."""
         xm = np.asarray(x, dtype=complex)
@@ -225,53 +219,65 @@ def _link_kernel(l: np.ndarray, d: int) -> np.ndarray:
     return k.transpose(0, 1, 3, 2).reshape(d * d, d * d, d * d)
 
 
-def _chain(pis, root=None) -> FactoredOperator:
-    """Composite chained from pis, on a new array; with ``root`` it is
-    sandwiched by (I x root) on slot 1.
+def _chain(pis, rho=None) -> FactoredOperator:
+    """Composite chained from pis, on a new array; with the state ``rho`` it
+    is sandwiched by (I x sqrt(rho)) on slot 1.
+
+    Each input is read once: each distinct link object (keyed by id) is
+    decoded, bound-tested and, unless it is only pis[-1], rooted; rho is
+    checked as a state, then for its side, then rooted. Errors come in the
+    order decoding, dense size, state, side.
 
     A stage extends the composite cur, indexed ((a, x), (a', y)) with x and y
     on its rightmost slot, to ((a, b, c), (a', b', c')) with L = sqrt(pi) on
     the two rightmost slots. That is one batched product, d^2 multiply-adds
     per output entry: cur goes to (a, a', (x, y)) order and meets the stage
     kernel once for each (b, c), and the product comes out in the new
-    matrix's own order. root is folded into the last stage as
-    L = (I_d x root) sqrt(pi).
+    matrix's own order. sqrt(rho) is folded into the last stage as
+    L = (I_d x sqrt(rho)) sqrt(pi).
 
     The output is scanned for finiteness unless every link's entries are at
     most d in modulus, as a validated conditional operator's are (they are
-    at most 1). Every link but the innermost is then PSD (herm_sqrt checks
-    it) with spectral norm at most d^3, root (the root of a checked state)
-    has norm at most 1, and a stage multiplies the composite's norm by at
-    most d^3: on the at most 2^13-sided output (check_dense_size) no entry
-    or partial sum can come near overflow. A link with a larger, infinite
-    or NaN entry leaves the scan on.
+    at most 1). Every link but pis[-1] is then PSD (herm_sqrt checks it)
+    with spectral norm at most d^3, sqrt(rho) has norm at most 1, and a
+    stage multiplies the composite's norm by at most d^3: on the at most
+    2^13-sided output (check_dense_size) no entry or partial sum can come
+    near overflow. A link with a larger, infinite or NaN entry leaves the
+    scan on, and the scan, not a numpy warning, reports an overflow in the
+    stages.
     """
     pis = list(pis)
-    mats = [_qcp_matrix(p) for p in pis]
-    if not mats:
+    if not pis:
         raise DimensionMismatchError("need at least one conditional operator")
-    d = mats[0][1]
-    if any(dk != d for _, dk in mats):
+    mats = {key: _qcp_matrix(p) for key, p in {id(p): p for p in pis}.items()}
+    d = mats[id(pis[0])][1]
+    if any(dk != d for _, dk in mats.values()):
         raise DimensionMismatchError("conditional operators must share one factor size")
-    dims = (d,) * (len(mats) + 1)
+    dims = (d,) * (len(pis) + 1)
     check_dense_size(dims)
-    bounded = all(np.abs(m).max(initial=0.0) <= d for m, _ in mats)
-    cur = mats[-1][0]  # a caller's array when pis has one element
-    if len(mats) == 1:
-        cur = cur.copy() if root is None else sandwich_right(cur, root)
+    if rho is not None:
+        state = check_state(rho).matrix
+        if state.shape[0] != d:
+            raise DimensionMismatchError(f"state side {state.shape[0]} != conditional side {d}")
+        root = herm_sqrt(state)
+    bounded = all(np.abs(m).max(initial=0.0) <= d for m, _ in mats.values())
+    cur = mats[id(pis[-1])][0]  # a caller's array when pis has one element
+    if len(pis) == 1:
+        cur = cur.copy() if rho is None else sandwich_right(cur, root)
         return FactoredOperator(_Fresh(cur, bounded), dims)
     roots: dict[int, np.ndarray] = {}
-    for p, (m, _) in zip(pis[-2::-1], mats[-2::-1]):
+    for p in pis[-2::-1]:
         if id(p) not in roots:
-            roots[id(p)] = herm_sqrt(m)
-    kernels = {key: _link_kernel(r, d) for key, r in roots.items()}
-    stages = [kernels[id(p)] for p in pis[-2::-1]]
-    if root is not None:
-        stages[-1] = _link_kernel(_kron(np.eye(d), root) @ roots[id(pis[0])], d)
-    for k in stages:
-        a = cur.shape[0] // d
-        pairs = cur.reshape(a, d, a, d).transpose(0, 2, 1, 3).reshape(a, 1, a, d * d)
-        cur = np.matmul(pairs, k).reshape(a * d * d, a * d * d)
+            roots[id(p)] = herm_sqrt(mats[id(p)][0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernels = {key: _link_kernel(r, d) for key, r in roots.items()}
+        stages = [kernels[id(p)] for p in pis[-2::-1]]
+        if rho is not None:
+            stages[-1] = _link_kernel(_kron(np.eye(d), root) @ roots[id(pis[0])], d)
+        for k in stages:
+            a = cur.shape[0] // d
+            pairs = cur.reshape(a, d, a, d).transpose(0, 2, 1, 3).reshape(a, 1, a, d * d)
+            cur = np.matmul(pairs, k).reshape(a * d * d, a * d * d)
     return FactoredOperator(_Fresh(cur, bounded), dims)
 
 
@@ -305,12 +311,7 @@ def n_nonlinear_lift(pi, rho, parties: int) -> FactoredOperator:
     """
     if parties < 2:
         raise DimensionMismatchError(f"parties must be at least 2, got {parties}")
-    m, d = _qcp_matrix(pi)
-    check_dense_size((d,) * parties)
-    state = check_state(rho)
-    if state.matrix.shape[0] != d:
-        raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != conditional side {d}")
-    return _chain([pi] * (parties - 1), herm_sqrt(state.matrix))
+    return _chain([pi] * (parties - 1), rho)
 
 
 def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -95,13 +95,7 @@ class Check:
     anchor: str
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "anchor": self.anchor,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -116,13 +110,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "timestamp": self.timestamp,
-            "passed": self.passed,
-            "checks": [c.to_json() for c in self.checks],
-        }
+        return {**asdict(self), "passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
 def _timestamp() -> str:

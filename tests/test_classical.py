@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from liftlab.errors import (
+    DimensionMismatchError,
     NegativeEntryError,
     NotNormalizedError,
     NotUnitalError,
@@ -70,6 +71,8 @@ def test_kraus_matches_matrix_action():
         via_kraus = apply_kraus(kraus, np.diag(p))
         np.testing.assert_allclose(np.diag(via_kraus), direct, atol=1e-12)
         np.testing.assert_allclose(via_kraus, np.diag(direct), atol=1e-12)
+    with pytest.raises(DimensionMismatchError, match="at least one Kraus operator"):
+        apply_kraus([], np.eye(2) / 2)
 
 
 def test_contraction_duality_and_preservation():

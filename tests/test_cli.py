@@ -451,8 +451,15 @@ def test_every_subcommand_offers_out(capsys):
 
 
 def test_profiles_of_mixed_sides_exit_two(capsys):
-    argv = ["lift", "circulant", "--profiles", "[[[1]],[[1,0],[0,0]]]", "--rho", "[[0.6,0],[0,0.4]]"]
-    _assert_error_exit(capsys, argv, 2)
+    rho = "[[0.6,0],[0,0.4]]"
+    for profiles, message in (
+        ("[]", "profiles must be a non-empty JSON list of matrices"),
+        ("[[[1]],[[1,0],[0,0]]]", "profile 0 has shape (1, 1), expected (2, 2)"),
+        ("[[[0.5,0.5],[0.5,0.5]],[[1,0,0],[0,0,0]]]", "profile 1 has shape (2, 3), expected (2, 2)"),
+        ("[[[1,0],[0,0]]]", "profile 0 has shape (2, 2), expected (1, 1)"),
+    ):
+        assert cli.main(["lift", "circulant", "--profiles", profiles, "--rho", rho]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_empty_lifting_tensor_exits_two(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from liftlab.errors import (
     DimensionMismatchError,
+    IndexOutOfRangeError,
     MapNotPositiveError,
     NegativeEntryError,
     NotNormalizedError,
@@ -77,6 +78,16 @@ def test_lift_with_pure_tensor():
     got = np.diag(op.matrix).real.reshape(2, 2)
     assert got[1, 0] == pytest.approx(0.6)
     assert got[0, 1] == pytest.approx(0.4)
+
+
+def test_pure_tensor_checks_its_images():
+    np.testing.assert_array_equal(pure_tensor(np.array([1, 0], dtype=np.uint8)), pure_tensor([1, 0], 2))
+    for images in ([], [[0, 1]], [0.7, 1.2], [True, False], ["0"]):
+        with pytest.raises(DimensionMismatchError, match="non-empty 1-d array of integers"):
+            pure_tensor(images)
+    for images, n2 in (([-1, 0], None), ([0, 5], 2), ([0, 1], 1)):
+        with pytest.raises(IndexOutOfRangeError, match="outside range"):
+            pure_tensor(images, n2)
 
 
 def test_lift_refuses_oversized_output(monkeypatch):

@@ -164,6 +164,8 @@ def test_is_psd_and_herm_sqrt():
         is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotPSDError):
         herm_sqrt(np.diag([1.0, -1.0]))
+    assert is_psd(np.zeros((0, 0)))[0]
+    assert herm_sqrt(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_is_psd_flags_negative_eigenvalue():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from liftlab import matcore
+from liftlab import matcore, qlift
 from liftlab.errors import (
     DimensionMismatchError,
     NotCompatibleError,
@@ -412,3 +412,36 @@ def test_cpmap_rejects_non_finite_units():
         units[0, 0, 0, 0] = bad
         with pytest.raises(DimensionMismatchError, match="units entries must be finite"):
             CpMap(units)
+
+
+def test_n_party_lift_reads_each_input_once(monkeypatch):
+    g = rng(71)
+    pi, rho = qcp_from_channel(unital_cpmap(g, 2)), density(g, 2)
+    want = n_nonlinear_lift(pi, rho, 6)
+    calls = []
+    for name in ("_qcp_matrix", "check_dense_size", "check_state"):
+        def spy(x, real=getattr(qlift, name), name=name):
+            calls.append((name, x))
+            return real(x)
+
+        monkeypatch.setattr(qlift, name, spy)
+    got = n_nonlinear_lift(pi, rho, 6)
+    assert [name for name, _ in calls] == ["_qcp_matrix", "check_dense_size", "check_state"]
+    assert calls[0][1] is pi and calls[2][1] is rho
+    np.testing.assert_array_equal(got.matrix, want.matrix)
+    # Two link objects in a chain are each decoded once, in list order.
+    raw = np.array(pi.matrix)
+    calls.clear()
+    n_compose_qcp([pi, raw, pi, raw])
+    assert [id(x) for name, x in calls if name == "_qcp_matrix"] == [id(pi), id(raw)]
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300, 1e307])
+def test_overflowing_links_fail_the_scan_without_a_numpy_warning(scale):
+    big = scale * np.eye(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError, match="matrix entries must be finite"):
+            n_compose_qcp([big] * 2)
+        with pytest.raises(DimensionMismatchError, match="matrix entries must be finite"):
+            n_nonlinear_lift(big, np.eye(2) / 2, 3)
