@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
     TraceNotOneError,
 )
-from .matcore import PROB_TOL, STRUCT_TOL, TOL, FactoredOperator, _Fresh, _kron, _psd_stack, check_state
+from .matcore import PROB_TOL, STRUCT_TOL, TOL, FactoredOperator, _first_non_psd, _Fresh, _kron, _psd_stack, check_state
 
 
 def circulant_subspaces(d: int) -> list[list[tuple[int, int]]]:
@@ -60,10 +60,9 @@ class CirculantSpec:
 
     def __post_init__(self):
         b = _as_blocks(self.blocks).copy()
-        ok, lows = _psd_stack(b)
-        if not ok.all():
-            alpha = int(np.argmin(ok))
-            raise BlockNotPSDError(f"block {alpha} has eigenvalue {lows[alpha]:.3e}")
+        bad = _first_non_psd(b)
+        if bad:
+            raise BlockNotPSDError(f"block {bad[0]} has eigenvalue {bad[1]:.3e}")
         _check_trace_sum(b)
         b.setflags(write=False)
         object.__setattr__(self, "blocks", b)
@@ -137,20 +136,20 @@ def _state_diagonal(rho, d: int, what: str) -> np.ndarray:
 
 def _lift_profiles(profiles: np.ndarray, diagonal: np.ndarray) -> FactoredOperator:
     """Circulant state with block diagonal[alpha] * profiles[alpha], after
-    checking that each profile is PSD with unit trace.
+    checking that each profile is PSD with unit trace. A (1, d, d) stack
+    is one profile for every subspace, checked once.
 
     Block alpha's eigenvalues are diagonal[alpha] >= -TOL times those of
     profiles[alpha], so the profile check stands in for a block check; only
     the blocks' trace sum is checked again.
     """
-    ok, lows = _psd_stack(profiles)
+    bad = _first_non_psd(profiles)
     traces = profiles.trace(axis1=1, axis2=2).real
-    bad = ~ok | (np.abs(traces - 1.0) > TOL)
-    if bad.any():
-        alpha = int(np.argmax(bad))
-        if not ok[alpha]:
-            raise BlockNotPSDError(f"profile {alpha} has eigenvalue {lows[alpha]:.3e}")
-        raise TraceNotOneError(f"profile {alpha} has trace {float(traces[alpha])!r}, expected 1")
+    off = np.flatnonzero(np.abs(traces - 1.0) > TOL)
+    if bad and not (off.size and off[0] < bad[0]):  # the first profile with either fault
+        raise BlockNotPSDError(f"profile {bad[0]} has eigenvalue {bad[1]:.3e}")
+    if off.size:
+        raise TraceNotOneError(f"profile {off[0]} has trace {float(traces[off[0]])!r}, expected 1")
     blocks = diagonal[:, None, None] * profiles
     _check_trace_sum(blocks)
     return _assemble(blocks, np.add)
@@ -261,6 +260,6 @@ def bell_diagonal_lift(p, rho) -> tuple[FactoredOperator, BellSpectrum]:
     # A sum over axis 0 adds in the order, and so with the rounding, of a loop over m.
     outers = phases[:, :, None] * phases[:, None, :].conj()
     profile = (weights[:, None, None] * outers).sum(axis=0) / d
-    lifted = _lift_profiles(np.broadcast_to(profile, (d, d, d)), diagonal)
+    lifted = _lift_profiles(profile[None], diagonal)
     spectrum = BellSpectrum(np.outer(weights, diagonal))
     return lifted, spectrum

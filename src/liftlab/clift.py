@@ -26,8 +26,8 @@ from .matcore import (
     PROB_TOL,
     FactoredOperator,
     _abs_close,
+    _first_non_psd,
     _Fresh,
-    _psd_stack,
     check_dense_size,
     diagonal_operator,
 )
@@ -281,10 +281,9 @@ def separable_n_state(p, maps) -> FactoredOperator:
             raise DimensionMismatchError(
                 f"map {mi} images must have shape ({v.size}, d, d), got {m.shape}"
             )
-        ok, lows = _psd_stack(m)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise MapNotPositiveError(f"map {mi} sends unit {i} to eigenvalue {lows[i]:.3e}")
+        bad = _first_non_psd(m)
+        if bad:
+            raise MapNotPositiveError(f"map {mi} sends unit {bad[0]} to eigenvalue {bad[1]:.3e}")
     # terms[i] = phi_1(e_ii) x ... x phi_k(e_ii), one Kronecker factor per step.
     terms = images[0]
     for m in images[1:]:

@@ -28,6 +28,15 @@ a tolerance argument, defaulting to the same value.
                      sums of these (scaled by the entry count, except in
                      is_unital and is_stochastic)
 
+The lowest-eigenvalue test is is_psd's. The constructors' gates
+(check_state, qcp_from_channel, channel_from_compound, CirculantSpec, the
+circulant and Bell profiles, separable_n_state's images) read the
+eigenvalue only to word a failure, so they first certify positivity by one
+Cholesky factorization of the Hermitian part plus (TOL / 2) I
+(_first_non_psd), and run the eigensolve on the same Hermitian part only
+when that fails, for the verdict and the message. is_psd, herm_sqrt and
+everything verify measures keep the eigensolve.
+
 Sums (lifting tensors, joint channels, Markov conditionals,
 is_unital/is_stochastic, is_nondemolition, CpMap unitality, the
 compound-state marginal) are compared by _abs_close, |a - b| <= atol entry
@@ -87,6 +96,8 @@ MAX_DENSE_BYTES = 1 << 30
 # 1.5 against 2.5 ms, 2048 (64 MiB) 13.4 against 6.0 ms, 4096 (256 MiB) 51.8
 # against 13.5 ms.
 MMAP_DIAGONAL_SIDE = 2048
+# Above this modulus a sum of two entries can overflow (_check_hermitian).
+_HALF_MAX = np.finfo(float).max / 2
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -298,9 +309,15 @@ def _spectral_scale(w: np.ndarray) -> np.ndarray:
 
 def _check_hermitian(m: np.ndarray, tol: float = TOL) -> np.ndarray:
     """Hermitian part of each matrix of a (..., n, n) stack; raises for the
-    first that is not, or DimensionMismatchError if any entry is not finite."""
+    first that is not, or DimensionMismatchError if any entry is not finite.
+
+    The part is 0.5 * (m + m^dagger), rounded once. Where an entry is above
+    half the float maximum that sum would overflow, so the halves are added
+    instead: exact for such entries, but it rounds subnormal ones twice.
+    """
     scale = np.maximum.reduce(np.abs(m), axis=(-2, -1), initial=1.0)  # NaN or inf where an entry is
-    if not np.isfinite(scale).all():
+    halve_first = not (scale <= _HALF_MAX).all()  # also where a scale is NaN or inf
+    if halve_first and not np.isfinite(scale).all():
         raise DimensionMismatchError("matrix entries must be finite")
     mh = m.swapaxes(-1, -2).conj()
     dev = np.maximum.reduce(np.abs(m - mh), axis=(-2, -1), initial=0.0)
@@ -309,7 +326,7 @@ def _check_hermitian(m: np.ndarray, tol: float = TOL) -> np.ndarray:
         k = int(np.argmax(bad))
         dev, scale = dev.flat[k], scale.flat[k]
         raise NotHermitianError(f"deviation from Hermiticity {dev:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    return 0.5 * (m + mh)
+    return 0.5 * m + 0.5 * mh if halve_first else 0.5 * (m + mh)
 
 
 def _eig(solve, h: np.ndarray):
@@ -321,12 +338,51 @@ def _eig(solve, h: np.ndarray):
         raise EigensolverError(f"Hermitian eigensolver failed: {exc}") from None
 
 
-def _psd_stack(ms: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`is_psd` of every matrix in a (..., n, n) stack by one stacked
-    eigensolve: (ok, min_eigenvalue) arrays of the stack's shape."""
-    w = _eig(np.linalg.eigvalsh, _check_hermitian(ms, tol))
+def _psd_verdicts(h: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`is_psd` of every matrix in a Hermitian (..., n, n) stack by one
+    stacked eigensolve: (ok, min_eigenvalue) arrays of the stack's shape."""
+    w = _eig(np.linalg.eigvalsh, h)
     lows = np.minimum.reduce(w, axis=-1, initial=np.inf)  # a 0 x 0 matrix passes
     return lows >= -tol * _spectral_scale(w), lows
+
+
+def _psd_stack(ms: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_psd_verdicts` of the Hermitian part of each matrix in ms."""
+    return _psd_verdicts(_check_hermitian(ms, tol), tol)
+
+
+def _cholesky_certifies(h: np.ndarray, tol: float = TOL) -> bool:
+    """True when one Cholesky factorization of h + (tol / 2) I, for the
+    finite Hermitian (..., n, n) stack h, succeeds with a finite factor.
+
+    Then every lowest eigenvalue is above -tol / 2 up to rounding far below
+    that, so every matrix passes :func:`is_psd`. False says only that the
+    factorization failed. An empty stack or a 0 x 0 matrix passes.
+    """
+    n = h.shape[-1]
+    a = h.copy()
+    a.reshape(*a.shape[:-2], n * n)[..., :: n + 1] += tol / 2  # the diagonal, as a strided view
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(a)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _first_non_psd(ms: np.ndarray, tol: float = TOL) -> tuple[int, float] | None:
+    """Flat index of the first matrix of a (..., n, n) stack that
+    :func:`is_psd` refuses, with its lowest eigenvalue; None when every
+    matrix passes. For gates that read the eigenvalue only to word a
+    failure: when :func:`_cholesky_certifies` the Hermitian part no
+    eigensolve runs, and otherwise :func:`_psd_verdicts` of that same
+    Hermitian part decides."""
+    h = _check_hermitian(ms, tol)
+    if _cholesky_certifies(h, tol):
+        return None
+    ok, lows = _psd_verdicts(h, tol)
+    if ok.all():
+        return None
+    k = int(np.argmin(ok))
+    return k, np.ravel(lows)[k]
 
 
 def is_psd(m, tol: float = TOL) -> tuple[bool, float]:
@@ -362,12 +418,13 @@ def check_state(op) -> FactoredOperator:
     """
     fo = op if isinstance(op, FactoredOperator) else FactoredOperator(op)
     try:
-        ok, lo = is_psd(fo.matrix)
+        bad = _first_non_psd(fo.matrix)
     except NotHermitianError as exc:
         raise NotAStateError(f"state is not Hermitian: {exc}") from exc
-    if not ok:
-        raise NotAStateError(f"state has negative eigenvalue {lo:.3e}")
-    tr = fo.trace()
+    if bad:
+        raise NotAStateError(f"state has negative eigenvalue {bad[1]:.3e}")
+    with np.errstate(over="ignore"):  # a trace past the float range is inf, and fails below
+        tr = fo.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotAStateError(f"state trace {tr} differs from 1")
     return fo

@@ -38,12 +38,12 @@ from .matcore import (
     _as_matrix,
     _check_hermitian,
     _eig,
+    _first_non_psd,
     _Fresh,
     _kron,
     check_dense_size,
     check_state,
     herm_sqrt,
-    is_psd,
     partial_trace,
     sandwich_right,
 )
@@ -159,9 +159,9 @@ def qcp_from_channel(cp: CpMap) -> QcpOperator:
     if not cp.unital:
         raise NotUnitalError("sum of diagonal-unit images differs from the identity")
     pi = cp.units.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    ok, lo = is_psd(pi)
-    if not ok:
-        raise NotCPError(f"conditional operator has eigenvalue {lo:.3e}; map is not CP")
+    bad = _first_non_psd(pi)
+    if bad:
+        raise NotCPError(f"conditional operator has eigenvalue {bad[1]:.3e}; map is not CP")
     return QcpOperator(FactoredOperator(_Fresh(pi), (d, d)), cp)
 
 
@@ -173,7 +173,7 @@ def _qcp_matrix(pi) -> tuple[np.ndarray, int]:
             raise DimensionMismatchError(f"conditional operator needs dims (d, d), got {pi.dims}")
         return pi.matrix, pi.dims[0]
     m = np.asarray(pi, dtype=complex)
-    d = int(round(m.shape[0] ** 0.5))
+    d = int(round(m.shape[0] ** 0.5)) if m.ndim == 2 else 0
     if m.ndim != 2 or m.shape[0] != m.shape[1] or d * d != m.shape[0]:
         raise DimensionMismatchError(f"conditional operator must be d^2 x d^2, got shape {m.shape}")
     return m, d
@@ -331,9 +331,9 @@ def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
     w, v = _eig(np.linalg.eigh, _check_hermitian(rm))
     if w[0] <= TOL:
         raise NotFaithfulError(f"marginal has eigenvalue {w[0]:.3e}; need strict positivity")
-    ok, lo = is_psd(theta.matrix)
-    if not ok:
-        raise NotCompatibleError(f"compound state has eigenvalue {lo:.3e}; blocks admit no CP map")
+    bad = _first_non_psd(theta.matrix)
+    if bad:
+        raise NotCompatibleError(f"compound state has eigenvalue {bad[1]:.3e}; blocks admit no CP map")
     marg = partial_trace(theta, keep={1}).matrix
     if not _abs_close(marg, rm, TOL):
         raise NotCompatibleError("first-slot partial trace of the compound state differs from the marginal")

@@ -389,8 +389,14 @@ def test_eigensolver_failure_exits_three(capsys, monkeypatch):
     ohya = ["lift", "ohya", "--rho", "[[0.6,0],[0,0.4]]", "--parties", "2"]
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)  # ohya_lift's spectral decomposition
     _assert_error_exit(capsys, ohya, 3)
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)  # check_state's PSD test
-    _assert_error_exit(capsys, ohya, 3)
+    monkeypatch.undo()
+    # check_state's PSD test: a lowest eigenvalue of -6e-10 is within the
+    # tolerance but below the Cholesky certificate's -5e-10, so it is solved for.
+    near = ["lift", "ohya", "--rho", "[[1.0000000006,0],[0,-6e-10]]", "--parties", "2"]
+    assert cli.main(near) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    _assert_error_exit(capsys, near, 3)
 
 
 def test_malformed_argument_is_reported_before_a_math_fault(capsys):

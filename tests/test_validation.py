@@ -6,12 +6,20 @@ np.isclose's formula written out. These tests hold them to those calls bit
 for bit and verdict for verdict, pin the error type and message of every
 check whose code changed, and cover FactoredOperator's integer dims and the
 finiteness scan that N-party chains skip only when every link is bounded.
+The constructors' positivity gates are held to the eigensolve they skip
+when a Cholesky factorization certifies their input.
 """
+import os
+import subprocess
+import sys
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftlab import jsonio
+from liftlab import jsonio, matcore
 from liftlab.circulant import (
     BellSpectrum,
     CirculantSpec,
@@ -22,13 +30,18 @@ from liftlab.circulant import (
     maximally_entangled,
 )
 from liftlab.classical import as_channel, as_probability_vector, is_stochastic, is_unital
-from liftlab.clift import MarkovSpec, as_lifting_tensor, gamma_lifting, is_nondemolition
-from liftlab.errors import DimensionMismatchError, NotHermitianError, SchemaError
+from liftlab.clift import MarkovSpec, as_lifting_tensor, gamma_lifting, is_nondemolition, separable_n_state
+from liftlab.errors import DimensionMismatchError, LiftlabError, NotAStateError, NotHermitianError, SchemaError
 from liftlab.matcore import (
     STRUCT_TOL,
+    TOL,
     FactoredOperator,
     _abs_close,
+    _check_hermitian,
+    _cholesky_certifies,
+    _first_non_psd,
     _kron,
+    _psd_stack,
     check_state,
     diagonal_operator,
     herm_sqrt,
@@ -290,3 +303,179 @@ def test_links_near_overflow_still_fail_the_scan():
     for links in ([big, big], [FactoredOperator(big, (2, 2))] * 3, [hand_built] * 2):
         with np.errstate(all="ignore"), pytest.raises(DimensionMismatchError, match="matrix entries must be finite"):
             n_compose_qcp(links)
+
+
+def test_overflowing_hermitian_parts_end_in_one_typed_error():
+    # Entries above half the float maximum: the Hermitian part halves first,
+    # and a state's trace past the float range fails as inf, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAStateError, match=r"state trace \(inf\+0j\) differs from 1"):
+            check_state(1.7e308 * np.eye(2))
+        with pytest.raises(DimensionMismatchError, match="matrix entries must be finite"):
+            n_compose_qcp([1.7e308 * np.eye(4)] * 2)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "liftlab.cli", "lift", "ohya", "--rho", "[[1.7e308,0],[0,1.7e308]]"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == "error: state trace (inf+0j) differs from 1\n"
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 4),
+    values=st.sampled_from([SPECIAL, np.array([1.2e308, -1.2e308, 0.0, -0.0, 1.0])]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hermitian_part_of_a_hermitian_matrix_is_itself(n, values, seed):
+    # Summing first overflows above half the float maximum; halving first
+    # rounds subnormal entries. Neither may show in the Hermitian part.
+    g = rng(seed)
+
+    def part():
+        return np.where(g.random((n, n)) < 0.5, g.choice(values, (n, n)), g.standard_normal((n, n)))
+
+    upper = np.triu(part() + 1j * part(), 1)
+    m = upper + upper.conj().T + np.diag(part().diagonal())
+    np.testing.assert_array_equal(_bits(_check_hermitian(m)), _bits(m))
+
+
+def test_zero_dimensional_links_are_refused():
+    for call in (lambda: n_compose_qcp([5.0]), lambda: nonlinear_lift(5.0, np.eye(1))):
+        with pytest.raises(DimensionMismatchError, match=r"conditional operator must be d\^2 x d\^2, got shape \(\)"):
+            call()
+
+
+# Lowest eigenvalues around the two thresholds: the Cholesky certificate
+# passes above -TOL / 2, is_psd above -TOL * scale (scale 1 or 1e3 below).
+LOWS = [0.0, 1e-3, -1e-3, -0.4 * TOL, -0.6 * TOL, -1.01 * TOL, -0.99e-6, -1.01e-6]
+
+
+def _spectra(g, k, n, low, zeros, scale, total):
+    """(k, n) spectra with rows summing to total: a random nonempty set of
+    rows has the eigenvalue low, each row has up to ``zeros`` zero
+    eigenvalues but keeps a positive one, and with scale > 1 the largest
+    eigenvalue of every row is scale."""
+    w = g.random((k, n)) + 0.1
+    w[:, 1 : 1 + min(zeros, n - 2)] = 0.0
+    if k and n:
+        w *= total / w.sum(axis=1, keepdims=True)
+        rows = g.random(k) < 0.5
+        rows[g.integers(k)] = True
+        w[rows, 0] = low
+    if n > 1:
+        w[:, 1:] *= (total - w[:, :1]) / w[:, 1:].sum(axis=1, keepdims=True)
+        if scale > 1:
+            w[:, -1] = scale
+    return w
+
+
+def _unitaries(g, k, n):
+    return np.linalg.qr(g.standard_normal((k, n, n)) + 1j * g.standard_normal((k, n, n)))[0]
+
+
+def _with_spectra(g, w):
+    """The (k, n, n) stack U diag(w[i]) U^dagger, with random unitaries U."""
+    u = _unitaries(g, *w.shape)
+    return (u * w[:, None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def _outcome(call):
+    """(shape, bytes) of every array a constructor returns, or its error type and text."""
+    try:
+        out = call()
+    except LiftlabError as exc:
+        return type(exc), str(exc)
+    arrays = [getattr(x, f) for x in (out if isinstance(out, tuple) else (out,))
+              for f in ("matrix", "units", "blocks", "p") if hasattr(x, f)]
+    return [(a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("low", LOWS)
+@settings(SETTINGS, max_examples=25)
+@given(
+    scale=st.sampled_from([1.0, 1e3]),
+    k=st.integers(0, 3),
+    d=st.integers(0, 4),
+    zeros=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_psd_certificate_gives_the_eigensolve_outcomes(low, scale, k, d, zeros, seed):
+    g = rng(seed)
+    stack = _with_spectra(g, _spectra(g, k, d, low, zeros, scale, 1.0))
+    ok, lows = _psd_stack(stack)
+    first = None if ok.all() else (int(np.argmin(ok)), lows.flat[int(np.argmin(ok))])
+    assert _first_non_psd(stack) == first
+    if _cholesky_certifies(_check_hermitian(stack)):
+        assert first is None
+
+    rho = np.eye(d) / max(d, 1)
+    state = _with_spectra(g, _spectra(g, 1, d, low, zeros, scale, 1.0))[0]
+    blocks = _with_spectra(g, _spectra(g, d, d, low, zeros, scale, 1.0 / max(d, 1)))
+    profiles = _with_spectra(g, _spectra(g, d, d, low, zeros, scale, 1.0))
+    images = _with_spectra(g, _spectra(g, k, d, low, zeros, scale, 1.0))
+    p = g.random(d)
+    p[: min(zeros, d - 1)] = 0.0
+    p /= p.sum() if d else 1.0
+    # pi = (U1 x V) diag(w) (U1 x V)^dagger with sum_i w[i, a] = 1: unital, with the spectrum w.
+    w = _spectra(g, d, d, low, zeros, scale, 1.0).T
+    u = _kron(*_unitaries(g, 2, d))
+    pi = (u * w.reshape(-1)) @ u.conj().T
+    units = pi.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    theta = _with_spectra(g, _spectra(g, 1, d * d, low, zeros, scale, 1.0))[0]
+
+    def compound():
+        t = FactoredOperator(theta, (d, d))
+        return channel_from_compound(t, partial_trace(t, {1}).matrix)
+
+    calls = [
+        lambda: check_state(state),
+        lambda: qcp_from_channel(CpMap(units)),
+        compound,
+        lambda: CirculantSpec(blocks),
+        lambda: circulant_lift(profiles, rho),
+        lambda: bell_diagonal_lift(p, rho),
+        lambda: separable_n_state(np.full(k, 1.0 / max(k, 1)), [images, images]),
+    ]
+    certified = [_outcome(call) for call in calls]
+    with mock.patch.object(matcore, "_cholesky_certifies", lambda h, tol=TOL: False):
+        solved = [_outcome(call) for call in calls]
+    assert certified == solved
+    if low >= 0 and scale == 1 and d >= 2:
+        assert all(isinstance(o, list) for o in certified[:6]), certified
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Record the shape of every stack np.linalg.eigvalsh is asked about."""
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+def test_gates_on_valid_input_run_no_eigensolve(eigensolves, monkeypatch):
+    g = rng(17)
+    cp = unital_cpmap(g, 4)
+    rho = density(g, 8)
+    profiles = np.array([density(g, 8) for _ in range(8)])
+    p = np.full(8, 1 / 8)
+    eigensolves.clear()
+    check_state(rho)
+    qcp_from_channel(cp)
+    circulant_lift(profiles, rho)
+    bell_diagonal_lift(p, rho)
+    assert eigensolves == []
+    # bell_diagonal_lift checks its one profile once, not d broadcast copies.
+    checked = []
+    real = matcore._cholesky_certifies
+    monkeypatch.setattr(matcore, "_cholesky_certifies", lambda h, tol=TOL: checked.append(h.shape) or real(h, tol))
+    bell_diagonal_lift(p, rho)
+    assert checked == [(8, 8), (1, 8, 8)]
