@@ -23,7 +23,18 @@ from .errors import (
     SchemaError,
     TraceNotOneError,
 )
-from .matcore import PROB_TOL, STRUCT_TOL, TOL, FactoredOperator, _first_non_psd, _Fresh, _kron, _psd_stack, check_state
+from .matcore import (
+    PROB_TOL,
+    STRUCT_TOL,
+    TOL,
+    FactoredOperator,
+    _first_non_psd,
+    _Fresh,
+    _kron,
+    _psd_stack,
+    _size,
+    check_state,
+)
 
 
 def circulant_subspaces(d: int) -> list[list[tuple[int, int]]]:
@@ -35,7 +46,7 @@ def circulant_subspaces(d: int) -> list[list[tuple[int, int]]]:
 
 def shift_matrix(d: int) -> np.ndarray:
     """Cyclic shift S e_k = e_{k+1 mod d}."""
-    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    return np.roll(np.eye(_size(d, "d"), dtype=complex), 1, axis=0)
 
 
 def _as_blocks(blocks) -> np.ndarray:
@@ -74,16 +85,16 @@ class CirculantSpec:
 
 def _assemble(blocks: np.ndarray, slot_map) -> FactoredOperator:
     """Place entry [alpha, i, j] at (pos[alpha, i], pos[alpha, j]) by one
-    scatter, with pos[alpha, i] = i * d + slot_map(i, alpha) mod d; the d^3
-    positions are distinct. The d^3 block entries are checked to be finite,
-    not the d^4 entries of the result."""
+    flat scatter, with pos[alpha, i] = i * d + slot_map(i, alpha) mod d; the
+    d^3 positions are distinct. The d^3 block entries are checked to be
+    finite, not the d^4 entries of the result."""
     if not np.isfinite(blocks).all():
         raise DimensionMismatchError("matrix entries must be finite")
     d = blocks.shape[0]
     k = np.arange(d)
     pos = k * d + slot_map(k, k[:, None]) % d
     m = np.zeros((d * d, d * d), dtype=complex)
-    m[pos[:, :, None], pos[:, None, :]] = blocks
+    m.reshape(-1)[(pos[:, :, None] * (d * d) + pos[:, None, :]).ravel()] = blocks.ravel()
     return FactoredOperator(_Fresh(m, finite=True), (d, d))
 
 
@@ -193,6 +204,7 @@ def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
 
 def maximally_entangled(d: int) -> FactoredOperator:
     """Projector onto (1/sqrt d) sum_i e_i x e_i."""
+    d = _size(d, "d")
     v = np.eye(d).reshape(d * d)
     return FactoredOperator(_Fresh((np.outer(v, v) / d).astype(complex)), (d, d))
 

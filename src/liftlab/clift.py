@@ -28,6 +28,7 @@ from .matcore import (
     _abs_close,
     _first_non_psd,
     _Fresh,
+    _size,
     check_dense_size,
     diagonal_operator,
 )
@@ -77,6 +78,7 @@ def product_tensor(q, n1: int) -> np.ndarray:
 
 def ohya_tensor(n: int) -> np.ndarray:
     """Perfect copy lifting E[i, j, k] = delta(k, i) delta(j, k)."""
+    n = _size(n, "n")
     i = np.arange(n)
     e = np.zeros((n, n, n))
     e[i, i, i] = 1.0

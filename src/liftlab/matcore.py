@@ -49,8 +49,9 @@ entry is finite, so no caller's array is ever aliased. Constructors in this
 package that have just built a complex matrix no caller can write to hand it
 over without the copy (the private _Fresh marker), and the check still runs,
 except where the inputs bound the result: diagonal_operator checks its n
-weights instead of the n^2 entries of the matrix it builds from them, and an
-N-party chain whose links are bounded is not scanned (see qlift._chain). Below
+weights instead of the n^2 entries of the matrix it builds from them, an
+N-party chain whose links are bounded is not scanned (see qlift._chain), and
+neither is ohya_lift's output, whose entries a checked state bounds. Below
 MMAP_DIAGONAL_SIDE a diagonal matrix is np.zeros'; from that side up it lies
 on a fresh anonymous mmap of which only the pages holding the diagonal are
 written, so the zeros cost no memory.
@@ -98,6 +99,13 @@ MAX_DENSE_BYTES = 1 << 30
 MMAP_DIAGONAL_SIDE = 2048
 # Above this modulus a sum of two entries can overflow (_check_hermitian).
 _HALF_MAX = np.finfo(float).max / 2
+
+
+def _size(n: int, name: str) -> int:
+    """n as a dimension: DimensionMismatchError when it is negative."""
+    if n < 0:
+        raise DimensionMismatchError(f"{name} must be at least 0, got {n}")
+    return n
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -312,30 +320,41 @@ def _check_hermitian(m: np.ndarray, tol: float = TOL) -> np.ndarray:
     first that is not, or DimensionMismatchError if any entry is not finite.
 
     The part is 0.5 * (m + m^dagger), rounded once. Where an entry is above
-    half the float maximum that sum would overflow, so the halves are added
-    instead: exact for such entries, but it rounds subnormal ones twice.
+    half the float maximum that sum, the deviation m - m^dagger and an
+    entry's modulus can overflow, so the test runs on m / 4 (exact but for
+    subnormal entries) and the halves are added: exact for such entries,
+    but it rounds subnormal ones twice. A deviation or scale past the float
+    range is then reported as inf.
     """
     scale = np.maximum.reduce(np.abs(m), axis=(-2, -1), initial=1.0)  # NaN or inf where an entry is
     halve_first = not (scale <= _HALF_MAX).all()  # also where a scale is NaN or inf
-    if halve_first and not np.isfinite(scale).all():
-        raise DimensionMismatchError("matrix entries must be finite")
     mh = m.swapaxes(-1, -2).conj()
-    dev = np.maximum.reduce(np.abs(m - mh), axis=(-2, -1), initial=0.0)
+    q, qh, unit = m, mh, 1.0
+    if halve_first:
+        if not np.isfinite(m).all():
+            raise DimensionMismatchError("matrix entries must be finite")
+        q, qh, unit = 0.25 * m, 0.25 * mh, 4.0
+        scale = np.maximum.reduce(np.abs(q), axis=(-2, -1), initial=0.25)
+    dev = np.maximum.reduce(np.abs(q - qh), axis=(-2, -1), initial=0.0)
     bad = dev > tol * scale
     if bad.any():
         k = int(np.argmax(bad))
-        dev, scale = dev.flat[k], scale.flat[k]
+        dev, scale = unit * float(dev.flat[k]), unit * float(scale.flat[k])  # Python floats: inf, no warning
         raise NotHermitianError(f"deviation from Hermiticity {dev:.3e} exceeds {tol:.1e} * {scale:.3e}")
     return 0.5 * m + 0.5 * mh if halve_first else 0.5 * (m + mh)
 
 
 def _eig(solve, h: np.ndarray):
     """``solve(h)`` for an np.linalg Hermitian eigensolver, with its
-    LinAlgError (no convergence) raised as EigensolverError."""
+    LinAlgError (no convergence) or a non-finite eigenvalue (entries near
+    the float maximum) raised as EigensolverError."""
     try:
-        return solve(h)
+        out = solve(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"Hermitian eigensolver failed: {exc}") from None
+    if not np.isfinite(out if isinstance(out, np.ndarray) else out[0]).all():
+        raise EigensolverError("Hermitian eigensolver failed: an eigenvalue is past the float range")
+    return out
 
 
 def _psd_verdicts(h: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -41,6 +41,7 @@ from .matcore import (
     _first_non_psd,
     _Fresh,
     _kron,
+    _size,
     check_dense_size,
     check_state,
     herm_sqrt,
@@ -66,11 +67,15 @@ class CpMap:
         if not np.isfinite(u).all():
             raise DimensionMismatchError("units entries must be finite")
         # np.allclose(units[i, j]^dagger, units[j, i]) for every i <= j: np.isclose's
-        # test, which on finite entries is |a - b| <= atol + rtol |b|.
-        b = u.transpose(1, 0, 2, 3)
-        close = np.abs(u.transpose(0, 1, 3, 2).conj() - b) <= STRUCT_TOL + CPMAP_RTOL * np.abs(b)
+        # test, which on finite entries is |a - b| <= atol + rtol |b|. It runs in
+        # (j, i, k, l) order, where b = units[j, i] is u itself; a is one C-order
+        # copy (np.array always copies: at d = 1 the transpose is u's own layout).
+        a = np.array(u.transpose(1, 0, 3, 2), order="C")
+        np.conjugate(a, out=a)
+        np.subtract(a, u, out=a)
+        close = np.abs(a) <= STRUCT_TOL + CPMAP_RTOL * np.abs(u)
         if not close.all():
-            bad = np.argwhere(np.triu(~close.all(axis=(2, 3))))
+            bad = np.argwhere(np.triu(~close.all(axis=(2, 3)).T))
             if bad.size:
                 i, j = bad[0]
                 raise NotHermitianError(f"units[{i},{j}]^dagger differs from units[{j},{i}]")
@@ -102,6 +107,7 @@ class CpMap:
 
 
 def cp_identity(d: int) -> CpMap:
+    d = _size(d, "d")
     return CpMap(np.eye(d * d, dtype=complex).reshape(d, d, d, d))
 
 
@@ -110,9 +116,14 @@ def cp_from_kraus(ops) -> CpMap:
     ks = [np.asarray(k, dtype=complex) for k in ops]
     if not ks or any(k.shape != ks[0].shape or k.ndim != 2 or k.shape[0] != k.shape[1] for k in ks):
         raise DimensionMismatchError("Kraus operators must be square matrices of one common size")
-    k = np.array(ks)
-    # units[i, j] = sum_m K_m e_ij K_m^dagger, entrywise K_m[a, i] conj(K_m[b, j]).
-    return CpMap(np.einsum("kai,kbj->ijab", k, k.conj()))
+    n, d = len(ks), ks[0].shape[0]
+    m = np.array(ks).reshape(n, d * d)  # row k holds K_k flattened over (a, i)
+    # units[i, j] = sum_k K_k e_ij K_k^dagger, entrywise sum_k K_k[a, i] conj(K_k[b, j]):
+    # one product indexed ((a, i), (b, j)). An overflow or inf ends in CpMap's
+    # finiteness error, not a BLAS warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        units = (m.T @ m.conj()).reshape(d, d, d, d).transpose(1, 3, 0, 2)
+    return CpMap(units)
 
 
 def classical_cpmap(conditional) -> CpMap:
@@ -207,7 +218,10 @@ def ohya_lift(rho, parties: int = 2) -> FactoredOperator:
     copies = v
     for _ in range(parties - 1):
         copies = (copies[:, None, :] * v[None, :, :]).reshape(-1, d)
-    return FactoredOperator(_Fresh((copies * w) @ copies.conj().T), (d,) * parties)
+    # finite=True: the weights are clipped eigenvalues of a checked state, in
+    # [0, 1] up to the trace and PSD tolerances, and the columns are unit
+    # vectors, so every entry is at most about 1 in modulus.
+    return FactoredOperator(_Fresh((copies * w) @ copies.conj().T, finite=True), (d,) * parties)
 
 
 def _link_kernel(l: np.ndarray, d: int) -> np.ndarray:
@@ -339,8 +353,7 @@ def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
         raise NotCompatibleError("first-slot partial trace of the compound state differs from the marginal")
     inv_s = (v / np.sqrt(w)) @ v.conj().T
     blocks = theta.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    units = np.einsum("ab,ijbc,cd->ijad", inv_s, blocks, inv_s)
-    return CpMap(units)
+    return CpMap(inv_s @ blocks @ inv_s)  # broadcast over (i, j)
 
 
 def robertson_map(x) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Each circulant, Kraus and separable reference below writes a kernel's
 definition as an index loop; the library computes the same with one scatter,
-gather or einsum. Scatters and gathers only move entries, and the einsum sums
-the same products in another order, so every comparison holds to 1e-13 over
-seeded d = 1..9. The N-party chain reference is the earlier two-product
+gather or matrix product. Scatters and gathers only move entries, and the
+products sum the same terms in another order, so every comparison holds to
+1e-13 (times the number of Kraus operators) over seeded d = 1..9 and 16.
+channel_from_compound's broadcast product is held to the three-operand
+einsum it replaced. The N-party chain reference is the earlier two-product
 stage, cur x I_d in a zeroed buffer then sandwich_right with sqrt(pi); the
 library's one-product stage agrees with it to 1e-12.
 """
@@ -35,12 +37,14 @@ from liftlab.errors import (
 from liftlab.matcore import herm_sqrt, partial_transpose, sandwich_right, unit_matrix
 from liftlab.qlift import (
     CpMap,
+    channel_from_compound,
     choi_matrix,
     classical_cpmap,
     cp_from_kraus,
     cp_identity,
     n_compose_qcp,
     n_nonlinear_lift,
+    nonlinear_lift,
     qcp_from_channel,
 )
 from liftlab.sampling import (
@@ -181,6 +185,28 @@ def test_cp_kernels_match_loops(d):
     phi = lambda x: sum(k @ x @ k.conj().T for k in ks)
     choi = sum(np.kron(unit_matrix(d, i, j), phi(unit_matrix(d, i, j))) for i in range(d) for j in range(d))
     np.testing.assert_array_equal(choi_matrix(phi, d).matrix, choi / d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+def test_cp_from_kraus_product_matches_the_loop(d):
+    # One matrix product sums the same K_m[a, i] conj(K_m[b, j]) as the loop,
+    # for one, d and d^2 operators.
+    g = rng(760 + d)
+    for count in (1, d, d * d):
+        ks = [g.standard_normal((d, d)) + 1j * g.standard_normal((d, d)) for _ in range(count)]
+        np.testing.assert_allclose(cp_from_kraus(ks).units, _loop_kraus_units(ks), rtol=0, atol=ATOL * count)
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_channel_from_compound_matches_the_three_operand_einsum(d):
+    g = rng(780 + d)
+    rho = faithful_density(g, d)
+    theta = nonlinear_lift(qcp_from_channel(unital_cpmap(g, d)), rho)
+    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    inv_s = (v / np.sqrt(w)) @ v.conj().T
+    blocks = theta.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    want = np.einsum("ab,ijbc,cd->ijad", inv_s, blocks, inv_s)
+    np.testing.assert_allclose(channel_from_compound(theta, rho).units, want, rtol=0, atol=1e-12)
 
 
 def test_stacked_checks_name_the_lowest_bad_index():

@@ -28,10 +28,18 @@ from liftlab.circulant import (
     bell_state,
     circulant_lift,
     maximally_entangled,
+    shift_matrix,
 )
 from liftlab.classical import as_channel, as_probability_vector, is_stochastic, is_unital
-from liftlab.clift import MarkovSpec, as_lifting_tensor, gamma_lifting, is_nondemolition, separable_n_state
-from liftlab.errors import DimensionMismatchError, LiftlabError, NotAStateError, NotHermitianError, SchemaError
+from liftlab.clift import MarkovSpec, as_lifting_tensor, gamma_lifting, is_nondemolition, ohya_tensor, separable_n_state
+from liftlab.errors import (
+    DimensionMismatchError,
+    EigensolverError,
+    LiftlabError,
+    NotAStateError,
+    NotHermitianError,
+    SchemaError,
+)
 from liftlab.matcore import (
     STRUCT_TOL,
     TOL,
@@ -55,6 +63,8 @@ from liftlab.qlift import (
     channel_from_compound,
     choi_matrix,
     compose_qcp,
+    cp_from_kraus,
+    cp_identity,
     n_compose_qcp,
     n_nonlinear_lift,
     nonlinear_lift,
@@ -143,6 +153,55 @@ def test_cpmap_hermiticity_check_matches_np_isclose(d, scale, seed):
         with pytest.raises(NotHermitianError) as info:
             CpMap(u)
         assert str(info.value) == f"units[{i},{j}]^dagger differs from units[{j},{i}]"
+
+
+def test_cpmap_hermiticity_check_keeps_one_by_one_units():
+    # At d = 1 the (j, i, l, k) transpose of units is units' own layout; the
+    # check must conjugate a copy, not the units themselves.
+    with pytest.raises(NotHermitianError, match=r"^units\[0,0\]\^dagger differs from units\[0,0\]$"):
+        CpMap(np.full((1, 1, 1, 1), 1 + 1j))
+    u = np.full((1, 1, 1, 1), 2.0 + 1e-12j)
+    np.testing.assert_array_equal(CpMap(u).units, u)
+
+
+@pytest.mark.parametrize("value, count", [(1e200, 1), (np.inf, 1), (np.nan, 1), (1e155, 3)])
+def test_kraus_sums_past_the_float_range_end_in_one_typed_error(value, count):
+    ops = [np.full((2, 2), value)] * count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError, match="^units entries must be finite$"):
+            cp_from_kraus(ops)
+
+
+@pytest.mark.parametrize("m, match", [
+    ([[0.5, 1.7e308], [-1.7e308, 0.5]], r"deviation from Hermiticity inf exceeds 1\.0e-09 \* 1\.700e\+308"),
+    ([[1.7e308 + 1.7e308j, 0], [0, 0.5]], r"deviation from Hermiticity inf exceeds 1\.0e-09 \* inf"),
+])
+def test_states_near_the_float_maximum_end_in_one_typed_error(m, match):
+    # The deviation and an entry's modulus are past the float range; the
+    # test runs on the matrix over 4 and reports them as inf, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        FactoredOperator(m)
+        with pytest.raises(NotAStateError, match="^state is not Hermitian: " + match):
+            check_state(m)
+
+
+def test_eigenvalues_past_the_float_range_are_a_typed_error():
+    z = 1.7e308
+    hermitian = [np.array([[z, z], [z, z]]), np.array([[z, z + z * 1j], [z - z * 1j, z]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in hermitian:
+            for check in (is_psd, herm_sqrt, check_state):
+                with pytest.raises(EigensolverError, match="an eigenvalue is past the float range"):
+                    check(m)
+
+
+@pytest.mark.parametrize("build", [cp_identity, maximally_entangled, shift_matrix, ohya_tensor])
+def test_negative_sizes_are_typed_errors(build):
+    with pytest.raises(DimensionMismatchError, match=r"^(d|n) must be at least 0, got -1$"):
+        build(-1)
 
 
 NAN = np.array([[np.nan, 0], [0, 1]])
@@ -295,6 +354,15 @@ def test_bounded_chains_skip_the_output_scan_and_keep_their_bits(parties, finite
     scanned = n_compose_qcp([raw] * (parties - 2) + [big])
     assert finiteness_scans.count(side2) == 1
     np.testing.assert_array_equal(_bits(scanned.matrix), _bits(n_compose_qcp(links[1:] + [big]).matrix))
+
+
+@pytest.mark.parametrize("parties", [2, 3, 5])
+def test_copy_lifts_skip_the_output_scan(parties, finiteness_scans):
+    rho = density(rng(parties), 2)
+    finiteness_scans.clear()
+    lifted = ohya_lift(rho, parties)
+    assert 4 ** parties not in finiteness_scans
+    assert np.isfinite(lifted.matrix).all()
 
 
 def test_links_near_overflow_still_fail_the_scan():
