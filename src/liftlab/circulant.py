@@ -28,19 +28,21 @@ from .matcore import (
     STRUCT_TOL,
     TOL,
     FactoredOperator,
+    _as_matrix,
+    _check_finite,
     _first_non_psd,
     _Fresh,
     _kron,
     _psd_stack,
     _size,
+    _sum,
     check_state,
 )
 
 
 def circulant_subspaces(d: int) -> list[list[tuple[int, int]]]:
     """Index pairs (i, i+alpha mod d) spanning each subspace Sigma_alpha."""
-    if d < 1:
-        raise DimensionMismatchError(f"dimension must be positive, got {d}")
+    d = _size(d, "d", 1)
     return [[(i, (i + alpha) % d) for i in range(d)] for alpha in range(d)]
 
 
@@ -88,9 +90,7 @@ def _assemble(blocks: np.ndarray, slot_map) -> FactoredOperator:
     flat scatter, with pos[alpha, i] = i * d + slot_map(i, alpha) mod d; the
     d^3 positions are distinct. The d^3 block entries are checked to be
     finite, not the d^4 entries of the result."""
-    if not np.isfinite(blocks).all():
-        raise DimensionMismatchError("matrix entries must be finite")
-    d = blocks.shape[0]
+    d = _check_finite(blocks).shape[0]
     k = np.arange(d)
     pos = k * d + slot_map(k, k[:, None]) % d
     m = np.zeros((d * d, d * d), dtype=complex)
@@ -185,12 +185,11 @@ def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
     E(rho) = V diag(rho) V* matches :func:`circulant_lift` with rank-one
     profiles. Returns (state, V).
     """
-    c = np.asarray(cvecs, dtype=complex)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DimensionMismatchError(f"cvecs must be a (d, d) array of row vectors, got {c.shape}")
+    c = _as_matrix(cvecs, "cvecs")
     d = c.shape[0]
     for alpha in range(d):
-        nrm = np.linalg.norm(c[alpha])
+        with np.errstate(over="ignore"):  # a norm past the float range is inf, and fails
+            nrm = np.linalg.norm(c[alpha])
         if abs(nrm - 1.0) > TOL:
             raise NotNormalizedError(f"vector {alpha} has norm {float(nrm)!r}, expected 1")
     diagonal = _state_diagonal(rho, d, "vector count")
@@ -215,6 +214,7 @@ def bell_unitary(m: int, n: int, d: int) -> np.ndarray:
     The d^2 unitaries are trace-orthogonal: Tr(U_mn U_rs^dagger) =
     d delta_mr delta_ns.
     """
+    m, n, d = _size(m, "m", -np.inf), _size(n, "n", -np.inf), _size(d, "d")
     if not (0 <= m < d and 0 <= n < d):
         raise IndexOutOfRangeError(f"indices ({m},{n}) outside range 0..{d - 1}")
     k = np.arange(d)
@@ -226,8 +226,8 @@ def bell_unitary(m: int, n: int, d: int) -> np.ndarray:
 def bell_state(m: int, n: int, d: int) -> FactoredOperator:
     """Rank-one projector (I x U_mn) P+ (I x U_mn)^dagger, supported on
     subspace Sigma_n."""
-    u = _kron(np.eye(d), bell_unitary(m, n, d))
     base = maximally_entangled(d)
+    u = _kron(np.eye(d), bell_unitary(m, n, d))
     return FactoredOperator(_Fresh(u @ base.matrix @ u.conj().T), (d, d))
 
 
@@ -238,16 +238,15 @@ class BellSpectrum:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise DimensionMismatchError(f"spectrum must be (d, d), got {p.shape}")
+        p = _as_matrix(self.p, "spectrum", float)
         if not np.isfinite(p).all():
             raise SchemaError("spectrum entries must be finite")
         low = p.min(initial=0.0)  # a 0 x 0 spectrum fails the sum check below
         if low < -PROB_TOL:
             raise BlockNotPSDError(f"spectrum has negative weight {low:.3e}")
-        if abs(p.sum() - 1.0) > STRUCT_TOL:
-            raise TraceNotOneError(f"spectrum sums to {float(p.sum())!r}, expected 1")
+        total = _sum(p, None, float(p.max(initial=0.0)))
+        if abs(total - 1.0) > STRUCT_TOL:
+            raise TraceNotOneError(f"spectrum sums to {float(total)!r}, expected 1")
         p = np.maximum(p, 0.0)
         p.setflags(write=False)
         object.__setattr__(self, "p", p)

@@ -19,62 +19,72 @@ from .errors import (
     NotUnitalError,
     SchemaError,
 )
-from .matcore import PROB_TOL, FactoredOperator, _abs_close, diagonal_operator
+from .matcore import PROB_TOL, FactoredOperator, _abs_close, _as_array, _as_matrix, _check_finite, _sum
+from .matcore import diagonal_operator
+
+
+def _read_probabilities(x: np.ndarray, finite: str, negative: str, axis=None, sums: str | None = None) -> np.ndarray:
+    """x, a float array, clipped at 0 after three checks in turn: finite
+    (SchemaError ``finite``), no entry below -PROB_TOL (NegativeEntryError
+    ``negative``), and given ``sums`` each sum over axis within PROB_TOL per
+    entry of 1 (NotNormalizedError, ``sums`` formatted with the sums)."""
+    lo = float(np.minimum.reduce(x, None, initial=0.0))
+    hi = float(np.maximum.reduce(x, None, initial=0.0))
+    if not -np.inf < lo <= hi < np.inf:
+        raise SchemaError(finite)
+    if lo < -PROB_TOL:
+        raise NegativeEntryError(f"{negative} {lo:.3e}")
+    if sums is not None:
+        s = _sum(x, axis, hi)
+        close = abs(s - 1.0) <= PROB_TOL * (x.size // max(s.size, 1))
+        if not (close if axis is None else close.all()):  # a vector's one sum: a scalar test
+            raise NotNormalizedError(sums.format(s.tolist()))
+    return np.maximum(x, 0.0)
 
 
 def as_probability_vector(p) -> np.ndarray:
     """Validate and return a probability vector as a float array."""
-    v = np.asarray(p, dtype=float)
+    v = _as_array(p, "probability vector")
     if v.ndim != 1 or v.size == 0:
         raise DimensionMismatchError(f"probability vector must be 1-d and nonempty, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise SchemaError("probability vector entries must be finite")
-    if v.min(initial=0.0) < -PROB_TOL:
-        raise NegativeEntryError(f"probability vector has negative entry {v.min():.3e}")
-    if abs(v.sum() - 1.0) > PROB_TOL * max(1, v.size):
-        raise NotNormalizedError(f"probability vector sums to {float(v.sum())!r}, not 1")
-    return np.maximum(v, 0.0)
+    return _read_probabilities(v, "probability vector entries must be finite", "probability vector has negative entry",
+                               sums="probability vector sums to {}, not 1")
 
 
 def as_channel(weights) -> np.ndarray:
     """Validate a channel weight matrix: 2-d, real, nonnegative."""
-    w = np.asarray(weights, dtype=float)
+    w = _as_array(weights, "channel weights")
     if w.ndim != 2 or 0 in w.shape:
         raise DimensionMismatchError(f"channel weights must be a nonempty 2-d matrix, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise SchemaError("channel weights must be finite")
-    if w.min() < -PROB_TOL:
-        raise NegativeEntryError(f"channel weights have negative entry {w.min():.3e}")
-    return np.maximum(w, 0.0)
+    return _read_probabilities(w, "channel weights must be finite", "channel weights have negative entry")
 
 
 def as_permutation(perm) -> np.ndarray:
-    """Validate a permutation given as the array of images of 0..n-1."""
-    s = np.asarray(perm, dtype=int)
+    """Validate a permutation given as the integer array of images of 0..n-1."""
+    s = np.asarray(perm)
     if s.ndim != 1 or s.size == 0:
         raise SchemaError(f"permutation must be a nonempty 1-d array, got shape {s.shape}")
+    if s.dtype.kind not in "iu":
+        raise SchemaError(f"permutation images must be integers, got {s.dtype}")
     if sorted(s.tolist()) != list(range(s.size)):
         raise SchemaError(f"images {s.tolist()} are not a permutation of 0..{s.size - 1}")
     return s
 
 
 def permutation_inverse(perm) -> np.ndarray:
-    s = as_permutation(perm)
-    inv = np.empty_like(s)
-    inv[s] = np.arange(s.size)
-    return inv
+    return np.argsort(as_permutation(perm))
 
 
 def is_unital(weights, atol: float = PROB_TOL) -> bool:
     """Columns sum to one (the identity observable is preserved)."""
     w = as_channel(weights)
-    return _abs_close(w.sum(axis=0), 1.0, atol)
+    return _abs_close(_sum(w, 0, float(w.max())), 1.0, atol)
 
 
 def is_stochastic(weights, atol: float = PROB_TOL) -> bool:
     """Rows sum to one (the state action preserves total probability)."""
     w = as_channel(weights)
-    return _abs_close(w.sum(axis=1), 1.0, atol)
+    return _abs_close(_sum(w, 1, float(w.max())), 1.0, atol)
 
 
 def is_doubly_stochastic(weights, atol: float = PROB_TOL) -> bool:
@@ -82,17 +92,16 @@ def is_doubly_stochastic(weights, atol: float = PROB_TOL) -> bool:
 
 
 def _contract(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if x.shape[0] != weights.shape[0]:
-        raise DimensionMismatchError(
-            f"vector of length {x.shape[0]} does not match channel input size {weights.shape[0]}"
-        )
-    return weights.T @ x
+    if x.shape != weights.shape[:1]:
+        raise DimensionMismatchError(f"vector of shape {x.shape} does not match channel input size {weights.shape[0]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an image past the float range fails
+        return _check_finite(weights.T @ x, "vector image")
 
 
 def apply_to_observable(weights, a) -> np.ndarray:
     """Heisenberg action on a diagonal observable: b_j = sum_i a_i L[i, j]."""
     w = as_channel(weights)
-    return _contract(w, np.asarray(a, dtype=float))
+    return _contract(w, _as_array(a, "observable"))
 
 
 def apply_to_state(weights, p) -> np.ndarray:
@@ -117,13 +126,15 @@ def kraus_from_channel(weights) -> list[np.ndarray]:
 
 def apply_kraus(ops, rho) -> np.ndarray:
     """Evaluate sum_k K rho K^dagger."""
-    if len(ops) == 0:
-        raise DimensionMismatchError("need at least one Kraus operator")
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros((ops[0].shape[0], ops[0].shape[0]), dtype=complex)
-    for k in ops:
-        out += k @ rho @ k.conj().T
-    return out
+    rho = _as_matrix(rho, "state")
+    ks = [np.asarray(k) for k in ops]
+    if not ks or any(k.shape != ks[0].shape[:1] + rho.shape[:1] for k in ks):
+        raise DimensionMismatchError(f"need at least one Kraus operator, all of shape (r, {len(rho)})")
+    out = np.zeros((len(ks[0]), len(ks[0])), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in ks:
+            out += k @ rho @ k.conj().T
+    return _check_finite(out)
 
 
 def permutation_channel(perm) -> np.ndarray:
@@ -169,7 +180,7 @@ def classical_choi(weights) -> FactoredOperator:
     """
     w = as_channel(weights)
     if not is_unital(w):
-        raise NotUnitalError(f"columns sum to {w.sum(axis=0).tolist()}, expected all 1")
+        raise NotUnitalError(f"columns sum to {_sum(w, 0, float(w.max())).tolist()}, expected all 1")
     return diagonal_operator(w / w.shape[1], w.shape)
 
 
@@ -185,7 +196,5 @@ def classical_teleport(p, perm) -> tuple[np.ndarray, np.ndarray]:
     s = as_permutation(perm)
     if s.size != v.size:
         raise DimensionMismatchError(f"permutation on {s.size} letters, state on {v.size}")
-    inv = permutation_inverse(s)
-    bob = v[inv]
-    corrected = bob[s]
-    return bob, corrected
+    bob = v[np.argsort(s)]  # s is read once: argsort is permutation_inverse
+    return bob, bob[s]

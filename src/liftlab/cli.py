@@ -33,7 +33,7 @@ from .classical import (
 from .clift import n_lift
 from .errors import MathDomainError, SchemaError
 from .qlift import nonlinear_lift, ohya_lift, qcp_from_channel
-from .matcore import TOL
+from .matcore import TOL, _size
 
 
 def _seed_value(args) -> int:
@@ -46,9 +46,7 @@ def _seed_value(args) -> int:
             seed = int(env)
         except ValueError:
             raise SchemaError(f"LIFTLAB_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise SchemaError(f"seed must be at least 0, got {seed}")
-    return seed
+    return _size(seed, "seed")
 
 
 def _load(decode, text: str):
@@ -69,8 +67,7 @@ def cmd_channel_kraus(args) -> tuple[dict, int]:
     document = {"kraus": [jsonio.matrix_to_json(k) for k in ops]}
     if not args.verify:
         return document, 0
-    if args.trials < 1:
-        raise SchemaError(f"trials must be at least 1, got {args.trials}")
+    _size(args.trials, "trials", 1)
     g = sampling.rng(_seed_value(args))
     dev = 0.0
     for _ in range(args.trials):

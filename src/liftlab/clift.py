@@ -13,19 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import as_probability_vector
+from .classical import _read_probabilities, as_probability_vector
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     MapNotPositiveError,
-    NegativeEntryError,
-    NotNormalizedError,
-    SchemaError,
 )
 from .matcore import (
     PROB_TOL,
     FactoredOperator,
     _abs_close,
+    _as_array,
+    _as_matrix,
     _first_non_psd,
     _Fresh,
     _size,
@@ -37,17 +36,11 @@ from .matcore import (
 def as_lifting_tensor(t) -> np.ndarray:
     """Validate a lifting tensor: shape (n1, n2, n1), nonnegative, each
     input slice summing to one."""
-    e = np.asarray(t, dtype=float)
+    e = _as_array(t, "lifting tensor")
     if e.ndim != 3 or e.shape[0] != e.shape[2]:
         raise DimensionMismatchError(f"lifting tensor must have shape (n1, n2, n1), got {e.shape}")
-    if not np.isfinite(e).all():
-        raise SchemaError("lifting tensor entries must be finite")
-    if e.min(initial=0.0) < -PROB_TOL:
-        raise NegativeEntryError(f"lifting tensor has negative entry {e.min():.3e}")
-    row = e.sum(axis=(1, 2))
-    if not _abs_close(row, 1.0, PROB_TOL * max(1, e.shape[1] * e.shape[2])):
-        raise NotNormalizedError(f"input slices sum to {row.tolist()}, expected all 1")
-    return np.maximum(e, 0.0)
+    return _read_probabilities(e, "lifting tensor entries must be finite", "lifting tensor has negative entry",
+                               (1, 2), "input slices sum to {}, expected all 1")
 
 
 def pure_tensor(images, n2: int | None = None) -> np.ndarray:
@@ -57,7 +50,7 @@ def pure_tensor(images, n2: int | None = None) -> np.ndarray:
     if s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iu":
         raise DimensionMismatchError(f"images must be a non-empty 1-d array of integers, got {s.dtype} {s.shape}")
     n1 = s.size
-    n2 = int(n2) if n2 is not None else int(s.max()) + 1
+    n2 = _size(n2, "n2") if n2 is not None else int(s.max()) + 1
     bad = s[(s < 0) | (s >= n2)]
     if bad.size:
         raise IndexOutOfRangeError(f"image {bad[0]} outside range 0..{n2 - 1}")
@@ -70,6 +63,7 @@ def pure_tensor(images, n2: int | None = None) -> np.ndarray:
 def product_tensor(q, n1: int) -> np.ndarray:
     """Constant-output lifting E[i, j, k] = delta(k, i) q_j."""
     v = as_probability_vector(q)
+    n1 = _size(n1, "n1")
     i = np.arange(n1)
     e = np.zeros((n1, v.size, n1))
     e[i, :, i] = v
@@ -88,9 +82,7 @@ def ohya_tensor(n: int) -> np.ndarray:
 def markov_tensor(conditional) -> np.ndarray:
     """Markovian lifting E[i, j, k] = p(j|i) delta(k, i) from a
     column-stochastic conditional matrix with entry [j, i] = p(j|i)."""
-    c = np.asarray(conditional, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DimensionMismatchError(f"conditional must be square, got {c.shape}")
+    c = _as_matrix(conditional, "conditional", float)
     n = c.shape[0]
     i = np.arange(n)
     e = np.zeros((n, n, n))
@@ -139,18 +131,15 @@ def gamma_lifting(gamma, sigma, p) -> FactoredOperator:
     through the joint channel in the state picture, and reshapes. The joint
     channel must be nonnegative with rows summing to one.
     """
-    g = np.asarray(gamma, dtype=float)
+    g = _as_array(gamma, "joint channel")
     q = as_probability_vector(sigma)
     v = as_probability_vector(p)
     n2, n1 = q.size, v.size
     if g.shape != (n2 * n1, n2 * n1):
         raise DimensionMismatchError(f"joint channel shape {g.shape}, expected {(n2 * n1, n2 * n1)}")
-    if not np.isfinite(g).all():
-        raise SchemaError("joint channel entries must be finite")
-    if g.min() < -PROB_TOL:
-        raise NegativeEntryError(f"joint channel has negative entry {g.min():.3e}")
-    if not _abs_close(g.sum(axis=1), 1.0, PROB_TOL * max(1, g.shape[0])):
-        raise NotNormalizedError("joint channel rows must sum to 1 (trace preservation)")
+    # Checked only: the weights use g as given, tiny negative entries included.
+    _read_probabilities(g, "joint channel entries must be finite", "joint channel has negative entry",
+                        1, "joint channel rows must sum to 1 (trace preservation)")
     w = g.T @ np.outer(q, v).reshape(-1)
     return diagonal_operator(w, (n2, n1))
 
@@ -163,8 +152,7 @@ def n_lift(t, p, parties: int) -> FactoredOperator:
     number of output factors (parties - 1 applications); parties = 2 is
     :func:`lift`.
     """
-    if parties < 2:
-        raise DimensionMismatchError(f"parties must be at least 2, got {parties}")
+    parties = _size(parties, "parties", 2)
     e = as_lifting_tensor(t)
     w = as_probability_vector(p)
     if w.size != e.shape[0]:
@@ -185,19 +173,12 @@ class MarkovSpec:
     initial: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.conditional, dtype=float)
         p0 = as_probability_vector(self.initial)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise DimensionMismatchError(f"conditional must be square, got shape {c.shape}")
+        c = _as_matrix(self.conditional, "conditional", float)
         if c.shape[0] != p0.size:
             raise DimensionMismatchError(f"conditional side {c.shape[0]} != initial length {p0.size}")
-        if not np.isfinite(c).all():
-            raise SchemaError("conditional entries must be finite")
-        if c.min() < -PROB_TOL:
-            raise NegativeEntryError(f"conditional has negative entry {c.min():.3e}")
-        if not _abs_close(c.sum(axis=0), 1.0, PROB_TOL * max(1, c.shape[0])):
-            raise NotNormalizedError(f"conditional columns sum to {c.sum(axis=0).tolist()}, expected all 1")
-        c = np.maximum(c, 0.0)
+        c = _read_probabilities(c, "conditional entries must be finite", "conditional has negative entry",
+                                0, "conditional columns sum to {}, expected all 1")
         c.setflags(write=False)
         p0.setflags(write=False)
         object.__setattr__(self, "conditional", c)
@@ -210,8 +191,7 @@ class MarkovSpec:
 
 def markov_weights(spec: MarkovSpec, parties: int) -> np.ndarray:
     """Joint weights W[i_N, ..., i_1] = p(i_N|i_{N-1}) ... p(i_2|i_1) p(i_1)."""
-    if parties < 1:
-        raise DimensionMismatchError(f"parties must be at least 1, got {parties}")
+    parties = _size(parties, "parties", 1)
     w = spec.initial.copy()
     for _ in range(parties - 1):
         w = np.einsum("ji,i...->ji...", spec.conditional, w)
@@ -220,13 +200,14 @@ def markov_weights(spec: MarkovSpec, parties: int) -> np.ndarray:
 
 def markov_state(spec: MarkovSpec, parties: int) -> FactoredOperator:
     """Diagonal N-party state of a Markov chain, latest index leftmost."""
+    parties = _size(parties, "parties", 1)
     check_dense_size((spec.n,) * parties)
     return diagonal_operator(markov_weights(spec, parties), (spec.n,) * parties)
 
 
 def markov_operator(spec: MarkovSpec, a) -> np.ndarray:
     """One-step Heisenberg operator P(a)_j = sum_i p(i|j) a_i."""
-    v = np.asarray(a, dtype=float)
+    v = _as_array(a, "observable")
     if v.shape != (spec.n,):
         raise DimensionMismatchError(f"observable shape {v.shape}, expected ({spec.n},)")
     return spec.conditional.T @ v
@@ -240,7 +221,7 @@ def transition_expectation_sides(spec: MarkovSpec, observables) -> tuple[float, 
     full joint state; the right side nests X_N = a_N,
     X_k = P(X_{k+1}) * a_k and evaluates <initial, X_1>.
     """
-    obs = [np.asarray(a, dtype=float) for a in observables]
+    obs = [_as_array(a, "observable") for a in observables]
     n_parties = len(obs)
     if n_parties < 1:
         raise DimensionMismatchError("need at least one observable")
@@ -261,7 +242,7 @@ def transition_expectation_sides(spec: MarkovSpec, observables) -> tuple[float, 
 def verify_transition_expectation(spec: MarkovSpec, parties: int, observables, atol: float = PROB_TOL) -> bool:
     """Check the joint expectation against the nested one-step form."""
     obs = list(observables)
-    if len(obs) != parties:
+    if len(obs) != _size(parties, "parties", 1):
         raise DimensionMismatchError(f"{len(obs)} observables for {parties} parties")
     lhs, rhs = transition_expectation_sides(spec, obs)
     return abs(lhs - rhs) <= atol * max(1.0, abs(lhs), abs(rhs))

@@ -26,27 +26,13 @@ import numpy as np
 from .circulant import BellSpectrum, CirculantSpec
 from .classical import as_permutation
 from .errors import MathDomainError, SchemaError
-from .matcore import FactoredOperator
+from .matcore import FactoredOperator, _as_array, _size
 from .qlift import CpMap
 
 
 def _require(cond: bool, message: str):
     if not cond:
         raise SchemaError(message)
-
-
-def _as_int(value, name: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
-    _require(value >= 0, f"{name} must be at least 0, got {value}")
-    return value
-
-
-def _array(data, dtype, what: str) -> np.ndarray:
-    """np.array(data, dtype), with an integer too large for dtype as a SchemaError."""
-    try:
-        return np.array(data, dtype=dtype)
-    except OverflowError:
-        raise SchemaError(f"{what} holds an integer too large for its type") from None
 
 
 def _decoded(build, *args):
@@ -120,8 +106,8 @@ def json_to_matrix(obj) -> np.ndarray:
             set(obj) >= {"rows", "cols", "data"},
             "matrix object needs keys rows, cols, data",
         )
-        rows = _as_int(obj["rows"], "rows")
-        cols = _as_int(obj["cols"], "cols")
+        rows = _size(obj["rows"], "rows")
+        cols = _size(obj["cols"], "cols")
         data = obj["data"]
         _require(isinstance(data, list), "data must be a list")
         _require(len(data) == rows * cols, f"data has {len(data)} entries, expected {rows * cols}")
@@ -131,7 +117,7 @@ def json_to_matrix(obj) -> np.ndarray:
         except ValueError:  # ragged
             raise SchemaError(not_pairs) from None
         if a.dtype.kind == "O" and all(isinstance(x, Real) for x in a.flat):
-            a = _array(a, float, "matrix")  # integers beyond 64 bits
+            a = _as_array(a, "matrix")  # integers beyond 64 bits
         _require(a.shape == (rows * cols, 2) and a.dtype.kind in "biuf", not_pairs)
         return _finite(np.ascontiguousarray(a, dtype=float).view(complex).reshape(rows, cols), "matrix")
     if isinstance(obj, list):
@@ -168,7 +154,7 @@ def json_to_factored(obj) -> FactoredOperator:
 
 
 def vector_to_json(v) -> list:
-    a = np.asarray(v, dtype=float)
+    a = _as_array(v, "vector")
     _require(a.ndim == 1, f"expected a vector, got array of shape {a.shape}")
     return a.tolist()
 
@@ -178,7 +164,7 @@ def json_to_vector(obj) -> np.ndarray:
         isinstance(obj, list) and all(isinstance(x, Real) for x in obj),
         "vector must be a list of numbers",
     )
-    return _finite(_array(obj, float, "vector"), "vector")
+    return _finite(_as_array(obj, "vector"), "vector")
 
 
 def json_to_permutation(obj) -> np.ndarray:
@@ -186,13 +172,13 @@ def json_to_permutation(obj) -> np.ndarray:
         isinstance(obj, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in obj),
         "permutation must be a list of integer images",
     )
-    return as_permutation(_array(obj, int, "permutation"))
+    return as_permutation(_as_array(obj, "permutation", int))
 
 
 def lifting_tensor_to_json(t) -> dict:
     """Flatten to {"n1", "n2", "data"} with (input, new, retained)
     lexicographic order."""
-    e = np.asarray(t, dtype=float)
+    e = _as_array(t, "lifting tensor")
     _require(
         e.ndim == 3 and e.shape[0] == e.shape[2],
         f"lifting tensor must have shape (n1, n2, n1), got {e.shape}",
@@ -207,15 +193,15 @@ def json_to_tensor_data(obj) -> np.ndarray:
         isinstance(obj, dict) and set(obj) >= {"n1", "n2", "data"},
         "lifting tensor object needs keys n1, n2, data",
     )
-    n1 = _as_int(obj["n1"], "n1")
-    n2 = _as_int(obj["n2"], "n2")
+    n1 = _size(obj["n1"], "n1")
+    n2 = _size(obj["n2"], "n2")
     data = obj["data"]
     _require(
         isinstance(data, list) and all(isinstance(x, Real) for x in data),
         "data must be a list of numbers",
     )
     _require(len(data) == n1 * n2 * n1, f"data has {len(data)} entries, expected {n1 * n2 * n1}")
-    return _finite(_array(data, float, "lifting tensor").reshape(n1, n2, n1), "lifting tensor")
+    return _finite(_as_array(data, "lifting tensor").reshape(n1, n2, n1), "lifting tensor")
 
 
 def _square_matrices(items: list, d: int, what: str) -> np.ndarray:
@@ -248,7 +234,7 @@ def json_to_cpmap(obj) -> CpMap:
         isinstance(obj, dict) and set(obj) >= {"d", "units"},
         "cp map object needs keys d, units",
     )
-    d = _as_int(obj["d"], "d")
+    d = _size(obj["d"], "d")
     units = obj["units"]
     _require(isinstance(units, list), "units must be a list")
     _require(len(units) == d * d, f"units has {len(units)} entries, expected {d * d}")
@@ -267,7 +253,7 @@ def json_to_circulant(obj) -> CirculantSpec:
         isinstance(obj, dict) and set(obj) >= {"d", "blocks"},
         "circulant object needs keys d, blocks",
     )
-    d = _as_int(obj["d"], "d")
+    d = _size(obj["d"], "d")
     blocks = obj["blocks"]
     _require(isinstance(blocks, list) and len(blocks) == d, f"blocks must list {d} matrices")
     return _decoded(CirculantSpec, _square_matrices(blocks, d, "block"))

@@ -37,12 +37,13 @@ Cholesky factorization of the Hermitian part plus (TOL / 2) I
 when that fails, for the verdict and the message. is_psd, herm_sqrt and
 everything verify measures keep the eigensolve.
 
-Sums (lifting tensors, joint channels, Markov conditionals,
-is_unital/is_stochastic, is_nondemolition, CpMap unitality, the
-compound-state marginal) are compared by _abs_close, |a - b| <= atol entry
-by entry: the bound is the absolute one listed above and nothing more. On
-finite arrays it gives np.allclose(a, b, rtol=0, atol=atol)'s verdict
-without that wrapper's per-call set-up.
+Inputs: each kind has one reader. _size reads sizes, indices and party
+counts (operator.index, no bool, one lower bound); _as_matrix square
+matrices over _as_array, which refuses a complex array where a real one is
+due and an integer too large for its type; classical._read_probabilities
+probability data: finite, no entry below -PROB_TOL, each sum within PROB_TOL
+per entry of 1, inf past the float range (_sum). Other sums go through
+_abs_close, np.allclose(rtol=0)'s verdict.
 
 Copies and finiteness: FactoredOperator(m) copies m and checks that every
 entry is finite, so no caller's array is ever aliased. Constructors in this
@@ -101,16 +102,51 @@ MMAP_DIAGONAL_SIDE = 2048
 _HALF_MAX = np.finfo(float).max / 2
 
 
-def _size(n: int, name: str) -> int:
-    """n as a dimension: DimensionMismatchError when it is negative."""
-    if n < 0:
-        raise DimensionMismatchError(f"{name} must be at least 0, got {n}")
-    return n
+def _size(n, name: str, low: float = 0) -> int:
+    """n by operator.index, a bool refused, and at least low (-np.inf for an index range-checked after)."""
+    try:
+        k = None if isinstance(n, bool) else index(n)
+    except TypeError:
+        k = None
+    if k is None:
+        raise DimensionMismatchError(f"{name} must be an integer")
+    if k < low:
+        raise DimensionMismatchError(f"{name} must be at least {low}, got {k}")
+    return k
 
 
-def _as_matrix(m) -> np.ndarray:
-    """Accept a raw array or anything carrying a .matrix attribute."""
-    return np.asarray(getattr(m, "matrix", m), dtype=complex)
+def _as_array(x, what: str, dtype=float) -> np.ndarray:
+    """np.asarray(x, dtype), but a complex array for dtype float, or an integer too large for
+    dtype, is a SchemaError, not numpy's warning or Python's OverflowError."""
+    if dtype is float and np.asarray(x).dtype.kind == "c":
+        raise SchemaError(f"{what} must be real, got a complex array")
+    try:
+        return np.asarray(x, dtype=dtype)
+    except OverflowError:
+        raise SchemaError(f"{what} holds an integer too large for its type") from None
+
+
+def _as_matrix(m, what: str = "matrix", dtype=complex) -> np.ndarray:
+    """_as_array of m, or of its .matrix, required to be square."""
+    a = _as_array(getattr(m, "matrix", m), what, dtype)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"{what} must be square, got shape {a.shape}")
+    return a
+
+
+def _sum(x: np.ndarray, axis, hi: float):
+    """x.sum(axis), hi >= every entry; under np.errstate where it can overflow, so inf, not a warning."""
+    if hi * x.size <= _HALF_MAX:
+        return x.sum(axis)
+    with np.errstate(over="ignore"):
+        return x.sum(axis)
+
+
+def _check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """a, once every entry is found finite (DimensionMismatchError)."""
+    if not np.isfinite(a).all():
+        raise DimensionMismatchError(f"{what} entries must be finite")
+    return a
 
 
 def _abs_close(a, b, atol: float) -> bool:
@@ -162,17 +198,15 @@ class FactoredOperator:
         else:
             m, finite = np.array(m, dtype=complex), False
         shape = m.shape
-        dims = _read_dims(self.dims) if self.dims else shape[:1]
+        dims = _read_dims(self.dims) if not isinstance(self.dims, tuple) or self.dims else shape[:1]
         if len(shape) != 2 or shape[0] != shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got shape {shape}")
-        if not finite and not np.isfinite(m).all():
-            raise DimensionMismatchError("matrix entries must be finite")
-        if min(dims) < 1:
+        if not finite:
+            _check_finite(m)
+        if min(dims, default=0) < 1:
             raise DimensionMismatchError(f"factor dimensions must be positive, got {dims}")
         if prod(dims) != shape[0]:
-            raise DimensionMismatchError(
-                f"product of dims {dims} is {prod(dims)}, matrix side is {shape[0]}"
-            )
+            raise DimensionMismatchError(f"product of dims {dims} is {prod(dims)}, matrix side is {shape[0]}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -199,8 +233,7 @@ def diagonal_operator(w, dims) -> FactoredOperator:
     dims = _read_dims(dims)
     if w.size != prod(dims):
         raise DimensionMismatchError(f"product of dims {dims} is {prod(dims)}, weight count is {w.size}")
-    if not np.isfinite(w).all():
-        raise DimensionMismatchError("matrix entries must be finite")
+    _check_finite(w)
     n = w.size
     if n < MMAP_DIAGONAL_SIDE:
         m = np.zeros((n, n), dtype=complex)
@@ -212,6 +245,7 @@ def diagonal_operator(w, dims) -> FactoredOperator:
 
 def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
     """Matrix unit e_ij of size d x d."""
+    d, i, j = _size(d, "d"), _size(i, "i", -np.inf), _size(j, "j", -np.inf)
     if not (0 <= i < d and 0 <= j < d):
         raise IndexOutOfRangeError(f"unit indices ({i},{j}) outside range 0..{d - 1}")
     m = np.zeros((d, d), dtype=complex)
@@ -262,7 +296,7 @@ def _positions(op: FactoredOperator, labels) -> list[int]:
     n = op.n_factors
     out = []
     for k in labels:
-        k = int(k)
+        k = _size(k, "factor label", -np.inf)
         if not 1 <= k <= n:
             raise IndexOutOfRangeError(f"factor label {k} outside 1..{n}")
         out.append(n - k)
@@ -331,8 +365,7 @@ def _check_hermitian(m: np.ndarray, tol: float = TOL) -> np.ndarray:
     mh = m.swapaxes(-1, -2).conj()
     q, qh, unit = m, mh, 1.0
     if halve_first:
-        if not np.isfinite(m).all():
-            raise DimensionMismatchError("matrix entries must be finite")
+        _check_finite(m)
         q, qh, unit = 0.25 * m, 0.25 * mh, 4.0
         scale = np.maximum.reduce(np.abs(q), axis=(-2, -1), initial=0.25)
     dev = np.maximum.reduce(np.abs(q - qh), axis=(-2, -1), initial=0.0)

@@ -36,6 +36,7 @@ from .matcore import (
     FactoredOperator,
     _abs_close,
     _as_matrix,
+    _check_finite,
     _check_hermitian,
     _eig,
     _first_non_psd,
@@ -64,8 +65,7 @@ class CpMap:
         u = np.array(self.units, dtype=complex)
         if u.ndim != 4 or len(set(u.shape)) != 1:
             raise DimensionMismatchError(f"units must have shape (d, d, d, d), got {u.shape}")
-        if not np.isfinite(u).all():
-            raise DimensionMismatchError("units entries must be finite")
+        _check_finite(u, "units")
         # np.allclose(units[i, j]^dagger, units[j, i]) for every i <= j: np.isclose's
         # test, which on finite entries is |a - b| <= atol + rtol |b|. It runs in
         # (j, i, k, l) order, where b = units[j, i] is u itself; a is one C-order
@@ -93,14 +93,14 @@ class CpMap:
 
     def apply(self, x) -> np.ndarray:
         """Evaluate Lambda(x) by linearity over matrix units."""
-        xm = np.asarray(x, dtype=complex)
+        xm = _as_matrix(x, "input")
         if xm.shape != (self.d, self.d):
             raise DimensionMismatchError(f"input shape {xm.shape}, expected {(self.d, self.d)}")
         return np.einsum("ij,ijkl->kl", xm, self.units)
 
     def adjoint_apply(self, rho) -> np.ndarray:
         """Adjoint under the bilinear pairing Tr(Lambda(a) rho) = Tr(a Lambda#(rho))."""
-        rm = np.asarray(rho, dtype=complex)
+        rm = _as_matrix(rho, "input")
         if rm.shape != (self.d, self.d):
             raise DimensionMismatchError(f"input shape {rm.shape}, expected {(self.d, self.d)}")
         return np.einsum("ijkl,lk->ji", self.units, rm)
@@ -133,9 +133,7 @@ def classical_cpmap(conditional) -> CpMap:
     its conditional-probability operator is the diagonal matrix of a
     classical Markov step.
     """
-    c = np.asarray(conditional, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DimensionMismatchError(f"conditional must be square, got shape {c.shape}")
+    c = _as_matrix(conditional, "conditional", float)
     d = c.shape[0]
     a, i = np.arange(d)[:, None], np.arange(d)[None, :]
     units = np.zeros((d, d, d, d), dtype=complex)
@@ -185,7 +183,7 @@ def _qcp_matrix(pi) -> tuple[np.ndarray, int]:
         return pi.matrix, pi.dims[0]
     m = np.asarray(pi, dtype=complex)
     d = int(round(m.shape[0] ** 0.5)) if m.ndim == 2 else 0
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or d * d != m.shape[0]:
+    if d == 0 or m.shape != (d * d, d * d):
         raise DimensionMismatchError(f"conditional operator must be d^2 x d^2, got shape {m.shape}")
     return m, d
 
@@ -207,8 +205,7 @@ def ohya_lift(rho, parties: int = 2) -> FactoredOperator:
     basis inside degenerate eigenspaces follows that solver. Every
     single-party marginal equals rho regardless of the choice.
     """
-    if parties < 2:
-        raise DimensionMismatchError(f"parties must be at least 2, got {parties}")
+    parties = _size(parties, "parties", 2)
     state = check_state(rho)
     d = state.matrix.shape[0]
     check_dense_size((d,) * parties)
@@ -323,9 +320,7 @@ def n_nonlinear_lift(pi, rho, parties: int) -> FactoredOperator:
     diagonal operator of a classical conditional matrix and diagonal rho it
     reproduces the Markov-chain state.
     """
-    if parties < 2:
-        raise DimensionMismatchError(f"parties must be at least 2, got {parties}")
-    return _chain([pi] * (parties - 1), rho)
+    return _chain([pi] * (_size(parties, "parties", 2) - 1), rho)
 
 
 def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
@@ -339,7 +334,7 @@ def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
     if not isinstance(theta, FactoredOperator) or theta.n_factors != 2 or theta.dims[0] != theta.dims[1]:
         raise DimensionMismatchError("compound state must be a FactoredOperator with dims (d, d)")
     d = theta.dims[0]
-    rm = _as_matrix(rho)
+    rm = _as_matrix(rho, "marginal")
     if rm.shape != (d, d):
         raise DimensionMismatchError(f"marginal shape {rm.shape}, expected {(d, d)}")
     w, v = _eig(np.linalg.eigh, _check_hermitian(rm))
@@ -363,7 +358,7 @@ def robertson_map(x) -> np.ndarray:
     1/2 [[I tr X22, X12 + R(X21)], [X21 + R(X12), I tr X11]] where
     R(Y) = I tr Y - Y.
     """
-    xm = np.asarray(x, dtype=complex)
+    xm = _as_matrix(x, "input")
     if xm.shape != (4, 4):
         raise DimensionMismatchError(f"input shape {xm.shape}, expected (4, 4)")
     x11, x12 = xm[:2, :2], xm[:2, 2:]
@@ -374,11 +369,12 @@ def robertson_map(x) -> np.ndarray:
         return eye2 * np.trace(y) - y
 
     out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = eye2 * np.trace(x22)
-    out[:2, 2:] = x12 + refl(x21)
-    out[2:, :2] = x21 + refl(x12)
-    out[2:, 2:] = eye2 * np.trace(x11)
-    return 0.5 * out
+    with np.errstate(over="ignore", invalid="ignore"):  # an image past the float range fails below
+        out[:2, :2] = eye2 * np.trace(x22)
+        out[:2, 2:] = x12 + refl(x21)
+        out[2:, :2] = x21 + refl(x12)
+        out[2:, 2:] = eye2 * np.trace(x11)
+    return 0.5 * _check_finite(out)
 
 
 def lifting_assisted_map(psi: Callable[[np.ndarray], np.ndarray], omega):
@@ -393,14 +389,8 @@ def lifting_assisted_map(psi: Callable[[np.ndarray], np.ndarray], omega):
     dw = om.shape[0]
 
     def phi(rho: np.ndarray) -> np.ndarray:
-        rm = np.asarray(rho, dtype=complex)
-        d = rm.shape[0]
-        if rm.shape != (d, d):
-            raise DimensionMismatchError(f"input shape {rm.shape} is not square")
-        out = np.asarray(psi(_kron(rm, om)), dtype=complex)
-        if out.shape != (d * dw, d * dw):
-            raise DimensionMismatchError(f"psi returned shape {out.shape}, expected {(d * dw, d * dw)}")
-        joint = FactoredOperator(out, (d, dw))
+        rm = _as_matrix(rho, "input")
+        joint = FactoredOperator(psi(_kron(rm, om)), (len(rm), dw))  # checks psi's shape
         return partial_trace(joint, keep={2}).matrix
 
     return phi
@@ -408,6 +398,7 @@ def lifting_assisted_map(psi: Callable[[np.ndarray], np.ndarray], omega):
 
 def choi_matrix(phi: Callable[[np.ndarray], np.ndarray], d: int) -> FactoredOperator:
     """Normalized Choi matrix (1/d) sum_ij e_ij x phi(e_ij)."""
+    d = _size(d, "d")
     units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[i, j] = e_ij
     images = np.array([[phi(e) for e in row] for row in units], dtype=complex)
     if images.shape != units.shape:

@@ -61,6 +61,7 @@ from .errors import SchemaError
 from .matcore import (
     FactoredOperator,
     _kron,
+    _size,
     is_psd,
     herm_sqrt,
     partial_trace,
@@ -623,10 +624,7 @@ def run_suite(suite: str, seed: int, trials: int = 100, tol: float | None = None
     """
     if suite not in SUITE_NAMES:
         raise SchemaError(f"unknown suite {suite!r}, expected one of {', '.join(SUITE_NAMES)}")
-    if int(trials) < 1:
-        raise SchemaError(f"trials must be at least 1, got {trials}")
-    if int(seed) < 0:
-        raise SchemaError(f"seed must be at least 0, got {seed}")
+    trials, seed = _size(trials, "trials", 1), _size(seed, "seed")
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise SchemaError(f"tol must be finite and at least 0, got {tol}")
     modules = tuple(_TABLE) if suite == "all" else (suite,)
@@ -634,4 +632,4 @@ def run_suite(suite: str, seed: int, trials: int = 100, tol: float | None = None
     for module in modules:
         checks.extend(_run_module(module, sampling.rng(seed), trials, tol))
     checks.sort(key=lambda c: c.name)
-    return VerificationReport(suite=suite, checks=tuple(checks), seed=int(seed), timestamp=_timestamp())
+    return VerificationReport(suite=suite, checks=tuple(checks), seed=seed, timestamp=_timestamp())

@@ -472,3 +472,20 @@ def test_empty_lifting_tensor_exits_two(capsys):
     empty = '{"n1":0,"n2":0,"data":[]}'
     _assert_error_exit(capsys, ["lift", "classical", "--tensor", empty, "--p", "[1]"], 2)
     _assert_error_exit(capsys, ["lift", "nlift", "--tensor", empty, "--p", "[1]", "--parties", "2"], 2)
+
+
+def test_probability_sums_past_the_float_range_write_one_error_line():
+    # Each sum is inf and refused as not normalized (exit 3), with no numpy
+    # warning on stderr before the error line.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    big = "[1.7e308,1.7e308]"
+    for argv, message in (
+        (["channel", "apply", "--matrix", "[[0.5,0.5],[0.5,0.5]]", "--state", big],
+         "probability vector sums to inf, not 1"),
+        (["lift", "bell", "--p", big, "--rho", "[[0.5,0],[0,0.5]]"], "probability vector sums to inf, not 1"),
+        (["lift", "nlift", "--tensor", '{"n1":1,"n2":2,"data":%s}' % big, "--p", "[1]", "--parties", "2"],
+         "input slices sum to [inf], expected all 1"),
+    ):
+        out = subprocess.run([sys.executable, "-m", "liftlab.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert (out.returncode, out.stdout, out.stderr) == (3, "", f"error: {message}\n"), argv

@@ -37,7 +37,7 @@ json_values = st.recursive(
     max_leaves=10,
 )
 
-numbers = st.sampled_from([0, 1, 0.5, 0.25, 0.75, -0.5, 1e-13, -1e-13, 2]) | st.floats(-2, 2)
+numbers = st.sampled_from([0, 1, 0.5, 0.25, 0.75, -0.5, 1e-13, -1e-13, 2, 1.7e308, -1.7e308]) | st.floats(-2, 2)
 
 
 def square(n):
