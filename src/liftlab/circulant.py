@@ -28,6 +28,7 @@ from .matcore import (
     STRUCT_TOL,
     TOL,
     FactoredOperator,
+    _as_array,
     _as_matrix,
     _check_finite,
     _first_non_psd,
@@ -52,7 +53,7 @@ def shift_matrix(d: int) -> np.ndarray:
 
 
 def _as_blocks(blocks) -> np.ndarray:
-    b = np.asarray(blocks, dtype=complex)
+    b = _as_array(blocks, "blocks", complex)
     if b.ndim != 3 or b.shape[0] != b.shape[1] or b.shape[1] != b.shape[2]:
         raise DimensionMismatchError(f"blocks must have shape (d, d, d), got {b.shape}")
     return b

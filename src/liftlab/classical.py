@@ -61,7 +61,7 @@ def as_channel(weights) -> np.ndarray:
 
 def as_permutation(perm) -> np.ndarray:
     """Validate a permutation given as the integer array of images of 0..n-1."""
-    s = np.asarray(perm)
+    s = _as_array(perm, "permutation", None)
     if s.ndim != 1 or s.size == 0:
         raise SchemaError(f"permutation must be a nonempty 1-d array, got shape {s.shape}")
     if s.dtype.kind not in "iu":
@@ -127,7 +127,7 @@ def kraus_from_channel(weights) -> list[np.ndarray]:
 def apply_kraus(ops, rho) -> np.ndarray:
     """Evaluate sum_k K rho K^dagger."""
     rho = _as_matrix(rho, "state")
-    ks = [np.asarray(k) for k in ops]
+    ks = [_as_array(k, "Kraus operator", complex) for k in ops]
     if not ks or any(k.shape != ks[0].shape[:1] + rho.shape[:1] for k in ks):
         raise DimensionMismatchError(f"need at least one Kraus operator, all of shape (r, {len(rho)})")
     out = np.zeros((len(ks[0]), len(ks[0])), dtype=complex)

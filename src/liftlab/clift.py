@@ -46,7 +46,7 @@ def as_lifting_tensor(t) -> np.ndarray:
 def pure_tensor(images, n2: int | None = None) -> np.ndarray:
     """Deterministic lifting E[i, j, k] = delta(k, i) delta(j, images[i])
     for integer images in 0..n2-1 (n2 defaults to the largest plus one)."""
-    s = np.asarray(images)
+    s = _as_array(images, "images", None)
     if s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iu":
         raise DimensionMismatchError(f"images must be a non-empty 1-d array of integers, got {s.dtype} {s.shape}")
     n1 = s.size
@@ -256,7 +256,7 @@ def separable_n_state(p, maps) -> FactoredOperator:
     factor.
     """
     v = as_probability_vector(p)
-    images = [np.asarray(m, dtype=complex) for m in maps]
+    images = [_as_array(m, "map images", complex) for m in maps]
     if not images:
         raise DimensionMismatchError("need at least one map")
     for mi, m in enumerate(images):

@@ -7,8 +7,9 @@ wherever a real matrix or vector is expected. Loaders raise SchemaError on
 any malformed payload so the command line can map them to exit code 2; a
 well-formed payload that breaks a mathematical precondition raises the
 constructor's MathDomainError (exit code 3). No JSON text in or out may
-hold NaN, Infinity, or a number too large for a float (1e999, 10**400), and
-no size may be negative. Matrix "data" is read with one np.array call and
+hold NaN, Infinity, or a number too large for a float (1e999, 10**400), no
+argument may hold true or false, and no size may be negative. Every JSON
+list of numbers is read by _numbers with one np.array call, and a matrix is
 written from its distinct values: canonical_pieces dumps the document around
 a placeholder and renders each matrix chunk by chunk, with one repr per
 distinct value of a column in the chunk and a gather of those strings, byte
@@ -25,7 +26,7 @@ import numpy as np
 
 from .circulant import BellSpectrum, CirculantSpec
 from .classical import as_permutation
-from .errors import MathDomainError, SchemaError
+from .errors import SchemaError
 from .matcore import FactoredOperator, _as_array, _size
 from .qlift import CpMap
 
@@ -35,18 +36,20 @@ def _require(cond: bool, message: str):
         raise SchemaError(message)
 
 
-def _decoded(build, *args):
-    """Call a constructor on decoded data: its MathDomainError passes
-    through, any other ValueError becomes a SchemaError."""
+def _numbers(data, what: str, bad: str) -> np.ndarray:
+    """A JSON list of numbers as a finite float array, by one np.array call and, for integers
+    beyond 64 bits, a conversion of the object array. A ragged list, a string, None or an
+    all-boolean list is the SchemaError ``bad``."""
     try:
-        return build(*args)
-    except MathDomainError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-
-
-def _finite(a: np.ndarray, what: str) -> np.ndarray:
+        a = np.array(data)
+        if a.dtype.kind == "O" and all(isinstance(x, Real) for x in a.flat):
+            a = a.astype(float)
+    except ValueError:  # ragged
+        a = None
+    except OverflowError:
+        raise SchemaError(f"{bad}: an integer is too large for a float") from None
+    _require(a is not None and a.dtype.kind in "iuf", bad)
+    a = a.astype(float, copy=False)
     _require(bool(np.isfinite(a).all()), f"{what} entries must be finite numbers")
     return a
 
@@ -91,7 +94,7 @@ class _Pairs(list):
 def matrix_to_json(m) -> dict:
     """Encode a complex matrix as {"rows", "cols", "data"} with flat
     row-major [re, im] pairs."""
-    a = np.asarray(m, dtype=complex)
+    a = _as_array(m, "matrix", complex)
     _require(a.ndim == 2, f"expected a matrix, got array of shape {a.shape}")
     # The document keeps its values when the caller later writes to m; a
     # read-only array, such as FactoredOperator.matrix, cannot change.
@@ -112,25 +115,13 @@ def json_to_matrix(obj) -> np.ndarray:
         _require(isinstance(data, list), "data must be a list")
         _require(len(data) == rows * cols, f"data has {len(data)} entries, expected {rows * cols}")
         not_pairs = "data entries must be [re, im] pairs"
-        try:
-            a = np.array(data or np.zeros((0, 2)))
-        except ValueError:  # ragged
-            raise SchemaError(not_pairs) from None
-        if a.dtype.kind == "O" and all(isinstance(x, Real) for x in a.flat):
-            a = _as_array(a, "matrix")  # integers beyond 64 bits
-        _require(a.shape == (rows * cols, 2) and a.dtype.kind in "biuf", not_pairs)
-        return _finite(np.ascontiguousarray(a, dtype=float).view(complex).reshape(rows, cols), "matrix")
+        a = _numbers(data or np.zeros((0, 2)), "matrix", not_pairs)
+        _require(a.shape == (rows * cols, 2), not_pairs)
+        return a.view(complex).reshape(rows, cols)
     if isinstance(obj, list):
-        # Read without a dtype, so that strings such as "0.5" stay strings.
-        try:
-            a = np.array(obj)
-            if a.dtype.kind == "O" and all(isinstance(x, Real) for x in a.flat):
-                a = a.astype(float)  # integers beyond 64 bits
-        except (ValueError, OverflowError) as exc:  # ragged, or too large for a float
-            raise SchemaError(f"matrix rows are not numeric: {exc}") from None
-        _require(a.dtype.kind in "biuf", "matrix rows are not numeric: entries must be JSON numbers")
+        a = _numbers(obj, "matrix", "matrix rows are not numeric")
         _require(a.ndim == 2, f"nested array must be two-dimensional, got shape {a.shape}")
-        return _finite(a, "matrix").astype(complex)
+        return a.astype(complex)
     raise SchemaError(f"cannot read a matrix from {type(obj).__name__}")
 
 
@@ -150,7 +141,7 @@ def json_to_factored(obj) -> FactoredOperator:
         and all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in dims),
         "dims must be a non-empty list of positive integers",
     )
-    return _decoded(FactoredOperator, json_to_matrix(obj), tuple(dims))
+    return FactoredOperator(json_to_matrix(obj), tuple(dims))
 
 
 def vector_to_json(v) -> list:
@@ -160,11 +151,10 @@ def vector_to_json(v) -> list:
 
 
 def json_to_vector(obj) -> np.ndarray:
-    _require(
-        isinstance(obj, list) and all(isinstance(x, Real) for x in obj),
-        "vector must be a list of numbers",
-    )
-    return _finite(_as_array(obj, "vector"), "vector")
+    not_numbers = "vector must be a list of numbers"
+    a = _numbers(obj, "vector", not_numbers)
+    _require(a.ndim == 1, not_numbers)
+    return a
 
 
 def json_to_permutation(obj) -> np.ndarray:
@@ -195,13 +185,11 @@ def json_to_tensor_data(obj) -> np.ndarray:
     )
     n1 = _size(obj["n1"], "n1")
     n2 = _size(obj["n2"], "n2")
-    data = obj["data"]
-    _require(
-        isinstance(data, list) and all(isinstance(x, Real) for x in data),
-        "data must be a list of numbers",
-    )
-    _require(len(data) == n1 * n2 * n1, f"data has {len(data)} entries, expected {n1 * n2 * n1}")
-    return _finite(_as_array(data, "lifting tensor").reshape(n1, n2, n1), "lifting tensor")
+    not_numbers = "data must be a list of numbers"
+    a = _numbers(obj["data"], "lifting tensor", not_numbers)
+    _require(a.ndim == 1, not_numbers)
+    _require(a.size == n1 * n2 * n1, f"data has {a.size} entries, expected {n1 * n2 * n1}")
+    return a.reshape(n1, n2, n1)
 
 
 def _square_matrices(items: list, d: int, what: str) -> np.ndarray:
@@ -238,7 +226,7 @@ def json_to_cpmap(obj) -> CpMap:
     units = obj["units"]
     _require(isinstance(units, list), "units must be a list")
     _require(len(units) == d * d, f"units has {len(units)} entries, expected {d * d}")
-    return _decoded(CpMap, _square_matrices(units, d, "unit").reshape(d, d, d, d))
+    return CpMap(_square_matrices(units, d, "unit").reshape(d, d, d, d))
 
 
 def circulant_to_json(spec: CirculantSpec) -> dict:
@@ -256,7 +244,7 @@ def json_to_circulant(obj) -> CirculantSpec:
     d = _size(obj["d"], "d")
     blocks = obj["blocks"]
     _require(isinstance(blocks, list) and len(blocks) == d, f"blocks must list {d} matrices")
-    return _decoded(CirculantSpec, _square_matrices(blocks, d, "block"))
+    return CirculantSpec(_square_matrices(blocks, d, "block"))
 
 
 def bell_spectrum_to_json(bs: BellSpectrum) -> dict:
@@ -352,7 +340,8 @@ def canonical_dumps(obj) -> str:
 
 
 def load_argument(text: str):
-    """Parse a command-line value: inline JSON, or @path to read a file."""
+    """Parse a command-line value: inline JSON, or @path to read a file.
+    No argument holds true or false."""
     if text.startswith("@"):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
@@ -360,6 +349,24 @@ def load_argument(text: str):
         except OSError as exc:
             raise SchemaError(f"cannot read {text[1:]}: {exc}") from None
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    # np.array reads [1, true] as [1.0, 1.0], so a boolean is refused here,
+    # where only a text that spells one pays for the search.
+    if ("true" in text or "false" in text) and _holds_boolean(obj):
+        raise SchemaError("entries must be JSON numbers, not true or false")
+    return obj
+
+
+def _holds_boolean(obj) -> bool:
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        if node is True or node is False:
+            return True
+        if isinstance(node, list):
+            stack.extend(node)
+        elif isinstance(node, dict):
+            stack.extend(node.values())
+    return False

@@ -37,13 +37,15 @@ Cholesky factorization of the Hermitian part plus (TOL / 2) I
 when that fails, for the verdict and the message. is_psd, herm_sqrt and
 everything verify measures keep the eigensolve.
 
-Inputs: each kind has one reader. _size reads sizes, indices and party
-counts (operator.index, no bool, one lower bound); _as_matrix square
-matrices over _as_array, which refuses a complex array where a real one is
-due and an integer too large for its type; classical._read_probabilities
-probability data: finite, no entry below -PROB_TOL, each sum within PROB_TOL
-per entry of 1, inf past the float range (_sum). Other sums go through
-_abs_close, np.allclose(rtol=0)'s verdict.
+Inputs: numpy converts caller data only in _as_array, which refuses a
+complex array where a real one is due, an integer too large for its type
+and a ragged or non-numeric array (SchemaError). Each kind of input has
+one reader. _size reads sizes, indices and party counts (operator.index,
+no bool, one lower bound); _as_matrix square matrices;
+classical._read_probabilities probability data: finite, no entry below
+-PROB_TOL, each sum within PROB_TOL per entry of 1, inf past the float
+range (_sum). Other sums go through _abs_close, np.allclose(rtol=0)'s
+verdict.
 
 Copies and finiteness: FactoredOperator(m) copies m and checks that every
 entry is finite, so no caller's array is ever aliased. Constructors in this
@@ -115,15 +117,17 @@ def _size(n, name: str, low: float = 0) -> int:
     return k
 
 
-def _as_array(x, what: str, dtype=float) -> np.ndarray:
-    """np.asarray(x, dtype), but a complex array for dtype float, or an integer too large for
-    dtype, is a SchemaError, not numpy's warning or Python's OverflowError."""
-    if dtype is float and np.asarray(x).dtype.kind == "c":
-        raise SchemaError(f"{what} must be real, got a complex array")
+def _as_array(x, what: str, dtype=float, copy: bool = False) -> np.ndarray:
+    """np.asarray(x, dtype), or np.array(x, dtype) for a copy; a complex x for dtype float, an
+    integer too large for dtype and a ragged or non-numeric x are SchemaErrors."""
     try:
-        return np.asarray(x, dtype=dtype)
+        if dtype is not float or np.asarray(x).dtype.kind != "c":
+            return np.array(x, dtype) if copy else np.asarray(x, dtype)
     except OverflowError:
         raise SchemaError(f"{what} holds an integer too large for its type") from None
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what} must be a rectangular array of numbers") from None
+    raise SchemaError(f"{what} must be real, got a complex array")
 
 
 def _as_matrix(m, what: str = "matrix", dtype=complex) -> np.ndarray:
@@ -196,7 +200,7 @@ class FactoredOperator:
         if isinstance(m, _Fresh):  # a complex array
             m, finite = m
         else:
-            m, finite = np.array(m, dtype=complex), False
+            m, finite = _as_array(m, "matrix", complex, copy=True), False
         shape = m.shape
         dims = _read_dims(self.dims) if not isinstance(self.dims, tuple) or self.dims else shape[:1]
         if len(shape) != 2 or shape[0] != shape[1]:
@@ -229,7 +233,7 @@ def diagonal_operator(w, dims) -> FactoredOperator:
     on an anonymous mmap, where the pages off the diagonal are never written
     and stay unallocated.
     """
-    w = np.asarray(w, dtype=complex).reshape(-1)
+    w = _as_array(w, "weights", complex).reshape(-1)
     dims = _read_dims(dims)
     if w.size != prod(dims):
         raise DimensionMismatchError(f"product of dims {dims} is {prod(dims)}, weight count is {w.size}")

@@ -35,6 +35,7 @@ from .matcore import (
     TOL,
     FactoredOperator,
     _abs_close,
+    _as_array,
     _as_matrix,
     _check_finite,
     _check_hermitian,
@@ -62,7 +63,7 @@ class CpMap:
     units: np.ndarray
 
     def __post_init__(self):
-        u = np.array(self.units, dtype=complex)
+        u = _as_array(self.units, "units", complex, copy=True)
         if u.ndim != 4 or len(set(u.shape)) != 1:
             raise DimensionMismatchError(f"units must have shape (d, d, d, d), got {u.shape}")
         _check_finite(u, "units")
@@ -113,7 +114,7 @@ def cp_identity(d: int) -> CpMap:
 
 def cp_from_kraus(ops) -> CpMap:
     """CP map Lambda(x) = sum_m K_m x K_m^dagger from Kraus operators."""
-    ks = [np.asarray(k, dtype=complex) for k in ops]
+    ks = [_as_array(k, "Kraus operator", complex) for k in ops]
     if not ks or any(k.shape != ks[0].shape or k.ndim != 2 or k.shape[0] != k.shape[1] for k in ks):
         raise DimensionMismatchError("Kraus operators must be square matrices of one common size")
     n, d = len(ks), ks[0].shape[0]
@@ -181,7 +182,7 @@ def _qcp_matrix(pi) -> tuple[np.ndarray, int]:
         if pi.n_factors != 2 or pi.dims[0] != pi.dims[1]:
             raise DimensionMismatchError(f"conditional operator needs dims (d, d), got {pi.dims}")
         return pi.matrix, pi.dims[0]
-    m = np.asarray(pi, dtype=complex)
+    m = _as_array(pi, "conditional operator", complex)
     d = int(round(m.shape[0] ** 0.5)) if m.ndim == 2 else 0
     if d == 0 or m.shape != (d * d, d * d):
         raise DimensionMismatchError(f"conditional operator must be d^2 x d^2, got shape {m.shape}")
@@ -400,7 +401,7 @@ def choi_matrix(phi: Callable[[np.ndarray], np.ndarray], d: int) -> FactoredOper
     """Normalized Choi matrix (1/d) sum_ij e_ij x phi(e_ij)."""
     d = _size(d, "d")
     units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[i, j] = e_ij
-    images = np.array([[phi(e) for e in row] for row in units], dtype=complex)
+    images = _as_array([[phi(e) for e in row] for row in units], "phi images", complex)
     if images.shape != units.shape:
         raise DimensionMismatchError(f"phi returned shape {images.shape[2:]}, expected {(d, d)}")
     return FactoredOperator(_Fresh(images.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d), (d, d))

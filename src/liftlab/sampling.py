@@ -11,6 +11,7 @@ import numpy as np
 
 from .circulant import CirculantSpec
 from .clift import MarkovSpec, as_lifting_tensor
+from .matcore import _size
 from .qlift import CpMap, cp_from_kraus
 
 
@@ -20,26 +21,28 @@ def rng(seed=None) -> np.random.Generator:
 
 
 def probability_vector(g: np.random.Generator, n: int) -> np.ndarray:
-    v = np.square(g.standard_normal(n))
+    v = np.square(g.standard_normal(_size(n, "n")))
     return v / v.sum()
 
 
 def stochastic(g: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
     """Weight matrix with unit row sums (trace preserving on states)."""
-    return np.array([probability_vector(g, n_out) for _ in range(n_in)])
+    n_out = _size(n_out, "n_out")
+    return np.array([probability_vector(g, n_out) for _ in range(_size(n_in, "n_in"))])
 
 
 def permutation(g: np.random.Generator, n: int) -> np.ndarray:
-    return g.permutation(n)
+    return g.permutation(_size(n, "n"))
 
 
 def diagonal_observable(g: np.random.Generator, n: int) -> np.ndarray:
-    return g.uniform(-1.0, 1.0, n)
+    return g.uniform(-1.0, 1.0, _size(n, "n"))
 
 
 def unitary(g: np.random.Generator, d: int) -> np.ndarray:
     """Haar-distributed unitary from the QR decomposition with the phase
     convention that makes R's diagonal positive."""
+    d = _size(d, "d")
     z = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     diag = r.diagonal()
@@ -48,6 +51,7 @@ def unitary(g: np.random.Generator, d: int) -> np.ndarray:
 
 def density(g: np.random.Generator, d: int) -> np.ndarray:
     """Random state: random spectrum conjugated by a Haar unitary."""
+    d = _size(d, "d")
     w = probability_vector(g, d)
     u = unitary(g, d)
     return (u * w) @ u.conj().T
@@ -65,6 +69,7 @@ def unital_cpmap(g: np.random.Generator, d: int) -> CpMap:
     Stacks the isometry's d x d blocks B_m and uses K_m = B_m^dagger, so
     sum K_m K_m^dagger = V^dagger V = I and the map fixes the identity.
     """
+    d = _size(d, "d")
     z = g.standard_normal((d * d, d)) + 1j * g.standard_normal((d * d, d))
     q, _ = np.linalg.qr(z)
     blocks = q.reshape(d, d, d)
@@ -72,17 +77,20 @@ def unital_cpmap(g: np.random.Generator, d: int) -> CpMap:
 
 
 def lifting_tensor(g: np.random.Generator, n1: int, n2: int) -> np.ndarray:
+    n1, n2 = _size(n1, "n1"), _size(n2, "n2")
     slices = [probability_vector(g, n2 * n1).reshape(n2, n1) for _ in range(n1)]
     return as_lifting_tensor(np.array(slices))
 
 
 def markov_spec(g: np.random.Generator, n: int) -> MarkovSpec:
+    n = _size(n, "n")
     return MarkovSpec(stochastic(g, n, n).T, probability_vector(g, n))
 
 
 def circulant_spec(g: np.random.Generator, d: int) -> CirculantSpec:
     """Random circulant state; blocks are blended toward their diagonals by
     a random amount so both verdicts of the partial-transpose test occur."""
+    d = _size(d, "d")
     weights = probability_vector(g, d)
     mix = g.uniform(0.0, 1.0)
     blocks = []

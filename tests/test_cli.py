@@ -382,6 +382,25 @@ def test_string_matrix_entries_exit_two(capsys):
         _assert_error_exit(capsys, ["channel", "apply", "--matrix", matrix, "--state", "[0.5,0.5]"], 2)
 
 
+def test_booleans_are_not_numbers(capsys, tmp_path):
+    # np.array reads [1, true] as [1.0, 1.0]; an argument holding true or false exits 2.
+    identity = "[[1,0],[0,1]]"
+    path = tmp_path / "state.json"
+    path.write_text("[1, false]")
+    for argv in (
+        ["channel", "apply", "--matrix", "[[true,false],[false,true]]", "--state", "[true,false]"],
+        ["channel", "apply", "--matrix", "[[1,false],[0,1]]", "--state", "[0.5,0.5]"],
+        ["channel", "apply", "--matrix", '{"rows":1,"cols":1,"data":[[true,false]]}', "--state", "[1]"],
+        ["channel", "apply", "--matrix", '{"rows":1,"cols":1,"data":[[true,0]]}', "--state", "[1]"],
+        ["channel", "apply", "--matrix", identity, "--state", "[true,false]"],
+        ["channel", "apply", "--matrix", identity, "--state", "[1,false]"],
+        ["channel", "apply", "--matrix", identity, "--state", f"@{path}"],
+        ["lift", "nlift", "--tensor", '{"n1":1,"n2":1,"data":[true]}', "--p", "[1]", "--parties", "2"],
+        ["lift", "nlift", "--tensor", '{"n1":1,"n2":2,"data":[0.5,true]}', "--p", "[1]", "--parties", "2"],
+    ):
+        _assert_error_exit(capsys, argv, 2)
+
+
 def test_eigensolver_failure_exits_three(capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -210,6 +210,24 @@ def test_decoders_reject_integers_too_large_for_their_type():
     )
 
 
+def test_decoders_reject_all_boolean_lists():
+    with pytest.raises(SchemaError, match="not numeric"):
+        json_to_matrix([[True, False], [False, True]])
+    with pytest.raises(SchemaError, match=r"\[re, im\] pairs"):
+        json_to_matrix({"rows": 1, "cols": 1, "data": [[True, False]]})
+    with pytest.raises(SchemaError, match="vector must be a list of numbers"):
+        json_to_vector([True, False])
+    with pytest.raises(SchemaError, match="data must be a list of numbers"):
+        json_to_tensor_data({"n1": 1, "n2": 1, "data": [True]})
+
+
+def test_arguments_holding_booleans_are_refused():
+    for text in ("[1, true]", "[[0.5, false]]", '{"n1": 1, "n2": 1, "data": [true]}'):
+        with pytest.raises(SchemaError, match="not true or false"):
+            load_argument(text)
+    assert load_argument('[1, 0.5e-3]') == [1, 0.0005]
+
+
 def test_decoders_reject_negative_sizes():
     for bad in ({"rows": -1, "cols": -1, "data": [[1, 0]]}, {"rows": -1, "cols": 0, "data": []}):
         with pytest.raises(SchemaError, match="rows must be at least 0"):

@@ -5,14 +5,15 @@ two actions and the map that lifting_assisted_map returns, is called with
 near-valid arguments:
 each argument is a valid value or an edge variant of it. Arrays become a
 0-d number, an empty array, a copy with one entry NaN or +-1.7e308, an
-array full of +-1.7e308, one of another rank, a shifted or complex copy;
-sizes and indices become -1, 0, 2.5, True, a numpy integer or np.eye(2);
-lists of arrays lose their entries or get one edge entry; callables return
-a number or NaN. Warnings are errors. Each call must return or raise a
-LiftlabError; a TypeError is allowed only when an argument is None, the
-wrong Python type. Tolerance arguments keep their defaults. Arrays have
-side at most 4 and sizes at most 3, so no call allocates more than a few
-KiB.
+array full of +-1.7e308, one of another rank, a shifted or complex copy,
+or nested lists with one entry 10**400 (past the float range) or a
+string, or ragged; sizes and indices become -1, 0, 2.5, True, a numpy
+integer or np.eye(2); lists of arrays lose their entries or get one edge
+entry; callables return a number, NaN or a ragged list. Warnings are
+errors. Each call must return or raise a LiftlabError; a TypeError is
+allowed only when an argument is None, the wrong Python type. Tolerance
+arguments keep their defaults. Arrays have side at most 4 and sizes at
+most 3, so no call allocates more than a few KiB.
 """
 import warnings
 
@@ -171,18 +172,34 @@ def _with_entry(v, value, k):
     return out
 
 
+def _listed(v, value, k):
+    """v as nested lists, with entry k replaced by value."""
+    out = v.astype(object)
+    out.flat[k] = value
+    return out.tolist()
+
+
+def _ragged(v):
+    """v as nested lists whose first entry is doubled into a pair: ragged when v has two or more rows."""
+    out = v.tolist()
+    if v.ndim and v.size:
+        out[0] = [out[0], out[0]]
+    return out
+
+
 def _array(v):
     v = np.asarray(v)
     real = v.real.astype(float)
     edges = st.sampled_from([
         v, v, v, v, 5.0, np.zeros((0,) * max(v.ndim, 1)), np.zeros(0), np.full(v.shape, BIG),
         np.full(v.shape, -BIG), v[None], v.reshape(-1), v[..., 0] if v.ndim else v, real + 0.5, v + 0.5j,
-        WRONG_TYPE,
+        _ragged(v), WRONG_TYPE,
     ])
     if not v.size:
         return edges
-    one_entry = st.tuples(st.sampled_from([np.nan, BIG, -BIG]), st.integers(0, v.size - 1))
-    return edges | one_entry.map(lambda t: _with_entry(v, *t))
+    # 10**400 and a string fit no float array, so they come as nested lists.
+    one_entry = st.tuples(st.sampled_from([np.nan, BIG, -BIG, 10**400, "a"]), st.integers(0, v.size - 1))
+    return edges | one_entry.map(lambda t: (_with_entry if isinstance(t[0], float) else _listed)(v, *t))
 
 
 def _size(k):
@@ -205,7 +222,8 @@ def _arrays(items):
 
 
 def _func(f):
-    return st.sampled_from([f, f, lambda m: 5.0, lambda m: np.full(np.shape(m), np.nan), WRONG_TYPE])
+    return st.sampled_from([f, f, lambda m: 5.0, lambda m: np.full(np.shape(m), np.nan), lambda m: [[1], [1, 2]],
+                            WRONG_TYPE])
 
 
 KINDS = {ARRAY: _array, SIZE: _size, INDEX: _index, DIMS: _dims, ARRAYS: _arrays, FUNC: _func, FIXED: st.just}
@@ -279,6 +297,19 @@ NAMED = [
     (lambda: liftlab.as_probability_vector([10**400, 0]), "SchemaError",
      "probability vector holds an integer too large for its type"),
     (lambda: jsonio.vector_to_json(np.array([1 + 1j])), "SchemaError", "vector must be real, got a complex array"),
+    (lambda: liftlab.FactoredOperator([[10**400]]), "SchemaError", "matrix holds an integer too large for its type"),
+    (lambda: liftlab.CpMap([[[[10**400]]]]), "SchemaError", "units holds an integer too large for its type"),
+    (lambda: liftlab.CirculantSpec([[["a"]]]), "SchemaError", "blocks must be a rectangular array of numbers"),
+    (lambda: liftlab.separable_n_state([1.0], [[I2, np.eye(3)]]), "SchemaError",
+     "map images must be a rectangular array of numbers"),
+    (lambda: liftlab.as_probability_vector([[1], [1, 2]]), "SchemaError",
+     "probability vector must be a rectangular array of numbers"),
+    (lambda: liftlab.as_permutation([[1], [1, 2]]), "SchemaError", "permutation must be a rectangular array of numbers"),
+    (lambda: liftlab.choi_matrix(lambda m: [[1], [1, 2]], 2), "SchemaError",
+     "phi images must be a rectangular array of numbers"),
+    (lambda: probability_vector(rng(0), -1), "DimensionMismatchError", "n must be at least 0, got -1"),
+    (lambda: stochastic(rng(0), 2, -1), "DimensionMismatchError", "n_out must be at least 0, got -1"),
+    (lambda: density(rng(0), 2.5), "DimensionMismatchError", "d must be an integer"),
 ]
 
 
