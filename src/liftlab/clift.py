@@ -20,6 +20,7 @@ from .errors import (
     MapNotPositiveError,
 )
 from .matcore import (
+    _MAX_FACTORS,
     PROB_TOL,
     FactoredOperator,
     _abs_close,
@@ -152,7 +153,7 @@ def n_lift(t, p, parties: int) -> FactoredOperator:
     number of output factors (parties - 1 applications); parties = 2 is
     :func:`lift`.
     """
-    parties = _size(parties, "parties", 2)
+    parties = _size(parties, "parties", 2, _MAX_FACTORS)
     e = as_lifting_tensor(t)
     w = as_probability_vector(p)
     if w.size != e.shape[0]:
@@ -190,8 +191,13 @@ class MarkovSpec:
 
 
 def markov_weights(spec: MarkovSpec, parties: int) -> np.ndarray:
-    """Joint weights W[i_N, ..., i_1] = p(i_N|i_{N-1}) ... p(i_2|i_1) p(i_1)."""
-    parties = _size(parties, "parties", 1)
+    """Joint weights W[i_N, ..., i_1] = p(i_N|i_{N-1}) ... p(i_2|i_1) p(i_1).
+
+    They are the diagonal of :func:`markov_state`'s operator, and share its
+    size limit (check_dense_size).
+    """
+    parties = _size(parties, "parties", 1, _MAX_FACTORS)
+    check_dense_size((spec.n,) * parties)
     w = spec.initial.copy()
     for _ in range(parties - 1):
         w = np.einsum("ji,i...->ji...", spec.conditional, w)
@@ -200,9 +206,8 @@ def markov_weights(spec: MarkovSpec, parties: int) -> np.ndarray:
 
 def markov_state(spec: MarkovSpec, parties: int) -> FactoredOperator:
     """Diagonal N-party state of a Markov chain, latest index leftmost."""
-    parties = _size(parties, "parties", 1)
-    check_dense_size((spec.n,) * parties)
-    return diagonal_operator(markov_weights(spec, parties), (spec.n,) * parties)
+    w = markov_weights(spec, parties)  # (n,) * parties, checked for its size
+    return diagonal_operator(w, w.shape)
 
 
 def markov_operator(spec: MarkovSpec, a) -> np.ndarray:
@@ -242,7 +247,7 @@ def transition_expectation_sides(spec: MarkovSpec, observables) -> tuple[float, 
 def verify_transition_expectation(spec: MarkovSpec, parties: int, observables, atol: float = PROB_TOL) -> bool:
     """Check the joint expectation against the nested one-step form."""
     obs = list(observables)
-    if len(obs) != _size(parties, "parties", 1):
+    if len(obs) != _size(parties, "parties", 1, _MAX_FACTORS):
         raise DimensionMismatchError(f"{len(obs)} observables for {parties} parties")
     lhs, rhs = transition_expectation_sides(spec, obs)
     return abs(lhs - rhs) <= atol * max(1.0, abs(lhs), abs(rhs))
@@ -259,6 +264,7 @@ def separable_n_state(p, maps) -> FactoredOperator:
     images = [_as_array(m, "map images", complex) for m in maps]
     if not images:
         raise DimensionMismatchError("need at least one map")
+    _size(len(images), "parties", 1, _MAX_FACTORS)
     for mi, m in enumerate(images):
         if m.ndim != 3 or m.shape[0] != v.size or m.shape[1] != m.shape[2]:
             raise DimensionMismatchError(
@@ -267,10 +273,12 @@ def separable_n_state(p, maps) -> FactoredOperator:
         bad = _first_non_psd(m)
         if bad:
             raise MapNotPositiveError(f"map {mi} sends unit {bad[0]} to eigenvalue {bad[1]:.3e}")
+    dims = tuple(m.shape[1] for m in images)
+    check_dense_size(dims)
     # terms[i] = phi_1(e_ii) x ... x phi_k(e_ii), one Kronecker factor per step.
     terms = images[0]
     for m in images[1:]:
         side = terms.shape[1] * m.shape[1]
         terms = (terms[:, :, None, :, None] * m[:, None, :, None, :]).reshape(v.size, side, side)
     # A sum over axis 0 adds the terms in unit order.
-    return FactoredOperator(_Fresh((v[:, None, None] * terms).sum(axis=0)), tuple(m.shape[1] for m in images))
+    return FactoredOperator(_Fresh((v[:, None, None] * terms).sum(axis=0)), dims)

@@ -41,7 +41,8 @@ Inputs: numpy converts caller data only in _as_array, which refuses a
 complex array where a real one is due, an integer too large for its type
 and a ragged or non-numeric array (SchemaError). Each kind of input has
 one reader. _size reads sizes, indices and party counts (operator.index,
-no bool, one lower bound); _as_matrix square matrices;
+no bool, one lower bound; party counts at most _MAX_FACTORS, which
+FactoredOperator also holds its dims to); _as_matrix square matrices;
 classical._read_probabilities probability data: finite, no entry below
 -PROB_TOL, each sum within PROB_TOL per entry of 1, inf past the float
 range (_sum). Other sums go through _abs_close, np.allclose(rtol=0)'s
@@ -94,6 +95,12 @@ PROB_TOL = 1e-12
 # Largest dense complex operator an N-party constructor may allocate: a
 # 2^13-sided matrix (d=2, N=13) is exactly 1 GiB.
 MAX_DENSE_BYTES = 1 << 30
+# Most tensor factors an operator or an N-party build may have, checked
+# before any per-party list or dims tuple is built. partial_trace and
+# partial_transpose view a matrix as 2n axes, within numpy 1.x's 32; factors
+# of side 2 or more pass MAX_DENSE_BYTES at 14, so this bound refuses only
+# operators with many 1-dimensional factors.
+_MAX_FACTORS = 16
 # Side from which diagonal_operator writes its weights into untouched mmap
 # pages instead of calling np.diag, which faults in and zeroes every page.
 # Measured on a 2-core x86-64 VM, np.diag against mmap: side 1024 (16 MiB)
@@ -104,16 +111,19 @@ MMAP_DIAGONAL_SIDE = 2048
 _HALF_MAX = np.finfo(float).max / 2
 
 
-def _size(n, name: str, low: float = 0) -> int:
-    """n by operator.index, a bool refused, and at least low (-np.inf for an index range-checked after)."""
+def _size(n, name: str, low: float = 0, high: float = np.inf) -> int:
+    """n by operator.index, a bool refused, at least low (-np.inf for an index range-checked after)
+    and at most high (_MAX_FACTORS for a party count)."""
     try:
         k = None if isinstance(n, bool) else index(n)
     except TypeError:
         k = None
     if k is None:
         raise DimensionMismatchError(f"{name} must be an integer")
-    if k < low:
-        raise DimensionMismatchError(f"{name} must be at least {low}, got {k}")
+    if not low <= k <= high:
+        bound = f"at least {low}" if k < low else f"at most {high}"
+        got = f", got {k}" if k.bit_length() <= 64 else ""  # str() refuses ints of over 4300 digits
+        raise DimensionMismatchError(f"{name} must be {bound}{got}")
     return k
 
 
@@ -209,6 +219,8 @@ class FactoredOperator:
             _check_finite(m)
         if min(dims, default=0) < 1:
             raise DimensionMismatchError(f"factor dimensions must be positive, got {dims}")
+        if len(dims) > _MAX_FACTORS:
+            raise DimensionMismatchError(f"an operator has at most {_MAX_FACTORS} tensor factors, got {len(dims)}")
         if prod(dims) != shape[0]:
             raise DimensionMismatchError(f"product of dims {dims} is {prod(dims)}, matrix side is {shape[0]}")
         m.setflags(write=False)
@@ -266,11 +278,21 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def check_dense_size(dims) -> None:
     """Raise SchemaError when a dense complex operator on factors ``dims``
-    would exceed MAX_DENSE_BYTES; call it before allocating."""
-    side = prod(int(d) for d in dims)
-    nbytes = side * side * np.dtype(complex).itemsize
-    if nbytes > MAX_DENSE_BYTES:
-        raise SchemaError(f"dense {side} x {side} operator needs {nbytes} bytes, limit is {MAX_DENSE_BYTES}")
+    would exceed MAX_DENSE_BYTES; call it before allocating.
+
+    The side is multiplied out factor by factor, and a partial product past
+    2^64 is held there, so no integer grows with the number of factors (a
+    zero factor still gives side 0); only such a side goes unnamed.
+    """
+    item = np.dtype(complex).itemsize
+    side, named = 1, True
+    for d in dims:
+        if side >> 64:
+            side, named = 1 << 64, False
+        side *= int(d)
+    if side * side * item > MAX_DENSE_BYTES:
+        size = f"{side} x {side} operator needs {side * side * item} bytes" if named else "operator of side over 2^64"
+        raise SchemaError(f"dense {size}, limit is {MAX_DENSE_BYTES}")
 
 
 def sandwich_right(x, r) -> np.ndarray:

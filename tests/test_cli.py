@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -323,6 +324,22 @@ def _assert_error_exit(capsys, argv, code):
 
 def test_oversized_output_exits_two(capsys):
     _assert_error_exit(capsys, ["lift", "ohya", "--rho", "[[0.6,0],[0,0.4]]", "--parties", "40"], 2)
+
+
+def test_party_counts_past_any_dense_size_exit_two_at_once(capsys):
+    tensor = json.dumps({"n1": 2, "n2": 2, "data": [0.2, 0.8, 0, 0, 0, 0, 0.2, 0.8]})
+    probes = [
+        ["lift", "ohya", "--rho", "[[0.5,0],[0,0.5]]", "--parties", "14"],  # the dense-size guard
+        ["lift", "ohya", "--rho", "[[0.5,0],[0,0.5]]", "--parties", "20000"],
+        ["lift", "nlift", "--tensor", tensor, "--p", "[0.5,0.5]", "--parties", "20000"],
+        ["lift", "nlift", "--tensor", tensor, "--p", "[0.5,0.5]", "--parties", "1000000"],
+        ["lift", "nlift", "--tensor", '{"n1":1,"n2":1,"data":[1]}', "--p", "[1]", "--parties", "70"],
+        ["lift", "ohya", "--rho", "[[1]]", "--parties", "17"],
+    ]
+    for argv in probes:
+        start = time.perf_counter()
+        _assert_error_exit(capsys, argv, 2)
+        assert time.perf_counter() - start < 1.0, argv
 
 
 def test_non_finite_json_exits_two(capsys):

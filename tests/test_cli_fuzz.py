@@ -9,8 +9,8 @@ valid JSON on stdout; exit 1, only from `verify` or `channel kraus
 line on stderr and nothing on stdout. An exception that escapes main fails
 the test. Sizes are bounded so that no call allocates more than a few MiB:
 random lists hold at most 4 entries, near-valid matrices have side at most
-3, and --parties is at most 4 or else 40, which the size guard refuses
-before any allocation unless every factor is 1-dimensional.
+3, and --parties is at most 4 or else 40, 70 or 20000, which the factor-count
+bound refuses before any per-party list or allocation.
 """
 import contextlib
 import io
@@ -105,7 +105,7 @@ TENSOR = {"n1": 2, "n2": 2, "data": [0.2, 0.8, 0, 0, 0, 0, 0.2, 0.8]}
 
 # (argv prefix, JSON-valued flags as (flag, kind, a valid value), other flags
 # drawn so that argparse accepts them).
-parties = st.sampled_from(["-1", "0", "1", "2", "3", "4", "40"])
+parties = st.sampled_from(["-1", "0", "1", "2", "3", "4", "40", "70", "20000"])
 small_ints = st.integers(-1, 3).map(str)
 COMMANDS = [
     (["channel", "kraus"], [("--matrix", "matrix", [[0.5, 0.5], [0.25, 0.75]])],

@@ -8,7 +8,8 @@ products sum the same terms in another order, so every comparison holds to
 channel_from_compound's broadcast product is held to the three-operand
 einsum it replaced. The N-party chain reference is the earlier two-product
 stage, cur x I_d in a zeroed buffer then sandwich_right with sqrt(pi); the
-library's one-product stage agrees with it to 1e-12.
+library's one-product stages agree with it to 1e-12 at d = 1..5, as real
+products up to qlift._REAL_CHAIN_MAX_D and as complex ones above it.
 """
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from liftlab.errors import (
     TraceNotOneError,
 )
 from liftlab.matcore import herm_sqrt, partial_transpose, sandwich_right, unit_matrix
+from liftlab import qlift
 from liftlab.qlift import (
     CpMap,
     channel_from_compound,
@@ -312,10 +314,11 @@ def _two_product_chain(mats):
     return cur
 
 
-@pytest.mark.parametrize("d", [2, 3])
+# Up to the crossover the stages run as real products; the last size is on the complex side.
+@pytest.mark.parametrize("d", [1, 2, 3, 4, qlift._REAL_CHAIN_MAX_D + 1])
 def test_one_product_chain_matches_two_product_stages(d):
     g = rng(760 + d)
-    for parties in range(2, 7 if d == 2 else 6):
+    for parties in range(2, {1: 8, 2: 7, 5: 5}.get(d, 6)):
         pi = qcp_from_channel(unital_cpmap(g, d))
         distinct = [qcp_from_channel(unital_cpmap(g, d)) for _ in range(parties - 1)]
         rho = faithful_density(g, d)
@@ -323,6 +326,10 @@ def test_one_product_chain_matches_two_product_stages(d):
         np.testing.assert_allclose(n_compose_qcp([pi] * (parties - 1)).matrix, repeated, rtol=0, atol=1e-12)
         np.testing.assert_allclose(n_compose_qcp(distinct).matrix,
                                    _two_product_chain([p.matrix for p in distinct]), rtol=0, atol=1e-12)
+        alternating = [distinct[0], pi] * parties
+        np.testing.assert_allclose(n_compose_qcp(alternating[: parties - 1]).matrix,
+                                   _two_product_chain([p.matrix for p in alternating[: parties - 1]]),
+                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(n_nonlinear_lift(pi, rho, parties).matrix,
                                    sandwich_right(repeated, herm_sqrt(rho)), rtol=0, atol=1e-12)
     # One link: the caller's operator, copied; parties=2: the plain sandwich.

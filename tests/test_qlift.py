@@ -14,7 +14,16 @@ from liftlab.errors import (
     NotUnitalError,
     SchemaError,
 )
-from liftlab.clift import markov_state, n_lift, ohya_tensor
+from liftlab.clift import (
+    MarkovSpec,
+    markov_state,
+    markov_weights,
+    n_lift,
+    ohya_tensor,
+    separable_n_state,
+    transition_expectation_sides,
+    verify_transition_expectation,
+)
 from liftlab.matcore import FactoredOperator, herm_sqrt, is_psd, partial_trace, trace_out
 from liftlab.qlift import (
     CpMap,
@@ -354,10 +363,22 @@ def _dense_ohya(rho, parties):
     return out
 
 
-@pytest.mark.parametrize("d", [2, 3])
+def _raw_layouts(m):
+    """The same matrix as a Fortran-ordered array and as a strided view."""
+    wide = np.zeros((2 * m.shape[0], 3 * m.shape[1]), dtype=complex)
+    wide[::2, ::3] = m
+    return np.asfortranarray(m), wide[::2, ::3]
+
+
+# Factor sizes up to the crossover run the chain as real products; the last
+# one is on the complex side.
+CHAIN_DS = [1, 2, 3, 4, qlift._REAL_CHAIN_MAX_D + 1]
+
+
+@pytest.mark.parametrize("d", CHAIN_DS)
 def test_chain_matches_dense_reference(d):
     g = rng(58 + d)
-    for parties in range(2, 6):
+    for parties in range(2, {4: 5, 5: 4}.get(d, 6)):
         pi = qcp_from_channel(unital_cpmap(g, d))
         pis = [qcp_from_channel(unital_cpmap(g, d)) for _ in range(parties - 1)]
         state = density(g, d)
@@ -373,15 +394,33 @@ def test_chain_matches_dense_reference(d):
         np.testing.assert_allclose(
             n_compose_qcp(pis).matrix, _dense_chain([p.matrix for p in pis]), atol=1e-12
         )
-        # Two objects alternating along the chain: a root reused across
-        # links must belong to the link's own operator.
+        # Two objects alternating along the chain: a root or kernel reused
+        # across links must belong to the link's own operator.
         mixed = [pis[0].matrix, pi.matrix] * parties
         np.testing.assert_allclose(n_compose_qcp(mixed[: parties - 1]).matrix,
                                    _dense_chain(mixed[: parties - 1]), atol=1e-12)
+        # Raw links that are not C-contiguous, the outermost one included.
+        for raw in _raw_layouts(pis[-1].matrix):
+            links = [p.matrix for p in pis[:-1]] + [raw]
+            np.testing.assert_allclose(n_compose_qcp(links).matrix, _dense_chain(links), atol=1e-12)
+        for raw in _raw_layouts(pi.matrix):
+            np.testing.assert_allclose(n_nonlinear_lift(raw, state, parties).matrix,
+                                       _dense_sandwich(repeated, root), atol=1e-12)
         np.testing.assert_allclose(
             n_nonlinear_lift(pi, state, parties).matrix, _dense_sandwich(repeated, root), atol=1e-12
         )
         np.testing.assert_allclose(ohya_lift(state, parties).matrix, _dense_ohya(state, parties), atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_real_and_complex_stages_agree(d, monkeypatch):
+    g = rng(90 + d)
+    pis = [qcp_from_channel(unital_cpmap(g, d)) for _ in range(2)] * 2
+    state = density(g, d)
+    real = n_compose_qcp(pis).matrix, n_nonlinear_lift(pis[0], state, 5).matrix
+    monkeypatch.setattr(qlift, "_REAL_CHAIN_MAX_D", 0)
+    for got, want in zip(real, (n_compose_qcp(pis).matrix, n_nonlinear_lift(pis[0], state, 5).matrix)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_ohya_lift_rejects_oversized_output():
@@ -404,6 +443,71 @@ def test_dense_size_guard_precedes_every_n_party_build(monkeypatch):
         assert build(3).dims == (2, 2, 2)
         with pytest.raises(SchemaError, match="limit"):
             build(4)
+
+
+def test_dense_size_guard_covers_weights_and_separable_terms(monkeypatch):
+    monkeypatch.setattr(matcore, "MAX_DENSE_BYTES", 16 * 8 * 8)
+    spec = markov_spec(rng(62), 2)
+    images = np.array([np.eye(2) / 2] * 2, dtype=complex)
+    builds = [
+        lambda n: markov_weights(spec, n),
+        lambda n: transition_expectation_sides(spec, [np.ones(2)] * n),
+        lambda n: verify_transition_expectation(spec, n, [np.ones(2)] * n),
+        lambda n: separable_n_state([0.5, 0.5], [images] * n),
+    ]
+    for build in builds:
+        build(3)
+        with pytest.raises(SchemaError, match="limit"):
+            build(4)
+
+
+def test_party_and_factor_counts_are_bounded_before_any_build():
+    one, spec, limit = np.eye(1), MarkovSpec([[1.0]], [1.0]), matcore._MAX_FACTORS
+    by_count = [
+        lambda n: ohya_lift(one, n),
+        lambda n: n_nonlinear_lift(one, one, n),
+        lambda n: n_lift(ohya_tensor(1), [1.0], n),
+        lambda n: markov_state(spec, n),
+        lambda n: markov_weights(spec, n),
+        lambda n: verify_transition_expectation(spec, n, [[1.0]] * limit),
+    ]
+    by_length = [
+        lambda n: n_compose_qcp([one] * (n - 1)),
+        lambda n: transition_expectation_sides(spec, [[1.0]] * n),
+        lambda n: separable_n_state([1.0], [np.ones((1, 1, 1))] * n),
+        lambda n: FactoredOperator(one, (1,) * n),
+    ]
+    for build in by_length:
+        build(limit)
+        for n in (limit + 1, 70, 20000):
+            with pytest.raises(DimensionMismatchError, match=f"at most {limit}"):
+                build(n)
+    # A count read as an integer is refused before any per-party list is
+    # built, and named unless str() would refuse it.
+    for build in by_count:
+        build(limit)
+        for n in (limit + 1, 70, 20000, 10**9):
+            with pytest.raises(DimensionMismatchError, match=f"^parties must be at most {limit}, got {n}$"):
+                build(n)
+        with pytest.raises(DimensionMismatchError, match=f"^parties must be at most {limit}$"):
+            build(10**5000)
+        with pytest.raises(DimensionMismatchError, match="^parties must be at least [12]$"):
+            build(-(10**5000))
+    # The operator with the most factors is still traced and transposed.
+    op = FactoredOperator(one, (1,) * limit)
+    assert partial_trace(op, {1, limit}).dims == (1, 1)
+    assert matcore.partial_transpose(op, limit).dims == op.dims
+
+
+def test_dense_size_verdict_needs_no_huge_integers():
+    with pytest.raises(SchemaError, match=r"^dense 16384 x 16384 operator needs 4294967296 bytes, limit is"):
+        matcore.check_dense_size((2,) * 14)
+    with pytest.raises(SchemaError, match="^dense operator of side over 2\\^64, limit is"):
+        matcore.check_dense_size((2,) * 100000)
+    with pytest.raises(SchemaError, match="^dense operator of side over 2\\^64, limit is"):
+        matcore.check_dense_size((10**3000, 3))
+    matcore.check_dense_size((2,) * 100000 + (0,))
+    matcore.check_dense_size((2,) * 13)
 
 
 def test_cpmap_rejects_non_finite_units():
