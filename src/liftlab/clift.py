@@ -10,6 +10,7 @@ liftings; Markov chains arise from the tensors E[i, j, k] = p(j|i) delta_ik.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -40,8 +41,7 @@ def as_lifting_tensor(t) -> np.ndarray:
     e = _as_array(t, "lifting tensor")
     if e.ndim != 3 or e.shape[0] != e.shape[2]:
         raise DimensionMismatchError(f"lifting tensor must have shape (n1, n2, n1), got {e.shape}")
-    return _read_probabilities(e, "lifting tensor entries must be finite", "lifting tensor has negative entry",
-                               (1, 2), "input slices sum to {}, expected all 1")
+    return _read_probabilities(e, "lifting tensor has negative entry", (1, 2), "input slices sum to {}, expected all 1")
 
 
 def pure_tensor(images, n2: int | None = None) -> np.ndarray:
@@ -139,8 +139,8 @@ def gamma_lifting(gamma, sigma, p) -> FactoredOperator:
     if g.shape != (n2 * n1, n2 * n1):
         raise DimensionMismatchError(f"joint channel shape {g.shape}, expected {(n2 * n1, n2 * n1)}")
     # Checked only: the weights use g as given, tiny negative entries included.
-    _read_probabilities(g, "joint channel entries must be finite", "joint channel has negative entry",
-                        1, "joint channel rows must sum to 1 (trace preservation)")
+    _read_probabilities(g, "joint channel has negative entry", 1,
+                        "joint channel rows must sum to 1 (trace preservation)")
     w = g.T @ np.outer(q, v).reshape(-1)
     return diagonal_operator(w, (n2, n1))
 
@@ -178,8 +178,7 @@ class MarkovSpec:
         c = _as_matrix(self.conditional, "conditional", float)
         if c.shape[0] != p0.size:
             raise DimensionMismatchError(f"conditional side {c.shape[0]} != initial length {p0.size}")
-        c = _read_probabilities(c, "conditional entries must be finite", "conditional has negative entry",
-                                0, "conditional columns sum to {}, expected all 1")
+        c = _read_probabilities(c, "conditional has negative entry", 0, "conditional columns sum to {}, expected all 1")
         c.setflags(write=False)
         p0.setflags(write=False)
         object.__setattr__(self, "conditional", c)
@@ -275,10 +274,24 @@ def separable_n_state(p, maps) -> FactoredOperator:
             raise MapNotPositiveError(f"map {mi} sends unit {bad[0]} to eigenvalue {bad[1]:.3e}")
     dims = tuple(m.shape[1] for m in images)
     check_dense_size(dims)
-    # terms[i] = phi_1(e_ii) x ... x phi_k(e_ii), one Kronecker factor per step.
-    terms = images[0]
-    for m in images[1:]:
-        side = terms.shape[1] * m.shape[1]
-        terms = (terms[:, :, None, :, None] * m[:, None, :, None, :]).reshape(v.size, side, side)
-    # A sum over axis 0 adds the terms in unit order.
-    return FactoredOperator(_Fresh((v[:, None, None] * terms).sum(axis=0)), dims)
+    # The terms p_i phi_1(e_ii) x ... x phi_N(e_ii) are built by broadcasts, a
+    # chunk of about max(4096, n) entries (or one term) at a time. Each chunk
+    # is summed over axis 0 behind the running sum in its first slot, so the
+    # terms are added in unit order, bit for bit as sum(axis=0) of the whole
+    # stack adds them; 1 x 1 terms, which that sum adds pairwise, fit one chunk.
+    side = prod(dims)
+    step = max(1, max(4096, v.size) // max(1, side**2))  # side 0 for a 0 x 0 map
+    out = None
+    for lo in range(0, v.size, step):
+        hi = min(lo + step, v.size)
+        stack = np.empty((hi - lo + (out is not None), side, side), complex)
+        if out is not None:
+            stack[0], out = out, None
+        terms = images[0][lo:hi]
+        for m in images[1:]:
+            s = terms.shape[1] * m.shape[1]
+            terms = (terms[:, :, None, :, None] * m[lo:hi, None, :, None, :]).reshape(hi - lo, s, s)
+        np.multiply(v[lo:hi, None, None], terms, out=stack[-(hi - lo):])
+        del terms
+        out = stack.sum(axis=0)
+    return FactoredOperator(_Fresh(out), dims)

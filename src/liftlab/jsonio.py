@@ -7,20 +7,21 @@ wherever a real matrix or vector is expected. Loaders raise SchemaError on
 any malformed payload so the command line can map them to exit code 2; a
 well-formed payload that breaks a mathematical precondition raises the
 constructor's MathDomainError (exit code 3). No JSON text in or out may
-hold NaN, Infinity, or a number too large for a float (1e999, 10**400), no
-argument may hold true or false, and no size may be negative. Every JSON
-list of numbers is read by _numbers with one np.array call, and a matrix is
-written from its distinct values: canonical_pieces dumps the document around
-a placeholder and renders each matrix chunk by chunk, with one repr per
-distinct value of a column in the chunk and a gather of those strings, byte
-for byte as json.dumps(indent=2), whose pure-Python encoder would otherwise
-make a call per number. The command line writes the pieces as they come, so
-a large matrix is never held as text.
+hold NaN or Infinity, no list of numbers read may hold true, false or a
+number of modulus past 2**60 (1e999, 10**400), and no size may be negative.
+Every JSON list of numbers is read by matcore._as_array, the library's
+number policy, with one np.array call and the decoder's own message for a
+list that holds a non-number. A matrix is written from its distinct values:
+canonical_pieces dumps the document around a placeholder and renders each
+matrix chunk by chunk, with one repr per distinct value of a column in the
+chunk and a gather of those strings, byte for byte as json.dumps(indent=2),
+whose pure-Python encoder would otherwise make a call per number. The
+command line writes the pieces as they come, so a large matrix is never
+held as text.
 """
 from __future__ import annotations
 
 import json
-from numbers import Real
 
 import numpy as np
 
@@ -34,24 +35,6 @@ from .qlift import CpMap
 def _require(cond: bool, message: str):
     if not cond:
         raise SchemaError(message)
-
-
-def _numbers(data, what: str, bad: str) -> np.ndarray:
-    """A JSON list of numbers as a finite float array, by one np.array call and, for integers
-    beyond 64 bits, a conversion of the object array. A ragged list, a string, None or an
-    all-boolean list is the SchemaError ``bad``."""
-    try:
-        a = np.array(data)
-        if a.dtype.kind == "O" and all(isinstance(x, Real) for x in a.flat):
-            a = a.astype(float)
-    except ValueError:  # ragged
-        a = None
-    except OverflowError:
-        raise SchemaError(f"{bad}: an integer is too large for a float") from None
-    _require(a is not None and a.dtype.kind in "iuf", bad)
-    a = a.astype(float, copy=False)
-    _require(bool(np.isfinite(a).all()), f"{what} entries must be finite numbers")
-    return a
 
 
 def _reject_constant(name: str):
@@ -94,7 +77,7 @@ class _Pairs(list):
 def matrix_to_json(m) -> dict:
     """Encode a complex matrix as {"rows", "cols", "data"} with flat
     row-major [re, im] pairs."""
-    a = _as_array(m, "matrix", complex)
+    a = _as_array(m, "matrix", complex, bound=False)
     _require(a.ndim == 2, f"expected a matrix, got array of shape {a.shape}")
     # The document keeps its values when the caller later writes to m; a
     # read-only array, such as FactoredOperator.matrix, cannot change.
@@ -115,11 +98,11 @@ def json_to_matrix(obj) -> np.ndarray:
         _require(isinstance(data, list), "data must be a list")
         _require(len(data) == rows * cols, f"data has {len(data)} entries, expected {rows * cols}")
         not_pairs = "data entries must be [re, im] pairs"
-        a = _numbers(data or np.zeros((0, 2)), "matrix", not_pairs)
+        a = _as_array(data or np.zeros((0, 2)), "matrix", bad=not_pairs)
         _require(a.shape == (rows * cols, 2), not_pairs)
         return a.view(complex).reshape(rows, cols)
     if isinstance(obj, list):
-        a = _numbers(obj, "matrix", "matrix rows are not numeric")
+        a = _as_array(obj, "matrix", bad="matrix rows are not numeric")
         _require(a.ndim == 2, f"nested array must be two-dimensional, got shape {a.shape}")
         return a.astype(complex)
     raise SchemaError(f"cannot read a matrix from {type(obj).__name__}")
@@ -145,30 +128,29 @@ def json_to_factored(obj) -> FactoredOperator:
 
 
 def vector_to_json(v) -> list:
-    a = _as_array(v, "vector")
+    a = _as_array(v, "vector", bound=False)
     _require(a.ndim == 1, f"expected a vector, got array of shape {a.shape}")
     return a.tolist()
 
 
 def json_to_vector(obj) -> np.ndarray:
     not_numbers = "vector must be a list of numbers"
-    a = _numbers(obj, "vector", not_numbers)
+    a = _as_array(obj, "vector", bad=not_numbers)
     _require(a.ndim == 1, not_numbers)
     return a
 
 
 def json_to_permutation(obj) -> np.ndarray:
-    _require(
-        isinstance(obj, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in obj),
-        "permutation must be a list of integer images",
-    )
-    return as_permutation(_as_array(obj, "permutation", int))
+    bad = "permutation must be a list of integer images"
+    s = _as_array(obj, "permutation", None, bad=bad)
+    _require(s.ndim == 1 and s.dtype.kind in "iu", bad)
+    return as_permutation(s)
 
 
 def lifting_tensor_to_json(t) -> dict:
     """Flatten to {"n1", "n2", "data"} with (input, new, retained)
     lexicographic order."""
-    e = _as_array(t, "lifting tensor")
+    e = _as_array(t, "lifting tensor", bound=False)
     _require(
         e.ndim == 3 and e.shape[0] == e.shape[2],
         f"lifting tensor must have shape (n1, n2, n1), got {e.shape}",
@@ -186,7 +168,7 @@ def json_to_tensor_data(obj) -> np.ndarray:
     n1 = _size(obj["n1"], "n1")
     n2 = _size(obj["n2"], "n2")
     not_numbers = "data must be a list of numbers"
-    a = _numbers(obj["data"], "lifting tensor", not_numbers)
+    a = _as_array(obj["data"], "lifting tensor", bad=not_numbers)
     _require(a.ndim == 1, not_numbers)
     _require(a.size == n1 * n2 * n1, f"data has {a.size} entries, expected {n1 * n2 * n1}")
     return a.reshape(n1, n2, n1)
@@ -340,8 +322,7 @@ def canonical_dumps(obj) -> str:
 
 
 def load_argument(text: str):
-    """Parse a command-line value: inline JSON, or @path to read a file.
-    No argument holds true or false."""
+    """Parse a command-line value: inline JSON, or @path to read a file."""
     if text.startswith("@"):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
@@ -352,21 +333,4 @@ def load_argument(text: str):
         obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
-    # np.array reads [1, true] as [1.0, 1.0], so a boolean is refused here,
-    # where only a text that spells one pays for the search.
-    if ("true" in text or "false" in text) and _holds_boolean(obj):
-        raise SchemaError("entries must be JSON numbers, not true or false")
     return obj
-
-
-def _holds_boolean(obj) -> bool:
-    stack = [obj]
-    while stack:
-        node = stack.pop()
-        if node is True or node is False:
-            return True
-        if isinstance(node, list):
-            stack.extend(node)
-        elif isinstance(node, dict):
-            stack.extend(node.values())
-    return False

@@ -37,39 +37,44 @@ Cholesky factorization of the Hermitian part plus (TOL / 2) I
 when that fails, for the verdict and the message. is_psd, herm_sqrt and
 everything verify measures keep the eigensolve.
 
-Inputs: numpy converts caller data only in _as_array, which refuses a
-complex array where a real one is due, an integer too large for its type
-and a ragged or non-numeric array (SchemaError). Each kind of input has
-one reader. _size reads sizes, indices and party counts (operator.index,
-no bool, one lower bound; party counts at most _MAX_FACTORS, which
-FactoredOperator also holds its dims to); _as_matrix square matrices;
-classical._read_probabilities probability data: finite, no entry below
--PROB_TOL, each sum within PROB_TOL per entry of 1, inf past the float
-range (_sum). Other sums go through _abs_close, np.allclose(rtol=0)'s
-verdict.
+Inputs: numpy converts caller data only in _as_array, which holds library
+arrays and the JSON decoders' lists to one number policy. A number is an
+int or a float, or a complex where one is due, never a bool, a string or
+another object, and it is finite with modulus at most _MAX_MODULUS (2**60),
+for a complex number each of its parts: anything else is a SchemaError.
+The count at _MAX_MODULUS shows that no product or sum the package forms
+from such numbers leaves the float range, so no inf or NaN test follows the
+readers and no overflow is silenced. Only the JSON writers skip the bound. Each kind of input has one reader. _size
+reads sizes, indices and party counts (operator.index, no bool, one lower
+bound; party counts at most _MAX_FACTORS, which FactoredOperator also holds
+its dims to); _as_matrix square matrices; classical._read_probabilities
+probability data: no entry below -PROB_TOL, each sum within PROB_TOL per
+entry of 1. Other sums go through _abs_close, np.allclose(rtol=0)'s verdict.
 
-Copies and finiteness: FactoredOperator(m) copies m and checks that every
-entry is finite, so no caller's array is ever aliased. Constructors in this
-package that have just built a complex matrix no caller can write to hand it
-over without the copy (the private _Fresh marker), and the check still runs,
-except where the inputs bound the result: diagonal_operator checks its n
-weights instead of the n^2 entries of the matrix it builds from them, an
-N-party chain whose links are bounded is not scanned (see qlift._chain), and
-neither is ohya_lift's output, whose entries a checked state bounds. Below
+Copies and bounds: FactoredOperator(m) copies m through _as_array, so no
+caller's array is ever aliased. Constructors in this package that have just
+built a complex matrix no caller can write to hand it over without the copy
+(the private _Fresh marker), and the bound check still runs, so a result
+past the bound (a tensor product of large operands) is a SchemaError, except
+where the inputs bound the result: diagonal_operator's weights are read by
+_as_array, an N-party chain whose links are bounded is not scanned (see
+qlift._chain), and neither are ohya_lift's output, whose entries a checked
+state bounds, the circulant assemblies and partial transposes. Below
 MMAP_DIAGONAL_SIDE a diagonal matrix is np.zeros'; from that side up it lies
 on a fresh anonymous mmap of which only the pages holding the diagonal are
 written, so the zeros cost no memory.
 
 Per-call cost: on the small matrices of the verify suites the checks cost
 more in numpy's Python-level wrappers than in arithmetic, so they call
-ufuncs and array methods (np.maximum.reduce, x.trace(),
-np.isfinite(x).all(), np.maximum(x, 0.0) for np.clip(x, 0.0, None)) and
-_kron for np.kron. Each gives the same bits as the call it replaces.
+ufuncs and array methods (np.maximum.reduce, x.trace(), np.maximum(x, 0.0)
+for np.clip(x, 0.0, None)) and _kron for np.kron. Each gives the same bits
+as the call it replaces.
 """
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass, field
+from itertools import chain
 from math import prod
 from operator import index
 from typing import NamedTuple
@@ -107,8 +112,18 @@ _MAX_FACTORS = 16
 # 1.5 against 2.5 ms, 2048 (64 MiB) 13.4 against 6.0 ms, 4096 (256 MiB) 51.8
 # against 13.5 ms.
 MMAP_DIAGONAL_SIDE = 2048
-# Above this modulus a sum of two entries can overflow (_check_hermitian).
-_HALF_MAX = np.finfo(float).max / 2
+# Largest modulus of a number that _as_array accepts: of a real number, or of
+# each part of a complex one, whose modulus is then at most 2^60.5. The
+# longest product of bounded entries that a public callable forms has 16
+# Kronecker factors (separable_n_state at _MAX_FACTORS), and a sum has at most
+# 2^30 terms (MAX_DENSE_BYTES): 16 x 60.5 + 30 = 998 bits, below the float
+# range's 1024. An N-party chain stays inside it too: its at most 15 links (12
+# once d >= 2, as d^N <= 2^13) each multiply the composite's norm by at most
+# d^2 2^60.5 (qlift._chain), under 2^934 in all.
+_MAX_MODULUS = 2.0**60
+_PAST_BOUND = "{} must hold finite numbers of modulus at most 2**60"
+# Types that np.array reads as numbers but that are not numbers here.
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def _size(n, name: str, low: float = 0, high: float = np.inf) -> int:
@@ -127,17 +142,65 @@ def _size(n, name: str, low: float = 0, high: float = np.inf) -> int:
     return k
 
 
-def _as_array(x, what: str, dtype=float, copy: bool = False) -> np.ndarray:
-    """np.asarray(x, dtype), or np.array(x, dtype) for a copy; a complex x for dtype float, an
-    integer too large for dtype and a ragged or non-numeric x are SchemaErrors."""
+def _as_array(x, what: str, dtype=float, copy: bool = False, bad: str | None = None, bound: bool = True) -> np.ndarray:
+    """x as an array of dtype (None: the dtype numpy reads), a new one if copy, by the number
+    policy: a complex x where dtype is float, a ragged x or one holding a non-number (the
+    SchemaError ``bad``) and, unless bound is False (the JSON writers, whose results may be
+    past it, and readers that bound a stack of such arrays once), an entry past _MAX_MODULUS
+    (_bounded) are SchemaErrors."""
+    bad = bad or f"{what} must be a rectangular array of numbers"
     try:
-        if dtype is not float or np.asarray(x).dtype.kind != "c":
-            return np.array(x, dtype) if copy else np.asarray(x, dtype)
-    except OverflowError:
-        raise SchemaError(f"{what} holds an integer too large for its type") from None
-    except (TypeError, ValueError):
-        raise SchemaError(f"{what} must be a rectangular array of numbers") from None
-    raise SchemaError(f"{what} must be real, got a complex array")
+        a = np.asarray(x)
+    except ValueError:  # ragged
+        raise SchemaError(bad) from None
+    kind = a.dtype.kind
+    if kind == "O":  # how numpy reads a Python int past 64 bits, or a non-number
+        numbers = (int, float, complex) if dtype is complex else (int, float)
+        if not all(type(v) in numbers for v in a.flat):
+            raise SchemaError(bad)
+        try:
+            a = a.astype(dtype or float)
+        except OverflowError:
+            raise SchemaError(_PAST_BOUND.format(what)) from None
+    elif kind not in "iufc" or isinstance(x, (list, tuple)) and _holds_bool(x, a.ndim):
+        raise SchemaError(bad)
+    if kind == "c" and dtype is float:
+        raise SchemaError(f"{what} must be real, got a complex array")
+    a = np.array(a, dtype) if copy else np.asarray(a, dtype)
+    return _bounded(a, what) if bound else a
+
+
+def _holds_bool(x, depth: int) -> bool:
+    """Whether the nested lists x, np.asarray(x).ndim == depth deep, hold a bool (which numpy
+    reads as 1 or 0) among their entries: one pass over the entries' types. Where x starts with
+    an array, as a list of Kraus operators does, the arrays in x are judged by their dtype
+    instead of entry by entry."""
+    if x and isinstance(x[0], np.ndarray):
+        if any(isinstance(e, np.ndarray) and e.dtype.kind == "b" for e in x):
+            return True
+        x = [e for e in x if not isinstance(e, np.ndarray)]
+    entries = x
+    for _ in range(depth - 1):
+        entries = chain.from_iterable(entries)
+    return not _BOOLS.isdisjoint(map(type, entries))
+
+
+def _bounded(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """a, once every entry, or a complex entry's real and imaginary parts, is found finite and at
+    most _MAX_MODULUS in modulus (SchemaError). The numbers are reduced where they lie, with no
+    temporary: a complex array through the float view of its axes in memory order (a transposed
+    copy is one dense block), or as .real and .imag where no axis is dense."""
+    parts = (a,)
+    if a.dtype.kind == "c":
+        m = a
+        if a.ndim and a.strides[-1] != a.itemsize:
+            m = a.transpose(sorted(range(a.ndim), key=a.strides.__getitem__, reverse=True))
+        parts = (m.view(a.real.dtype),) if m.ndim and m.strides[-1] == m.itemsize else (a.real, a.imag)
+    for v in parts:  # NaN fails both comparisons
+        if not (-_MAX_MODULUS <= np.minimum.reduce(v, None, initial=0.0)
+                and np.maximum.reduce(v, None, initial=0.0) <= _MAX_MODULUS):
+            raise SchemaError(_PAST_BOUND.format(what))
+    return a
 
 
 def _as_matrix(m, what: str = "matrix", dtype=complex) -> np.ndarray:
@@ -145,21 +208,6 @@ def _as_matrix(m, what: str = "matrix", dtype=complex) -> np.ndarray:
     a = _as_array(getattr(m, "matrix", m), what, dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{what} must be square, got shape {a.shape}")
-    return a
-
-
-def _sum(x: np.ndarray, axis, hi: float):
-    """x.sum(axis), hi >= every entry; under np.errstate where it can overflow, so inf, not a warning."""
-    if hi * x.size <= _HALF_MAX:
-        return x.sum(axis)
-    with np.errstate(over="ignore"):
-        return x.sum(axis)
-
-
-def _check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """a, once every entry is found finite (DimensionMismatchError)."""
-    if not np.isfinite(a).all():
-        raise DimensionMismatchError(f"{what} entries must be finite")
     return a
 
 
@@ -184,11 +232,11 @@ def _read_dims(dims) -> tuple[int, ...]:
 class _Fresh(NamedTuple):
     """A complex matrix that a constructor in this package has just built
     and that no caller can write to: FactoredOperator takes it as it is,
-    without a copy or a dtype conversion. ``finite`` says that its entries
-    are already known to be finite."""
+    without a copy or a dtype conversion. ``bounded`` says that its entries
+    are already known to be within _MAX_MODULUS."""
 
     array: np.ndarray
-    finite: bool = False
+    bounded: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,9 +245,10 @@ class FactoredOperator:
 
     ``dims[0]`` is the leftmost (highest-numbered) factor; each must be an
     integer. The matrix is stored read-only; operations return new
-    instances. The matrix passed in is copied, so later writes to it do not
-    reach the operator, and every entry is checked to be finite
-    (DimensionMismatchError otherwise).
+    instances. The matrix passed in is read by _as_array and copied, so later
+    writes to it do not reach the operator, and every entry's real and
+    imaginary parts are finite and at most 2**60 in modulus (SchemaError
+    otherwise).
     """
 
     matrix: np.ndarray
@@ -208,15 +257,15 @@ class FactoredOperator:
     def __post_init__(self):
         m = self.matrix
         if isinstance(m, _Fresh):  # a complex array
-            m, finite = m
+            m, bounded = m
         else:
-            m, finite = _as_array(m, "matrix", complex, copy=True), False
+            m, bounded = _as_array(m, "matrix", complex, copy=True), True
         shape = m.shape
         dims = _read_dims(self.dims) if not isinstance(self.dims, tuple) or self.dims else shape[:1]
         if len(shape) != 2 or shape[0] != shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got shape {shape}")
-        if not finite:
-            _check_finite(m)
+        if not bounded:
+            _bounded(m)
         if min(dims, default=0) < 1:
             raise DimensionMismatchError(f"factor dimensions must be positive, got {dims}")
         if len(dims) > _MAX_FACTORS:
@@ -239,24 +288,22 @@ def diagonal_operator(w, dims) -> FactoredOperator:
     """Diagonal operator on factors ``dims`` with the weights ``w`` on its
     diagonal, in row-major order (leftmost factor slowest).
 
-    Finiteness is checked on the complex weights, so a weight that
-    overflows on conversion fails too, and not on the dense matrix, which is
-    built once and never copied. From MMAP_DIAGONAL_SIDE up the matrix lies
-    on an anonymous mmap, where the pages off the diagonal are never written
-    and stay unallocated.
+    The weights are read by _as_array, and the dense matrix, which is built
+    once and never copied, is not scanned. From MMAP_DIAGONAL_SIDE up the
+    matrix lies on an anonymous mmap, where the pages off the diagonal are
+    never written and stay unallocated.
     """
     w = _as_array(w, "weights", complex).reshape(-1)
     dims = _read_dims(dims)
     if w.size != prod(dims):
         raise DimensionMismatchError(f"product of dims {dims} is {prod(dims)}, weight count is {w.size}")
-    _check_finite(w)
     n = w.size
     if n < MMAP_DIAGONAL_SIDE:
         m = np.zeros((n, n), dtype=complex)
     else:
         m = np.frombuffer(mmap.mmap(-1, n * n * w.itemsize), dtype=complex).reshape(n, n)
     m.reshape(-1)[:: n + 1] = w
-    return FactoredOperator(_Fresh(m, finite=True), dims)
+    return FactoredOperator(_Fresh(m, bounded=True), dims)
 
 
 def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
@@ -366,8 +413,8 @@ def partial_transpose(op: FactoredOperator, factor: int) -> FactoredOperator:
     t = op.matrix.reshape(*op.dims, *op.dims)
     t = np.swapaxes(t, pos, pos + n)
     side = op.matrix.shape[0]
-    # A permutation of op's entries, which are finite.
-    return FactoredOperator(_Fresh(t.reshape(side, side), finite=True), op.dims)
+    # A permutation of op's entries, which are bounded.
+    return FactoredOperator(_Fresh(t.reshape(side, side), bounded=True), op.dims)
 
 
 def _spectral_scale(w: np.ndarray) -> np.ndarray:
@@ -376,44 +423,25 @@ def _spectral_scale(w: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """Hermitian part of each matrix of a (..., n, n) stack; raises for the
-    first that is not, or DimensionMismatchError if any entry is not finite.
-
-    The part is 0.5 * (m + m^dagger), rounded once. Where an entry is above
-    half the float maximum that sum, the deviation m - m^dagger and an
-    entry's modulus can overflow, so the test runs on m / 4 (exact but for
-    subnormal entries) and the halves are added: exact for such entries,
-    but it rounds subnormal ones twice. A deviation or scale past the float
-    range is then reported as inf.
-    """
-    scale = np.maximum.reduce(np.abs(m), axis=(-2, -1), initial=1.0)  # NaN or inf where an entry is
-    halve_first = not (scale <= _HALF_MAX).all()  # also where a scale is NaN or inf
+    """Hermitian part 0.5 * (m + m^dagger), rounded once, of each matrix of a
+    (..., n, n) stack; raises for the first that is not Hermitian."""
+    scale = np.maximum.reduce(np.abs(m), axis=(-2, -1), initial=1.0)
     mh = m.swapaxes(-1, -2).conj()
-    q, qh, unit = m, mh, 1.0
-    if halve_first:
-        _check_finite(m)
-        q, qh, unit = 0.25 * m, 0.25 * mh, 4.0
-        scale = np.maximum.reduce(np.abs(q), axis=(-2, -1), initial=0.25)
-    dev = np.maximum.reduce(np.abs(q - qh), axis=(-2, -1), initial=0.0)
+    dev = np.maximum.reduce(np.abs(m - mh), axis=(-2, -1), initial=0.0)
     bad = dev > tol * scale
     if bad.any():
         k = int(np.argmax(bad))
-        dev, scale = unit * float(dev.flat[k]), unit * float(scale.flat[k])  # Python floats: inf, no warning
-        raise NotHermitianError(f"deviation from Hermiticity {dev:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    return 0.5 * m + 0.5 * mh if halve_first else 0.5 * (m + mh)
+        raise NotHermitianError(f"deviation from Hermiticity {dev.flat[k]:.3e} exceeds {tol:.1e} * {scale.flat[k]:.3e}")
+    return 0.5 * (m + mh)
 
 
 def _eig(solve, h: np.ndarray):
     """``solve(h)`` for an np.linalg Hermitian eigensolver, with its
-    LinAlgError (no convergence) or a non-finite eigenvalue (entries near
-    the float maximum) raised as EigensolverError."""
+    LinAlgError (no convergence) raised as EigensolverError."""
     try:
-        out = solve(h)
+        return solve(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"Hermitian eigensolver failed: {exc}") from None
-    if not np.isfinite(out if isinstance(out, np.ndarray) else out[0]).all():
-        raise EigensolverError("Hermitian eigensolver failed: an eigenvalue is past the float range")
-    return out
 
 
 def _psd_verdicts(h: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -469,7 +497,7 @@ def is_psd(m, tol: float = TOL) -> tuple[bool, float]:
     Returns ``(ok, min_eigenvalue)`` where ok means the smallest eigenvalue
     is above ``-tol`` relative to the spectral-norm estimate. Raises
     :class:`NotHermitianError` on non-Hermitian input and
-    :class:`DimensionMismatchError` on a non-finite entry.
+    :class:`SchemaError` on an entry past the number policy (_as_array).
     """
     ok, lo = _psd_stack(_as_matrix(m), tol)
     return bool(ok), float(lo)
@@ -501,8 +529,7 @@ def check_state(op) -> FactoredOperator:
         raise NotAStateError(f"state is not Hermitian: {exc}") from exc
     if bad:
         raise NotAStateError(f"state has negative eigenvalue {bad[1]:.3e}")
-    with np.errstate(over="ignore"):  # a trace past the float range is inf, and fails below
-        tr = fo.trace()
+    tr = fo.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotAStateError(f"state trace {tr} differs from 1")
     return fo

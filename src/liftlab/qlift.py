@@ -42,7 +42,7 @@ from .matcore import (
     _abs_close,
     _as_array,
     _as_matrix,
-    _check_finite,
+    _bounded,
     _check_hermitian,
     _eig,
     _first_non_psd,
@@ -83,9 +83,8 @@ class CpMap:
         u = _as_array(self.units, "units", complex, copy=True)
         if u.ndim != 4 or len(set(u.shape)) != 1:
             raise DimensionMismatchError(f"units must have shape (d, d, d, d), got {u.shape}")
-        _check_finite(u, "units")
         # np.allclose(units[i, j]^dagger, units[j, i]) for every i <= j: np.isclose's
-        # test, which on finite entries is |a - b| <= atol + rtol |b|. It runs in
+        # test, which on bounded entries is |a - b| <= atol + rtol |b|. It runs in
         # (j, i, k, l) order, where b = units[j, i] is u itself; a is one C-order
         # copy (np.array always copies: at d = 1 the transpose is u's own layout).
         a = np.array(u.transpose(1, 0, 3, 2), order="C")
@@ -131,17 +130,15 @@ def cp_identity(d: int) -> CpMap:
 
 def cp_from_kraus(ops) -> CpMap:
     """CP map Lambda(x) = sum_m K_m x K_m^dagger from Kraus operators."""
-    ks = [_as_array(k, "Kraus operator", complex) for k in ops]
+    ks = [_as_array(k, "Kraus operator", complex, bound=False) for k in ops]  # bounded once, stacked
     if not ks or any(k.shape != ks[0].shape or k.ndim != 2 or k.shape[0] != k.shape[1] for k in ks):
         raise DimensionMismatchError("Kraus operators must be square matrices of one common size")
     n, d = len(ks), ks[0].shape[0]
-    m = np.array(ks).reshape(n, d * d)  # row k holds K_k flattened over (a, i)
+    m = _bounded(np.array(ks), "Kraus operator").reshape(n, d * d)  # row k holds K_k flattened over (a, i)
     # units[i, j] = sum_k K_k e_ij K_k^dagger, entrywise sum_k K_k[a, i] conj(K_k[b, j]):
-    # one product indexed ((a, i), (b, j)). An overflow or inf ends in CpMap's
-    # finiteness error, not a BLAS warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        units = (m.T @ m.conj()).reshape(d, d, d, d).transpose(1, 3, 0, 2)
-    return CpMap(units)
+    # one product indexed ((a, i), (b, j)). An image past the bound ends in CpMap's
+    # bound error.
+    return CpMap((m.T @ m.conj()).reshape(d, d, d, d).transpose(1, 3, 0, 2))
 
 
 def classical_cpmap(conditional) -> CpMap:
@@ -233,10 +230,10 @@ def ohya_lift(rho, parties: int = 2) -> FactoredOperator:
     copies = v
     for _ in range(parties - 1):
         copies = (copies[:, None, :] * v[None, :, :]).reshape(-1, d)
-    # finite=True: the weights are clipped eigenvalues of a checked state, in
+    # bounded=True: the weights are clipped eigenvalues of a checked state, in
     # [0, 1] up to the trace and PSD tolerances, and the columns are unit
     # vectors, so every entry is at most about 1 in modulus.
-    return FactoredOperator(_Fresh((copies * w) @ copies.conj().T, finite=True), (d,) * parties)
+    return FactoredOperator(_Fresh((copies * w) @ copies.conj().T, bounded=True), (d,) * parties)
 
 
 def _link_kernel(l: np.ndarray, d: int, last: bool, real: bool) -> np.ndarray:
@@ -286,15 +283,16 @@ def _chain(pis, rho=None) -> FactoredOperator:
     _REAL_CHAIN_MAX_D every product runs on the float view of pairs against
     the real form of the kernels, built once per distinct link.
 
-    The output is scanned for finiteness unless every link's entries are at
-    most d in modulus, as a validated conditional operator's are (they are
-    at most 1). Every link but pis[-1] is then PSD (herm_sqrt checks it)
-    with spectral norm at most d^3, sqrt(rho) has norm at most 1, and a
-    stage multiplies the composite's norm by at most d^3: on the at most
-    2^13-sided output (check_dense_size) no entry or partial sum can come
-    near overflow. A link with a larger, infinite or NaN entry leaves the
-    scan on, and the scan, not a numpy warning, reports an overflow in the
-    stages.
+    Every link but pis[-1] is PSD (herm_sqrt checks it), and sqrt(rho) has
+    norm at most 1. A link's entries have parts of modulus at most 2**60 (the
+    readers' bound), so its norm is at most d^2 2^60.5 and a stage multiplies
+    the composite's norm by at most that: over the at most 15 links, with
+    d^(2(N-1)) <= 2^26 on the at most 2^13-sided output (check_dense_size),
+    no entry or partial sum passes 2^934. The output is bound-checked
+    (FactoredOperator) unless every link's entries are at most d in modulus,
+    as a validated conditional operator's are (they are at most 1): the
+    links' norms are then at most d^3, and the output's entries at most
+    d^(3(N-1)) <= 2^39.
     """
     pis = list(pis)
     if not pis:
@@ -321,17 +319,16 @@ def _chain(pis, rho=None) -> FactoredOperator:
             roots[id(p)] = herm_sqrt(mats[id(p)][0])
     real = d <= _REAL_CHAIN_MAX_D
     inner = pis[-2:0:-1]  # the links of every stage but the last, in stage order
-    with np.errstate(over="ignore", invalid="ignore"):
-        kernels = {key: _link_kernel(roots[key], d, False, real) for key in dict.fromkeys(map(id, inner))}
-        last = roots[id(pis[0])] if rho is None else _kron(np.eye(d), root) @ roots[id(pis[0])]
-        pairs = np.array(cur.reshape(d, d, d, d).transpose(0, 2, 1, 3), order="C").reshape(d, 1, d, d * d)
-        if real:
-            pairs = pairs.view(float)
-        a = d
-        for p in inner:
-            pairs = np.matmul(pairs, kernels[id(p)]).reshape(a * d, 1, a * d, -1)
-            a *= d
-        cur = np.matmul(pairs, _link_kernel(last, d, True, real))
+    kernels = {key: _link_kernel(roots[key], d, False, real) for key in dict.fromkeys(map(id, inner))}
+    last = roots[id(pis[0])] if rho is None else _kron(np.eye(d), root) @ roots[id(pis[0])]
+    pairs = np.array(cur.reshape(d, d, d, d).transpose(0, 2, 1, 3), order="C").reshape(d, 1, d, d * d)
+    if real:
+        pairs = pairs.view(float)
+    a = d
+    for p in inner:
+        pairs = np.matmul(pairs, kernels[id(p)]).reshape(a * d, 1, a * d, -1)
+        a *= d
+    cur = np.matmul(pairs, _link_kernel(last, d, True, real))
     if real:
         cur = cur.view(complex)
     return FactoredOperator(_Fresh(cur.reshape(a * d * d, a * d * d), bounded), dims)
@@ -414,12 +411,11 @@ def robertson_map(x) -> np.ndarray:
         return eye2 * np.trace(y) - y
 
     out = np.zeros((4, 4), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # an image past the float range fails below
-        out[:2, :2] = eye2 * np.trace(x22)
-        out[:2, 2:] = x12 + refl(x21)
-        out[2:, :2] = x21 + refl(x12)
-        out[2:, 2:] = eye2 * np.trace(x11)
-    return 0.5 * _check_finite(out)
+    out[:2, :2] = eye2 * np.trace(x22)
+    out[:2, 2:] = x12 + refl(x21)
+    out[2:, :2] = x21 + refl(x12)
+    out[2:, 2:] = eye2 * np.trace(x11)
+    return 0.5 * out
 
 
 def lifting_assisted_map(psi: Callable[[np.ndarray], np.ndarray], omega):

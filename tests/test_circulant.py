@@ -61,17 +61,17 @@ def test_circulant_spec_validation():
 
 def test_circulant_spec_refuses_a_non_finite_block():
     blocks = np.array([np.diag([np.nan, 0.5]), np.diag([0.0, 0.5])], dtype=complex)
-    with pytest.raises(DimensionMismatchError, match="must be finite"):
+    with pytest.raises(SchemaError, match=r"^blocks must hold finite numbers of modulus at most 2\*\*60$"):
         CirculantSpec(blocks)
 
 
 def test_assemble_partial_transpose_refuses_non_finite_blocks():
-    # These blocks reach the assembly unchecked, so it checks their entries.
+    # These blocks are no state's, so only the number policy checks their entries.
     tilde = circulant_partial_transpose(circulant_spec(rng(63), 3).blocks)
-    for bad in (np.nan, np.inf, 1j * np.inf):
+    for bad in (np.nan, np.inf, 1j * np.inf, 2.0**61):
         broken = tilde.copy()
         broken[2, 1, 0] = bad
-        with pytest.raises(DimensionMismatchError, match="^matrix entries must be finite$"):
+        with pytest.raises(SchemaError, match=r"^blocks must hold finite numbers of modulus at most 2\*\*60$"):
             assemble_partial_transpose(broken)
 
 
@@ -267,8 +267,9 @@ def test_empty_bell_spectrum_is_a_typed_error():
 
 
 def test_bell_spectrum_refuses_non_finite_weights():
-    with pytest.raises(SchemaError, match="spectrum entries must be finite"):
-        BellSpectrum([[np.nan, 0], [0, 1]])
+    for bad in (np.nan, 2.0**61):
+        with pytest.raises(SchemaError, match=r"^spectrum must hold finite numbers of modulus at most 2\*\*60$"):
+            BellSpectrum([[bad, 0], [0, 1]])
 
 
 def test_sum_errors_print_plain_floats():

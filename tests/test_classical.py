@@ -195,7 +195,7 @@ def test_teleport_random_roundtrip():
 
 def test_validators_reject_non_finite_entries():
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(SchemaError, match="probability vector entries must be finite"):
+        with pytest.raises(SchemaError, match="probability vector must hold finite numbers"):
             as_probability_vector([bad, 1.0])
-        with pytest.raises(SchemaError, match="channel weights must be finite"):
+        with pytest.raises(SchemaError, match="channel weights must hold finite numbers"):
             as_channel([[bad, 0.0], [0.0, 1.0]])

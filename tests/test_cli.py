@@ -359,7 +359,7 @@ def test_overflowing_numbers_exit_two(capsys):
                  ["channel", "kraus", "--matrix", inf_matrix]):
         _assert_error_exit(capsys, argv, 2)
         assert cli.main(argv) == 2
-        assert "matrix entries must be finite" in capsys.readouterr().err
+        assert "matrix must hold finite numbers of modulus at most 2**60" in capsys.readouterr().err
 
 
 def test_integers_too_large_for_a_float_exit_two(capsys):
@@ -510,18 +510,31 @@ def test_empty_lifting_tensor_exits_two(capsys):
     _assert_error_exit(capsys, ["lift", "nlift", "--tensor", empty, "--p", "[1]", "--parties", "2"], 2)
 
 
-def test_probability_sums_past_the_float_range_write_one_error_line():
-    # Each sum is inf and refused as not normalized (exit 3), with no numpy
-    # warning on stderr before the error line.
+def test_numbers_past_the_bound_write_one_error_line():
+    # A number of modulus past 2**60 is refused where it is read (exit 2),
+    # before any sum of such numbers, with no numpy warning on stderr before
+    # the error line.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     big = "[1.7e308,1.7e308]"
     for argv, message in (
-        (["channel", "apply", "--matrix", "[[0.5,0.5],[0.5,0.5]]", "--state", big],
-         "probability vector sums to inf, not 1"),
-        (["lift", "bell", "--p", big, "--rho", "[[0.5,0],[0,0.5]]"], "probability vector sums to inf, not 1"),
+        (["channel", "apply", "--matrix", "[[0.5,0.5],[0.5,0.5]]", "--state", big], "vector"),
+        (["lift", "bell", "--p", big, "--rho", "[[0.5,0],[0,0.5]]"], "vector"),
         (["lift", "nlift", "--tensor", '{"n1":1,"n2":2,"data":%s}' % big, "--p", "[1]", "--parties", "2"],
-         "input slices sum to [inf], expected all 1"),
+         "lifting tensor"),
     ):
         out = subprocess.run([sys.executable, "-m", "liftlab.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True)
-        assert (out.returncode, out.stdout, out.stderr) == (3, "", f"error: {message}\n"), argv
+        want = f"error: {message} must hold finite numbers of modulus at most 2**60\n"
+        assert (out.returncode, out.stdout, out.stderr) == (2, "", want), argv
+
+
+def test_the_bound_itself_is_a_number(capsys):
+    # 2**60 is read and written back; the next float up is refused (exit 2).
+    for value, code in ((2.0**60, 0), (float(np.nextafter(2.0**60, np.inf)), 2)):
+        argv = ["channel", "apply", "--matrix", f"[[{value!r}]]", "--state", "[1]"]
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out) == {"state": [value]} and err == ""
+        else:
+            assert (out, err) == ("", "error: matrix must hold finite numbers of modulus at most 2**60\n")

@@ -53,7 +53,7 @@ def test_lifting_tensor_validation():
 def test_lifting_tensor_refuses_non_finite_entries():
     e = ohya_tensor(2)
     e[0, 0, 0] = np.nan
-    with pytest.raises(SchemaError, match="lifting tensor entries must be finite"):
+    with pytest.raises(SchemaError, match="^lifting tensor must hold finite numbers of modulus at most 2"):
         as_lifting_tensor(e)
 
 
@@ -82,8 +82,11 @@ def test_lift_with_pure_tensor():
 
 def test_pure_tensor_checks_its_images():
     np.testing.assert_array_equal(pure_tensor(np.array([1, 0], dtype=np.uint8)), pure_tensor([1, 0], 2))
-    for images in ([], [[0, 1]], [0.7, 1.2], [True, False], ["0"]):
+    for images in ([], [[0, 1]], [0.7, 1.2]):
         with pytest.raises(DimensionMismatchError, match="non-empty 1-d array of integers"):
+            pure_tensor(images)
+    for images in ([True, False], ["0"], [1, True]):  # not numbers
+        with pytest.raises(SchemaError, match="^images must be a rectangular array of numbers$"):
             pure_tensor(images)
     for images, n2 in (([-1, 0], None), ([0, 5], 2), ([0, 1], 1)):
         with pytest.raises(IndexOutOfRangeError, match="outside range"):
@@ -169,7 +172,7 @@ def test_gamma_lifting_requires_stochastic_rows():
 
 
 def test_gamma_lifting_refuses_non_finite_entries():
-    with pytest.raises(SchemaError, match="joint channel entries must be finite"):
+    with pytest.raises(SchemaError, match="^joint channel must hold finite numbers of modulus at most 2"):
         gamma_lifting([[np.inf, 0], [0, 1]], [1.0], [0.5, 0.5])
 
 
@@ -201,7 +204,7 @@ def test_n_lift_pure_tensor_reads_retained_system():
 
 
 def test_markov_spec_refuses_non_finite_entries():
-    with pytest.raises(SchemaError, match="conditional entries must be finite"):
+    with pytest.raises(SchemaError, match="^conditional must hold finite numbers of modulus at most 2"):
         MarkovSpec([[np.nan, 0], [1, 1]], [0.5, 0.5])
 
 

@@ -38,6 +38,8 @@ from liftlab.sampling import (
     unital_cpmap,
 )
 
+PAST_BOUND = r" must hold finite numbers of modulus at most 2\*\*60$"
+
 
 def test_matrix_roundtrip_complex():
     g = rng(71)
@@ -90,6 +92,15 @@ def test_vector_and_permutation():
         json_to_permutation([0, 0, 1])
     with pytest.raises(SchemaError):
         json_to_permutation([0.5, 1.5])
+
+
+def test_permutation_images_are_json_integers():
+    for bad in ([1.5, 0], [1.0, 0], [1, 0.0], [True, 0], [1, True], [0, "a"], ["1", 0], [[0, 1]], [None], {}, 3):
+        with pytest.raises(SchemaError, match="^permutation must be a list of integer images$"):
+            json_to_permutation(bad)
+    images = json_to_permutation([1, 2, 0])
+    assert images.dtype.kind == "i"
+    np.testing.assert_array_equal(images, [1, 2, 0])
 
 
 def test_lifting_tensor_roundtrip():
@@ -171,14 +182,27 @@ def test_decoders_pass_math_domain_errors_through():
 
 def test_decoders_reject_numbers_that_overflow_to_infinity():
     # JSON reads 1e999 as inf without calling parse_constant.
-    with pytest.raises(SchemaError, match="matrix entries must be finite"):
+    with pytest.raises(SchemaError, match="^matrix" + PAST_BOUND):
         json_to_matrix(load_argument("[[1e999, 0], [0, 1]]"))
-    with pytest.raises(SchemaError, match="matrix entries must be finite"):
+    with pytest.raises(SchemaError, match="^matrix" + PAST_BOUND):
         json_to_matrix(load_argument('{"rows": 1, "cols": 1, "data": [[0, -1e999]]}'))
-    with pytest.raises(SchemaError, match="vector entries must be finite"):
+    with pytest.raises(SchemaError, match="^vector" + PAST_BOUND):
         json_to_vector(load_argument("[1e999, 0]"))
-    with pytest.raises(SchemaError, match="lifting tensor entries must be finite"):
+    with pytest.raises(SchemaError, match="^lifting tensor" + PAST_BOUND):
         json_to_tensor_data(load_argument('{"n1": 1, "n2": 1, "data": [1e999]}'))
+
+
+def test_decoders_read_numbers_up_to_the_bound():
+    bound = 2.0**60
+    past = np.nextafter(bound, np.inf)
+    for read in (json_to_vector, lambda v: json_to_matrix([v]).real, lambda v: json_to_matrix(
+            {"rows": 1, "cols": 1, "data": [v]}).view(float), lambda v: json_to_tensor_data(
+            {"n1": 1, "n2": 2, "data": v})):
+        np.testing.assert_array_equal(np.ravel(read([bound, -bound])), [bound, -bound])
+        np.testing.assert_array_equal(np.ravel(read([2**60, -(2**60)])), [bound, -bound])
+        for bad in ([past, 0.0], [0.0, -past], [2**61, 0]):
+            with pytest.raises(SchemaError, match=PAST_BOUND):
+                read(bad)
 
 
 def test_nested_matrix_rejects_non_numeric_entries():
@@ -186,28 +210,28 @@ def test_nested_matrix_rejects_non_numeric_entries():
                 [[0.5, [0.5]], [0, 1]], [[0.5, {}], [0, 1]]):
         with pytest.raises(SchemaError, match="not numeric"):
             json_to_matrix(bad)
-    np.testing.assert_array_equal(json_to_matrix([[1, 0.5], [0, 2**64]]), [[1, 0.5], [0, 2.0**64]])
+    np.testing.assert_array_equal(json_to_matrix([[1, 0.5], [0, 2**60]]), [[1, 0.5], [0, 2.0**60]])
+    with pytest.raises(SchemaError, match="^matrix" + PAST_BOUND):
+        json_to_matrix([[1, 0.5], [0, 2**64]])
 
 
 HUGE = 10**400  # a JSON integer too large for a float
 
 
 def test_decoders_reject_integers_too_large_for_their_type():
-    with pytest.raises(SchemaError, match="not numeric"):
+    with pytest.raises(SchemaError, match="^matrix" + PAST_BOUND):
         json_to_matrix([[HUGE, 0], [0, 1]])
-    with pytest.raises(SchemaError, match="too large"):
+    with pytest.raises(SchemaError, match="^matrix" + PAST_BOUND):
         json_to_matrix({"rows": 1, "cols": 1, "data": [[HUGE, 0]]})
-    with pytest.raises(SchemaError, match="too large"):
+    with pytest.raises(SchemaError, match="^vector" + PAST_BOUND):
         json_to_vector([HUGE, 0])
-    with pytest.raises(SchemaError, match="too large"):
+    with pytest.raises(SchemaError, match="^lifting tensor" + PAST_BOUND):
         json_to_tensor_data({"n1": 1, "n2": 1, "data": [HUGE]})
-    with pytest.raises(SchemaError, match="too large"):
+    with pytest.raises(SchemaError, match="^permutation" + PAST_BOUND):
         json_to_permutation([HUGE, 0])
-    # Integers beyond 64 bits that a float holds are still numbers.
-    np.testing.assert_array_equal(
-        json_to_matrix({"rows": 1, "cols": 2, "data": [[10**30, 0], [2**64, -1]]}),
-        [[1e30, 2.0**64 - 1j]],
-    )
+    # Integers beyond 64 bits that a float holds are past the bound too.
+    with pytest.raises(SchemaError, match="^matrix" + PAST_BOUND):
+        json_to_matrix({"rows": 1, "cols": 2, "data": [[10**30, 0], [2**64, -1]]})
 
 
 def test_decoders_reject_all_boolean_lists():
@@ -222,10 +246,19 @@ def test_decoders_reject_all_boolean_lists():
 
 
 def test_arguments_holding_booleans_are_refused():
-    for text in ("[1, true]", "[[0.5, false]]", '{"n1": 1, "n2": 1, "data": [true]}'):
-        with pytest.raises(SchemaError, match="not true or false"):
-            load_argument(text)
+    # load_argument only parses; the list readers refuse a mixed-in boolean.
+    for text, decode, message in (
+        ("[1, true]", json_to_vector, "vector must be a list of numbers"),
+        ("[[0.5, false]]", json_to_matrix, "matrix rows are not numeric"),
+        ('{"rows": 1, "cols": 2, "data": [[1, 0], [true, 0]]}', json_to_matrix,
+         r"data entries must be \[re, im\] pairs"),
+        ('{"n1": 1, "n2": 2, "data": [0.5, true]}', json_to_tensor_data, "data must be a list of numbers"),
+        ("[1, 0, true]", json_to_permutation, "permutation must be a list of integer images"),
+    ):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            decode(load_argument(text))
     assert load_argument('[1, 0.5e-3]') == [1, 0.0005]
+    np.testing.assert_array_equal(json_to_vector([1, 0.5]), [1.0, 0.5])
 
 
 def test_decoders_reject_negative_sizes():
@@ -260,7 +293,9 @@ def test_pair_data_is_checked_in_bulk():
         json_to_matrix({"rows": 2, "cols": 1, "data": [[1, 0], [1]]})  # ragged
     with pytest.raises(SchemaError, match="expected 4"):
         json_to_matrix({"rows": 2, "cols": 2, "data": [[1, 0]] * 3})
-    np.testing.assert_array_equal(json_to_matrix({"rows": 1, "cols": 2, "data": [[True, 0], [2, -0.5]]}),
+    with pytest.raises(SchemaError, match=r"\[re, im\] pairs"):  # a boolean is not a number
+        json_to_matrix({"rows": 1, "cols": 2, "data": [[True, 0], [2, -0.5]]})
+    np.testing.assert_array_equal(json_to_matrix({"rows": 1, "cols": 2, "data": [[1, 0], [2, -0.5]]}),
                                   [[1, 2 - 0.5j]])
     assert json_to_matrix({"rows": 0, "cols": 3, "data": []}).shape == (0, 3)
 
@@ -268,13 +303,15 @@ def test_pair_data_is_checked_in_bulk():
 EDGE_FLOATS = [-0.0, 0.0, 1e-05, 1e-07, 0.1, 1e16, 1e22, 123456789.0, 5e-324,
                2.2250738585072014e-308, 1.5e-310, sys.float_info.max, -sys.float_info.max]
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+# The numbers a FactoredOperator holds: the writers take any finite float, the readers at most 2**60.
+BOUNDED_FLOATS = st.floats(-(2.0**59), 2.0**59) | st.sampled_from([x for x in EDGE_FLOATS if abs(x) <= 2.0**59])
 
 
 @st.composite
-def complex_matrices(draw, rows=st.integers(0, 4), cols=None):
+def complex_matrices(draw, rows=st.integers(0, 4), cols=None, floats=FLOATS):
     r = draw(rows)
     c = r if cols is None else draw(cols)
-    parts = draw(st.lists(FLOATS, min_size=2 * r * c, max_size=2 * r * c))
+    parts = draw(st.lists(floats, min_size=2 * r * c, max_size=2 * r * c))
     return np.array(parts, dtype=float).view(complex).reshape(r, c)
 
 
@@ -305,8 +342,9 @@ SIGNED_ZEROS = np.array([-0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0]).view(compl
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(m=complex_matrices(cols=st.integers(0, 4)), sq=complex_matrices(rows=st.integers(1, 3)),
+       op=complex_matrices(rows=st.integers(1, 3), floats=BOUNDED_FLOATS),
        few=few_valued_matrices(), extra=st.lists(FLOATS, max_size=3), seed=st.integers(0, 2**32 - 1))
-def test_canonical_dumps_matches_json_dumps(m, sq, few, extra, seed):
+def test_canonical_dumps_matches_json_dumps(m, sq, op, few, extra, seed):
     g = rng(seed)
     d = int(g.integers(1, 4))
     state, spectrum = bell_diagonal_lift(probability_vector(g, d), density(g, d))
@@ -314,7 +352,7 @@ def test_canonical_dumps_matches_json_dumps(m, sq, few, extra, seed):
         matrix_to_json(m),
         matrix_to_json(m[:1, :1]),
         {"empty": matrix_to_json(np.zeros((0, 0)))},
-        {"state": factored_to_json(FactoredOperator(np.kron(sq, np.eye(2)), (sq.shape[0], 2)))},
+        {"state": factored_to_json(FactoredOperator(np.kron(op, np.eye(2)), (op.shape[0], 2)))},
         {"kraus": [matrix_to_json(sq), matrix_to_json(m)], "self_check": {"max_deviation": extra}},
         cpmap_to_json(unital_cpmap(g, d)),
         {"state": factored_to_json(state), "spectrum": bell_spectrum_to_json(spectrum)},

@@ -5,14 +5,15 @@ two actions and the map that lifting_assisted_map returns, is called with
 near-valid arguments:
 each argument is a valid value or an edge variant of it. Arrays become a
 0-d number, an empty array, a copy with one entry NaN or +-1.7e308, an
-array full of +-1.7e308, one of another rank, a shifted or complex copy,
-or nested lists with one entry 10**400 (past the float range) or a
-string, or ragged; sizes and indices become -1, 0, 2.5, True, a numpy
-integer or np.eye(2); lists of arrays lose their entries or get one edge
-entry; callables return a number, NaN or a ragged list. Warnings are
-errors. Each call must return or raise a LiftlabError; a TypeError is
-allowed only when an argument is None, the wrong Python type. Tolerance
-arguments keep their defaults. Arrays have side at most 4 and sizes at
+array full of +-1.7e308 or of 1e155 (past the square root of the float
+maximum, so that two such arguments overflow a product), one of another
+rank, a shifted or complex copy, or nested lists with one entry 10**400
+(past the float range), a string or a bool, or ragged; sizes and indices
+become -1, 0, 2.5, True, a numpy integer or np.eye(2); lists of arrays lose
+their entries or get one edge entry; callables return a number, NaN or a
+ragged list. Warnings are errors. Each call must return or raise a
+LiftlabError; a TypeError is allowed only when an argument is None, the
+wrong Python type. Tolerance arguments keep their defaults. Arrays have side at most 4 and sizes at
 most 3, so no call allocates more than a few KiB.
 """
 import warnings
@@ -46,6 +47,9 @@ from liftlab.sampling import (
 )
 
 BIG = 1.7e308
+ROOT_BIG = 1e155  # its square is past the float range
+PAST_BOUND = " must hold finite numbers of modulus at most 2**60"
+NOT_NUMBERS = " must be a rectangular array of numbers"
 # Argument kinds: an array, a size, an index (or factor label), a tuple of
 # sizes or labels, a list of arrays, a callable, and a fixed object.
 ARRAY, SIZE, INDEX, DIMS, ARRAYS, FUNC, FIXED = "array", "size", "index", "dims", "arrays", "func", "fixed"
@@ -192,13 +196,14 @@ def _array(v):
     real = v.real.astype(float)
     edges = st.sampled_from([
         v, v, v, v, 5.0, np.zeros((0,) * max(v.ndim, 1)), np.zeros(0), np.full(v.shape, BIG),
-        np.full(v.shape, -BIG), v[None], v.reshape(-1), v[..., 0] if v.ndim else v, real + 0.5, v + 0.5j,
+        np.full(v.shape, -BIG), np.full(v.shape, ROOT_BIG), v[None], v.reshape(-1), v[..., 0] if v.ndim else v,
+        real + 0.5, v + 0.5j,
         _ragged(v), WRONG_TYPE,
     ])
     if not v.size:
         return edges
-    # 10**400 and a string fit no float array, so they come as nested lists.
-    one_entry = st.tuples(st.sampled_from([np.nan, BIG, -BIG, 10**400, "a"]), st.integers(0, v.size - 1))
+    # 10**400, a string and a bool fit no float array, so they come as nested lists.
+    one_entry = st.tuples(st.sampled_from([np.nan, BIG, -BIG, 10**400, "a", True]), st.integers(0, v.size - 1))
     return edges | one_entry.map(lambda t: (_with_entry if isinstance(t[0], float) else _listed)(v, *t))
 
 
@@ -277,28 +282,46 @@ NAMED = [
     (lambda: liftlab.as_permutation([1.5, 0.2]), "SchemaError", "permutation images must be integers, got float64"),
     (lambda: liftlab.permutation_channel([1.7, 0.2]), "SchemaError",
      "permutation images must be integers, got float64"),
-    (lambda: liftlab.as_permutation(["1", "0"]), "SchemaError", "permutation images must be integers, got <U1"),
-    (lambda: liftlab.as_permutation([True, False]), "SchemaError", "permutation images must be integers, got bool"),
-    (lambda: liftlab.as_permutation([np.nan, 1]), "SchemaError", "permutation images must be integers, got float64"),
-    (lambda: liftlab.as_permutation([1e30, 0]), "SchemaError", "permutation images must be integers, got float64"),
-    (lambda: liftlab.BellSpectrum(BIG * I2), "TraceNotOneError", "spectrum sums to inf, expected 1"),
-    (lambda: liftlab.as_probability_vector([BIG, BIG]), "NotNormalizedError", "probability vector sums to inf, not 1"),
-    (lambda: liftlab.as_lifting_tensor(np.full((1, 2, 1), BIG)), "NotNormalizedError",
-     "input slices sum to [inf], expected all 1"),
-    (lambda: liftlab.MarkovSpec(BIG * np.ones((2, 2)), [0.5, 0.5]), "NotNormalizedError",
-     "conditional columns sum to [inf, inf], expected all 1"),
-    (lambda: liftlab.gamma_lifting(BIG * np.ones((4, 4)), [0.5, 0.5], [0.5, 0.5]), "NotNormalizedError",
-     "joint channel rows must sum to 1 (trace preservation)"),
-    (lambda: liftlab.classical_choi(BIG * np.ones((2, 2))), "NotUnitalError",
-     "columns sum to [inf, inf], expected all 1"),
+    (lambda: liftlab.as_permutation(["1", "0"]), "SchemaError", "permutation" + NOT_NUMBERS),
+    (lambda: liftlab.as_permutation([True, False]), "SchemaError", "permutation" + NOT_NUMBERS),
+    (lambda: liftlab.as_permutation([1, True]), "SchemaError", "permutation" + NOT_NUMBERS),
+    (lambda: liftlab.as_permutation([np.nan, 1]), "SchemaError", "permutation" + PAST_BOUND),
+    (lambda: liftlab.as_permutation([1e30, 0]), "SchemaError", "permutation" + PAST_BOUND),
+    (lambda: liftlab.BellSpectrum(BIG * I2), "SchemaError", "spectrum" + PAST_BOUND),
+    (lambda: liftlab.as_probability_vector([BIG, BIG]), "SchemaError", "probability vector" + PAST_BOUND),
+    (lambda: liftlab.as_lifting_tensor(np.full((1, 2, 1), BIG)), "SchemaError", "lifting tensor" + PAST_BOUND),
+    (lambda: liftlab.MarkovSpec(BIG * np.ones((2, 2)), [0.5, 0.5]), "SchemaError", "conditional" + PAST_BOUND),
+    (lambda: liftlab.gamma_lifting(BIG * np.ones((4, 4)), [0.5, 0.5], [0.5, 0.5]), "SchemaError",
+     "joint channel" + PAST_BOUND),
+    (lambda: liftlab.classical_choi(BIG * np.ones((2, 2))), "SchemaError", "channel weights" + PAST_BOUND),
     (lambda: liftlab.as_probability_vector([0.5 + 0.5j, 0.5]), "SchemaError",
      "probability vector must be real, got a complex array"),
-    (lambda: liftlab.robertson_map(BIG * np.ones((4, 4))), "DimensionMismatchError", "matrix entries must be finite"),
-    (lambda: liftlab.as_probability_vector([10**400, 0]), "SchemaError",
-     "probability vector holds an integer too large for its type"),
+    (lambda: liftlab.robertson_map(BIG * np.ones((4, 4))), "SchemaError", "input" + PAST_BOUND),
+    (lambda: liftlab.as_probability_vector([10**400, 0]), "SchemaError", "probability vector" + PAST_BOUND),
     (lambda: jsonio.vector_to_json(np.array([1 + 1j])), "SchemaError", "vector must be real, got a complex array"),
-    (lambda: liftlab.FactoredOperator([[10**400]]), "SchemaError", "matrix holds an integer too large for its type"),
-    (lambda: liftlab.CpMap([[[[10**400]]]]), "SchemaError", "units holds an integer too large for its type"),
+    (lambda: liftlab.FactoredOperator([[10**400]]), "SchemaError", "matrix" + PAST_BOUND),
+    (lambda: liftlab.CpMap([[[[10**400]]]]), "SchemaError", "units" + PAST_BOUND),
+    # Two arguments whose product passed the float range with a numpy warning.
+    (lambda: liftlab.tensor(FactoredOperator([[1e200]]), FactoredOperator([[1e200]])), "SchemaError",
+     "matrix" + PAST_BOUND),
+    (lambda: liftlab.separable_n_state([1.0], [[[[1e200]]], [[[1e200]]]]), "SchemaError", "map images" + PAST_BOUND),
+    # A product of bounded operands past the bound.
+    (lambda: liftlab.tensor(FactoredOperator([[2.0**40]]), FactoredOperator([[2.0**40]])), "SchemaError",
+     "matrix" + PAST_BOUND),
+    (lambda: liftlab.cp_from_kraus([np.full((2, 2), 2.0**40)]), "SchemaError", "units" + PAST_BOUND),
+    # Strings and booleans are not numbers.
+    (lambda: liftlab.as_probability_vector(["0.5", "0.5"]), "SchemaError", "probability vector" + NOT_NUMBERS),
+    (lambda: liftlab.check_state([["1"]]), "SchemaError", "matrix" + NOT_NUMBERS),
+    (lambda: liftlab.as_probability_vector([0.5, True]), "SchemaError", "probability vector" + NOT_NUMBERS),
+    (lambda: liftlab.check_state(np.eye(2, dtype=bool)), "SchemaError", "matrix" + NOT_NUMBERS),
+    (lambda: jsonio.json_to_vector([1, True]), "SchemaError", "vector must be a list of numbers"),
+    # A list of arrays: each array is judged by its dtype, the rest entry by entry.
+    (lambda: liftlab.separable_n_state([0.5, 0.5], [[I2 / 2, np.eye(2, dtype=bool)]]), "SchemaError",
+     "map images" + NOT_NUMBERS),
+    (lambda: liftlab.separable_n_state([0.5, 0.5], [[I2 / 2, [[True, False], [False, True]]]]), "SchemaError",
+     "map images" + NOT_NUMBERS),
+    (lambda: liftlab.as_probability_vector([np.array(0.5), True]), "SchemaError", "probability vector" + NOT_NUMBERS),
+    (lambda: jsonio.json_to_vector(["0.5", "0.5"]), "SchemaError", "vector must be a list of numbers"),
     (lambda: liftlab.CirculantSpec([[["a"]]]), "SchemaError", "blocks must be a rectangular array of numbers"),
     (lambda: liftlab.separable_n_state([1.0], [[I2, np.eye(3)]]), "SchemaError",
      "map images must be a rectangular array of numbers"),
@@ -322,8 +345,26 @@ def test_named_edge_cases_end_in_one_typed_error(call, kind, message):
     assert (type(info.value).__name__, str(info.value)) == (kind, message)
 
 
-def test_channel_sums_past_the_float_range_are_not_one():
+def test_channel_sums_of_bounded_weights_are_not_one():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not liftlab.is_unital(BIG * np.ones((2, 2)))
-        assert not liftlab.is_stochastic(BIG * np.ones((2, 2)))
+        assert not liftlab.is_unital(2.0**60 * np.ones((2, 2)))
+        assert not liftlab.is_stochastic(2.0**60 * np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_library_arrays_hold_numbers_up_to_the_bound(dtype):
+    bound = 2.0**60
+    past = np.nextafter(bound, np.inf)
+    np.testing.assert_array_equal(FactoredOperator(np.array([[bound]], dtype)).matrix, [[bound]])
+    np.testing.assert_array_equal(FactoredOperator([[-bound]]).matrix, [[-bound]])
+    # A complex number is held to the bound part by part.
+    np.testing.assert_array_equal(FactoredOperator([[complex(bound, -bound)]]).matrix, [[complex(bound, -bound)]])
+    for bad in (past, -past, complex(1, past)):
+        with pytest.raises(LiftlabError, match="^matrix" + PAST_BOUND.replace("*", r"\*") + "$"):
+            FactoredOperator(np.array([[bad]], dtype if isinstance(bad, float) else complex))
+    # A product of two bounded operators past the bound is refused where it is built.
+    half = FactoredOperator([[2.0**30]])
+    np.testing.assert_array_equal(liftlab.tensor(half, half).matrix, [[bound]])
+    with pytest.raises(LiftlabError, match="^matrix" + PAST_BOUND.replace("*", r"\*") + "$"):
+        liftlab.tensor(half, FactoredOperator([[np.nextafter(2.0**30, np.inf)]]))

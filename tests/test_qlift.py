@@ -267,8 +267,8 @@ def test_channel_from_compound_refuses_malformed_marginal():
     theta = nonlinear_lift(qcp_from_channel(cp_identity(2)), np.eye(2) / 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning on the way to the error
-        for bad in (np.inf, np.nan):
-            with pytest.raises(DimensionMismatchError, match="must be finite"):
+        for bad in (np.inf, np.nan, 2.0**61):
+            with pytest.raises(SchemaError, match="^marginal must hold finite numbers"):
                 channel_from_compound(theta, [[bad, 0], [0, 0.5]])
         with pytest.raises(NotHermitianError):
             channel_from_compound(theta, [[0.5, 0.3], [0.0, 0.5]])
@@ -511,10 +511,10 @@ def test_dense_size_verdict_needs_no_huge_integers():
 
 
 def test_cpmap_rejects_non_finite_units():
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, 2.0**61):
         units = cp_identity(2).units.copy()
         units[0, 0, 0, 0] = bad
-        with pytest.raises(DimensionMismatchError, match="units entries must be finite"):
+        with pytest.raises(SchemaError, match="^units must hold finite numbers"):
             CpMap(units)
 
 
@@ -540,12 +540,19 @@ def test_n_party_lift_reads_each_input_once(monkeypatch):
     assert [id(x) for name, x in calls if name == "_qcp_matrix"] == [id(pi), id(raw)]
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e300, 1e307])
+@pytest.mark.parametrize("scale", [2.0**40, 2.0**50, 2.0**60])
 def test_overflowing_links_fail_the_scan_without_a_numpy_warning(scale):
+    # Links within the bound whose chains are past it: the output's bound
+    # check refuses them, and no stage overflows on the way.
     big = scale * np.eye(4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DimensionMismatchError, match="matrix entries must be finite"):
+        with pytest.raises(SchemaError, match="^matrix must hold finite numbers"):
             n_compose_qcp([big] * 2)
-        with pytest.raises(DimensionMismatchError, match="matrix entries must be finite"):
+        with pytest.raises(SchemaError, match="^matrix must hold finite numbers"):
             n_nonlinear_lift(big, np.eye(2) / 2, 3)
+        # The longest chain: 15 links of side 1 multiply to 2**900, inside the float range.
+        with pytest.raises(SchemaError, match="^matrix must hold finite numbers"):
+            n_compose_qcp([[[scale]]] * 15)
+        with pytest.raises(SchemaError, match="^conditional operator must hold finite numbers"):
+            n_compose_qcp([big, np.nextafter(2.0**60, np.inf) * np.eye(4)])

@@ -12,6 +12,7 @@ when a Cholesky factorization certifies their input.
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -34,7 +35,6 @@ from liftlab.classical import as_channel, as_probability_vector, is_stochastic, 
 from liftlab.clift import MarkovSpec, as_lifting_tensor, gamma_lifting, is_nondemolition, ohya_tensor, separable_n_state
 from liftlab.errors import (
     DimensionMismatchError,
-    EigensolverError,
     LiftlabError,
     NotAStateError,
     NotHermitianError,
@@ -164,38 +164,75 @@ def test_cpmap_hermiticity_check_keeps_one_by_one_units():
     np.testing.assert_array_equal(CpMap(u).units, u)
 
 
-@pytest.mark.parametrize("value, count", [(1e200, 1), (np.inf, 1), (np.nan, 1), (1e155, 3)])
-def test_kraus_sums_past_the_float_range_end_in_one_typed_error(value, count):
+@pytest.mark.parametrize("value, count, what", [
+    (2.0**40, 1, "units"), (2.0**31, 3, "units"), (np.inf, 1, "Kraus operator"), (np.nan, 1, "Kraus operator"),
+    (1e155, 3, "Kraus operator"),
+])
+def test_kraus_sums_past_the_float_range_end_in_one_typed_error(value, count, what):
+    # Kraus operators within the bound whose images are past it, and operators past it.
     ops = [np.full((2, 2), value)] * count
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DimensionMismatchError, match="^units entries must be finite$"):
+        with pytest.raises(SchemaError, match=f"^{what} must hold finite numbers of modulus at most 2"):
             cp_from_kraus(ops)
 
 
-@pytest.mark.parametrize("m, match", [
-    ([[0.5, 1.7e308], [-1.7e308, 0.5]], r"deviation from Hermiticity inf exceeds 1\.0e-09 \* 1\.700e\+308"),
-    ([[1.7e308 + 1.7e308j, 0], [0, 0.5]], r"deviation from Hermiticity inf exceeds 1\.0e-09 \* inf"),
-])
-def test_states_near_the_float_maximum_end_in_one_typed_error(m, match):
-    # The deviation and an entry's modulus are past the float range; the
-    # test runs on the matrix over 4 and reports them as inf, with no warning.
+@pytest.mark.parametrize("m", [[[0.5, 1.7e308], [-1.7e308, 0.5]], [[1.7e308 + 1.7e308j, 0], [0, 0.5]]])
+def test_states_near_the_float_maximum_end_in_one_typed_error(m):
+    # Entries past the bound are refused where the matrix is read, with no warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        FactoredOperator(m)
-        with pytest.raises(NotAStateError, match="^state is not Hermitian: " + match):
-            check_state(m)
+        for check in (FactoredOperator, check_state):
+            with pytest.raises(SchemaError, match="^matrix" + PAST_BOUND.replace("*", r"\*") + "$"):
+                check(m)
 
 
 def test_eigenvalues_past_the_float_range_are_a_typed_error():
-    z = 1.7e308
-    hermitian = [np.array([[z, z], [z, z]]), np.array([[z, z + z * 1j], [z - z * 1j, z]])]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for m in hermitian:
-            for check in (is_psd, herm_sqrt, check_state):
-                with pytest.raises(EigensolverError, match="an eigenvalue is past the float range"):
-                    check(m)
+    # Past the bound the matrix is refused before any eigensolve; at the
+    # bound the eigenvalues (0 and 2 * 2**60) are finite.
+    for z, refused in ((1.7e308, True), (np.nextafter(2.0**60, np.inf), True), (2.0**60, False)):
+        hermitian = [np.array([[z, z], [z, z]]), np.array([[z, 0.5 * z * (1 + 1j)], [0.5 * z * (1 - 1j), z]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in hermitian:
+                if refused:
+                    for check in (is_psd, herm_sqrt, check_state):
+                        with pytest.raises(SchemaError, match="^matrix must hold finite numbers"):
+                            check(m)
+                    continue
+                assert is_psd(m)[0] and np.isfinite(herm_sqrt(m)).all()
+                with pytest.raises(NotAStateError, match="^state trace"):
+                    check_state(m)
+
+
+def test_the_bound_holds_each_part_of_a_complex_number():
+    b, past = 2.0**60, np.nextafter(2.0**60, np.inf)
+    for z, refused in ((b + 1j * b, False), (-b - 1j * b, False), (1 + 1j * past, True), (-past + 0j, True),
+                       (complex(1, np.nan), True), (complex(-np.inf, 0), True)):
+        m = np.full((3, 4), z)
+        # Contiguous; transposed (a float view of its axes in memory order); no
+        # dense axis (strided, reversed); 0-d.
+        for a in (m, m.T, np.full((2, 3, 2, 3), z).transpose(1, 3, 0, 2), m[:, ::2], m[:, ::-1], np.asarray(z)):
+            if refused:
+                with pytest.raises(SchemaError, match="^matrix" + PAST_BOUND.replace("*", r"\*") + "$"):
+                    matcore._bounded(a)
+            else:
+                assert matcore._bounded(a) is a
+
+
+@pytest.mark.parametrize("view", [lambda a: a, lambda a: a.T, lambda a: a.reshape(8, 64, 8, 64).transpose(1, 3, 0, 2),
+                                  lambda a: a[:, ::2], lambda a: a.real, lambda a: a.real.astype(np.int64)],
+                         ids=["complex", "complex-transposed", "complex-permuted", "complex-strided", "float", "int"])
+def test_the_bound_check_makes_no_temporary(view):
+    a = view(np.ones((512, 512), complex))
+    matcore._bounded(a)
+    tracemalloc.start()
+    try:
+        matcore._bounded(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak  # against 2 MiB for a float64 modulus of 262144 entries
 
 
 @pytest.mark.parametrize("build", [cp_identity, maximally_entangled, shift_matrix, ohya_tensor])
@@ -211,29 +248,30 @@ SKEW_UNITS = np.eye(4, dtype=complex).reshape(2, 2, 2, 2).copy()
 SKEW_UNITS[0, 1, 0, 0] = 0.3
 
 # (check, input, error type name, message), as raised before these checks
-# were rewritten without numpy's wrappers.
+# were rewritten without numpy's wrappers; a non-finite entry is refused by
+# the number policy where the array is read.
+PAST_BOUND = " must hold finite numbers of modulus at most 2**60"
 ERRORS = [
-    (is_psd, NAN, "DimensionMismatchError", "matrix entries must be finite"),
-    (herm_sqrt, INF, "DimensionMismatchError", "matrix entries must be finite"),
-    (is_psd, np.array([[1, 1j * np.inf], [0, 1]]), "DimensionMismatchError", "matrix entries must be finite"),
-    (check_state, NAN, "DimensionMismatchError", "matrix entries must be finite"),
-    (FactoredOperator, INF, "DimensionMismatchError", "matrix entries must be finite"),
-    (lambda x: diagonal_operator(np.diag(x), (2,)), NAN, "DimensionMismatchError", "matrix entries must be finite"),
-    (as_channel, INF, "SchemaError", "channel weights must be finite"),
-    (is_unital, NAN, "SchemaError", "channel weights must be finite"),
-    (lambda x: as_probability_vector(x[0]), INF, "SchemaError", "probability vector entries must be finite"),
-    (lambda x: as_lifting_tensor(np.stack([x, x])), NAN, "SchemaError", "lifting tensor entries must be finite"),
-    (lambda x: is_nondemolition(np.stack([x, x])), INF, "SchemaError", "lifting tensor entries must be finite"),
-    (lambda x: MarkovSpec(x, [0.5, 0.5]), NAN, "SchemaError", "conditional entries must be finite"),
+    (is_psd, NAN, "SchemaError", "matrix" + PAST_BOUND),
+    (herm_sqrt, INF, "SchemaError", "matrix" + PAST_BOUND),
+    (is_psd, np.array([[1, 1j * np.inf], [0, 1]]), "SchemaError", "matrix" + PAST_BOUND),
+    (check_state, NAN, "SchemaError", "matrix" + PAST_BOUND),
+    (FactoredOperator, INF, "SchemaError", "matrix" + PAST_BOUND),
+    (lambda x: diagonal_operator(np.diag(x), (2,)), NAN, "SchemaError", "weights" + PAST_BOUND),
+    (as_channel, INF, "SchemaError", "channel weights" + PAST_BOUND),
+    (is_unital, NAN, "SchemaError", "channel weights" + PAST_BOUND),
+    (lambda x: as_probability_vector(x[0]), INF, "SchemaError", "probability vector" + PAST_BOUND),
+    (lambda x: as_lifting_tensor(np.stack([x, x])), NAN, "SchemaError", "lifting tensor" + PAST_BOUND),
+    (lambda x: is_nondemolition(np.stack([x, x])), INF, "SchemaError", "lifting tensor" + PAST_BOUND),
+    (lambda x: MarkovSpec(x, [0.5, 0.5]), NAN, "SchemaError", "conditional" + PAST_BOUND),
     (lambda x: gamma_lifting(np.pad(x, (0, 2)), [0.5, 0.5], [0.5, 0.5]), INF, "SchemaError",
-     "joint channel entries must be finite"),
-    (lambda x: CpMap(np.kron(x, x).reshape(2, 2, 2, 2)), NAN, "DimensionMismatchError", "units entries must be finite"),
-    (lambda x: CirculantSpec(np.stack([x, x])), INF, "DimensionMismatchError", "matrix entries must be finite"),
-    (lambda x: assemble_partial_transpose(np.stack([x, x])), NAN, "DimensionMismatchError",
-     "matrix entries must be finite"),
-    (lambda x: BellSpectrum(x), INF, "SchemaError", "spectrum entries must be finite"),
-    (lambda x: jsonio.json_to_matrix(x.tolist()), NAN, "SchemaError", "matrix entries must be finite numbers"),
-    (lambda x: jsonio.json_to_vector(x[0].tolist()), INF, "SchemaError", "vector entries must be finite numbers"),
+     "joint channel" + PAST_BOUND),
+    (lambda x: CpMap(np.kron(x, x).reshape(2, 2, 2, 2)), NAN, "SchemaError", "units" + PAST_BOUND),
+    (lambda x: CirculantSpec(np.stack([x, x])), INF, "SchemaError", "blocks" + PAST_BOUND),
+    (lambda x: assemble_partial_transpose(np.stack([x, x])), NAN, "SchemaError", "blocks" + PAST_BOUND),
+    (lambda x: BellSpectrum(x), INF, "SchemaError", "spectrum" + PAST_BOUND),
+    (lambda x: jsonio.json_to_matrix(x.tolist()), NAN, "SchemaError", "matrix" + PAST_BOUND),
+    (lambda x: jsonio.json_to_vector(x[0].tolist()), INF, "SchemaError", "vector" + PAST_BOUND),
     (is_psd, NON_HERMITIAN, "NotHermitianError", "deviation from Hermiticity 2.000e-01 exceeds 1.0e-09 * 1.000e+00"),
     (check_state, NON_HERMITIAN, "NotAStateError",
      "state is not Hermitian: deviation from Hermiticity 2.000e-01 exceeds 1.0e-09 * 1.000e+00"),
@@ -321,85 +359,89 @@ def test_constructors_hand_over_complex_arrays(op):
 
 
 @pytest.fixture
-def finiteness_scans(monkeypatch):
-    """Record the size of every array np.isfinite is asked about."""
-    sizes = []
-    real = np.isfinite
+def bound_scans(monkeypatch):
+    """Record every array that the number policy's bound check is asked about."""
+    arrays = []
+    real = matcore._bounded
 
-    def spy(x, *args, **kwargs):
-        sizes.append(np.size(x))
-        return real(x, *args, **kwargs)
+    def spy(a, *args, **kwargs):
+        arrays.append(a)
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, "isfinite", spy)
-    return sizes
+    monkeypatch.setattr(matcore, "_bounded", spy)
+    return arrays
+
+
+def _scanned(a, scans) -> bool:
+    return any(x is a for x in scans)
 
 
 @pytest.mark.parametrize("parties", [2, 3, 5])
-def test_bounded_chains_skip_the_output_scan_and_keep_their_bits(parties, finiteness_scans):
+def test_bounded_chains_skip_the_output_scan_and_keep_their_bits(parties, bound_scans):
     g = rng(parties)
     pi = qcp_from_channel(unital_cpmap(g, 2))
     rho = density(g, 2)
-    side2 = 4 ** parties
     links = [pi] * (parties - 1)
-    finiteness_scans.clear()
     chain, lifted = n_compose_qcp(links), n_nonlinear_lift(pi, rho, parties)
     raw = np.array(pi.matrix)
     raw_chain, raw_lifted = n_compose_qcp([raw] * (parties - 1)), n_nonlinear_lift(raw, rho, parties)
-    assert side2 not in finiteness_scans
+    for out in (chain, lifted, raw_chain, raw_lifted):
+        assert not _scanned(out.matrix, bound_scans)
     np.testing.assert_array_equal(_bits(chain.matrix), _bits(raw_chain.matrix))
     np.testing.assert_array_equal(_bits(lifted.matrix), _bits(raw_lifted.matrix))
     # An entry above d = 2 (pi's largest is at least 1/2) turns the scan on.
     big = 10.0 * raw
-    finiteness_scans.clear()
     scanned = n_compose_qcp([raw] * (parties - 2) + [big])
-    assert finiteness_scans.count(side2) == 1
+    assert _scanned(scanned.matrix, bound_scans)
     np.testing.assert_array_equal(_bits(scanned.matrix), _bits(n_compose_qcp(links[1:] + [big]).matrix))
 
 
 @pytest.mark.parametrize("parties", [2, 3, 5])
-def test_copy_lifts_skip_the_output_scan(parties, finiteness_scans):
+def test_copy_lifts_skip_the_output_scan(parties, bound_scans):
     rho = density(rng(parties), 2)
-    finiteness_scans.clear()
     lifted = ohya_lift(rho, parties)
-    assert 4 ** parties not in finiteness_scans
+    assert not _scanned(lifted.matrix, bound_scans)
     assert np.isfinite(lifted.matrix).all()
 
 
 def test_links_near_overflow_still_fail_the_scan():
-    big = 1e200 * np.eye(4)
+    # Links within the bound whose chain is past it.
+    big = 2.0**50 * np.eye(4)
     hand_built = QcpOperator(FactoredOperator(big, (2, 2)), unital_cpmap(rng(4), 2))
-    for links in ([big, big], [FactoredOperator(big, (2, 2))] * 3, [hand_built] * 2):
-        with np.errstate(all="ignore"), pytest.raises(DimensionMismatchError, match="matrix entries must be finite"):
-            n_compose_qcp(links)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for links in ([big, big], [FactoredOperator(big, (2, 2))] * 3, [hand_built] * 2):
+            with pytest.raises(SchemaError, match="^matrix" + PAST_BOUND.replace("*", r"\*") + "$"):
+                n_compose_qcp(links)
 
 
 def test_overflowing_hermitian_parts_end_in_one_typed_error():
-    # Entries above half the float maximum: the Hermitian part halves first,
-    # and a state's trace past the float range fails as inf, with no warning.
+    # Entries near the float maximum are refused where they are read, so no
+    # Hermitian part, trace or chain stage overflows, and no warning shows.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NotAStateError, match=r"state trace \(inf\+0j\) differs from 1"):
+        with pytest.raises(SchemaError, match="^matrix must hold finite numbers"):
             check_state(1.7e308 * np.eye(2))
-        with pytest.raises(DimensionMismatchError, match="matrix entries must be finite"):
+        with pytest.raises(SchemaError, match="^conditional operator must hold finite numbers"):
             n_compose_qcp([1.7e308 * np.eye(4)] * 2)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = subprocess.run(
         [sys.executable, "-m", "liftlab.cli", "lift", "ohya", "--rho", "[[1.7e308,0],[0,1.7e308]]"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
     )
-    assert (out.returncode, out.stdout) == (3, "")
-    assert out.stderr == "error: state trace (inf+0j) differs from 1\n"
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: matrix must hold finite numbers of modulus at most 2**60\n"
 
 
 @SETTINGS
 @given(
     n=st.integers(1, 4),
-    values=st.sampled_from([SPECIAL, np.array([1.2e308, -1.2e308, 0.0, -0.0, 1.0])]),
+    values=st.sampled_from([SPECIAL, np.array([2.0**60, -(2.0**60), 0.0, -0.0, 1.0])]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_hermitian_part_of_a_hermitian_matrix_is_itself(n, values, seed):
-    # Summing first overflows above half the float maximum; halving first
-    # rounds subnormal entries. Neither may show in the Hermitian part.
+    # The part is summed, then halved: exact for subnormal entries, and for
+    # entries at the readers' bound the sum stays far inside the float range.
     g = rng(seed)
 
     def part():
