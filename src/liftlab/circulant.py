@@ -29,11 +29,13 @@ from .matcore import (
     FactoredOperator,
     _as_array,
     _as_matrix,
+    _check_bytes,
     _first_non_psd,
     _Fresh,
     _kron,
     _psd_stack,
     _size,
+    check_dense_size,
     check_state,
 )
 
@@ -41,12 +43,16 @@ from .matcore import (
 def circulant_subspaces(d: int) -> list[list[tuple[int, int]]]:
     """Index pairs (i, i+alpha mod d) spanning each subspace Sigma_alpha."""
     d = _size(d, "d", 1)
+    # CPython: a list slot, a 2-tuple and its ints, 102 bytes a pair traced; rounded up.
+    _check_bytes((d, d), "list of index pairs", 104)
     return [[(i, (i + alpha) % d) for i in range(d)] for alpha in range(d)]
 
 
 def shift_matrix(d: int) -> np.ndarray:
     """Cyclic shift S e_k = e_{k+1 mod d}."""
-    return np.roll(np.eye(_size(d, "d"), dtype=complex), 1, axis=0)
+    d = _size(d, "d")
+    check_dense_size((d,))
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
 
 
 def _as_blocks(blocks) -> np.ndarray:
@@ -90,6 +96,7 @@ def _assemble(blocks: np.ndarray, slot_map) -> FactoredOperator:
     the blocks', which _as_blocks read or which are a state's diagonal times
     unit-trace PSD profiles."""
     d = blocks.shape[0]
+    check_dense_size((d, d))
     k = np.arange(d)
     pos = k * d + slot_map(k, k[:, None]) % d
     m = np.zeros((d * d, d * d), dtype=complex)
@@ -191,6 +198,7 @@ def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
         if abs(nrm - 1.0) > TOL:
             raise NotNormalizedError(f"vector {alpha} has norm {float(nrm)!r}, expected 1")
     diagonal = _state_diagonal(rho, d, "vector count")
+    check_dense_size((d, d))
     k = np.arange(d)
     alpha, j = k[:, None], k[None, :]
     v = np.zeros((d * d, d), dtype=complex)
@@ -202,6 +210,7 @@ def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
 def maximally_entangled(d: int) -> FactoredOperator:
     """Projector onto (1/sqrt d) sum_i e_i x e_i."""
     d = _size(d, "d")
+    check_dense_size((d, d))
     v = np.eye(d).reshape(d * d)
     return FactoredOperator(_Fresh((np.outer(v, v) / d).astype(complex)), (d, d))
 
@@ -215,6 +224,7 @@ def bell_unitary(m: int, n: int, d: int) -> np.ndarray:
     m, n, d = _size(m, "m", -np.inf), _size(n, "n", -np.inf), _size(d, "d")
     if not (0 <= m < d and 0 <= n < d):
         raise IndexOutOfRangeError(f"indices ({m},{n}) outside range 0..{d - 1}")
+    check_dense_size((d,))
     k = np.arange(d)
     u = np.zeros((d, d), dtype=complex)
     u[(k + n) % d, k] = np.exp(2j * np.pi * m * k / d)

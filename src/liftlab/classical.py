@@ -19,7 +19,7 @@ from .errors import (
     NotUnitalError,
     SchemaError,
 )
-from .matcore import PROB_TOL, FactoredOperator, _abs_close, _as_array, _as_matrix
+from .matcore import PROB_TOL, FactoredOperator, _abs_close, _as_array, _as_matrix, _check_bytes
 from .matcore import diagonal_operator
 
 
@@ -113,6 +113,7 @@ def kraus_from_channel(weights) -> list[np.ndarray]:
     """
     w = as_channel(weights)
     n1, n2 = w.shape
+    _check_bytes((n1, n2, n2, n1), "Kraus operator array")
     i, j = np.arange(n1)[:, None], np.arange(n2)[None, :]
     ops = np.zeros((n1, n2, n2, n1), dtype=complex)
     ops[i, j, j, i] = np.sqrt(w)
@@ -122,6 +123,8 @@ def kraus_from_channel(weights) -> list[np.ndarray]:
 def apply_kraus(ops, rho) -> np.ndarray:
     """Evaluate sum_k K rho K^dagger."""
     rho = _as_matrix(rho, "state")
+    # Read and summed one operator at a time: a stacked product would hold
+    # several copies of the whole list (kraus_from_channel's may be near 1 GiB).
     ks = [_as_array(k, "Kraus operator", complex) for k in ops]
     if not ks or any(k.shape != ks[0].shape[:1] + rho.shape[:1] for k in ks):
         raise DimensionMismatchError(f"need at least one Kraus operator, all of shape (r, {len(rho)})")
@@ -134,6 +137,7 @@ def apply_kraus(ops, rho) -> np.ndarray:
 def permutation_channel(perm) -> np.ndarray:
     """Deterministic channel moving letter i to pi(i): L[i, j] = delta(j, pi(i))."""
     s = as_permutation(perm)
+    _check_bytes((s.size, s.size), "channel", 8)
     w = np.zeros((s.size, s.size))
     w[np.arange(s.size), s] = 1.0
     return w

@@ -7,9 +7,12 @@ success, 1 failed verification check, 2 usage or schema problem, 3
 math-domain problem (non-positive state, non-unital channel, and so on).
 LIFTLAB_SEED supplies the seed when --seed is absent.
 
-Each command decodes all of its arguments, then calls the library, which
-checks each input once, and returns its document and exit code for main to
-write. So malformed input (exit 2) is reported before any math fault (exit 3).
+build_parser declares each JSON flag with its wire decoder, and main decodes
+every such flag, in declaration order, before the command runs. The command
+then checks its other flags (channel dilate's --n against the permutation;
+channel kraus's --trials, then the seed), calls the library, which checks
+each input once, and returns its document and exit code for main to write.
+So malformed input (exit 2) is reported before any math fault (exit 3).
 """
 from __future__ import annotations
 
@@ -49,26 +52,23 @@ def _seed_value(args) -> int:
     return _size(seed, "seed")
 
 
-def _load(decode, text: str):
-    """Decode one argument: inline JSON or @path, then its wire format."""
-    return decode(jsonio.load_argument(text))
-
-
-def _real_matrix(text: str, what: str) -> np.ndarray:
-    m = _load(jsonio.json_to_matrix, text)
+def _real_matrix(obj) -> np.ndarray:
+    """The channel-matrix decoder: a wire matrix, which must be real."""
+    m = jsonio.json_to_matrix(obj)
     if np.abs(m.imag).max(initial=0.0) > 0.0:
-        raise SchemaError(f"{what} must be real")
+        raise SchemaError("channel matrix must be real")
     return m.real
 
 
 def cmd_channel_kraus(args) -> tuple[dict, int]:
-    w = _real_matrix(args.matrix, "channel matrix")
+    w = args.matrix
+    if args.verify:
+        _size(args.trials, "trials", 1)
+        g = sampling.rng(_seed_value(args))
     ops = kraus_from_channel(w)
     document = {"kraus": [jsonio.matrix_to_json(k) for k in ops]}
     if not args.verify:
         return document, 0
-    _size(args.trials, "trials", 1)
-    g = sampling.rng(_seed_value(args))
     dev = 0.0
     for _ in range(args.trials):
         p = sampling.probability_vector(g, w.shape[0])
@@ -80,47 +80,35 @@ def cmd_channel_kraus(args) -> tuple[dict, int]:
 
 
 def cmd_channel_dilate(args) -> tuple[dict, int]:
-    perm = _load(jsonio.json_to_permutation, args.perm)
-    sigma = _load(jsonio.json_to_vector, args.sigma)
-    if args.n * args.n != perm.size:
-        raise SchemaError(f"permutation has {perm.size} images, expected {args.n * args.n}")
-    w = channel_from_dilation(perm, sigma)
+    if args.n * args.n != args.perm.size:
+        raise SchemaError(f"permutation has {args.perm.size} images, expected {args.n * args.n}")
+    w = channel_from_dilation(args.perm, args.sigma)
     return {"weights": jsonio.matrix_to_json(w), "doubly_stochastic": is_doubly_stochastic(w, TOL)}, 0
 
 
 def cmd_channel_apply(args) -> tuple[dict, int]:
-    w = _real_matrix(args.matrix, "channel matrix")
-    p = _load(jsonio.json_to_vector, args.state)
-    return {"state": jsonio.vector_to_json(apply_to_state(w, p))}, 0
+    return {"state": jsonio.vector_to_json(apply_to_state(args.matrix, args.state))}, 0
 
 
 def cmd_lift_ohya(args) -> tuple[dict, int]:
-    rho = _load(jsonio.json_to_matrix, args.rho)
-    return {"state": jsonio.factored_to_json(ohya_lift(rho, args.parties))}, 0
+    return {"state": jsonio.factored_to_json(ohya_lift(args.rho, args.parties))}, 0
 
 
 def cmd_lift_qcp(args) -> tuple[dict, int]:
-    q = qcp_from_channel(_load(jsonio.json_to_cpmap, args.channel))
-    return {"operator": jsonio.factored_to_json(q.op)}, 0
+    return {"operator": jsonio.factored_to_json(qcp_from_channel(args.channel).op)}, 0
 
 
 def cmd_lift_nonlinear(args) -> tuple[dict, int]:
-    cp = _load(jsonio.json_to_cpmap, args.channel)
-    rho = _load(jsonio.json_to_matrix, args.rho)
-    state = nonlinear_lift(qcp_from_channel(cp), rho)
+    state = nonlinear_lift(qcp_from_channel(args.channel), args.rho)
     return {"state": jsonio.factored_to_json(state)}, 0
 
 
 def cmd_lift_circulant(args) -> tuple[dict, int]:
-    profiles = _load(jsonio.json_to_profiles, args.profiles)
-    rho = _load(jsonio.json_to_matrix, args.rho)
-    return {"state": jsonio.factored_to_json(circulant_lift(profiles, rho))}, 0
+    return {"state": jsonio.factored_to_json(circulant_lift(args.profiles, args.rho))}, 0
 
 
 def cmd_lift_bell(args) -> tuple[dict, int]:
-    p = _load(jsonio.json_to_vector, args.p)
-    rho = _load(jsonio.json_to_matrix, args.rho)
-    state, spectrum = bell_diagonal_lift(p, rho)
+    state, spectrum = bell_diagonal_lift(args.p, args.rho)
     return {
         "state": jsonio.factored_to_json(state),
         "spectrum": jsonio.bell_spectrum_to_json(spectrum),
@@ -128,9 +116,7 @@ def cmd_lift_bell(args) -> tuple[dict, int]:
 
 
 def cmd_lift_nlift(args) -> tuple[dict, int]:
-    tensor = _load(jsonio.json_to_tensor_data, args.tensor)
-    p = _load(jsonio.json_to_vector, args.p)
-    return {"state": jsonio.factored_to_json(n_lift(tensor, p, args.parties))}, 0
+    return {"state": jsonio.factored_to_json(n_lift(args.tensor, args.p, args.parties))}, 0
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -139,13 +125,11 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_teleport(args) -> tuple[dict, int]:
-    p = _load(jsonio.json_to_vector, args.p)
-    perm = _load(jsonio.json_to_permutation, args.perm)
-    bob, corrected = classical_teleport(p, perm)
+    bob, corrected = classical_teleport(args.p, args.perm)
     return {
         # corrected is rho_a itself, as the library validated it
         "rho_a": jsonio.vector_to_json(corrected),
-        "channel": jsonio.matrix_to_json(permutation_channel(perm)),
+        "channel": jsonio.matrix_to_json(permutation_channel(args.perm)),
         "bob_state": jsonio.vector_to_json(bob),
         "corrected": jsonio.vector_to_json(corrected),
     }, 0
@@ -158,54 +142,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def json_flag(command, flag: str, decode, **kwargs) -> None:
+        """A required flag of inline JSON or @path, which main decodes by ``decode``."""
+        dest = command.add_argument(flag, required=True, **kwargs).dest
+        command.set_defaults(decoders=(command.get_default("decoders") or ()) + ((dest, decode),))
+
     channel = sub.add_parser("channel", help="classical channels and their representations")
     chsub = channel.add_subparsers(dest="subcommand", required=True)
 
     kraus = chsub.add_parser("kraus", help="operator decomposition of a weight matrix")
-    kraus.add_argument("--matrix", required=True, help="channel weights (JSON or @path)")
+    json_flag(kraus, "--matrix", _real_matrix, help="channel weights (JSON or @path)")
     kraus.add_argument("--verify", action="store_true", help="self-check the action on random states")
     kraus.add_argument("--seed", type=int, default=None)
     kraus.add_argument("--trials", type=int, default=20)
 
     dilate = chsub.add_parser("dilate", help="channel from an ancilla permutation dilation")
     dilate.add_argument("--n", type=int, required=True, help="system size")
-    dilate.add_argument("--perm", required=True, help="permutation images on the n*n joint space")
-    dilate.add_argument("--sigma", required=True, help="ancilla distribution")
+    json_flag(dilate, "--perm", jsonio.json_to_permutation, help="permutation images on the n*n joint space")
+    json_flag(dilate, "--sigma", jsonio.json_to_vector, help="ancilla distribution")
 
     apply_p = chsub.add_parser("apply", help="push a distribution through a channel")
-    apply_p.add_argument("--matrix", required=True)
-    apply_p.add_argument("--state", required=True)
+    json_flag(apply_p, "--matrix", _real_matrix)
+    json_flag(apply_p, "--state", jsonio.json_to_vector)
 
     lift_p = sub.add_parser("lift", help="classical and quantum liftings")
     lsub = lift_p.add_subparsers(dest="subcommand", required=True)
 
     lcl = lsub.add_parser("classical", help="two-party lifting from a tensor")
-    lcl.add_argument("--tensor", required=True, help='{"n1", "n2", "data"} (JSON or @path)')
-    lcl.add_argument("--p", required=True, help="input distribution")
+    json_flag(lcl, "--tensor", jsonio.json_to_tensor_data, help='{"n1", "n2", "data"} (JSON or @path)')
+    json_flag(lcl, "--p", jsonio.json_to_vector, help="input distribution")
     lcl.set_defaults(parties=2)  # the two-party case of nlift
 
     loh = lsub.add_parser("ohya", help="spectral copying lift of a state")
-    loh.add_argument("--rho", required=True, help="input state matrix")
+    json_flag(loh, "--rho", jsonio.json_to_matrix, help="input state matrix")
     loh.add_argument("--parties", type=int, default=2)
 
     lqcp = lsub.add_parser("qcp", help="two-slot operator of a unital channel")
-    lqcp.add_argument("--channel", required=True, help='{"d", "units"} (JSON or @path)')
+    json_flag(lqcp, "--channel", jsonio.json_to_cpmap, help='{"d", "units"} (JSON or @path)')
 
     lnl = lsub.add_parser("nonlinear", help="compound state of a channel over an input state")
-    lnl.add_argument("--channel", required=True)
-    lnl.add_argument("--rho", required=True)
+    json_flag(lnl, "--channel", jsonio.json_to_cpmap)
+    json_flag(lnl, "--rho", jsonio.json_to_matrix)
 
     lci = lsub.add_parser("circulant", help="block lifting along fixed profiles")
-    lci.add_argument("--profiles", required=True, help="JSON list of unit-trace PSD matrices")
-    lci.add_argument("--rho", required=True)
+    json_flag(lci, "--profiles", jsonio.json_to_profiles, help="JSON list of unit-trace PSD matrices")
+    json_flag(lci, "--rho", jsonio.json_to_matrix)
 
     lbe = lsub.add_parser("bell", help="lifting with a Bell-diagonal output")
-    lbe.add_argument("--p", required=True, help="phase weights")
-    lbe.add_argument("--rho", required=True)
+    json_flag(lbe, "--p", jsonio.json_to_vector, help="phase weights")
+    json_flag(lbe, "--rho", jsonio.json_to_matrix)
 
     lnn = lsub.add_parser("nlift", help="iterated lifting to N parties")
-    lnn.add_argument("--tensor", required=True)
-    lnn.add_argument("--p", required=True)
+    json_flag(lnn, "--tensor", jsonio.json_to_tensor_data)
+    json_flag(lnn, "--p", jsonio.json_to_vector)
     lnn.add_argument("--parties", type=int, required=True)
 
     ver = sub.add_parser("verify", help="run invariant suites and report")
@@ -215,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--tol", type=float, default=None, help="override every check tolerance")
 
     tel = sub.add_parser("teleport", help="permutation teleportation transcript")
-    tel.add_argument("--p", required=True, help="distribution to send")
-    tel.add_argument("--perm", required=True, help="shared permutation")
+    json_flag(tel, "--p", jsonio.json_to_vector, help="distribution to send")
+    json_flag(tel, "--perm", jsonio.json_to_permutation, help="shared permutation")
 
     # One --out for every command, added after its own flags: usage lines list it last.
     for command, func in (
@@ -233,6 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, decode in getattr(args, "decoders", ()):  # verify declares none
+            setattr(args, dest, decode(jsonio.load_argument(getattr(args, dest))))
         document, code = args.func(args)
         pieces = jsonio.canonical_pieces(document)  # every check runs here
         if args.out:

@@ -27,6 +27,7 @@ from .matcore import (
     _abs_close,
     _as_array,
     _as_matrix,
+    _check_bytes,
     _first_non_psd,
     _Fresh,
     _size,
@@ -55,6 +56,7 @@ def pure_tensor(images, n2: int | None = None) -> np.ndarray:
     bad = s[(s < 0) | (s >= n2)]
     if bad.size:
         raise IndexOutOfRangeError(f"image {bad[0]} outside range 0..{n2 - 1}")
+    _check_bytes((n1, n2, n1), "lifting tensor", 8)
     i = np.arange(n1)
     e = np.zeros((n1, n2, n1))
     e[i, s, i] = 1.0
@@ -65,6 +67,7 @@ def product_tensor(q, n1: int) -> np.ndarray:
     """Constant-output lifting E[i, j, k] = delta(k, i) q_j."""
     v = as_probability_vector(q)
     n1 = _size(n1, "n1")
+    _check_bytes((n1, v.size, n1), "lifting tensor", 8)
     i = np.arange(n1)
     e = np.zeros((n1, v.size, n1))
     e[i, :, i] = v
@@ -74,6 +77,7 @@ def product_tensor(q, n1: int) -> np.ndarray:
 def ohya_tensor(n: int) -> np.ndarray:
     """Perfect copy lifting E[i, j, k] = delta(k, i) delta(j, k)."""
     n = _size(n, "n")
+    _check_bytes((n, n, n), "lifting tensor", 8)
     i = np.arange(n)
     e = np.zeros((n, n, n))
     e[i, i, i] = 1.0
@@ -85,6 +89,7 @@ def markov_tensor(conditional) -> np.ndarray:
     column-stochastic conditional matrix with entry [j, i] = p(j|i)."""
     c = _as_matrix(conditional, "conditional", float)
     n = c.shape[0]
+    _check_bytes((n, n, n), "lifting tensor", 8)
     i = np.arange(n)
     e = np.zeros((n, n, n))
     e[i, :, i] = c.T

@@ -64,6 +64,12 @@ MMAP_DIAGONAL_SIDE a diagonal matrix is np.zeros'; from that side up it lies
 on a fresh anonymous mmap of which only the pages holding the diagonal are
 written, so the zeros cost no memory.
 
+Sizes: every constructor whose output outgrows its input (a tensor product,
+a diagonal operator, a unit matrix, lifting tensors, Kraus and unit arrays,
+circulant and Bell assemblies) first checks the output's bytes against
+MAX_DENSE_BYTES (check_dense_size, _check_bytes), so a size that cannot fit
+is a SchemaError before anything is allocated.
+
 Per-call cost: on the small matrices of the verify suites the checks cost
 more in numpy's Python-level wrappers than in arithmetic, so they call
 ufuncs and array methods (np.maximum.reduce, x.trace(), np.maximum(x, 0.0)
@@ -97,8 +103,9 @@ TRACE_TOL = 10 * TOL
 STRUCT_TOL = 1e-10
 CPMAP_RTOL = 1e-5
 PROB_TOL = 1e-12
-# Largest dense complex operator an N-party constructor may allocate: a
-# 2^13-sided matrix (d=2, N=13) is exactly 1 GiB.
+# Largest dense array that any constructor may allocate, when its output
+# outgrows its input (check_dense_size, _check_bytes): a 2^13-sided complex
+# matrix (d=2, N=13) is exactly 1 GiB.
 MAX_DENSE_BYTES = 1 << 30
 # Most tensor factors an operator or an N-party build may have, checked
 # before any per-party list or dims tuple is built. partial_trace and
@@ -146,8 +153,7 @@ def _as_array(x, what: str, dtype=float, copy: bool = False, bad: str | None = N
     """x as an array of dtype (None: the dtype numpy reads), a new one if copy, by the number
     policy: a complex x where dtype is float, a ragged x or one holding a non-number (the
     SchemaError ``bad``) and, unless bound is False (the JSON writers, whose results may be
-    past it, and readers that bound a stack of such arrays once), an entry past _MAX_MODULUS
-    (_bounded) are SchemaErrors."""
+    past it), an entry past _MAX_MODULUS (_bounded) are SchemaErrors."""
     bad = bad or f"{what} must be a rectangular array of numbers"
     try:
         a = np.asarray(x)
@@ -298,6 +304,7 @@ def diagonal_operator(w, dims) -> FactoredOperator:
     if w.size != prod(dims):
         raise DimensionMismatchError(f"product of dims {dims} is {prod(dims)}, weight count is {w.size}")
     n = w.size
+    check_dense_size((n,))
     if n < MMAP_DIAGONAL_SIDE:
         m = np.zeros((n, n), dtype=complex)
     else:
@@ -311,6 +318,7 @@ def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
     d, i, j = _size(d, "d"), _size(i, "i", -np.inf), _size(j, "j", -np.inf)
     if not (0 <= i < d and 0 <= j < d):
         raise IndexOutOfRangeError(f"unit indices ({i},{j}) outside range 0..{d - 1}")
+    check_dense_size((d,))
     m = np.zeros((d, d), dtype=complex)
     m[i, j] = 1.0
     return m
@@ -323,23 +331,30 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
+def _check_bytes(shape, what: str, item: int = 16) -> None:
+    """Raise SchemaError when a dense array of ``shape`` (sizes of at least
+    0), item bytes an entry, would exceed MAX_DENSE_BYTES; constructors whose
+    output outgrows their input call it before they allocate. Sizes past
+    2^64 go unnamed, as _size leaves them."""
+    n = prod(shape) * item
+    if n > MAX_DENSE_BYTES:
+        named = max(shape) <= 1 << 64  # str() refuses ints of over 4300 digits
+        size = f"{' x '.join(map(str, shape))} {what} needs {n} bytes" if named else f"{what} of side over 2^64"
+        raise SchemaError(f"dense {size}, limit is {MAX_DENSE_BYTES}")
+
+
 def check_dense_size(dims) -> None:
     """Raise SchemaError when a dense complex operator on factors ``dims``
     would exceed MAX_DENSE_BYTES; call it before allocating.
 
     The side is multiplied out factor by factor, and a partial product past
-    2^64 is held there, so no integer grows with the number of factors (a
-    zero factor still gives side 0); only such a side goes unnamed.
+    2^64 is held just above it, so no integer grows with the number of
+    factors (a zero factor still gives side 0).
     """
-    item = np.dtype(complex).itemsize
-    side, named = 1, True
+    side = 1
     for d in dims:
-        if side >> 64:
-            side, named = 1 << 64, False
-        side *= int(d)
-    if side * side * item > MAX_DENSE_BYTES:
-        size = f"{side} x {side} operator needs {side * side * item} bytes" if named else "operator of side over 2^64"
-        raise SchemaError(f"dense {size}, limit is {MAX_DENSE_BYTES}")
+        side = min(side, (1 << 64) + 1) * int(d)
+    _check_bytes((side, side), "operator")
 
 
 def sandwich_right(x, r) -> np.ndarray:
@@ -361,6 +376,7 @@ def sandwich_right(x, r) -> np.ndarray:
 
 def tensor(a: FactoredOperator, b: FactoredOperator) -> FactoredOperator:
     """Tensor product of factored operators; a supplies the left factors."""
+    check_dense_size(a.dims + b.dims)
     return FactoredOperator(_Fresh(_kron(a.matrix, b.matrix)), a.dims + b.dims)
 
 

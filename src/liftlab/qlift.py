@@ -42,7 +42,6 @@ from .matcore import (
     _abs_close,
     _as_array,
     _as_matrix,
-    _bounded,
     _check_hermitian,
     _eig,
     _first_non_psd,
@@ -125,16 +124,18 @@ class CpMap:
 
 def cp_identity(d: int) -> CpMap:
     d = _size(d, "d")
+    check_dense_size((d, d))
     return CpMap(np.eye(d * d, dtype=complex).reshape(d, d, d, d))
 
 
 def cp_from_kraus(ops) -> CpMap:
     """CP map Lambda(x) = sum_m K_m x K_m^dagger from Kraus operators."""
-    ks = [_as_array(k, "Kraus operator", complex, bound=False) for k in ops]  # bounded once, stacked
-    if not ks or any(k.shape != ks[0].shape or k.ndim != 2 or k.shape[0] != k.shape[1] for k in ks):
+    ks = _as_array(list(ops), "Kraus operator", complex)
+    if ks.ndim != 3 or ks.shape[1] != ks.shape[2]:
         raise DimensionMismatchError("Kraus operators must be square matrices of one common size")
-    n, d = len(ks), ks[0].shape[0]
-    m = _bounded(np.array(ks), "Kraus operator").reshape(n, d * d)  # row k holds K_k flattened over (a, i)
+    n, d = ks.shape[:2]
+    check_dense_size((d, d))
+    m = ks.reshape(n, d * d)  # row k holds K_k flattened over (a, i)
     # units[i, j] = sum_k K_k e_ij K_k^dagger, entrywise sum_k K_k[a, i] conj(K_k[b, j]):
     # one product indexed ((a, i), (b, j)). An image past the bound ends in CpMap's
     # bound error.
@@ -150,6 +151,7 @@ def classical_cpmap(conditional) -> CpMap:
     """
     c = _as_matrix(conditional, "conditional", float)
     d = c.shape[0]
+    check_dense_size((d, d))
     a, i = np.arange(d)[:, None], np.arange(d)[None, :]
     units = np.zeros((d, d, d, d), dtype=complex)
     units[a, a, i, i] = c
@@ -440,6 +442,7 @@ def lifting_assisted_map(psi: Callable[[np.ndarray], np.ndarray], omega):
 def choi_matrix(phi: Callable[[np.ndarray], np.ndarray], d: int) -> FactoredOperator:
     """Normalized Choi matrix (1/d) sum_ij e_ij x phi(e_ij)."""
     d = _size(d, "d")
+    check_dense_size((d, d))
     units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[i, j] = e_ij
     images = _as_array([[phi(e) for e in row] for row in units], "phi images", complex)
     if images.shape != units.shape:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from liftlab import cli
+from liftlab import cli, matcore
 from liftlab.clift import ohya_tensor
 from liftlab.jsonio import json_to_factored, json_to_matrix, lifting_tensor_to_json
 
@@ -233,6 +233,28 @@ def test_kraus_self_check_needs_a_trial(capsys):
     code = cli.main(["channel", "kraus", "--matrix", "[[1,0],[0,1]]", "--verify", "--trials", "0"])
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_kraus_reads_trials_and_seed_before_the_library(capsys, monkeypatch):
+    # A negative weight is a math fault (exit 3) that kraus_from_channel finds;
+    # a bad --trials or LIFTLAB_SEED is malformed input, reported first.
+    negative = ["channel", "kraus", "--matrix", "[[-1,2],[0,1]]", "--verify"]
+    _assert_error_exit(capsys, negative + ["--trials", "0"], 2)
+    monkeypatch.setenv("LIFTLAB_SEED", "x")
+    assert cli.main(negative + ["--trials", "0"]) == 2
+    assert capsys.readouterr().err == "error: trials must be at least 1, got 0\n"
+    assert cli.main(negative) == 2
+    assert capsys.readouterr().err == "error: LIFTLAB_SEED must be an integer, got 'x'\n"
+    monkeypatch.delenv("LIFTLAB_SEED")
+    _assert_error_exit(capsys, negative, 3)
+
+
+def test_kraus_array_past_the_bound_exits_two(capsys, monkeypatch):
+    # With the bound at 4 KiB, a 5 x 5 channel's 5^4 complex Kraus entries
+    # (10000 bytes) are refused before kraus_from_channel allocates them.
+    monkeypatch.setattr(matcore, "MAX_DENSE_BYTES", 4096)
+    w = json.dumps([[0.2] * 5] * 5)
+    _assert_error_exit(capsys, ["channel", "kraus", "--matrix", w], 2)
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -504,8 +504,9 @@ def test_dense_size_verdict_needs_no_huge_integers():
         matcore.check_dense_size((2,) * 14)
     with pytest.raises(SchemaError, match="^dense operator of side over 2\\^64, limit is"):
         matcore.check_dense_size((2,) * 100000)
-    with pytest.raises(SchemaError, match="^dense operator of side over 2\\^64, limit is"):
-        matcore.check_dense_size((10**3000, 3))
+    for dims in ((10**3000, 3), (3, 10**3000)):  # a huge last factor as well as a huge first one
+        with pytest.raises(SchemaError, match="^dense operator of side over 2\\^64, limit is"):
+            matcore.check_dense_size(dims)
     matcore.check_dense_size((2,) * 100000 + (0,))
     matcore.check_dense_size((2,) * 13)
 

@@ -589,3 +589,64 @@ def test_gates_on_valid_input_run_no_eigensolve(eigensolves, monkeypatch):
     monkeypatch.setattr(matcore, "_cholesky_certifies", lambda h, tol=TOL: checked.append(h.shape) or real(h, tol))
     bell_diagonal_lift(p, rho)
     assert checked == [(8, 8), (1, 8, 8)]
+
+
+def _guarded_cases():
+    """(callable, arguments, output bytes) for every constructor whose output
+    outgrows its input: outputs of 64 KiB to 4 MiB from inputs of a few KiB
+    (gamma_lifting's joint channel is half its output), built here so that
+    their allocations are not traced."""
+    import liftlab as L
+
+    u16 = np.full(16, 1 / 16)
+    eye16, eye64 = np.eye(16), np.eye(64)
+    blocks = np.stack([np.eye(16) / 256] * 16).astype(complex)
+    rho16 = np.diag(u16)
+    big = 16**4 * 16  # a 256 x 256 complex operator
+    return {
+        "tensor": (L.tensor, (FactoredOperator(eye16), FactoredOperator(eye16)), big),
+        "diagonal_operator": (diagonal_operator, (np.full(256, 1 / 256), (16, 16)), big),
+        "classical_choi": (L.classical_choi, (eye16,), big),
+        "max_correlated_state": (L.max_correlated_state, (np.arange(16),), big),
+        "gamma_lifting": (L.gamma_lifting, (eye64, np.full(8, 1 / 8), np.full(8, 1 / 8)), 64**2 * 16),
+        "unit_matrix": (L.unit_matrix, (512, 0, 0), 512**2 * 16),
+        "kraus_from_channel": (L.kraus_from_channel, (np.full((16, 16), 1 / 16),), big),
+        "permutation_channel": (L.permutation_channel, (np.arange(512),), 512**2 * 8),
+        "pure_tensor": (L.pure_tensor, ([0, 2**15],), 2 * (2**15 + 1) * 2 * 8),
+        "product_tensor": (L.product_tensor, (np.full(4, 1 / 4), 256), 256 * 4 * 256 * 8),
+        "ohya_tensor": (L.ohya_tensor, (64,), 64**3 * 8),
+        "markov_tensor": (L.markov_tensor, (eye64,), 64**3 * 8),
+        "cp_identity": (L.cp_identity, (16,), big),
+        "cp_from_kraus": (L.cp_from_kraus, ([eye16],), big),
+        "classical_cpmap": (L.classical_cpmap, (eye16,), big),
+        "choi_matrix": (L.choi_matrix, (lambda x: x, 16), big),
+        "build_circulant": (L.build_circulant, (L.CirculantSpec(blocks),), big),
+        "assemble_partial_transpose": (L.assemble_partial_transpose, (blocks,), big),
+        "circulant_lift": (L.circulant_lift, (blocks * 16, rho16), big),
+        "bell_diagonal_lift": (L.bell_diagonal_lift, (u16, rho16), big),
+        "circulant_lift_isometry": (L.circulant_lift_isometry, (eye16, rho16), big),
+        "maximally_entangled": (L.maximally_entangled, (16,), big),
+        "bell_state": (L.bell_state, (0, 0, 16), big),
+        "bell_unitary": (L.bell_unitary, (0, 0, 512), 512**2 * 16),
+        "shift_matrix": (L.shift_matrix, (512,), 512**2 * 16),
+        "circulant_subspaces": (L.circulant_subspaces, (512,), 512**2 * 100),
+    }
+
+
+GUARDED = _guarded_cases()
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_constructors_refuse_outputs_past_the_bound_before_allocating(name, monkeypatch):
+    # With the bound at 4 KiB each call ends in SchemaError, and the traced
+    # peak stays below its output's size, so the output was never allocated.
+    fn, args, out_bytes = GUARDED[name]
+    monkeypatch.setattr(matcore, "MAX_DENSE_BYTES", 4096)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=r"^dense .*, limit is 4096$"):
+            fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out_bytes, (peak, out_bytes)
