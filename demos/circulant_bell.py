@@ -20,7 +20,8 @@ from liftlab import (
 np.set_printoptions(precision=4, suppress=True)
 
 print("=== Circulant subspaces of a two-qutrit space ===")
-for alpha, cells in enumerate(circulant_subspaces(3)):
+for alpha, partners in enumerate(circulant_subspaces(3)):
+    cells = [(i, int(j)) for i, j in enumerate(partners)]
     print(f"subspace {alpha}: spanned by e_i x e_j for (i, j) in {cells}")
 
 print()

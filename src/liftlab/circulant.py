@@ -40,12 +40,12 @@ from .matcore import (
 )
 
 
-def circulant_subspaces(d: int) -> list[list[tuple[int, int]]]:
-    """Index pairs (i, i+alpha mod d) spanning each subspace Sigma_alpha."""
+def circulant_subspaces(d: int) -> np.ndarray:
+    """Partner array p[alpha, i] = (i + alpha) mod d, of shape (d, d):
+    Sigma_alpha is spanned by e_i x e_{p[alpha, i]}."""
     d = _size(d, "d", 1)
-    # CPython: a list slot, a 2-tuple and its ints, 102 bytes a pair traced; rounded up.
-    _check_bytes((d, d), "list of index pairs", 104)
-    return [[(i, (i + alpha) % d) for i in range(d)] for alpha in range(d)]
+    _check_bytes((d, d), "partner array", 8)
+    return (np.arange(d)[:, None] + np.arange(d)) % d
 
 
 def shift_matrix(d: int) -> np.ndarray:
@@ -89,16 +89,15 @@ class CirculantSpec:
         return self.blocks.shape[0]
 
 
-def _assemble(blocks: np.ndarray, slot_map) -> FactoredOperator:
+def _assemble(blocks: np.ndarray, partners: np.ndarray) -> FactoredOperator:
     """Place entry [alpha, i, j] at (pos[alpha, i], pos[alpha, j]) by one
-    flat scatter, with pos[alpha, i] = i * d + slot_map(i, alpha) mod d; the
-    d^3 positions are distinct. The result is not scanned: its entries are
-    the blocks', which _as_blocks read or which are a state's diagonal times
-    unit-trace PSD profiles."""
+    flat scatter, with pos[alpha, i] = i * d + partners[alpha, i]; for the
+    partner arrays passed here the d^3 positions are distinct. The result is
+    not scanned: its entries are the blocks', which _as_blocks read or which
+    are a state's diagonal times unit-trace PSD profiles."""
     d = blocks.shape[0]
     check_dense_size((d, d))
-    k = np.arange(d)
-    pos = k * d + slot_map(k, k[:, None]) % d
+    pos = np.arange(d) * d + partners
     m = np.zeros((d * d, d * d), dtype=complex)
     m.reshape(-1)[(pos[:, :, None] * (d * d) + pos[:, None, :]).ravel()] = blocks.ravel()
     return FactoredOperator(_Fresh(m, bounded=True), (d, d))
@@ -107,7 +106,7 @@ def _assemble(blocks: np.ndarray, slot_map) -> FactoredOperator:
 def build_circulant(spec: CirculantSpec) -> FactoredOperator:
     """Assemble the two-party state sum_alpha sum_ij a^(alpha)_ij
     e_ij x e_{i+alpha, j+alpha}."""
-    return _assemble(spec.blocks, np.add)
+    return _assemble(spec.blocks, circulant_subspaces(spec.d))
 
 
 def circulant_partial_transpose(blocks) -> np.ndarray:
@@ -130,7 +129,8 @@ def circulant_partial_transpose(blocks) -> np.ndarray:
 def assemble_partial_transpose(tilde_blocks) -> FactoredOperator:
     """Reassemble partially transposed blocks on the reflected subspaces:
     sum_alpha sum_ij a~^(alpha)_ij e_ij x e_{-i+alpha, -j+alpha}."""
-    return _assemble(_as_blocks(tilde_blocks), lambda i, a: a - i)
+    b = _as_blocks(tilde_blocks)
+    return _assemble(b, circulant_subspaces(len(b))[:, -np.arange(len(b))])
 
 
 def is_ppt_circulant(spec: CirculantSpec) -> tuple[bool, np.ndarray]:
@@ -169,7 +169,7 @@ def _lift_profiles(profiles: np.ndarray, diagonal: np.ndarray) -> FactoredOperat
         raise TraceNotOneError(f"profile {off[0]} has trace {float(traces[off[0]])!r}, expected 1")
     blocks = diagonal[:, None, None] * profiles
     _check_trace_sum(blocks)
-    return _assemble(blocks, np.add)
+    return _assemble(blocks, circulant_subspaces(diagonal.size))
 
 
 def circulant_lift(cs, rho) -> FactoredOperator:
@@ -187,9 +187,9 @@ def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
     """Isometry form of the circulant lifting.
 
     cvecs[alpha] is a unit vector; V maps e_alpha to
-    sum_j cvecs[alpha][j] e_j x e_{j+alpha}, satisfies V*V = I, and
-    E(rho) = V diag(rho) V* matches :func:`circulant_lift` with rank-one
-    profiles. Returns (state, V).
+    sum_j cvecs[alpha][j] e_j x e_{j+alpha} and satisfies V*V = I; E(rho) =
+    V diag(rho) V* is assembled as :func:`circulant_lift` of the rank-one
+    profiles c_alpha c_alpha*, without forming that product. Returns (state, V).
     """
     c = _as_matrix(cvecs, "cvecs")
     d = c.shape[0]
@@ -199,12 +199,12 @@ def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
             raise NotNormalizedError(f"vector {alpha} has norm {float(nrm)!r}, expected 1")
     diagonal = _state_diagonal(rho, d, "vector count")
     check_dense_size((d, d))
+    partners = circulant_subspaces(d)
     k = np.arange(d)
-    alpha, j = k[:, None], k[None, :]
     v = np.zeros((d * d, d), dtype=complex)
-    v[j * d + (j + alpha) % d, alpha] = c
-    out = v @ np.diag(diagonal.astype(complex)) @ v.conj().T
-    return FactoredOperator(_Fresh(out), (d, d)), v
+    v[k * d + partners, k[:, None]] = c
+    blocks = diagonal[:, None, None] * (c[:, :, None] * c.conj()[:, None, :])
+    return _assemble(blocks, partners), v
 
 
 def maximally_entangled(d: int) -> FactoredOperator:

@@ -108,8 +108,8 @@ def apply_to_state(weights, p) -> np.ndarray:
 def kraus_from_channel(weights) -> list[np.ndarray]:
     """Kraus operators K_ij = sqrt(L[i, j]) |f_j><e_i| in (i, j) lex order.
 
-    The principal nonnegative real root is used. The full n1*n2 list is
-    returned, zero operators included, so ordering is stable.
+    The principal nonnegative real root is used. The full n1*n2 list of
+    read-only views is returned, zero operators included, so ordering is stable.
     """
     w = as_channel(weights)
     n1, n2 = w.shape
@@ -117,6 +117,7 @@ def kraus_from_channel(weights) -> list[np.ndarray]:
     i, j = np.arange(n1)[:, None], np.arange(n2)[None, :]
     ops = np.zeros((n1, n2, n2, n1), dtype=complex)
     ops[i, j, j, i] = np.sqrt(w)
+    ops.setflags(write=False)
     return list(ops.reshape(n1 * n2, n2, n1))
 
 

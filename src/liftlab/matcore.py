@@ -490,17 +490,17 @@ def _cholesky_certifies(h: np.ndarray, tol: float = TOL) -> bool:
         return False
 
 
-def _first_non_psd(ms: np.ndarray, tol: float = TOL) -> tuple[int, float] | None:
+def _first_non_psd(ms: np.ndarray) -> tuple[int, float] | None:
     """Flat index of the first matrix of a (..., n, n) stack that
     :func:`is_psd` refuses, with its lowest eigenvalue; None when every
     matrix passes. For gates that read the eigenvalue only to word a
     failure: when :func:`_cholesky_certifies` the Hermitian part no
     eigensolve runs, and otherwise :func:`_psd_verdicts` of that same
     Hermitian part decides."""
-    h = _check_hermitian(ms, tol)
-    if _cholesky_certifies(h, tol):
+    h = _check_hermitian(ms)
+    if _cholesky_certifies(h):
         return None
-    ok, lows = _psd_verdicts(h, tol)
+    ok, lows = _psd_verdicts(h)
     if ok.all():
         return None
     k = int(np.argmin(ok))

@@ -33,6 +33,7 @@ from .circulant import (
     circulant_lift,
     circulant_lift_isometry,
     circulant_partial_transpose,
+    circulant_subspaces,
     is_ppt_circulant,
 )
 from .classical import (
@@ -373,10 +374,7 @@ def _gamma_product(g):
     p = sampling.probability_vector(g, n)
     ident = np.eye(n * n)
     same = _dev(gamma_lifting(ident, sigma, p).matrix, np.diag(np.kron(sigma, p).astype(complex)))
-    swap = np.zeros((n * n, n * n))
-    for j in range(n):
-        for k in range(n):
-            swap[j * n + k, k * n + j] = 1.0
+    swap = np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]
     swapped = _dev(gamma_lifting(swap, sigma, p).matrix, np.diag(np.kron(p, sigma).astype(complex)))
     return max(same, swapped)
 
@@ -537,9 +535,9 @@ def _lift_diagonal_profile(g):
     state = circulant_lift(profiles, rho)
     devs = [abs(state.trace() - 1.0)]
     diag = np.diag(rho).real
+    rows = np.arange(d) * d + circulant_subspaces(d)
     for alpha in range(d):
-        rows = [i * d + (i + alpha) % d for i in range(d)]
-        block = state.matrix[np.ix_(rows, rows)]
+        block = state.matrix[np.ix_(rows[alpha], rows[alpha])]
         devs.append(_dev(block, diag[alpha] * profiles[alpha]))
     dephased = circulant_lift(profiles, np.diag(np.diag(rho)))
     devs.append(_dev(state.matrix, dephased.matrix))
@@ -553,8 +551,8 @@ def _isometry_form(g):
     cvecs = z / np.linalg.norm(z, axis=1, keepdims=True)
     rho = sampling.density(g, d)
     state, v = circulant_lift_isometry(cvecs, rho)
-    profiles = np.stack([np.outer(cvecs[a], cvecs[a].conj()) for a in range(d)])
-    return max(_dev(v.conj().T @ v, np.eye(d)), _dev(state.matrix, circulant_lift(profiles, rho).matrix))
+    dense = v @ np.diag(np.diag(rho).real.astype(complex)) @ v.conj().T
+    return max(_dev(v.conj().T @ v, np.eye(d)), _dev(dense, state.matrix))
 
 
 @functools.cache

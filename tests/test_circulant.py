@@ -32,10 +32,9 @@ from liftlab.sampling import circulant_spec, density, faithful_density, probabil
 
 def test_subspaces_partition_all_pairs():
     for d in (2, 3, 4):
-        seen = set()
-        for cells in circulant_subspaces(d):
-            assert len(cells) == d
-            seen.update(cells)
+        partners = circulant_subspaces(d)
+        assert partners.shape == (d, d)
+        seen = {(i, int(partners[alpha, i])) for alpha in range(d) for i in range(d)}
         assert seen == {(i, j) for i in range(d) for j in range(d)}
 
 
@@ -103,13 +102,14 @@ def test_build_circulant_places_blocks():
     assert m[1, 2] == pytest.approx(0.05)
     assert m[2, 2] == pytest.approx(0.15)
     assert np.trace(m) == pytest.approx(1.0)
-    subs = circulant_subspaces(2)
-    for alpha, cells in enumerate(subs):
-        for bi, (i, _) in enumerate(cells):
-            for bj, (j, _) in enumerate(cells):
-                r = i * 2 + (i + alpha) % 2
-                c = j * 2 + (j + alpha) % 2
-                assert m[r, c] == pytest.approx(blocks[alpha][bi, bj].real)
+    partners = circulant_subspaces(2)
+    for alpha in range(2):
+        for i in range(2):
+            assert partners[alpha, i] == (i + alpha) % 2
+            for j in range(2):
+                r = i * 2 + partners[alpha, i]
+                c = j * 2 + partners[alpha, j]
+                assert m[r, c] == pytest.approx(blocks[alpha][i, j].real)
 
 
 def test_blockwise_partial_transpose_matches_generic():
@@ -161,10 +161,11 @@ def test_pure_bell_state_is_not_ppt():
     state, _ = bell_diagonal_lift([1.0, 0.0], np.diag([1.0, 0.0]).astype(complex))
     np.testing.assert_allclose(state.matrix, maximally_entangled(2).matrix, atol=1e-13)
     blocks = np.zeros((2, 2, 2), dtype=complex)
-    for alpha, cells in enumerate(circulant_subspaces(2)):
-        for bi, (ri, ci) in enumerate(cells):
-            for bj, (rj, cj) in enumerate(cells):
-                blocks[alpha, bi, bj] = state.matrix[ri * 2 + ci, rj * 2 + cj]
+    partners = circulant_subspaces(2)
+    for alpha in range(2):
+        for i in range(2):
+            for j in range(2):
+                blocks[alpha, i, j] = state.matrix[i * 2 + partners[alpha, i], j * 2 + partners[alpha, j]]
     verdict, _ = is_ppt_circulant(CirculantSpec(blocks))
     assert not verdict
 
@@ -178,11 +179,12 @@ def test_circulant_lift_structure():
     m = lifted.matrix
     assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
     pops = np.diag(state).real
-    for alpha, cells in enumerate(circulant_subspaces(d)):
-        for bi, (ri, ci) in enumerate(cells):
-            for bj, (rj, cj) in enumerate(cells):
-                assert m[ri * d + ci, rj * d + cj] == pytest.approx(
-                    pops[alpha] * profiles[alpha][bi, bj], abs=1e-12
+    partners = circulant_subspaces(d)
+    for alpha in range(d):
+        for i in range(d):
+            for j in range(d):
+                assert m[i * d + partners[alpha, i], j * d + partners[alpha, j]] == pytest.approx(
+                    pops[alpha] * profiles[alpha][i, j], abs=1e-12
                 )
     dephased = circulant_lift(profiles, np.diag(np.diag(state)))
     np.testing.assert_allclose(lifted.matrix, dephased.matrix, atol=1e-13)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,21 @@ def test_kraus_array_past_the_bound_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(matcore, "MAX_DENSE_BYTES", 4096)
     w = json.dumps([[0.2] * 5] * 5)
     _assert_error_exit(capsys, ["channel", "kraus", "--matrix", w], 2)
+
+
+def test_kraus_document_holds_the_operator_array_once():
+    # The document's matrices are kraus_from_channel's read-only views; a
+    # copy of each would hold a 30 x 30 channel's 13 MB Kraus array twice.
+    args = cli.build_parser().parse_args(["channel", "kraus", "--matrix", "[[1]]"])
+    args.matrix = np.full((30, 30), 1 / 30)
+    tracemalloc.start()
+    try:
+        document, code = args.func(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(document["kraus"]) == 900
+    assert peak < 1.2 * 30**4 * 16, peak
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -172,6 +172,18 @@ def test_circulant_lifts_match_loops(d):
     np.testing.assert_array_equal(bell.matrix, want)
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_isometry_state_is_the_block_lift_of_its_rank_one_profiles(d):
+    g = rng(730 + d)
+    raw = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+    cvecs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    state = density(g, d)
+    lifted, v = circulant_lift_isometry(cvecs, state)
+    profiles = np.stack([np.outer(c, c.conj()) for c in cvecs])
+    np.testing.assert_array_equal(lifted.matrix, circulant_lift(profiles, state).matrix)
+    np.testing.assert_array_equal(v, _loop_isometry(cvecs))
+
+
 @pytest.mark.parametrize("d", DIMS)
 def test_cp_kernels_match_loops(d):
     g = rng(740 + d)

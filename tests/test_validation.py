@@ -629,7 +629,7 @@ def _guarded_cases():
         "bell_state": (L.bell_state, (0, 0, 16), big),
         "bell_unitary": (L.bell_unitary, (0, 0, 512), 512**2 * 16),
         "shift_matrix": (L.shift_matrix, (512,), 512**2 * 16),
-        "circulant_subspaces": (L.circulant_subspaces, (512,), 512**2 * 100),
+        "circulant_subspaces": (L.circulant_subspaces, (512,), 512**2 * 8),
     }
 
 
