@@ -32,7 +32,6 @@ from .matcore import (
     _check_bytes,
     _first_non_psd,
     _Fresh,
-    _kron,
     _psd_stack,
     _size,
     check_dense_size,
@@ -208,11 +207,8 @@ def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
 
 
 def maximally_entangled(d: int) -> FactoredOperator:
-    """Projector onto (1/sqrt d) sum_i e_i x e_i."""
-    d = _size(d, "d")
-    check_dense_size((d, d))
-    v = np.eye(d).reshape(d * d)
-    return FactoredOperator(_Fresh((np.outer(v, v) / d).astype(complex)), (d, d))
+    """Projector onto (1/sqrt d) sum_i e_i x e_i: :func:`bell_state` (0, 0, d)."""
+    return bell_state(0, 0, d)
 
 
 def bell_unitary(m: int, n: int, d: int) -> np.ndarray:
@@ -232,11 +228,12 @@ def bell_unitary(m: int, n: int, d: int) -> np.ndarray:
 
 
 def bell_state(m: int, n: int, d: int) -> FactoredOperator:
-    """Rank-one projector (I x U_mn) P+ (I x U_mn)^dagger, supported on
-    subspace Sigma_n."""
-    base = maximally_entangled(d)
-    u = _kron(np.eye(d), bell_unitary(m, n, d))
-    return FactoredOperator(_Fresh(u @ base.matrix @ u.conj().T), (d, d))
+    """Rank-one projector (I x U_mn) P+ (I x U_mn)^dagger on Sigma_n: psi psi^dagger / d, with
+    psi = vec(U_mn^T) = sum_k lambda^{mk} e_k x e_{k+n}; its entries are at most 1/d, so not scanned."""
+    d = _size(d, "d")
+    check_dense_size((d, d))
+    psi = bell_unitary(m, n, d).T.reshape(-1)
+    return FactoredOperator(_Fresh(np.outer(psi, psi.conj() / d), bounded=True), (d, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,6 +270,7 @@ def bell_diagonal_lift(p, rho) -> tuple[FactoredOperator, BellSpectrum]:
     weights = as_probability_vector(p)
     d = weights.size
     diagonal = _state_diagonal(rho, d, "weight count")
+    check_dense_size((d, d))
     phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
     # A sum over axis 0 adds in the order, and so with the rounding, of a loop over m.
     outers = phases[:, :, None] * phases[:, None, :].conj()

@@ -59,10 +59,12 @@ past the bound (a tensor product of large operands) is a SchemaError, except
 where the inputs bound the result: diagonal_operator's weights are read by
 _as_array, an N-party chain whose links are bounded is not scanned (see
 qlift._chain), and neither are ohya_lift's output, whose entries a checked
-state bounds, the circulant assemblies and partial transposes. Below
-MMAP_DIAGONAL_SIDE a diagonal matrix is np.zeros'; from that side up it lies
-on a fresh anonymous mmap of which only the pages holding the diagonal are
-written, so the zeros cost no memory.
+state bounds, the circulant assemblies and partial transposes, bell_state's
+projectors, whose entries are at most 1/d, qcp_from_channel's operator, a
+permutation of the units CpMap read, and choi_matrix's, the images it read
+divided by d. Below MMAP_DIAGONAL_SIDE a diagonal matrix is np.zeros'; from
+that side up it lies on a fresh anonymous mmap of which only the pages
+holding the diagonal are written, so the zeros cost no memory.
 
 Sizes: every constructor whose output outgrows its input (a tensor product,
 a diagonal operator, a unit matrix, lifting tensors, Kraus and unit arrays,

@@ -188,7 +188,8 @@ def qcp_from_channel(cp: CpMap) -> QcpOperator:
     bad = _first_non_psd(pi)
     if bad:
         raise NotCPError(f"conditional operator has eigenvalue {bad[1]:.3e}; map is not CP")
-    return QcpOperator(FactoredOperator(_Fresh(pi), (d, d)), cp)
+    # bounded: pi is a permutation of the units, which CpMap read through _as_array.
+    return QcpOperator(FactoredOperator(_Fresh(pi, bounded=True), (d, d)), cp)
 
 
 def _qcp_matrix(pi) -> tuple[np.ndarray, int]:
@@ -447,4 +448,5 @@ def choi_matrix(phi: Callable[[np.ndarray], np.ndarray], d: int) -> FactoredOper
     images = _as_array([[phi(e) for e in row] for row in units], "phi images", complex)
     if images.shape != units.shape:
         raise DimensionMismatchError(f"phi returned shape {images.shape[2:]}, expected {(d, d)}")
-    return FactoredOperator(_Fresh(images.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d), (d, d))
+    # bounded: the images were read by _as_array, and are divided by d.
+    return FactoredOperator(_Fresh(images.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d, bounded=True), (d, d))

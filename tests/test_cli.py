@@ -542,6 +542,16 @@ def test_profiles_of_mixed_sides_exit_two(capsys):
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["channel", "apply", "--matrix", '{"rows":1,"cols":1,"data":[[1,0.5]]}', "--state", "[1]"],
+     "channel matrix must be real"),
+    (["teleport", "--p", "[0.5,0.5]", "--perm", "[0,1,2]"], "permutation on 3 letters, state on 2"),
+])
+def test_mismatched_arguments_exit_two_with_one_error_line(capsys, argv, message):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_empty_lifting_tensor_exits_two(capsys):
     empty = '{"n1":0,"n2":0,"data":[]}'
     _assert_error_exit(capsys, ["lift", "classical", "--tensor", empty, "--p", "[1]"], 2)

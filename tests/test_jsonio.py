@@ -162,6 +162,14 @@ def test_load_argument_rejects_non_finite_constants(tmp_path):
         load_argument(f"@{path}")
 
 
+def test_canonical_dumps_refuses_the_placeholder_string():
+    # A caller's fault, not a LiftlabError: no document the package writes holds this string.
+    with pytest.raises(ValueError) as info:
+        canonical_dumps({"a": "\x00pairs"})
+    assert type(info.value) is ValueError
+    assert str(info.value) == 'a string in the document is written as the placeholder "\\u0000pairs"'
+
+
 def test_canonical_dumps_rejects_non_finite():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(SchemaError):

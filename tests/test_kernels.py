@@ -21,6 +21,7 @@ from liftlab.circulant import (
     CirculantSpec,
     assemble_partial_transpose,
     bell_diagonal_lift,
+    bell_state,
     bell_unitary,
     build_circulant,
     circulant_lift,
@@ -112,6 +113,13 @@ def _loop_bell_unitary(m, n, d):
     return u
 
 
+def _kron_bell_state(m, n, d):
+    """P_mn as (I x U_mn) P+ (I x U_mn)^dagger, by two d^2 x d^2 products."""
+    v = np.eye(d).reshape(d * d)
+    u = np.kron(np.eye(d), bell_unitary(m, n, d))
+    return u @ (np.outer(v, v) / d).astype(complex) @ u.conj().T
+
+
 def _loop_shift(d):
     s = np.zeros((d, d), dtype=complex)
     for k in range(d):
@@ -150,7 +158,9 @@ def test_circulant_kernels_match_loops(d):
     for m in range(d):
         for n in range(d):
             _close(bell_unitary(m, n, d), _loop_bell_unitary(m, n, d))
-    _close(maximally_entangled(d).matrix, np.outer(np.eye(d).ravel(), np.eye(d).ravel()) / d)
+            np.testing.assert_allclose(bell_state(m, n, d).matrix, _kron_bell_state(m, n, d), rtol=0, atol=2.3e-16)
+    want = (np.outer(np.eye(d).ravel(), np.eye(d).ravel()) / d).astype(complex)
+    np.testing.assert_array_equal(maximally_entangled(d).matrix.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -233,6 +243,18 @@ def test_apply_kraus_holds_one_operator_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 10 * ks[0].nbytes, peak
+
+
+def test_bell_state_holds_about_one_output():
+    # The Kronecker construction peaked at 5.0 times the 1 MiB output.
+    bell_state(1, 2, 16)
+    tracemalloc.start()
+    try:
+        out = bell_state(1, 2, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.matrix.nbytes, peak / out.matrix.nbytes
 
 
 @pytest.mark.parametrize("d", [8, 12])

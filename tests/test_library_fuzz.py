@@ -330,6 +330,22 @@ NAMED = [
     (lambda: liftlab.as_permutation([[1], [1, 2]]), "SchemaError", "permutation must be a rectangular array of numbers"),
     (lambda: liftlab.choi_matrix(lambda m: [[1], [1, 2]], 2), "SchemaError",
      "phi images must be a rectangular array of numbers"),
+    # Size mismatches between arguments.
+    (lambda: liftlab.channel_from_dilation([0, 1, 2], [0.5, 0.5]), "DimensionMismatchError",
+     "permutation acts on 3 labels, expected n^2 = 4"),
+    (lambda: liftlab.classical_teleport([0.5, 0.5], [0, 1, 2]), "DimensionMismatchError",
+     "permutation on 3 letters, state on 2"),
+    (lambda: liftlab.separable_n_state([1.0], []), "DimensionMismatchError", "need at least one map"),
+    (lambda: liftlab.separable_n_state([1.0], [I2]), "DimensionMismatchError",
+     "map 0 images must have shape (1, d, d), got (2, 2)"),
+    (lambda: liftlab.n_compose_qcp([FactoredOperator(np.eye(6), (2, 3))]), "DimensionMismatchError",
+     "conditional operator needs dims (d, d), got (2, 3)"),
+    (lambda: liftlab.n_compose_qcp([np.eye(4) / 2, np.eye(9) / 3]), "DimensionMismatchError",
+     "conditional operators must share one factor size"),
+    (lambda: liftlab.nonlinear_lift(np.eye(4) / 2, np.eye(3) / 3), "DimensionMismatchError",
+     "state side 3 != conditional side 2"),
+    (lambda: liftlab.channel_from_compound(np.eye(4) / 4, I2 / 2), "DimensionMismatchError",
+     "compound state must be a FactoredOperator with dims (d, d)"),
     (lambda: probability_vector(rng(0), -1), "DimensionMismatchError", "n must be at least 0, got -1"),
     (lambda: stochastic(rng(0), 2, -1), "DimensionMismatchError", "n_out must be at least 0, got -1"),
     (lambda: density(rng(0), 2.5), "DimensionMismatchError", "d must be an integer"),

@@ -404,6 +404,22 @@ def test_copy_lifts_skip_the_output_scan(parties, bound_scans):
     assert np.isfinite(lifted.matrix).all()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unit_permutations_and_bell_projectors_skip_the_output_scan(d, bound_scans):
+    # qcp_from_channel permutes the units that CpMap read, choi_matrix
+    # divides by d the images that it read itself, and a Bell projector's
+    # entries are at most 1/d.
+    cp = unital_cpmap(rng(d), d)
+    pi = qcp_from_channel(cp)
+    choi = choi_matrix(cp.apply, d)
+    for out in (pi.matrix, choi.matrix, bell_state(d - 1, d // 2, d).matrix, maximally_entangled(d).matrix):
+        assert not _scanned(out, bound_scans)
+    units = np.array(cp.units)
+    np.testing.assert_array_equal(_bits(pi.matrix), _bits(units.transpose(0, 2, 1, 3).reshape(d * d, d * d)))
+    images = np.array([[cp.apply(e) for e in row] for row in np.eye(d * d, dtype=complex).reshape(d, d, d, d)])
+    np.testing.assert_array_equal(_bits(choi.matrix), _bits(images.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d))
+
+
 def test_links_near_overflow_still_fail_the_scan():
     # Links within the bound whose chain is past it.
     big = 2.0**50 * np.eye(4)
@@ -650,3 +666,18 @@ def test_constructors_refuse_outputs_past_the_bound_before_allocating(name, monk
     finally:
         tracemalloc.stop()
     assert peak < out_bytes, (peak, out_bytes)
+
+
+def test_bell_profile_is_refused_before_its_cubes():
+    # The profile's (d, d, d) phase products took 56 MB at d = 120 before
+    # the dense-size guard refused the 14400 x 14400 output.
+    p, rho = np.full(120, 1 / 120), np.eye(120) / 120
+    message = r"^dense 14400 x 14400 operator needs 3317760000 bytes, limit is 1073741824$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=message):
+            bell_diagonal_lift(p, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
