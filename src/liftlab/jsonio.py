@@ -28,7 +28,7 @@ import numpy as np
 from .circulant import BellSpectrum, CirculantSpec
 from .classical import as_permutation
 from .errors import SchemaError
-from .matcore import FactoredOperator, _as_array, _size
+from .matcore import FactoredOperator, _as_array, _Fresh, _size
 from .qlift import CpMap
 
 
@@ -208,7 +208,8 @@ def json_to_cpmap(obj) -> CpMap:
     units = obj["units"]
     _require(isinstance(units, list), "units must be a list")
     _require(len(units) == d * d, f"units has {len(units)} entries, expected {d * d}")
-    return CpMap(_square_matrices(units, d, "unit").reshape(d, d, d, d))
+    # bounded: every matrix was decoded through _as_array.
+    return CpMap(_Fresh(_square_matrices(units, d, "unit").reshape(d, d, d, d), bounded=True))
 
 
 def circulant_to_json(spec: CirculantSpec) -> dict:

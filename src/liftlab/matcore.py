@@ -32,10 +32,11 @@ The lowest-eigenvalue test is is_psd's. The constructors' gates
 (check_state, qcp_from_channel, channel_from_compound, CirculantSpec, the
 circulant and Bell profiles, separable_n_state's images) read the
 eigenvalue only to word a failure, so they first certify positivity by one
-Cholesky factorization of the Hermitian part plus (TOL / 2) I
-(_first_non_psd), and run the eigensolve on the same Hermitian part only
-when that fails, for the verdict and the message. is_psd, herm_sqrt and
-everything verify measures keep the eigensolve.
+Cholesky factorization of the Hermitian part plus (TOL / 2) I, the shift
+added in place (_first_non_psd), and run the eigensolve on the same
+Hermitian part, formed again, only when that fails, for the verdict and the
+message. is_psd, herm_sqrt and everything verify measures keep the
+eigensolve.
 
 Inputs: numpy converts caller data only in _as_array, which holds library
 arrays and the JSON decoders' lists to one number policy. A number is an
@@ -51,20 +52,25 @@ its dims to); _as_matrix square matrices; classical._read_probabilities
 probability data: no entry below -PROB_TOL, each sum within PROB_TOL per
 entry of 1. Other sums go through _abs_close, np.allclose(rtol=0)'s verdict.
 
-Copies and bounds: FactoredOperator(m) copies m through _as_array, so no
-caller's array is ever aliased. Constructors in this package that have just
-built a complex matrix no caller can write to hand it over without the copy
-(the private _Fresh marker), and the bound check still runs, so a result
-past the bound (a tensor product of large operands) is a SchemaError, except
-where the inputs bound the result: diagonal_operator's weights are read by
-_as_array, an N-party chain whose links are bounded is not scanned (see
-qlift._chain), and neither are ohya_lift's output, whose entries a checked
-state bounds, the circulant assemblies and partial transposes, bell_state's
-projectors, whose entries are at most 1/d, qcp_from_channel's operator, a
-permutation of the units CpMap read, and choi_matrix's, the images it read
-divided by d. Below MMAP_DIAGONAL_SIDE a diagonal matrix is np.zeros'; from
-that side up it lies on a fresh anonymous mmap of which only the pages
-holding the diagonal are written, so the zeros cost no memory.
+Copies and bounds: one rule, _own, decides for FactoredOperator(m) and
+CpMap(units) whether the array is copied and whether it is scanned for the
+bound, and sets it read-only. A caller's array is copied through _as_array,
+so it is never aliased. Constructors in this package that have just built a
+complex array no caller can write to hand it over without the copy (the
+private _Fresh marker), and _own still scans it, so a result past the bound
+(a tensor product of large operands, a Kraus or compound product in
+cp_from_kraus and channel_from_compound) is a SchemaError, except where the
+inputs bound the result: diagonal_operator's weights are read by _as_array,
+an N-party chain whose links are bounded is not scanned (see qlift._chain),
+and neither are ohya_lift's output, whose entries a checked state bounds,
+the circulant assemblies and partial transposes, bell_state's projectors,
+whose entries are at most 1/d, qcp_from_channel's operator, a permutation of
+the units CpMap holds, choi_matrix's, the images it read divided by d, and
+the units of cp_identity (0 and 1), classical_cpmap (the conditional that
+_as_matrix read) and jsonio.json_to_cpmap (matrices _as_array decoded).
+Below MMAP_DIAGONAL_SIDE a diagonal matrix is np.zeros'; from that side up
+it lies on a fresh anonymous mmap of which only the pages holding the
+diagonal are written, so the zeros cost no memory.
 
 Sizes: every constructor whose output outgrows its input (a tensor product,
 a diagonal operator, a unit matrix, lifting tensors, Kraus and unit arrays,
@@ -238,13 +244,25 @@ def _read_dims(dims) -> tuple[int, ...]:
 
 
 class _Fresh(NamedTuple):
-    """A complex matrix that a constructor in this package has just built
-    and that no caller can write to: FactoredOperator takes it as it is,
-    without a copy or a dtype conversion. ``bounded`` says that its entries
-    are already known to be within _MAX_MODULUS."""
+    """A complex array that a constructor in this package has just built
+    and that no caller can write to: _own takes it as it is, without a copy
+    or a dtype conversion. ``bounded`` says that its entries are already
+    known to be within _MAX_MODULUS."""
 
     array: np.ndarray
     bounded: bool = False
+
+
+def _own(x, what: str) -> np.ndarray:
+    """The read-only complex array that FactoredOperator and CpMap keep for x:
+    a _Fresh array as it is, scanned by _bounded unless it is marked bounded,
+    and anything else copied through _as_array, so no caller's array is aliased."""
+    if isinstance(x, _Fresh):
+        a = x.array if x.bounded else _bounded(x.array, what)
+    else:
+        a = _as_array(x, what, complex, copy=True)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,24 +281,17 @@ class FactoredOperator:
     dims: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        m = self.matrix
-        if isinstance(m, _Fresh):  # a complex array
-            m, bounded = m
-        else:
-            m, bounded = _as_array(m, "matrix", complex, copy=True), True
+        m = _own(self.matrix, "matrix")
         shape = m.shape
         dims = _read_dims(self.dims) if not isinstance(self.dims, tuple) or self.dims else shape[:1]
         if len(shape) != 2 or shape[0] != shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got shape {shape}")
-        if not bounded:
-            _bounded(m)
         if min(dims, default=0) < 1:
             raise DimensionMismatchError(f"factor dimensions must be positive, got {dims}")
         if len(dims) > _MAX_FACTORS:
             raise DimensionMismatchError(f"an operator has at most {_MAX_FACTORS} tensor factors, got {len(dims)}")
         if prod(dims) != shape[0]:
             raise DimensionMismatchError(f"product of dims {dims} is {prod(dims)}, matrix side is {shape[0]}")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
 
@@ -479,15 +490,16 @@ def _cholesky_certifies(h: np.ndarray, tol: float = TOL) -> bool:
     """True when one Cholesky factorization of h + (tol / 2) I, for the
     finite Hermitian (..., n, n) stack h, succeeds with a finite factor.
 
-    Then every lowest eigenvalue is above -tol / 2 up to rounding far below
-    that, so every matrix passes :func:`is_psd`. False says only that the
-    factorization failed. An empty stack or a 0 x 0 matrix passes.
+    The shift is added to h's diagonal in place, through a reshaped view:
+    h must be C-contiguous, and is the caller's to give up. Then every lowest eigenvalue is above -tol / 2
+    up to rounding far below that, so every matrix passes :func:`is_psd`.
+    False says only that the factorization failed. An empty stack or a
+    0 x 0 matrix passes.
     """
     n = h.shape[-1]
-    a = h.copy()
-    a.reshape(*a.shape[:-2], n * n)[..., :: n + 1] += tol / 2  # the diagonal, as a strided view
+    h.reshape(*h.shape[:-2], n * n)[..., :: n + 1] += tol / 2  # the diagonal, as a strided view
     try:
-        return bool(np.isfinite(np.linalg.cholesky(a)).all())
+        return bool(np.isfinite(np.linalg.cholesky(h)).all())
     except np.linalg.LinAlgError:
         return False
 
@@ -497,12 +509,11 @@ def _first_non_psd(ms: np.ndarray) -> tuple[int, float] | None:
     :func:`is_psd` refuses, with its lowest eigenvalue; None when every
     matrix passes. For gates that read the eigenvalue only to word a
     failure: when :func:`_cholesky_certifies` the Hermitian part no
-    eigensolve runs, and otherwise :func:`_psd_verdicts` of that same
-    Hermitian part decides."""
-    h = _check_hermitian(ms)
-    if _cholesky_certifies(h):
+    eigensolve runs, and otherwise :func:`_psd_verdicts` of that Hermitian
+    part, formed again since the certificate shifted its diagonal, decides."""
+    if _cholesky_certifies(_check_hermitian(ms)):
         return None
-    ok, lows = _psd_verdicts(h)
+    ok, lows = _psd_verdicts(_check_hermitian(ms))
     if ok.all():
         return None
     k = int(np.argmin(ok))

@@ -47,6 +47,7 @@ from .matcore import (
     _first_non_psd,
     _Fresh,
     _kron,
+    _own,
     _size,
     check_dense_size,
     check_state,
@@ -73,13 +74,15 @@ class CpMap:
     """Linear map on M_d stored by its images on matrix units.
 
     units[i, j] holds the image of e_ij; Hermiticity preservation
-    (units[i, j]^dagger == units[j, i]) is enforced at construction.
+    (units[i, j]^dagger == units[j, i]) is enforced at construction. The
+    units passed in are copied, as FactoredOperator copies its matrix, and
+    stored read-only.
     """
 
     units: np.ndarray
 
     def __post_init__(self):
-        u = _as_array(self.units, "units", complex, copy=True)
+        u = _own(self.units, "units")
         if u.ndim != 4 or len(set(u.shape)) != 1:
             raise DimensionMismatchError(f"units must have shape (d, d, d, d), got {u.shape}")
         # np.allclose(units[i, j]^dagger, units[j, i]) for every i <= j: np.isclose's
@@ -89,13 +92,14 @@ class CpMap:
         a = np.array(u.transpose(1, 0, 3, 2), order="C")
         np.conjugate(a, out=a)
         np.subtract(a, u, out=a)
-        close = np.abs(a) <= STRUCT_TOL + CPMAP_RTOL * np.abs(u)
+        gap = np.abs(a)
+        del a
+        close = gap <= STRUCT_TOL + CPMAP_RTOL * np.abs(u)
         if not close.all():
             bad = np.argwhere(np.triu(~close.all(axis=(2, 3)).T))
             if bad.size:
                 i, j = bad[0]
                 raise NotHermitianError(f"units[{i},{j}]^dagger differs from units[{j},{i}]")
-        u.setflags(write=False)
         object.__setattr__(self, "units", u)
 
     @property
@@ -125,7 +129,7 @@ class CpMap:
 def cp_identity(d: int) -> CpMap:
     d = _size(d, "d")
     check_dense_size((d, d))
-    return CpMap(np.eye(d * d, dtype=complex).reshape(d, d, d, d))
+    return CpMap(_Fresh(np.eye(d * d, dtype=complex).reshape(d, d, d, d), bounded=True))  # bounded: entries 0 and 1
 
 
 def cp_from_kraus(ops) -> CpMap:
@@ -139,7 +143,7 @@ def cp_from_kraus(ops) -> CpMap:
     # units[i, j] = sum_k K_k e_ij K_k^dagger, entrywise sum_k K_k[a, i] conj(K_k[b, j]):
     # one product indexed ((a, i), (b, j)). An image past the bound ends in CpMap's
     # bound error.
-    return CpMap((m.T @ m.conj()).reshape(d, d, d, d).transpose(1, 3, 0, 2))
+    return CpMap(_Fresh((m.T @ m.conj()).reshape(d, d, d, d).transpose(1, 3, 0, 2)))
 
 
 def classical_cpmap(conditional) -> CpMap:
@@ -155,7 +159,7 @@ def classical_cpmap(conditional) -> CpMap:
     a, i = np.arange(d)[:, None], np.arange(d)[None, :]
     units = np.zeros((d, d, d, d), dtype=complex)
     units[a, a, i, i] = c
-    return CpMap(units)
+    return CpMap(_Fresh(units, bounded=True))  # bounded: c was read by _as_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +192,7 @@ def qcp_from_channel(cp: CpMap) -> QcpOperator:
     bad = _first_non_psd(pi)
     if bad:
         raise NotCPError(f"conditional operator has eigenvalue {bad[1]:.3e}; map is not CP")
-    # bounded: pi is a permutation of the units, which CpMap read through _as_array.
+    # bounded: pi is a permutation of the units, which CpMap holds to the bound.
     return QcpOperator(FactoredOperator(_Fresh(pi, bounded=True), (d, d)), cp)
 
 
@@ -393,7 +397,7 @@ def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
         raise NotCompatibleError("first-slot partial trace of the compound state differs from the marginal")
     inv_s = (v / np.sqrt(w)) @ v.conj().T
     blocks = theta.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    return CpMap(inv_s @ blocks @ inv_s)  # broadcast over (i, j)
+    return CpMap(_Fresh(inv_s @ blocks @ inv_s))  # broadcast over (i, j)
 
 
 def robertson_map(x) -> np.ndarray:
@@ -442,11 +446,15 @@ def lifting_assisted_map(psi: Callable[[np.ndarray], np.ndarray], omega):
 
 def choi_matrix(phi: Callable[[np.ndarray], np.ndarray], d: int) -> FactoredOperator:
     """Normalized Choi matrix (1/d) sum_ij e_ij x phi(e_ij)."""
-    d = _size(d, "d")
+    d = _size(d, "d", 1)
     check_dense_size((d, d))
     units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[i, j] = e_ij
     images = _as_array([[phi(e) for e in row] for row in units], "phi images", complex)
-    if images.shape != units.shape:
+    del units
+    if images.shape != (d, d, d, d):
         raise DimensionMismatchError(f"phi returned shape {images.shape[2:]}, expected {(d, d)}")
+    choi = images.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    del images
+    choi /= d
     # bounded: the images were read by _as_array, and are divided by d.
-    return FactoredOperator(_Fresh(images.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d, bounded=True), (d, d))
+    return FactoredOperator(_Fresh(choi, bounded=True), (d, d))

@@ -7,7 +7,9 @@ for bit and verdict for verdict, pin the error type and message of every
 check whose code changed, and cover FactoredOperator's integer dims and the
 finiteness scan that N-party chains skip only when every link is bounded.
 The constructors' positivity gates are held to the eigensolve they skip
-when a Cholesky factorization certifies their input.
+when a Cholesky factorization certifies their input. CpMap, its
+constructors, the gates and choi_matrix are held to a traced peak, and
+CpMap's units to one bound scan unless their constructor knows them bounded.
 """
 import os
 import subprocess
@@ -62,6 +64,7 @@ from liftlab.qlift import (
     CpMap,
     channel_from_compound,
     choi_matrix,
+    classical_cpmap,
     compose_qcp,
     cp_from_kraus,
     cp_identity,
@@ -241,6 +244,13 @@ def test_negative_sizes_are_typed_errors(build):
         build(-1)
 
 
+def test_choi_matrix_refuses_side_zero_before_calling_phi():
+    calls = []
+    with pytest.raises(DimensionMismatchError, match=r"^d must be at least 1, got 0$"):
+        choi_matrix(calls.append, 0)
+    assert calls == []
+
+
 NAN = np.array([[np.nan, 0], [0, 1]])
 INF = np.array([[np.inf, 0], [0, 1]])
 NON_HERMITIAN = np.array([[0.5, 0.3], [0.1, 0.5]])
@@ -418,6 +428,95 @@ def test_unit_permutations_and_bell_projectors_skip_the_output_scan(d, bound_sca
     np.testing.assert_array_equal(_bits(pi.matrix), _bits(units.transpose(0, 2, 1, 3).reshape(d * d, d * d)))
     images = np.array([[cp.apply(e) for e in row] for row in np.eye(d * d, dtype=complex).reshape(d, d, d, d)])
     np.testing.assert_array_equal(_bits(choi.matrix), _bits(images.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d))
+
+
+def _cpmap_builds(d: int) -> dict:
+    """CpMap of a caller's array and every constructor of a CpMap in the
+    package, at side d, with their inputs built here, outside any trace."""
+    g = rng(d)
+    cp = unital_cpmap(g, d)
+    units = np.array(cp.units)
+    rho = density(g, d)
+    theta = nonlinear_lift(qcp_from_channel(cp), rho)
+    doc = jsonio.cpmap_to_json(cp)
+    kraus = [np.eye(d, dtype=complex) / np.sqrt(d)] * d
+    conditional = np.eye(d)
+    return {
+        "CpMap": lambda: CpMap(units),
+        "cp_identity": lambda: cp_identity(d),
+        "classical_cpmap": lambda: classical_cpmap(conditional),
+        "cp_from_kraus": lambda: cp_from_kraus(kraus),
+        "channel_from_compound": lambda: channel_from_compound(theta, rho),
+        "json_to_cpmap": lambda: jsonio.json_to_cpmap(doc),
+    }
+
+
+def _traced_peak(call) -> int:
+    """The traced peak of call(), after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+CPMAP_BUILDS = _cpmap_builds(16)
+STATE_256 = density(rng(256), 256)
+CPMAP_16 = unital_cpmap(rng(16), 16)
+
+
+@pytest.mark.parametrize("name", CPMAP_BUILDS)
+def test_cpmaps_are_built_within_two_and_three_quarters_their_units(name):
+    # Copying a constructor's own units, and holding the Hermiticity test's
+    # complex difference beside its float arrays, took 3.13 to 4.19 times
+    # the 1 MiB of units at d = 16.
+    peak = _traced_peak(CPMAP_BUILDS[name])
+    assert peak < 2.75 * 16**4 * 16, peak / 16**4 / 16
+
+
+GATES = {"check_state": lambda: check_state(STATE_256), "qcp_from_channel": lambda: qcp_from_channel(CPMAP_16)}
+
+
+@pytest.mark.parametrize("name", GATES)
+def test_positivity_gates_certify_within_three_and_three_quarters_their_operator(name):
+    # A copy of the Hermitian part for the Cholesky shift took 4.06 times
+    # the 1 MiB operator.
+    peak = _traced_peak(GATES[name])
+    assert peak < 3.75 * 256**2 * 16, peak / 256**2 / 16
+
+
+def test_choi_matrix_holds_its_images_and_one_transposed_copy():
+    # The unit matrices, the images, their transposed copy and its quotient
+    # by d took 4.00 times the 1 MiB output.
+    peak = _traced_peak(lambda: choi_matrix(CPMAP_16.apply, 16))
+    assert peak < 3.25 * 256**2 * 16, peak / 256**2 / 16
+
+
+@pytest.mark.parametrize("name, scans", [
+    ("CpMap", 1), ("cp_identity", 0), ("classical_cpmap", 0), ("json_to_cpmap", 0), ("cp_from_kraus", 1),
+    ("channel_from_compound", 1),
+])
+def test_cpmap_units_are_scanned_once_unless_bounded(name, scans, bound_scans):
+    # Identity and classical units hold 0, 1 and read probabilities, and JSON
+    # units were read by _as_array; Kraus and compound products may pass the bound.
+    build = _cpmap_builds(2)[name]
+    bound_scans.clear()
+    cp = build()
+    assert sum(x is cp.units for x in bound_scans) == scans
+
+
+@pytest.mark.parametrize("name", CPMAP_BUILDS)
+def test_cpmap_units_are_read_only(name):
+    assert not _cpmap_builds(2)[name]().units.flags.writeable
+
+
+def test_cpmap_copies_a_callers_units():
+    u = np.array(cp_identity(2).units)
+    cp = CpMap(u)
+    u[0, 0, 0, 0] = 7.0
+    assert cp.units[0, 0, 0, 0] == 1.0
 
 
 def test_links_near_overflow_still_fail_the_scan():
