@@ -32,8 +32,10 @@ from .matcore import (
     _check_bytes,
     _first_non_psd,
     _Fresh,
+    _own,
     _psd_stack,
     _size,
+    _zeros,
     check_dense_size,
     check_state,
 )
@@ -54,11 +56,14 @@ def shift_matrix(d: int) -> np.ndarray:
     return np.roll(np.eye(d, dtype=complex), 1, axis=0)
 
 
-def _as_blocks(blocks) -> np.ndarray:
-    b = _as_array(blocks, "blocks", complex)
+def _block_stack(b: np.ndarray) -> np.ndarray:
     if b.ndim != 3 or b.shape[0] != b.shape[1] or b.shape[1] != b.shape[2]:
         raise DimensionMismatchError(f"blocks must have shape (d, d, d), got {b.shape}")
     return b
+
+
+def _as_blocks(blocks) -> np.ndarray:
+    return _block_stack(_as_array(blocks, "blocks", complex))
 
 
 def _check_trace_sum(blocks: np.ndarray) -> None:
@@ -70,17 +75,17 @@ def _check_trace_sum(blocks: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class CirculantSpec:
     """Circulant state data: one PSD d x d block per subspace, traces
-    summing to one."""
+    summing to one. The blocks are kept read-only, taken through _own: a
+    caller's array is copied once."""
 
     blocks: np.ndarray
 
     def __post_init__(self):
-        b = _as_blocks(self.blocks).copy()
+        b = _block_stack(_own(self.blocks, "blocks"))
         bad = _first_non_psd(b)
         if bad:
             raise BlockNotPSDError(f"block {bad[0]} has eigenvalue {bad[1]:.3e}")
         _check_trace_sum(b)
-        b.setflags(write=False)
         object.__setattr__(self, "blocks", b)
 
     @property
@@ -92,12 +97,11 @@ def _assemble(blocks: np.ndarray, partners: np.ndarray) -> FactoredOperator:
     """Place entry [alpha, i, j] at (pos[alpha, i], pos[alpha, j]) by one
     flat scatter, with pos[alpha, i] = i * d + partners[alpha, i]; for the
     partner arrays passed here the d^3 positions are distinct. The result is
-    not scanned: its entries are the blocks', which _as_blocks read or which
-    are a state's diagonal times unit-trace PSD profiles."""
+    not scanned: its entries are the blocks', which _as_blocks or _own read or
+    which are a state's diagonal times unit-trace PSD profiles."""
     d = blocks.shape[0]
-    check_dense_size((d, d))
+    m = _zeros((d * d, d * d), "operator", complex)
     pos = np.arange(d) * d + partners
-    m = np.zeros((d * d, d * d), dtype=complex)
     m.reshape(-1)[(pos[:, :, None] * (d * d) + pos[:, None, :]).ravel()] = blocks.ravel()
     return FactoredOperator(_Fresh(m, bounded=True), (d, d))
 
@@ -200,7 +204,7 @@ def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
     check_dense_size((d, d))
     partners = circulant_subspaces(d)
     k = np.arange(d)
-    v = np.zeros((d * d, d), dtype=complex)
+    v = _zeros((d * d, d), "isometry", complex)
     v[k * d + partners, k[:, None]] = c
     blocks = diagonal[:, None, None] * (c[:, :, None] * c.conj()[:, None, :])
     return _assemble(blocks, partners), v
@@ -220,9 +224,8 @@ def bell_unitary(m: int, n: int, d: int) -> np.ndarray:
     m, n, d = _size(m, "m", -np.inf), _size(n, "n", -np.inf), _size(d, "d")
     if not (0 <= m < d and 0 <= n < d):
         raise IndexOutOfRangeError(f"indices ({m},{n}) outside range 0..{d - 1}")
-    check_dense_size((d,))
+    u = _zeros((d, d), "operator", complex)
     k = np.arange(d)
-    u = np.zeros((d, d), dtype=complex)
     u[(k + n) % d, k] = np.exp(2j * np.pi * m * k / d)
     return u
 

@@ -19,7 +19,7 @@ from .errors import (
     NotUnitalError,
     SchemaError,
 )
-from .matcore import PROB_TOL, FactoredOperator, _abs_close, _as_array, _as_matrix, _check_bytes
+from .matcore import PROB_TOL, FactoredOperator, _abs_close, _as_array, _as_matrix, _zeros
 from .matcore import diagonal_operator
 
 
@@ -113,9 +113,8 @@ def kraus_from_channel(weights) -> list[np.ndarray]:
     """
     w = as_channel(weights)
     n1, n2 = w.shape
-    _check_bytes((n1, n2, n2, n1), "Kraus operator array")
+    ops = _zeros((n1, n2, n2, n1), "Kraus operator array", complex)
     i, j = np.arange(n1)[:, None], np.arange(n2)[None, :]
-    ops = np.zeros((n1, n2, n2, n1), dtype=complex)
     ops[i, j, j, i] = np.sqrt(w)
     ops.setflags(write=False)
     return list(ops.reshape(n1 * n2, n2, n1))
@@ -129,7 +128,7 @@ def apply_kraus(ops, rho) -> np.ndarray:
     ks = [_as_array(k, "Kraus operator", complex) for k in ops]
     if not ks or any(k.shape != ks[0].shape[:1] + rho.shape[:1] for k in ks):
         raise DimensionMismatchError(f"need at least one Kraus operator, all of shape (r, {len(rho)})")
-    out = np.zeros((len(ks[0]), len(ks[0])), dtype=complex)
+    out = _zeros((len(ks[0]), len(ks[0])), "operator", complex)
     for k in ks:
         out += k @ rho @ k.conj().T
     return out
@@ -138,8 +137,7 @@ def apply_kraus(ops, rho) -> np.ndarray:
 def permutation_channel(perm) -> np.ndarray:
     """Deterministic channel moving letter i to pi(i): L[i, j] = delta(j, pi(i))."""
     s = as_permutation(perm)
-    _check_bytes((s.size, s.size), "channel", 8)
-    w = np.zeros((s.size, s.size))
+    w = _zeros((s.size, s.size), "channel")
     w[np.arange(s.size), s] = 1.0
     return w
 
@@ -159,7 +157,7 @@ def channel_from_dilation(perm, sigma) -> np.ndarray:
     if s.size != n * n:
         raise DimensionMismatchError(f"permutation acts on {s.size} labels, expected n^2 = {n * n}")
     # Pair (j, k) lands on letter s[j*n + k] // n; np.add.at adds in (j, k) order.
-    out = np.zeros((n, n))
+    out = _zeros((n, n), "channel")
     np.add.at(out, (np.arange(n)[:, None], s.reshape(n, n) // n), q)
     return out
 

@@ -28,7 +28,7 @@ import numpy as np
 from .circulant import BellSpectrum, CirculantSpec
 from .classical import as_permutation
 from .errors import SchemaError
-from .matcore import FactoredOperator, _as_array, _Fresh, _size
+from .matcore import FactoredOperator, _as_array, _Fresh, _size, _zeros
 from .qlift import CpMap
 
 
@@ -98,7 +98,7 @@ def json_to_matrix(obj) -> np.ndarray:
         _require(isinstance(data, list), "data must be a list")
         _require(len(data) == rows * cols, f"data has {len(data)} entries, expected {rows * cols}")
         not_pairs = "data entries must be [re, im] pairs"
-        a = _as_array(data or np.zeros((0, 2)), "matrix", bad=not_pairs)
+        a = _as_array(data or _zeros((0, 2), "matrix"), "matrix", bad=not_pairs)
         _require(a.shape == (rows * cols, 2), not_pairs)
         return a.view(complex).reshape(rows, cols)
     if isinstance(obj, list):
@@ -227,7 +227,8 @@ def json_to_circulant(obj) -> CirculantSpec:
     d = _size(obj["d"], "d")
     blocks = obj["blocks"]
     _require(isinstance(blocks, list) and len(blocks) == d, f"blocks must list {d} matrices")
-    return CirculantSpec(_square_matrices(blocks, d, "block"))
+    # bounded: every matrix was decoded through _as_array.
+    return CirculantSpec(_Fresh(_square_matrices(blocks, d, "block"), bounded=True))
 
 
 def bell_spectrum_to_json(bs: BellSpectrum) -> dict:

@@ -52,31 +52,39 @@ its dims to); _as_matrix square matrices; classical._read_probabilities
 probability data: no entry below -PROB_TOL, each sum within PROB_TOL per
 entry of 1. Other sums go through _abs_close, np.allclose(rtol=0)'s verdict.
 
-Copies and bounds: one rule, _own, decides for FactoredOperator(m) and
-CpMap(units) whether the array is copied and whether it is scanned for the
-bound, and sets it read-only. A caller's array is copied through _as_array,
-so it is never aliased. Constructors in this package that have just built a
-complex array no caller can write to hand it over without the copy (the
-private _Fresh marker), and _own still scans it, so a result past the bound
-(a tensor product of large operands, a Kraus or compound product in
-cp_from_kraus and channel_from_compound) is a SchemaError, except where the
-inputs bound the result: diagonal_operator's weights are read by _as_array,
-an N-party chain whose links are bounded is not scanned (see qlift._chain),
-and neither are ohya_lift's output, whose entries a checked state bounds,
-the circulant assemblies and partial transposes, bell_state's projectors,
-whose entries are at most 1/d, qcp_from_channel's operator, a permutation of
-the units CpMap holds, choi_matrix's, the images it read divided by d, and
-the units of cp_identity (0 and 1), classical_cpmap (the conditional that
-_as_matrix read) and jsonio.json_to_cpmap (matrices _as_array decoded).
+Copies and bounds: one rule, _own, decides for FactoredOperator(m),
+CpMap(units) and CirculantSpec(blocks) whether the array is copied and
+whether it is scanned for the bound, and sets it read-only. A caller's array
+is copied through _as_array, so it is never aliased. Constructors in this
+package that have just built a complex array no caller can write to hand it
+over without the copy (the private _Fresh marker), and _own still scans it,
+so a result past the bound (a tensor product of large operands, a Kraus or
+compound product in cp_from_kraus and channel_from_compound) is a
+SchemaError, except where the inputs bound the result: diagonal_operator's
+weights are read by _as_array, an N-party chain whose links are bounded is
+not scanned (see qlift._chain), and neither are ohya_lift's output, whose
+entries a checked state bounds, the circulant assemblies and partial
+transposes, bell_state's projectors, whose entries are at most 1/d,
+qcp_from_channel's operator, a permutation of the units CpMap holds,
+choi_matrix's, the images it read divided by d, the units of cp_identity (0
+and 1), classical_cpmap (the conditional that _as_matrix read) and
+jsonio.json_to_cpmap (matrices _as_array decoded), and the blocks of
+jsonio.json_to_circulant (decoded likewise) and sampling.circulant_spec
+(entries at most 1).
 Below MMAP_DIAGONAL_SIDE a diagonal matrix is np.zeros'; from that side up
 it lies on a fresh anonymous mmap of which only the pages holding the
 diagonal are written, so the zeros cost no memory.
 
-Sizes: every constructor whose output outgrows its input (a tensor product,
-a diagonal operator, a unit matrix, lifting tensors, Kraus and unit arrays,
-circulant and Bell assemblies) first checks the output's bytes against
-MAX_DENSE_BYTES (check_dense_size, _check_bytes), so a size that cannot fit
-is a SchemaError before anything is allocated.
+Sizes: a size that cannot fit is a SchemaError before anything is
+allocated. The allocators of outputs larger than their inputs guard
+themselves: _zeros checks its shape at its dtype's entry size against
+MAX_DENSE_BYTES, and _kron its product. Constructors guard by hand
+(check_dense_size, _check_bytes) only to refuse before other work or another
+kind of allocation: circulant_subspaces, shift_matrix, bell_state,
+cp_identity, cp_from_kraus and choi_matrix (np.arange, np.eye, np.outer, a
+product), circulant_lift_isometry and bell_diagonal_lift (their d^3 blocks),
+diagonal_operator (its mmap branch) and the N-party builds (n_lift,
+markov_weights, separable_n_state, ohya_lift, qlift._chain).
 
 Per-call cost: on the small matrices of the verify suites the checks cost
 more in numpy's Python-level wrappers than in arithmetic, so they call
@@ -112,7 +120,7 @@ STRUCT_TOL = 1e-10
 CPMAP_RTOL = 1e-5
 PROB_TOL = 1e-12
 # Largest dense array that any constructor may allocate, when its output
-# outgrows its input (check_dense_size, _check_bytes): a 2^13-sided complex
+# outgrows its input (_zeros, _kron, check_dense_size): a 2^13-sided complex
 # matrix (d=2, N=13) is exactly 1 GiB.
 MAX_DENSE_BYTES = 1 << 30
 # Most tensor factors an operator or an N-party build may have, checked
@@ -254,7 +262,7 @@ class _Fresh(NamedTuple):
 
 
 def _own(x, what: str) -> np.ndarray:
-    """The read-only complex array that FactoredOperator and CpMap keep for x:
+    """The read-only complex array that FactoredOperator, CpMap and CirculantSpec keep for x:
     a _Fresh array as it is, scanned by _bounded unless it is marked bounded,
     and anything else copied through _as_array, so no caller's array is aliased."""
     if isinstance(x, _Fresh):
@@ -331,29 +339,38 @@ def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
     d, i, j = _size(d, "d"), _size(i, "i", -np.inf), _size(j, "j", -np.inf)
     if not (0 <= i < d and 0 <= j < d):
         raise IndexOutOfRangeError(f"unit indices ({i},{j}) outside range 0..{d - 1}")
-    check_dense_size((d,))
-    m = np.zeros((d, d), dtype=complex)
+    m = _zeros((d, d), "operator", complex)
     m[i, j] = 1.0
     return m
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two matrices: the same one product a[i, j] * b[k, l] per
-    entry, without np.kron's shape handling for arrays of any rank."""
+    entry, without np.kron's shape handling for arrays of any rank. A product
+    past MAX_DENSE_BYTES, at 16 bytes an entry, is a SchemaError before it is
+    formed."""
     (p, q), (r, s) = a.shape, b.shape
+    _check_bytes((p * r, q * s), "operator")
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
 def _check_bytes(shape, what: str, item: int = 16) -> None:
     """Raise SchemaError when a dense array of ``shape`` (sizes of at least
-    0), item bytes an entry, would exceed MAX_DENSE_BYTES; constructors whose
-    output outgrows their input call it before they allocate. Sizes past
-    2^64 go unnamed, as _size leaves them."""
+    0), item bytes an entry, would exceed MAX_DENSE_BYTES. _zeros and _kron
+    call it before they allocate, and constructors call it by hand only
+    where they must refuse before other work. Sizes past 2^64 go unnamed, as
+    _size leaves them."""
     n = prod(shape) * item
     if n > MAX_DENSE_BYTES:
         named = max(shape) <= 1 << 64  # str() refuses ints of over 4300 digits
         size = f"{' x '.join(map(str, shape))} {what} needs {n} bytes" if named else f"{what} of side over 2^64"
         raise SchemaError(f"dense {size}, limit is {MAX_DENSE_BYTES}")
+
+
+def _zeros(shape, what: str, dtype=float) -> np.ndarray:
+    """np.zeros(shape, dtype), refused by _check_bytes at dtype's entry size first."""
+    _check_bytes(shape, what, np.dtype(dtype).itemsize)
+    return np.zeros(shape, dtype)
 
 
 def check_dense_size(dims) -> None:
@@ -389,7 +406,6 @@ def sandwich_right(x, r) -> np.ndarray:
 
 def tensor(a: FactoredOperator, b: FactoredOperator) -> FactoredOperator:
     """Tensor product of factored operators; a supplies the left factors."""
-    check_dense_size(a.dims + b.dims)
     return FactoredOperator(_Fresh(_kron(a.matrix, b.matrix)), a.dims + b.dims)
 
 

@@ -49,6 +49,7 @@ from .matcore import (
     _kron,
     _own,
     _size,
+    _zeros,
     check_dense_size,
     check_state,
     herm_sqrt,
@@ -155,9 +156,8 @@ def classical_cpmap(conditional) -> CpMap:
     """
     c = _as_matrix(conditional, "conditional", float)
     d = c.shape[0]
-    check_dense_size((d, d))
     a, i = np.arange(d)[:, None], np.arange(d)[None, :]
-    units = np.zeros((d, d, d, d), dtype=complex)
+    units = _zeros((d * d, d * d), "operator", complex).reshape(d, d, d, d)
     units[a, a, i, i] = c
     return CpMap(_Fresh(units, bounded=True))  # bounded: c was read by _as_matrix
 
@@ -417,7 +417,7 @@ def robertson_map(x) -> np.ndarray:
     def refl(y):
         return eye2 * np.trace(y) - y
 
-    out = np.zeros((4, 4), dtype=complex)
+    out = _zeros((4, 4), "operator", complex)
     out[:2, :2] = eye2 * np.trace(x22)
     out[:2, 2:] = x12 + refl(x21)
     out[2:, :2] = x21 + refl(x12)

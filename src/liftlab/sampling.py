@@ -11,7 +11,7 @@ import numpy as np
 
 from .circulant import CirculantSpec
 from .clift import MarkovSpec, as_lifting_tensor
-from .matcore import _size
+from .matcore import _Fresh, _size
 from .qlift import CpMap, cp_from_kraus
 
 
@@ -100,4 +100,5 @@ def circulant_spec(g: np.random.Generator, d: int) -> CirculantSpec:
         b = (1.0 - mix) * b + mix * np.diag(b.diagonal().real)
         b /= b.trace().real
         blocks.append(weights[alpha] * b)
-    return CirculantSpec(np.array(blocks))
+    # bounded: each block is PSD with unit trace times a probability, so no entry exceeds 1.
+    return CirculantSpec(_Fresh(np.array(blocks), bounded=True))

@@ -9,7 +9,10 @@ finiteness scan that N-party chains skip only when every link is bounded.
 The constructors' positivity gates are held to the eigensolve they skip
 when a Cholesky factorization certifies their input. CpMap, its
 constructors, the gates and choi_matrix are held to a traced peak, and
-CpMap's units to one bound scan unless their constructor knows them bounded.
+CpMap's units and CirculantSpec's blocks to one bound scan unless their
+constructor knows them bounded. Every constructor whose output outgrows its
+input refuses a size past the bound before it allocates, with its message
+pinned where the guard is matcore's allocators'.
 """
 import os
 import subprocess
@@ -77,7 +80,7 @@ from liftlab.qlift import (
     robertson_map,
     lifting_assisted_map,
 )
-from liftlab.sampling import density, rng, unital_cpmap
+from liftlab.sampling import circulant_spec, density, rng, unital_cpmap
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -519,6 +522,44 @@ def test_cpmap_copies_a_callers_units():
     assert cp.units[0, 0, 0, 0] == 1.0
 
 
+def _circulant_json(d: int) -> dict:
+    return jsonio.circulant_to_json(circulant_spec(rng(d), d))
+
+
+CIRCULANT_JSON_16 = _circulant_json(16)
+
+
+def test_decoded_circulant_blocks_are_held_within_four_and_a_half_times():
+    # A copy of the decoded blocks on top of the stack took 5.04 times them.
+    peak = _traced_peak(lambda: jsonio.json_to_circulant(CIRCULANT_JSON_16))
+    assert peak < 4.5 * 16**3 * 16, peak / 16**3 / 16
+
+
+def test_circulant_blocks_are_scanned_once_unless_decoded(bound_scans):
+    # json_to_circulant hands over blocks that _as_array decoded matrix by
+    # matrix, and circulant_spec blocks whose entries are at most 1; a
+    # caller's array is scanned as it is copied.
+    obj = _circulant_json(3)
+    bound_scans.clear()
+    jsonio.json_to_circulant(obj)
+    circulant_spec(rng(3), 3)
+    assert [x.shape for x in bound_scans if x.ndim == 3] == []
+    blocks = np.array(jsonio.json_to_circulant(obj).blocks)
+    bound_scans.clear()
+    CirculantSpec(blocks)
+    assert [x.shape for x in bound_scans] == [(3, 3, 3)]
+
+
+def test_circulant_blocks_are_read_only_and_copied_from_a_caller():
+    blocks = np.array(circulant_spec(rng(3), 3).blocks)
+    spec = CirculantSpec(blocks)
+    assert not spec.blocks.flags.writeable
+    assert not jsonio.json_to_circulant(_circulant_json(3)).blocks.flags.writeable
+    kept = np.array(spec.blocks)
+    blocks[0, 0, 0] = 7.0
+    np.testing.assert_array_equal(spec.blocks, kept)
+
+
 def test_links_near_overflow_still_fail_the_scan():
     # Links within the bound whose chain is past it.
     big = 2.0**50 * np.eye(4)
@@ -745,6 +786,8 @@ def _guarded_cases():
         "bell_unitary": (L.bell_unitary, (0, 0, 512), 512**2 * 16),
         "shift_matrix": (L.shift_matrix, (512,), 512**2 * 16),
         "circulant_subspaces": (L.circulant_subspaces, (512,), 512**2 * 8),
+        "apply_kraus": (L.apply_kraus, ([np.ones((512, 1))], [[1.0]]), 512**2 * 16),
+        "lifting_assisted_map": (L.lifting_assisted_map(lambda x: x, eye16 / 16), (eye16 / 16,), big),
     }
 
 
@@ -765,6 +808,47 @@ def test_constructors_refuse_outputs_past_the_bound_before_allocating(name, monk
     finally:
         tracemalloc.stop()
     assert peak < out_bytes, (peak, out_bytes)
+
+
+# Each constructor whose guard is now the one in matcore._zeros or _kron
+# keeps its own guard's message byte for byte; apply_kraus and
+# lifting_assisted_map's map had no guard.
+_OPERATOR_256 = "dense 256 x 256 operator needs 1048576 bytes"
+_OPERATOR_512 = "dense 512 x 512 operator needs 4194304 bytes"
+_TENSOR_64 = "dense 64 x 64 x 64 lifting tensor needs 2097152 bytes"
+GUARD_MESSAGES = {
+    "tensor": _OPERATOR_256,
+    "unit_matrix": _OPERATOR_512,
+    "bell_unitary": _OPERATOR_512,
+    "build_circulant": _OPERATOR_256,
+    "assemble_partial_transpose": _OPERATOR_256,
+    "circulant_lift": _OPERATOR_256,
+    "kraus_from_channel": "dense 16 x 16 x 16 x 16 Kraus operator array needs 1048576 bytes",
+    "permutation_channel": "dense 512 x 512 channel needs 2097152 bytes",
+    "pure_tensor": "dense 2 x 32769 x 2 lifting tensor needs 1048608 bytes",
+    "product_tensor": "dense 256 x 4 x 256 lifting tensor needs 2097152 bytes",
+    "ohya_tensor": _TENSOR_64,
+    "markov_tensor": _TENSOR_64,
+    "classical_cpmap": _OPERATOR_256,
+    "apply_kraus": _OPERATOR_512,
+    "lifting_assisted_map": _OPERATOR_256,
+}
+
+
+@pytest.mark.parametrize("name", GUARD_MESSAGES)
+def test_allocator_guards_word_each_constructors_refusal(name, monkeypatch):
+    fn, args, _ = GUARDED[name]
+    monkeypatch.setattr(matcore, "MAX_DENSE_BYTES", 4096)
+    with pytest.raises(SchemaError) as exc:
+        fn(*args)
+    assert str(exc.value) == f"{GUARD_MESSAGES[name]}, limit is 4096"
+
+
+def test_zeros_charges_its_dtypes_entry_size(monkeypatch):
+    monkeypatch.setattr(matcore, "MAX_DENSE_BYTES", 8192)
+    assert matcore._zeros((32, 32), "operator").dtype == np.float64
+    with pytest.raises(SchemaError, match="^dense 32 x 32 operator needs 16384 bytes, limit is 8192$"):
+        matcore._zeros((32, 32), "operator", complex)
 
 
 def test_bell_profile_is_refused_before_its_cubes():
