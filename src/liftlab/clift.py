@@ -276,23 +276,26 @@ def separable_n_state(p, maps) -> FactoredOperator:
     dims = tuple(m.shape[1] for m in images)
     check_dense_size(dims)
     # The terms p_i phi_1(e_ii) x ... x phi_N(e_ii) are built by broadcasts, a
-    # chunk of about max(4096, n) entries (or one term) at a time. Each chunk
-    # is summed over axis 0 behind the running sum in its first slot, so the
-    # terms are added in unit order, bit for bit as sum(axis=0) of the whole
-    # stack adds them; 1 x 1 terms, which that sum adds pairwise, fit one chunk.
+    # chunk of about max(4096, n) entries (or one term) at a time, and weighted
+    # in place. The running sum is added into each chunk's first term before
+    # the chunk is summed over axis 0, so the terms are added in unit order,
+    # bit for bit as sum(axis=0) of the whole stack adds them; 1 x 1 terms,
+    # which that sum adds pairwise, fit one chunk.
     side = prod(dims)
     step = max(1, max(4096, v.size) // max(1, side**2))  # side 0 for a 0 x 0 map
     out = None
     for lo in range(0, v.size, step):
         hi = min(lo + step, v.size)
-        stack = np.empty((hi - lo + (out is not None), side, side), complex)
-        if out is not None:
-            stack[0], out = out, None
         terms = images[0][lo:hi]
         for m in images[1:]:
             s = terms.shape[1] * m.shape[1]
             terms = (terms[:, :, None, :, None] * m[lo:hi, None, :, None, :]).reshape(hi - lo, s, s)
-        np.multiply(v[lo:hi, None, None], terms, out=stack[-(hi - lo):])
-        del terms
-        out = stack.sum(axis=0)
+        if len(images) > 1:
+            np.multiply(v[lo:hi, None, None], terms, out=terms)
+        else:  # terms views the caller's images
+            terms = v[lo:hi, None, None] * terms
+        if out is not None:
+            terms[0] += out
+            out = None  # freed before the sum allocates the next one
+        out = terms.sum(axis=0)
     return FactoredOperator(_Fresh(out), dims)

@@ -83,8 +83,9 @@ MAX_DENSE_BYTES, and _kron its product. Constructors guard by hand
 kind of allocation: circulant_subspaces, shift_matrix, bell_state,
 cp_identity, cp_from_kraus and choi_matrix (np.arange, np.eye, np.outer, a
 product), circulant_lift_isometry and bell_diagonal_lift (their d^3 blocks),
-diagonal_operator (its mmap branch) and the N-party builds (n_lift,
-markov_weights, separable_n_state, ohya_lift, qlift._chain).
+diagonal_operator (its mmap branch), the N-party builds (n_lift,
+markov_weights, separable_n_state, ohya_lift, qlift._chain) and the sampling
+draws, which allocate through numpy's generator, not _zeros.
 
 Per-call cost: on the small matrices of the verify suites the checks cost
 more in numpy's Python-level wrappers than in arithmetic, so they call

@@ -356,15 +356,19 @@ def test_separable_state_sums_its_terms_chunk_by_chunk():
     with pytest.raises(DimensionMismatchError, match=r"^factor dimensions must be positive, got \(0, 3\)$"):
         separable_n_state([0.5, 0.5], [np.zeros((2, 0, 0)), np.ones((2, 3, 3))])
     # Two parties, 32 maps of side 8: the stack of terms and its weighted copy
-    # took 4.3 MB for this 64 KiB output.
-    separable_n_state(p, maps)
-    tracemalloc.start()
-    try:
-        out = separable_n_state(p, maps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * out.matrix.nbytes, peak
+    # took 4.3 MB for this 64 KiB output. Two parties, 4 maps of side 16, one
+    # term a chunk: the running sum and the weighted term stacked, the term
+    # itself and the stack's sum took 5.0 times the 1 MiB output.
+    images = np.array([density(g, 16) for _ in range(4)])
+    for p, maps, bound in ((p, maps, 6), (probability_vector(g, 4), [images, images], 3)):
+        separable_n_state(p, maps)
+        tracemalloc.start()
+        try:
+            out = separable_n_state(p, maps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * out.matrix.nbytes, peak
 
 
 def test_separable_state_names_the_first_bad_map_and_unit():

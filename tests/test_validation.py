@@ -12,7 +12,8 @@ constructors, the gates and choi_matrix are held to a traced peak, and
 CpMap's units and CirculantSpec's blocks to one bound scan unless their
 constructor knows them bounded. Every constructor whose output outgrows its
 input refuses a size past the bound before it allocates, with its message
-pinned where the guard is matcore's allocators'.
+pinned where the guard is matcore's allocators', and every sampling draw
+refuses one before it draws.
 """
 import os
 import subprocess
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftlab import jsonio, matcore
+from liftlab import jsonio, matcore, sampling
 from liftlab.circulant import (
     BellSpectrum,
     CirculantSpec,
@@ -843,6 +844,38 @@ def test_allocator_guards_word_each_constructors_refusal(name, monkeypatch):
         fn(*args)
     assert str(exc.value) == f"{GUARD_MESSAGES[name]}, limit is 4096"
 
+
+
+# A few KiB past a 4 KiB bound, each draw is refused with the wording of the
+# constructor it feeds; density, faithful_density and markov_spec make no
+# draw of their own before it.
+_OPERATOR_32 = "dense 32 x 32 operator needs 16384 bytes"
+_VECTOR_1024 = "dense 1024 vector needs 8192 bytes"
+_CHANNEL_32 = "dense 32 x 32 channel needs 8192 bytes"
+DRAW_GUARDS = {
+    "probability_vector": (sampling.probability_vector, (1024,), _VECTOR_1024),
+    "permutation": (sampling.permutation, (1024,), _VECTOR_1024),
+    "diagonal_observable": (sampling.diagonal_observable, (1024,), _VECTOR_1024),
+    "stochastic": (sampling.stochastic, (32, 32), _CHANNEL_32),
+    "markov_spec": (sampling.markov_spec, (32,), _CHANNEL_32),
+    "unitary": (sampling.unitary, (32,), _OPERATOR_32),
+    "density": (sampling.density, (32,), _OPERATOR_32),
+    "faithful_density": (sampling.faithful_density, (32,), _OPERATOR_32),
+    "unital_cpmap": (sampling.unital_cpmap, (5,), "dense 25 x 25 operator needs 10000 bytes"),
+    "lifting_tensor": (sampling.lifting_tensor, (8, 16), "dense 8 x 16 x 8 lifting tensor needs 8192 bytes"),
+    "circulant_spec": (sampling.circulant_spec, (8,), "dense 8 x 8 x 8 blocks needs 8192 bytes"),
+}
+
+
+@pytest.mark.parametrize("name", DRAW_GUARDS)
+def test_sampling_draws_refuse_sizes_past_the_bound_before_drawing(name, monkeypatch):
+    fn, args, message = DRAW_GUARDS[name]
+    monkeypatch.setattr(matcore, "MAX_DENSE_BYTES", 4096)
+    g = rng(0)
+    with pytest.raises(SchemaError) as exc:
+        fn(g, *args)
+    assert str(exc.value) == f"{message}, limit is 4096"
+    assert g.bit_generator.state == rng(0).bit_generator.state
 
 def test_zeros_charges_its_dtypes_entry_size(monkeypatch):
     monkeypatch.setattr(matcore, "MAX_DENSE_BYTES", 8192)
