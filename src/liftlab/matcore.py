@@ -72,8 +72,9 @@ jsonio.json_to_cpmap (matrices _as_array decoded), and the blocks of
 jsonio.json_to_circulant (decoded likewise) and sampling.circulant_spec
 (entries at most 1).
 Below MMAP_DIAGONAL_SIDE a diagonal matrix is np.zeros'; from that side up
-it lies on a fresh anonymous mmap of which only the pages holding the
-diagonal are written, so the zeros cost no memory.
+it lies on a fresh private anonymous mmap, opted out of transparent huge
+pages, of which only the pages holding the diagonal are written, so the
+zeros cost no memory and no page is shared memory.
 
 Sizes: a size that cannot fit is a SchemaError before anything is
 allocated. The allocators of outputs larger than their inputs guard
@@ -96,6 +97,7 @@ as the call it replaces.
 from __future__ import annotations
 
 import mmap
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from math import prod
@@ -130,11 +132,12 @@ MAX_DENSE_BYTES = 1 << 30
 # of side 2 or more pass MAX_DENSE_BYTES at 14, so this bound refuses only
 # operators with many 1-dimensional factors.
 _MAX_FACTORS = 16
-# Side from which diagonal_operator writes its weights into untouched mmap
-# pages instead of calling np.diag, which faults in and zeroes every page.
-# Measured on a 2-core x86-64 VM, np.diag against mmap: side 1024 (16 MiB)
-# 1.5 against 2.5 ms, 2048 (64 MiB) 13.4 against 6.0 ms, 4096 (256 MiB) 51.8
-# against 13.5 ms.
+# Side from which diagonal_operator writes its weights into untouched pages
+# of a private anonymous map, opted out of transparent huge pages, instead of
+# into np.zeros, which faults in and zeroes every page. Measured on a 2-core
+# x86-64 VM, median of 15 builds of each, np.zeros against the map: side 1024
+# (16 MiB) 0.9-1.5 against 1.5-2.1 ms, 2048 (64 MiB) 9.8-13.9 against 3.8-5.0
+# ms, 4096 (256 MiB) 46-53 against 7.8-10.5 ms.
 MMAP_DIAGONAL_SIDE = 2048
 # Largest modulus of a number that _as_array accepts: of a real number, or of
 # each part of a complex one, whose modulus is then at most 2^60.5. The
@@ -312,14 +315,31 @@ class FactoredOperator:
         return complex(self.matrix.trace())
 
 
+def _anonymous_pages(size: int) -> mmap.mmap:
+    """Zeroed memory of ``size`` bytes of which a page is resident only once
+    written: a private anonymous map (a shared one would put every page in
+    shmem, slower to fault in and to free), opted out of transparent huge
+    pages, which would make a whole 2 MiB around each written entry resident.
+    Where mmap has no MAP_PRIVATE (Windows), anonymous maps are private
+    already.
+    """
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, size)
+    pages = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        with suppress(OSError):  # EINVAL from a kernel built without huge pages
+            pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return pages
+
+
 def diagonal_operator(w, dims) -> FactoredOperator:
     """Diagonal operator on factors ``dims`` with the weights ``w`` on its
     diagonal, in row-major order (leftmost factor slowest).
 
     The weights are read by _as_array, and the dense matrix, which is built
     once and never copied, is not scanned. From MMAP_DIAGONAL_SIDE up the
-    matrix lies on an anonymous mmap, where the pages off the diagonal are
-    never written and stay unallocated.
+    matrix lies on a private anonymous mmap, where the pages off the
+    diagonal are never written and stay unallocated.
     """
     w = _as_array(w, "weights", complex).reshape(-1)
     dims = _read_dims(dims)
@@ -330,7 +350,7 @@ def diagonal_operator(w, dims) -> FactoredOperator:
     if n < MMAP_DIAGONAL_SIDE:
         m = np.zeros((n, n), dtype=complex)
     else:
-        m = np.frombuffer(mmap.mmap(-1, n * n * w.itemsize), dtype=complex).reshape(n, n)
+        m = np.frombuffer(_anonymous_pages(n * n * w.itemsize), dtype=complex).reshape(n, n)
     m.reshape(-1)[:: n + 1] = w
     return FactoredOperator(_Fresh(m, bounded=True), dims)
 

@@ -586,3 +586,66 @@ def test_the_bound_itself_is_a_number(capsys):
             assert json.loads(out) == {"state": [value]} and err == ""
         else:
             assert (out, err) == ("", "error: matrix must hold finite numbers of modulus at most 2**60\n")
+
+
+# The process entry point, cli.run, ends with os._exit once stdout and stderr
+# are flushed. Its children run with block-buffered stdout, Python's default
+# for a pipe or a file, so whatever main leaves unflushed would be lost.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+NLIFT_9 = ["lift", "nlift", "--tensor", json.dumps(lifting_tensor_to_json(ohya_tensor(2))),
+           "--p", "[0.5, 0.5]", "--parties", "9"]
+
+
+def _process(*args, **kwargs):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
+
+
+def _in_process(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out.encode(), err.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["teleport", "--p", "[0.5,0.5]", "--perm", "[1,0]"],
+    ["verify", "matcore", "--trials", "2", "--tol", "0"],
+    ["channel", "apply", "--matrix", "{broken", "--state", "[1,0]"],
+    ["lift", "ohya", "--rho", "[[0.8,0.5],[0.5,0.2]]", "--parties", "2"],
+    ["verify", "bogus"],
+], ids=["exit0", "exit1", "exit2", "exit3", "usage"])
+def test_process_exits_with_mains_code_and_streams(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    code, out, err = _in_process(capsys, argv)
+    proc = _process("-m", "liftlab.cli", *argv, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_process_writes_a_large_document_through_a_pipe_whole(capsys):
+    code, out, err = _in_process(capsys, NLIFT_9)
+    assert (code, err) == (0, b"") and len(out) > 1 << 20
+    proc = _process("-m", "liftlab.cli", *NLIFT_9, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["teleport", "--p", "[0.5,0.5]", "--perm", "[1,0]"], NLIFT_9],
+                         ids=["small", "large"])
+def test_failed_stdout_write_exits_two_with_one_error_line(argv):
+    with open("/dev/full", "wb") as full:
+        proc = _process("-m", "liftlab.cli", *argv, stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+
+
+def test_process_skips_the_interpreter_teardown():
+    # An exit handler would run in the teardown that os._exit skips.
+    code = ("import atexit, sys; from liftlab import cli; atexit.register(print, 'teardown'); "
+            "sys.argv[1:] = ['teleport', '--p', '[0.5,0.5]', '--perm', '[1,0]']; cli.run()")
+    proc = _process("-c", code, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["bob_state"] == [0.5, 0.5]

@@ -2,8 +2,8 @@
 
 The six diagonal constructors build their d^N x d^N matrix once with
 diagonal_operator and check finiteness on the d^N weights; from side
-MMAP_DIAGONAL_SIDE up the matrix lies on an anonymous mmap whose zero pages
-are never written. Library constructors hand FactoredOperator arrays they
+MMAP_DIAGONAL_SIDE up the matrix lies on a private anonymous mmap whose zero
+pages are never written. Library constructors hand FactoredOperator arrays they
 have just made without a copy; a caller's array is always copied.
 """
 import mmap
@@ -173,31 +173,30 @@ def test_mmap_diagonals_build_the_diagonal_states(monkeypatch):
         assert not op.matrix.flags.writeable
 
 
-def _thp_always() -> bool:
-    try:
-        with open("/sys/kernel/mm/transparent_hugepage/enabled", encoding="ascii") as fh:
-            return "[always]" in fh.read()
-    except OSError:
-        return False
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the Linux /proc/self/status peak")
-@pytest.mark.skipif(_thp_always(), reason="transparent huge pages are always on")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the Linux /proc/self/status counters")
 def test_large_diagonal_state_touches_only_its_diagonal_pages():
     # The n=2, N=12 matrix is 256 MiB; its 4096 diagonal entries sit on 4096
     # pages, 16 MiB, and the interpreter with numpy adds about 40 MiB. The
     # child reports VmHWM, its own peak: a forked child's ru_maxrss starts at
-    # the resident size of the parent that forked it.
+    # the resident size of the parent that forked it. It also reports how
+    # much its RssShmem grew: a shared anonymous map would put the 16 MiB of
+    # diagonal pages there; the private map puts none. The map is opted out
+    # of transparent huge pages, so the peak holds under THP "always" too.
     code = (
         "import numpy as np; from liftlab import n_lift; from liftlab.clift import ohya_tensor; "
+        "status = lambda key: int(next(line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith(key + ':'))); "
+        "shmem = status('RssShmem'); "
         "op = n_lift(ohya_tensor(2), [0.5, 0.5], 12); "
         "assert op.matrix.nbytes == 1 << 28 and abs(np.trace(op.matrix) - 1) < 1e-12; "
-        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
+        "print(status('VmHWM'), status('RssShmem') - shmem)"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert int(out.stdout) < 128 * 1024  # KiB
+    peak, shmem_growth = map(int, out.stdout.split())  # KiB
+    assert peak < 128 * 1024
+    assert shmem_growth < 1024
 
 
 def test_diagonal_operator_checks_the_weight_count():

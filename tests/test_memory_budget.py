@@ -23,6 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from liftlab.clift import ohya_tensor
+from liftlab.jsonio import lifting_tensor_to_json
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 CLI = ("-m", "liftlab.cli")
 
@@ -78,6 +81,16 @@ BUDGETS = {
         (*CLI, "lift", "bell", "--p", "@{p400}", "--rho", "@{rho400}"),
         524288, 2, "",
         "error: dense 160000 x 160000 operator needs 409600000000 bytes, limit is 1073741824\n",
+    ),
+    # The n=2, N=13 state is an 8192 x 8192 complex matrix, exactly the 1 GiB
+    # bound, so diagonal_operator asks for it as one anonymous map. Under a
+    # 700 MiB cap the map cannot be made, and the OSError from mmap must end
+    # the call in exit 2 and one error line, with nothing written to stdout.
+    "diagonal-map-past-the-cap": (
+        {"t2": lifting_tensor_to_json(ohya_tensor(2))},
+        (*CLI, "lift", "nlift", "--tensor", "@{t2}", "--p", "[0.5, 0.5]", "--parties", "13"),
+        716800, 2, "",
+        re.escape("error: [Errno 12] Cannot allocate memory\n"),
     ),
 }
 
