@@ -32,8 +32,9 @@ from .matcore import (
     _check_bytes,
     _first_non_psd,
     _Fresh,
+    _hermitian_spectra,
     _own,
-    _psd_stack,
+    _psd_verdicts,
     _size,
     _zeros,
     check_dense_size,
@@ -136,13 +137,21 @@ def assemble_partial_transpose(tilde_blocks) -> FactoredOperator:
     return _assemble(b, circulant_subspaces(len(b))[:, -np.arange(len(b))])
 
 
+def _pt_spectra(blocks) -> np.ndarray:
+    """Eigenvalues of the partial transpose, block by block: row alpha of the
+    (d, d) array holds, ascending, those of the Hermitian part of block alpha
+    of :func:`circulant_partial_transpose`, all from one stacked eigensolve.
+    Together the rows are the spectrum of the dense partial transpose."""
+    return _hermitian_spectra(circulant_partial_transpose(blocks))
+
+
 def is_ppt_circulant(spec: CirculantSpec) -> tuple[bool, np.ndarray]:
     """Block-level PPT test.
 
     Returns (all blocks of the partial transpose PSD, the vector of their
-    minimal eigenvalues).
+    minimal eigenvalues), read from :func:`_pt_spectra`.
     """
-    ok, lows = _psd_stack(circulant_partial_transpose(spec.blocks))
+    ok, lows = _psd_verdicts(_pt_spectra(spec.blocks))
     return bool(ok.all()), lows
 
 

@@ -134,6 +134,14 @@ def apply_kraus(ops, rho) -> np.ndarray:
     return out
 
 
+def _kraus_deviation(ops, weights, p) -> float:
+    """Largest gap between the diagonal of the Kraus action on diag(p) and
+    the weight matrix's action on the probability vector p: one trial of the
+    self-check that the Kraus form reproduces its channel."""
+    via_kraus = np.diag(apply_kraus(ops, np.diag(p.astype(complex)))).real
+    return float(np.abs(via_kraus - apply_to_state(weights, p)).max())
+
+
 def permutation_channel(perm) -> np.ndarray:
     """Deterministic channel moving letter i to pi(i): L[i, j] = delta(j, pi(i))."""
     s = as_permutation(perm)

@@ -146,6 +146,21 @@ def gamma_lifting(gamma, sigma, p) -> FactoredOperator:
     return diagonal_operator(w, (n2, n1))
 
 
+def _lift_weights(t, p, parties: int) -> np.ndarray:
+    """Weights of :func:`n_lift`'s state, as an array of its factor shape
+    (n2,) * (parties - 1) + (n1,). They share its size limit
+    (check_dense_size)."""
+    parties = _size(parties, "parties", 2, _MAX_FACTORS)
+    e = as_lifting_tensor(t)
+    w = as_probability_vector(p)
+    if w.size != e.shape[0]:
+        raise DimensionMismatchError(f"state of length {w.size} does not match tensor input size {e.shape[0]}")
+    check_dense_size((e.shape[1],) * (parties - 1) + (e.shape[0],))
+    for _ in range(parties - 1):
+        w = np.einsum("...i,ijk->...jk", w, e)
+    return w
+
+
 def n_lift(t, p, parties: int) -> FactoredOperator:
     """Iterate a lifting tensor to an N-party diagonal state.
 
@@ -154,16 +169,8 @@ def n_lift(t, p, parties: int) -> FactoredOperator:
     number of output factors (parties - 1 applications); parties = 2 is
     :func:`lift`.
     """
-    parties = _size(parties, "parties", 2, _MAX_FACTORS)
-    e = as_lifting_tensor(t)
-    w = as_probability_vector(p)
-    if w.size != e.shape[0]:
-        raise DimensionMismatchError(f"state of length {w.size} does not match tensor input size {e.shape[0]}")
-    dims = (e.shape[1],) * (parties - 1) + (e.shape[0],)
-    check_dense_size(dims)
-    for _ in range(parties - 1):
-        w = np.einsum("...i,ijk->...jk", w, e)
-    return diagonal_operator(w, dims)
+    w = _lift_weights(t, p, parties)  # checked for its size
+    return diagonal_operator(w, w.shape)
 
 
 @dataclass(frozen=True, eq=False)

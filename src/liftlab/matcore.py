@@ -510,17 +510,23 @@ def _eig(solve, h: np.ndarray):
         raise EigensolverError(f"Hermitian eigensolver failed: {exc}") from None
 
 
-def _psd_verdicts(h: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`is_psd` of every matrix in a Hermitian (..., n, n) stack by one
-    stacked eigensolve: (ok, min_eigenvalue) arrays of the stack's shape."""
-    w = _eig(np.linalg.eigvalsh, h)
+def _hermitian_spectra(ms: np.ndarray, tol: float = TOL) -> np.ndarray:
+    """Eigenvalues, ascending, of the Hermitian part of each matrix in a
+    (..., n, n) stack, from one stacked eigensolve: a (..., n) array."""
+    return _eig(np.linalg.eigvalsh, _check_hermitian(ms, tol))
+
+
+def _psd_verdicts(w: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`is_psd` of every matrix in a Hermitian (..., n, n) stack, read
+    from its (..., n) eigenvalues ``w``: (ok, min_eigenvalue) arrays of the
+    stack's shape."""
     lows = np.minimum.reduce(w, axis=-1, initial=np.inf)  # a 0 x 0 matrix passes
     return lows >= -tol * _spectral_scale(w), lows
 
 
 def _psd_stack(ms: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_psd_verdicts` of the Hermitian part of each matrix in ms."""
-    return _psd_verdicts(_check_hermitian(ms, tol), tol)
+    return _psd_verdicts(_hermitian_spectra(ms, tol), tol)
 
 
 def _cholesky_certifies(h: np.ndarray, tol: float = TOL) -> bool:
@@ -546,11 +552,12 @@ def _first_non_psd(ms: np.ndarray) -> tuple[int, float] | None:
     :func:`is_psd` refuses, with its lowest eigenvalue; None when every
     matrix passes. For gates that read the eigenvalue only to word a
     failure: when :func:`_cholesky_certifies` the Hermitian part no
-    eigensolve runs, and otherwise :func:`_psd_verdicts` of that Hermitian
-    part, formed again since the certificate shifted its diagonal, decides."""
+    eigensolve runs, and otherwise :func:`_psd_stack`, which forms the
+    Hermitian part again since the certificate shifted its diagonal,
+    decides."""
     if _cholesky_certifies(_check_hermitian(ms)):
         return None
-    ok, lows = _psd_verdicts(_check_hermitian(ms))
+    ok, lows = _psd_stack(ms)
     if ok.all():
         return None
     k = int(np.argmin(ok))

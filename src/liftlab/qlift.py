@@ -59,12 +59,17 @@ from .matcore import (
 
 
 # Largest factor size d whose chain stages run as real products (_chain).
-# Measured on a 2-core x86-64 VM with one OpenBLAS thread, n_compose_qcp
-# medians, real against complex: d=2, N=10 4.7 against 9.7 ms; d=4, N=3 0.28
-# against 0.31 ms and N=4 0.72 against 0.98 ms; d=5, N=3 0.76 against 0.85 ms
-# in a warm process but 1.38 against 0.83 ms as a fresh process's first
-# chain; d=6, N=3 1.77 against 1.60 ms; d=8, N=3 15.2 against 11.9 ms; d=10,
-# N=3 111 against 70 ms.
+# Measured on a 2-core x86-64 VM with one OpenBLAS thread: warm n_compose_qcp
+# medians in ms, real against complex, the range over two runs of three
+# interleaved rounds each: d=2, N=10 4.4-4.5 against 6.9-7.9; d=4, N=3
+# 0.16-0.29 against 0.16-0.30, N=4 0.40-0.71 against 0.54-0.98 and N=5
+# 3.9-5.6 against 6.7-8.7; d=5, N=3 0.45-0.76 against 0.46-0.49 and N=4
+# 2.8-3.3 against 3.9-4.8; d=6, N=3 1.6-1.7 against 1.6 and N=4 14.8-15.0
+# against 15.5-16.6; d=8, N=3 12.6-15.9 against 9.0-10.7; d=10, N=3 87
+# against 48-50. A fresh process's first chain at d=5, N=3 took 1.8 against
+# 1.2 (medians of 7 processes). So real wins up to d=4, and at d=5 and 6
+# only from N=4 on; complex wins from d=8. No benchmark kind has d >= 5, so
+# the limit stays at 4 until one measures that side.
 _REAL_CHAIN_MAX_D = 4
 # A column of 1 and i: the two rows s of a real chain kernel (_link_kernel).
 _ONE_I = np.array([[1], [1j]])
@@ -267,14 +272,46 @@ def _link_kernel(l: np.ndarray, d: int, last: bool, real: bool) -> np.ndarray:
     return k.view(float) if real else k
 
 
+def _read_links(pis: list, rho):
+    """Read a chain's inputs, each once: the links pis (conditional
+    operators, innermost first) and the state rho, or None.
+
+    Returns (links, dims, root, bounded, roots). links maps the id of each
+    distinct link object to its decoded d^2 x d^2 matrix, a caller's array
+    when it came in as one; dims is the composite's factor shape (d,) * N
+    for N = len(pis) + 1; root is sqrt(rho), or None; bounded says that
+    every link's entries are at most d in modulus; roots maps the id of each
+    distinct link in pis[:-1] to its root. pis[-1] is rooted only when it
+    also appears there: a chain never reads its root, and rooting it would
+    add a d^2-sided eigensolve to every two-party lift.
+
+    rho is checked as a state, then for its side, then rooted. Errors come
+    in the order decoding, dense size, state, side, link roots.
+    """
+    if not pis:
+        raise DimensionMismatchError("need at least one conditional operator")
+    mats = {key: _qcp_matrix(p) for key, p in {id(p): p for p in pis}.items()}
+    d = mats[id(pis[0])][1]
+    if any(dk != d for _, dk in mats.values()):
+        raise DimensionMismatchError("conditional operators must share one factor size")
+    dims = (d,) * _size(len(pis) + 1, "parties", 2, _MAX_FACTORS)
+    check_dense_size(dims)
+    root = None
+    if rho is not None:
+        state = check_state(rho).matrix
+        if state.shape[0] != d:
+            raise DimensionMismatchError(f"state side {state.shape[0]} != conditional side {d}")
+        root = herm_sqrt(state)
+    links = {key: m for key, (m, _) in mats.items()}
+    bounded = all(np.abs(m).max(initial=0.0) <= d for m in links.values())
+    roots = {key: herm_sqrt(links[key]) for key in dict.fromkeys(map(id, pis[-2::-1]))}
+    return links, dims, root, bounded, roots
+
+
 def _chain(pis, rho=None) -> FactoredOperator:
     """Composite chained from pis, on a new array; with the state ``rho`` it
-    is sandwiched by (I x sqrt(rho)) on slot 1.
-
-    Each input is read once: each distinct link object (keyed by id) is
-    decoded, bound-tested and, unless it is only pis[-1], rooted; rho is
-    checked as a state, then for its side, then rooted. Errors come in the
-    order decoding, dense size, state, side.
+    is sandwiched by (I x sqrt(rho)) on slot 1. The inputs are read by
+    :func:`_read_links`.
 
     A stage extends the composite, indexed ((a, x), (a', y)) with x and y on
     its rightmost slot, to ((a, b, c), (a', b', c')) with L = sqrt(pi) on the
@@ -302,28 +339,12 @@ def _chain(pis, rho=None) -> FactoredOperator:
     d^(3(N-1)) <= 2^39.
     """
     pis = list(pis)
-    if not pis:
-        raise DimensionMismatchError("need at least one conditional operator")
-    mats = {key: _qcp_matrix(p) for key, p in {id(p): p for p in pis}.items()}
-    d = mats[id(pis[0])][1]
-    if any(dk != d for _, dk in mats.values()):
-        raise DimensionMismatchError("conditional operators must share one factor size")
-    dims = (d,) * _size(len(pis) + 1, "parties", 2, _MAX_FACTORS)
-    check_dense_size(dims)
-    if rho is not None:
-        state = check_state(rho).matrix
-        if state.shape[0] != d:
-            raise DimensionMismatchError(f"state side {state.shape[0]} != conditional side {d}")
-        root = herm_sqrt(state)
-    bounded = all(np.abs(m).max(initial=0.0) <= d for m, _ in mats.values())
-    cur = mats[id(pis[-1])][0]  # a caller's array when pis has one element
+    links, dims, root, bounded, roots = _read_links(pis, rho)
+    d = dims[0]
+    cur = links[id(pis[-1])]  # a caller's array when pis has one element
     if len(pis) == 1:
         cur = cur.copy() if rho is None else sandwich_right(cur, root)
         return FactoredOperator(_Fresh(cur, bounded), dims)
-    roots: dict[int, np.ndarray] = {}
-    for p in pis[-2::-1]:
-        if id(p) not in roots:
-            roots[id(p)] = herm_sqrt(mats[id(p)][0])
     real = d <= _REAL_CHAIN_MAX_D
     inner = pis[-2:0:-1]  # the links of every stage but the last, in stage order
     kernels = {key: _link_kernel(roots[key], d, False, real) for key in dict.fromkeys(map(id, inner))}

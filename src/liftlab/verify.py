@@ -37,7 +37,7 @@ from .circulant import (
     is_ppt_circulant,
 )
 from .classical import (
-    apply_kraus,
+    _kraus_deviation,
     apply_to_state,
     channel_from_dilation,
     classical_choi,
@@ -230,9 +230,7 @@ def _kraus_action(g):
     n1, n2 = int(g.integers(2, 5)), int(g.integers(2, 5))
     w = sampling.stochastic(g, n1, n2)
     p = sampling.probability_vector(g, n1)
-    ops = kraus_from_channel(w)
-    via_kraus = np.diag(apply_kraus(ops, np.diag(p.astype(complex)))).real
-    return _dev(via_kraus, apply_to_state(w, p))
+    return _kraus_deviation(kraus_from_channel(w), w, p)
 
 
 @_check(

@@ -23,6 +23,7 @@ from liftlab.circulant import (
     circulant_partial_transpose,
     circulant_subspaces,
     is_ppt_circulant,
+    _pt_spectra,
     maximally_entangled,
     shift_matrix,
 )
@@ -147,6 +148,18 @@ def test_ppt_oracle_agreement():
         full_ok, _ = is_psd(pt.matrix, 1e-9)
         assert verdict == full_ok
         assert lows.shape == (d,)
+
+
+def test_block_spectra_are_the_dense_partial_transpose_spectrum():
+    g = rng(69)
+    for d in range(2, 9):
+        for _ in range(5):
+            spec = circulant_spec(g, d)
+            spectra = _pt_spectra(spec.blocks)
+            assert spectra.shape == (d, d)
+            dense = np.linalg.eigvalsh(partial_transpose(build_circulant(spec), 1).matrix)
+            np.testing.assert_allclose(np.sort(spectra.ravel()), dense, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(is_ppt_circulant(spec)[1], spectra[:, 0])
 
 
 def test_diagonal_blocks_are_always_ppt():

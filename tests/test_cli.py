@@ -596,9 +596,9 @@ NLIFT_9 = ["lift", "nlift", "--tensor", json.dumps(lifting_tensor_to_json(ohya_t
            "--p", "[0.5, 0.5]", "--parties", "9"]
 
 
-def _process(*args, **kwargs):
+def _process(*args, extra_env=(), **kwargs):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    env.update(PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", **dict(extra_env))
     return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
 
 
@@ -632,12 +632,21 @@ def test_process_writes_a_large_document_through_a_pipe_whole(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, b"")
 
 
+# Each case runs with stdout block-buffered, and again unbuffered, where
+# argparse's own writer used to drop a failed --help write (exit 0, no output).
+_TO_FULL = {"small": ["teleport", "--p", "[0.5,0.5]", "--perm", "[1,0]"], "large": NLIFT_9,
+            "help": ["--help"], "lift-help": ["lift", "--help"], "ohya-help": ["lift", "ohya", "--help"]}
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["teleport", "--p", "[0.5,0.5]", "--perm", "[1,0]"], NLIFT_9],
-                         ids=["small", "large"])
-def test_failed_stdout_write_exits_two_with_one_error_line(argv):
+@pytest.mark.parametrize("argv, extra_env", [
+    pytest.param(argv, env, id=name + suffix)
+    for suffix, env in (("", {}), ("-unbuffered", {"PYTHONUNBUFFERED": "1"}))
+    for name, argv in _TO_FULL.items()
+])
+def test_failed_stdout_write_exits_two_with_one_error_line(argv, extra_env):
     with open("/dev/full", "wb") as full:
-        proc = _process("-m", "liftlab.cli", *argv, stdout=full, stderr=subprocess.PIPE)
+        proc = _process("-m", "liftlab.cli", *argv, extra_env=extra_env, stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode == 2
     assert proc.stderr == b"error: [Errno 28] No space left on device\n"
 
