@@ -163,15 +163,19 @@ def _state_diagonal(rho, d: int, what: str) -> np.ndarray:
     return state.matrix.diagonal().real
 
 
-def _lift_profiles(profiles: np.ndarray, diagonal: np.ndarray) -> FactoredOperator:
-    """Circulant state with block diagonal[alpha] * profiles[alpha], after
-    checking that each profile is PSD with unit trace. A (1, d, d) stack
-    is one profile for every subspace, checked once.
+def circulant_lift(cs, rho) -> FactoredOperator:
+    """Lift a state along fixed circulant profiles.
 
-    Block alpha's eigenvalues are diagonal[alpha] >= -TOL times those of
-    profiles[alpha], so the profile check stands in for a block check; only
-    the blocks' trace sum is checked again.
+    cs[alpha] is a PSD unit-trace d x d matrix; the output circulant state
+    carries block rho[alpha, alpha] * cs[alpha], so it depends on rho only
+    through its diagonal. Output traces to one for any unit-trace input.
+
+    Block alpha's eigenvalues are rho[alpha, alpha] >= -TOL times those of
+    cs[alpha], so the profile check stands in for a block check; only the
+    blocks' trace sum is checked again.
     """
+    profiles = _as_blocks(cs)
+    diagonal = _state_diagonal(rho, profiles.shape[0], "block count")
     bad = _first_non_psd(profiles)
     traces = profiles.trace(axis1=1, axis2=2).real
     off = np.flatnonzero(np.abs(traces - 1.0) > TOL)
@@ -182,17 +186,6 @@ def _lift_profiles(profiles: np.ndarray, diagonal: np.ndarray) -> FactoredOperat
     blocks = diagonal[:, None, None] * profiles
     _check_trace_sum(blocks)
     return _assemble(blocks, circulant_subspaces(diagonal.size))
-
-
-def circulant_lift(cs, rho) -> FactoredOperator:
-    """Lift a state along fixed circulant profiles.
-
-    cs[alpha] is a PSD unit-trace d x d matrix; the output circulant state
-    carries block rho[alpha, alpha] * cs[alpha], so it depends on rho only
-    through its diagonal. Output traces to one for any unit-trace input.
-    """
-    profiles = _as_blocks(cs)
-    return _lift_profiles(profiles, _state_diagonal(rho, profiles.shape[0], "block count"))
 
 
 def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
@@ -278,15 +271,22 @@ def bell_diagonal_lift(p, rho) -> tuple[FactoredOperator, BellSpectrum]:
     every subspace; the output equals sum_mn p_m rho[n, n] P_mn, so the Bell
     spectrum of the lift factorizes into the input weight p and the diagonal
     of rho. Returns (state, spectrum).
+
+    Checks, in order and all before the d^4 output is allocated: p is a
+    probability vector, rho a state of side d, the output fits
+    (check_dense_size), and the spectrum p_m rho[n, n] passes BellSpectrum
+    (no weight below -PROB_TOL, sum within STRUCT_TOL of one). The profile
+    has no gate of its own: it is exactly Hermitian with eigenvalues the p_m
+    already read, and BellSpectrum's sum is the blocks' trace sum, held to a
+    tighter bound than TOL.
     """
     weights = as_probability_vector(p)
     d = weights.size
     diagonal = _state_diagonal(rho, d, "weight count")
     check_dense_size((d, d))
+    spectrum = BellSpectrum(np.outer(weights, diagonal))
     phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
     # A sum over axis 0 adds in the order, and so with the rounding, of a loop over m.
     outers = phases[:, :, None] * phases[:, None, :].conj()
     profile = (weights[:, None, None] * outers).sum(axis=0) / d
-    lifted = _lift_profiles(profile[None], diagonal)
-    spectrum = BellSpectrum(np.outer(weights, diagonal))
-    return lifted, spectrum
+    return _assemble(diagonal[:, None, None] * profile, circulant_subspaces(d)), spectrum

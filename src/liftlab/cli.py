@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -140,8 +141,9 @@ class _Parser(argparse.ArgumentParser):
     itself, so a failed write raises its OSError inside main (exit 2) in
     either stdout buffering mode, where argparse's _print_message drops it.
     Only print_help is replaced: usage errors still go through
-    _print_message, so their exit codes stay as they were when stderr
-    cannot be written. Subparsers are made of this class too."""
+    _print_message, which drops a failed stderr write, so they exit 2
+    whether or not stderr can be written. Subparsers are made of this class
+    too."""
 
     def print_help(self, file=None):
         file = file or sys.stdout
@@ -247,26 +249,26 @@ def main(argv=None) -> int:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()  # a failed write is reported here, as exit 2
         return code
-    except (SchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MathDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except (SchemaError, OSError, MathDomainError) as exc:
+        with suppress(OSError):  # an unwritable stderr keeps the exit code
+            print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, MathDomainError) else 2
 
 
 def run() -> None:
     """The process entry point (``liftlab`` and ``python -m liftlab.cli``):
     main's exit code, with argparse's for usage errors and --help, then
     os._exit once stderr is flushed: main and --help flush what they write
-    to stdout. The interpreter's teardown, 24-28 ms with numpy loaded, is
-    skipped; nothing is left to release.
+    to stdout. A stderr that cannot be written keeps the exit code. The
+    interpreter's teardown, 24-28 ms with numpy loaded, is skipped; nothing
+    is left to release.
     """
     try:
         code = main()
     except SystemExit as exc:
         code = exc.code
-    sys.stderr.flush()
+    with suppress(OSError):
+        sys.stderr.flush()
     os._exit(code)
 
 

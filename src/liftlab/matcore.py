@@ -30,7 +30,7 @@ a tolerance argument, defaulting to the same value.
 
 The lowest-eigenvalue test is is_psd's. The constructors' gates
 (check_state, qcp_from_channel, channel_from_compound, CirculantSpec, the
-circulant and Bell profiles, separable_n_state's images) read the
+circulant profiles, separable_n_state's images) read the
 eigenvalue only to word a failure, so they first certify positivity by one
 Cholesky factorization of the Hermitian part plus (TOL / 2) I, the shift
 added in place (_first_non_psd), and run the eigensolve on the same

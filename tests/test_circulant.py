@@ -305,6 +305,22 @@ def test_bell_diagonal_lift_worked_spectrum():
     np.testing.assert_allclose(lifted.matrix, expect, atol=1e-12)
 
 
+def test_bell_lift_edges_are_the_spectrums_bounds():
+    # check_state accepts every rho here; the lift refuses what BellSpectrum
+    # refuses: a sum off by more than STRUCT_TOL, a weight below -PROB_TOL.
+    p = [0.75, 0.25]
+    with pytest.raises(TraceNotOneError, match="^spectrum sums to"):
+        bell_diagonal_lift(p, np.diag([0.6, 0.4 + 5e-10]))
+    bell_diagonal_lift(p, np.diag([0.6, 0.4 + 5e-11]))
+    with pytest.raises(BlockNotPSDError, match="^spectrum has negative weight"):
+        bell_diagonal_lift(p, np.diag([1 + 4e-10, -4e-10]))
+    _, spectrum = bell_diagonal_lift(p, np.diag([1 + 1e-12, -1e-12]))
+    assert spectrum.p.min() == 0.0
+    lifted, spectrum = bell_diagonal_lift([0.0, 1.0], np.diag([0.6, 0.4]))
+    np.testing.assert_array_equal(spectrum.p, [[0.0, 0.0], [0.6, 0.4]])
+    assert lifted.trace().real == pytest.approx(1.0, abs=1e-15)
+
+
 def test_bell_diagonal_lift_random_projections():
     g = rng(68)
     for _ in range(25):

@@ -651,6 +651,25 @@ def test_failed_stdout_write_exits_two_with_one_error_line(argv, extra_env):
     assert proc.stderr == b"error: [Errno 28] No space left on device\n"
 
 
+# A schema error, a math-domain error and a usage error, each with stderr
+# unwritable: the error line is lost, its exit code is not.
+_ERR_TO_FULL = {"schema": (["lift", "ohya", "--rho", "[[1"], 2),
+                "math-domain": (["lift", "ohya", "--rho", "[[2,0],[0,0]]"], 3),
+                "usage": (["lift", "ohya", "--bogus"], 2)}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, code, extra_env", [
+    pytest.param(argv, code, env, id=name + suffix)
+    for suffix, env in (("", {}), ("-unbuffered", {"PYTHONUNBUFFERED": "1"}))
+    for name, (argv, code) in _ERR_TO_FULL.items()
+])
+def test_failed_stderr_write_keeps_the_exit_code(argv, code, extra_env):
+    with open("/dev/full", "wb") as full:
+        proc = _process("-m", "liftlab.cli", *argv, extra_env=extra_env, stdout=subprocess.PIPE, stderr=full)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
 def test_process_skips_the_interpreter_teardown():
     # An exit handler would run in the teardown that os._exit skips.
     code = ("import atexit, sys; from liftlab import cli; atexit.register(print, 'teardown'); "

@@ -1,0 +1,35 @@
+"""Rules on the library's source text, checked line by line.
+
+- No ``np.errstate``: the readers hold every number to modulus 2**60, which
+  keeps every product and sum the library forms inside the float range, so
+  no overflow is there to silence; an np.errstate block would hide one that
+  the bound's count missed.
+- No ``np.zeros(`` outside matcore.py: matcore's allocators enforce the
+  size policy (_zeros refuses an array past MAX_DENSE_BYTES, at its dtype's
+  entry size, before np.zeros runs), so a bare np.zeros elsewhere would
+  allocate unchecked.
+"""
+import re
+from pathlib import Path
+
+import pytest
+
+LIBRARY = Path(__file__).resolve().parent.parent / "src" / "liftlab"
+
+# name: (pattern, files exempt from it)
+RULES = {
+    "no-silenced-numpy-errors": (r"np.errstate", ()),
+    "no-unguarded-np-zeros": (r"np\.zeros\(", ("matcore.py",)),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_library_source_keeps_the_rule(rule):
+    pattern, exempt = RULES[rule]
+    sources = sorted(p for p in LIBRARY.rglob("*.py") if p.name not in exempt)
+    assert sources
+    hits = [f"{p.relative_to(LIBRARY)}:{n}: {line.strip()}"
+            for p in sources
+            for n, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(pattern, line)]
+    assert hits == []

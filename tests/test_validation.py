@@ -13,7 +13,8 @@ CpMap's units and CirculantSpec's blocks to one bound scan unless their
 constructor knows them bounded. Every constructor whose output outgrows its
 input refuses a size past the bound before it allocates, with its message
 pinned where the guard is matcore's allocators', and every sampling draw
-refuses one before it draws.
+refuses one before it draws. A lift that a semantic check refuses allocates
+none of its output.
 """
 import os
 import subprocess
@@ -34,14 +35,24 @@ from liftlab.circulant import (
     bell_diagonal_lift,
     bell_state,
     circulant_lift,
+    circulant_lift_isometry,
     maximally_entangled,
     shift_matrix,
 )
 from liftlab.classical import as_channel, as_probability_vector, is_stochastic, is_unital
-from liftlab.clift import MarkovSpec, as_lifting_tensor, gamma_lifting, is_nondemolition, ohya_tensor, separable_n_state
+from liftlab.clift import (
+    MarkovSpec,
+    as_lifting_tensor,
+    gamma_lifting,
+    is_nondemolition,
+    n_lift,
+    ohya_tensor,
+    separable_n_state,
+)
 from liftlab.errors import (
     DimensionMismatchError,
     LiftlabError,
+    MathDomainError,
     NotAStateError,
     NotHermitianError,
     SchemaError,
@@ -740,12 +751,13 @@ def test_gates_on_valid_input_run_no_eigensolve(eigensolves, monkeypatch):
     circulant_lift(profiles, rho)
     bell_diagonal_lift(p, rho)
     assert eigensolves == []
-    # bell_diagonal_lift checks its one profile once, not d broadcast copies.
+    # bell_diagonal_lift certifies only rho: its profile has no gate, since
+    # the profile's eigenvalues are the weights p, already validated.
     checked = []
     real = matcore._cholesky_certifies
     monkeypatch.setattr(matcore, "_cholesky_certifies", lambda h, tol=TOL: checked.append(h.shape) or real(h, tol))
     bell_diagonal_lift(p, rho)
-    assert checked == [(8, 8), (1, 8, 8)]
+    assert checked == [(8, 8)]
 
 
 def _guarded_cases():
@@ -897,3 +909,72 @@ def test_bell_profile_is_refused_before_its_cubes():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000, peak
+
+
+def _not_a_state(d: int) -> np.ndarray:
+    rho = np.zeros((d, d))
+    rho[0, 0], rho[1, 1] = 1.5, -0.5
+    return rho
+
+
+def _refused_bell():
+    rho = np.eye(64) / 64
+    rho[0, 0] += 5e-10  # check_state and circulant_lift accept it; BellSpectrum's sum does not
+    return bell_diagonal_lift, (np.full(64, 1 / 64), rho)
+
+
+def _refused_circulant():
+    profiles = np.stack([np.eye(64, dtype=complex) / 64] * 64)
+    profiles[-1] *= -1
+    return circulant_lift, (profiles, np.eye(64) / 64)
+
+
+def _refused_isometry():
+    cvecs = np.eye(64)
+    cvecs[-1] *= 1.1
+    return circulant_lift_isometry, (cvecs, np.eye(64) / 64)
+
+
+def _refused_gamma():
+    gamma = np.eye(46 * 46)
+    gamma[-1, -1] = 0.5
+    return gamma_lifting, (gamma, np.full(46, 1 / 46), np.full(46, 1 / 46))
+
+
+def _refused_separable():
+    images = np.stack([np.eye(16)] * 4)
+    bad = images.copy()
+    bad[-1, 0, 0] = -1.0
+    return separable_n_state, (np.full(4, 1 / 4), [images, images, bad])
+
+
+# name: (builder of (lift, arguments), output bytes). One argument fails a
+# semantic check; the output would be a 4096- or 2116-sided complex matrix.
+REFUSED_LIFTS = {
+    "circulant_lift": (_refused_circulant, 64**4 * 16),
+    "circulant_lift_isometry": (_refused_isometry, 64**4 * 16),
+    "bell_diagonal_lift": (_refused_bell, 64**4 * 16),
+    "nonlinear_lift": (lambda: (nonlinear_lift, (np.eye(46 * 46, dtype=complex), _not_a_state(46))), 46**4 * 16),
+    "n_nonlinear_lift": (lambda: (n_nonlinear_lift, (np.eye(256, dtype=complex), _not_a_state(16), 3)), 16**6 * 16),
+    "ohya_lift": (lambda: (ohya_lift, (_not_a_state(16), 3)), 16**6 * 16),
+    "n_lift": (lambda: (n_lift, (ohya_tensor(4), [1.5, -0.5, 0.0, 0.0], 6)), 4**12 * 16),
+    "gamma_lifting": (_refused_gamma, 46**4 * 16),
+    "separable_n_state": (_refused_separable, 16**6 * 16),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_LIFTS)
+def test_refused_lifts_allocate_none_of_their_output(name):
+    # Every check runs before the output is allocated. A refused d = 64
+    # bell_diagonal_lift, whose spectrum was checked after its state was
+    # built, peaked at 266 MiB.
+    build, out_bytes = REFUSED_LIFTS[name]
+    fn, args = build()  # untraced
+    tracemalloc.start()
+    try:
+        with pytest.raises(MathDomainError):
+            fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out_bytes / 8, (peak, out_bytes)
