@@ -76,17 +76,20 @@ def _check_trace_sum(blocks: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class CirculantSpec:
     """Circulant state data: one PSD d x d block per subspace, traces
-    summing to one. The blocks are kept read-only, taken through _own: a
-    caller's array is copied once."""
+    summing to one, enforced at construction unless the package built the
+    array checked (sampling.circulant_spec). The blocks are kept read-only,
+    taken through _own: a caller's array is copied once."""
 
     blocks: np.ndarray
 
     def __post_init__(self):
-        b = _block_stack(_own(self.blocks, "blocks"))
-        bad = _first_non_psd(b)
-        if bad:
-            raise BlockNotPSDError(f"block {bad[0]} has eigenvalue {bad[1]:.3e}")
-        _check_trace_sum(b)
+        b, checked = _own(self.blocks, "blocks")
+        _block_stack(b)
+        if not checked:
+            bad = _first_non_psd(b)
+            if bad:
+                raise BlockNotPSDError(f"block {bad[0]} has eigenvalue {bad[1]:.3e}")
+            _check_trace_sum(b)
         object.__setattr__(self, "blocks", b)
 
     @property
@@ -104,7 +107,7 @@ def _assemble(blocks: np.ndarray, partners: np.ndarray) -> FactoredOperator:
     m = _zeros((d * d, d * d), "operator", complex)
     pos = np.arange(d) * d + partners
     m.reshape(-1)[(pos[:, :, None] * (d * d) + pos[:, None, :]).ravel()] = blocks.ravel()
-    return FactoredOperator(_Fresh(m, bounded=True), (d, d))
+    return FactoredOperator(_Fresh(m, checked=True), (d, d))
 
 
 def build_circulant(spec: CirculantSpec) -> FactoredOperator:
@@ -238,7 +241,7 @@ def bell_state(m: int, n: int, d: int) -> FactoredOperator:
     d = _size(d, "d")
     check_dense_size((d, d))
     psi = bell_unitary(m, n, d).T.reshape(-1)
-    return FactoredOperator(_Fresh(np.outer(psi, psi.conj() / d), bounded=True), (d, d))
+    return FactoredOperator(_Fresh(np.outer(psi, psi.conj() / d), checked=True), (d, d))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,9 +11,10 @@ once stdout and stderr are flushed.
 
 build_parser declares each JSON flag with its wire decoder, and main decodes
 every such flag, in declaration order, before the command runs. The command
-then checks its other flags (channel dilate's --n against the permutation;
-channel kraus's --trials, then the seed), calls the library, which checks
-each input once, and returns its document and exit code for main to write.
+then checks its other flags (channel dilate's --n, a size of at least 1,
+then against the permutation; channel kraus's --trials, then the seed),
+calls the library, which checks each input once, and returns its document
+and exit code for main to write.
 So malformed input (exit 2) is reported before any math fault (exit 3).
 """
 from __future__ import annotations
@@ -81,8 +82,9 @@ def cmd_channel_kraus(args) -> tuple[dict, int]:
 
 
 def cmd_channel_dilate(args) -> tuple[dict, int]:
-    if args.n * args.n != args.perm.size:
-        raise SchemaError(f"permutation has {args.perm.size} images, expected {args.n * args.n}")
+    n = _size(args.n, "n", 1)
+    if n * n != args.perm.size:
+        raise SchemaError(f"permutation has {args.perm.size} images, expected {n * n}")
     w = channel_from_dilation(args.perm, args.sigma)
     return {"weights": jsonio.matrix_to_json(w), "doubly_stochastic": is_doubly_stochastic(w, TOL)}, 0
 

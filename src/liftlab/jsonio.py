@@ -208,8 +208,8 @@ def json_to_cpmap(obj) -> CpMap:
     units = obj["units"]
     _require(isinstance(units, list), "units must be a list")
     _require(len(units) == d * d, f"units has {len(units)} entries, expected {d * d}")
-    # bounded: every matrix was decoded through _as_array.
-    return CpMap(_Fresh(_square_matrices(units, d, "unit").reshape(d, d, d, d), bounded=True))
+    # Not marked checked: decoded wire data gets every check.
+    return CpMap(_Fresh(_square_matrices(units, d, "unit").reshape(d, d, d, d)))
 
 
 def circulant_to_json(spec: CirculantSpec) -> dict:
@@ -227,8 +227,8 @@ def json_to_circulant(obj) -> CirculantSpec:
     d = _size(obj["d"], "d")
     blocks = obj["blocks"]
     _require(isinstance(blocks, list) and len(blocks) == d, f"blocks must list {d} matrices")
-    # bounded: every matrix was decoded through _as_array.
-    return CirculantSpec(_Fresh(_square_matrices(blocks, d, "block"), bounded=True))
+    # Not marked checked: decoded wire data gets every check.
+    return CirculantSpec(_Fresh(_square_matrices(blocks, d, "block")))
 
 
 def bell_spectrum_to_json(bs: BellSpectrum) -> dict:

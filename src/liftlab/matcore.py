@@ -52,25 +52,39 @@ its dims to); _as_matrix square matrices; classical._read_probabilities
 probability data: no entry below -PROB_TOL, each sum within PROB_TOL per
 entry of 1. Other sums go through _abs_close, np.allclose(rtol=0)'s verdict.
 
-Copies and bounds: one rule, _own, decides for FactoredOperator(m),
+Copies and checks: one rule, _own, decides for FactoredOperator(m),
 CpMap(units) and CirculantSpec(blocks) whether the array is copied and
-whether it is scanned for the bound, and sets it read-only. A caller's array
-is copied through _as_array, so it is never aliased. Constructors in this
-package that have just built a complex array no caller can write to hand it
-over without the copy (the private _Fresh marker), and _own still scans it,
-so a result past the bound (a tensor product of large operands, a Kraus or
-compound product in cp_from_kraus and channel_from_compound) is a
-SchemaError, except where the inputs bound the result: diagonal_operator's
-weights are read by _as_array, an N-party chain whose links are bounded is
-not scanned (see qlift._chain), and neither are ohya_lift's output, whose
-entries a checked state bounds, the circulant assemblies and partial
-transposes, bell_state's projectors, whose entries are at most 1/d,
-qcp_from_channel's operator, a permutation of the units CpMap holds,
-choi_matrix's, the images it read divided by d, the units of cp_identity (0
-and 1), classical_cpmap (the conditional that _as_matrix read) and
-jsonio.json_to_cpmap (matrices _as_array decoded), and the blocks of
-jsonio.json_to_circulant (decoded likewise) and sampling.circulant_spec
-(entries at most 1).
+whether it is checked, and sets it read-only. A caller's array is copied
+through _as_array, so it is never aliased, and checked in full. Constructors
+in this package that have just built a complex array no caller can write to
+hand it over without the copy (the private _Fresh marker). Unmarked, it is
+scanned for the bound and checked in full, so a result past the bound (a
+tensor product of large operands, a compound product in
+channel_from_compound) is a SchemaError. Marked checked=True, the receiving
+type's invariants hold by construction, the bound included: FactoredOperator
+keeps only its shape checks, CpMap skips its Hermiticity test and
+CirculantSpec its PSD gate and trace sum. Each site that marks it, and why
+that holds:
+  diagonal_operator           the weights were read by _as_array
+  qlift._chain                when every link's entries are at most d (see
+                              there)
+  ohya_lift                   a checked state's clipped eigenvalues, on unit
+                              vectors
+  partial_transpose, the      permutations of bounded entries, or a state's
+  circulant assemblies        diagonal times unit-trace PSD profiles
+  bell_state                  projector entries at most 1/d
+  qcp_from_channel            a permutation of the units CpMap holds
+  choi_matrix                 the images it read, divided by d
+  cp_identity                 units 0 and 1
+  classical_cpmap             real units on the diagonal pairs, the
+                              conditional read by _as_matrix
+  cp_from_kraus               scans its product with _bounded itself, as Kraus
+                              products may pass the bound; the product is
+                              Hermitian up to rounding
+  sampling.circulant_spec     convex mixes of PSD matrices, scaled to traces
+                              w_alpha, so entries at most 1
+The JSON decoders read outside input and never mark it, so decoded data gets
+every check (tests/test_source_rules.py holds jsonio.py and cli.py to that).
 Below MMAP_DIAGONAL_SIDE a diagonal matrix is np.zeros'; from that side up
 it lies on a fresh private anonymous mmap, opted out of transparent huge
 pages, of which only the pages holding the diagonal are written, so the
@@ -258,23 +272,25 @@ def _read_dims(dims) -> tuple[int, ...]:
 class _Fresh(NamedTuple):
     """A complex array that a constructor in this package has just built
     and that no caller can write to: _own takes it as it is, without a copy
-    or a dtype conversion. ``bounded`` says that its entries are already
-    known to be within _MAX_MODULUS."""
+    or a dtype conversion. ``checked`` says that the receiving type's
+    invariants hold by construction, the 2**60 bound included (the module
+    docstring lists each site that sets it and why)."""
 
     array: np.ndarray
-    bounded: bool = False
+    checked: bool = False
 
 
-def _own(x, what: str) -> np.ndarray:
-    """The read-only complex array that FactoredOperator, CpMap and CirculantSpec keep for x:
-    a _Fresh array as it is, scanned by _bounded unless it is marked bounded,
-    and anything else copied through _as_array, so no caller's array is aliased."""
+def _own(x, what: str) -> tuple[np.ndarray, bool]:
+    """(array, checked) for the read-only complex array that FactoredOperator, CpMap and
+    CirculantSpec keep for x: a _Fresh array as it is, scanned by _bounded unless it is
+    checked, and anything else copied through _as_array, so no caller's array is aliased.
+    The receiving type runs its own checks unless checked is True."""
     if isinstance(x, _Fresh):
-        a = x.array if x.bounded else _bounded(x.array, what)
+        a = x.array if x.checked else _bounded(x.array, what)
     else:
         a = _as_array(x, what, complex, copy=True)
     a.setflags(write=False)
-    return a
+    return a, isinstance(x, _Fresh) and x.checked
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +309,7 @@ class FactoredOperator:
     dims: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        m = _own(self.matrix, "matrix")
+        m, _ = _own(self.matrix, "matrix")
         shape = m.shape
         dims = _read_dims(self.dims) if not isinstance(self.dims, tuple) or self.dims else shape[:1]
         if len(shape) != 2 or shape[0] != shape[1]:
@@ -352,7 +368,7 @@ def diagonal_operator(w, dims) -> FactoredOperator:
     else:
         m = np.frombuffer(_anonymous_pages(n * n * w.itemsize), dtype=complex).reshape(n, n)
     m.reshape(-1)[:: n + 1] = w
-    return FactoredOperator(_Fresh(m, bounded=True), dims)
+    return FactoredOperator(_Fresh(m, checked=True), dims)
 
 
 def unit_matrix(d: int, i: int, j: int) -> np.ndarray:
@@ -479,8 +495,8 @@ def partial_transpose(op: FactoredOperator, factor: int) -> FactoredOperator:
     t = op.matrix.reshape(*op.dims, *op.dims)
     t = np.swapaxes(t, pos, pos + n)
     side = op.matrix.shape[0]
-    # A permutation of op's entries, which are bounded.
-    return FactoredOperator(_Fresh(t.reshape(side, side), bounded=True), op.dims)
+    # checked: a permutation of op's entries, which are bounded.
+    return FactoredOperator(_Fresh(t.reshape(side, side), checked=True), op.dims)
 
 
 def _spectral_scale(w: np.ndarray) -> np.ndarray:

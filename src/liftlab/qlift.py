@@ -42,6 +42,7 @@ from .matcore import (
     _abs_close,
     _as_array,
     _as_matrix,
+    _bounded,
     _check_hermitian,
     _eig,
     _first_non_psd,
@@ -80,29 +81,29 @@ class CpMap:
     """Linear map on M_d stored by its images on matrix units.
 
     units[i, j] holds the image of e_ij; Hermiticity preservation
-    (units[i, j]^dagger == units[j, i]) is enforced at construction. The
-    units passed in are copied, as FactoredOperator copies its matrix, and
-    stored read-only.
+    (units[i, j]^dagger == units[j, i]) is enforced at construction unless
+    the package built the array checked (cp_identity, cp_from_kraus,
+    classical_cpmap). The units passed in are copied, as FactoredOperator
+    copies its matrix, and stored read-only.
     """
 
     units: np.ndarray
 
     def __post_init__(self):
-        u = _own(self.units, "units")
+        u, checked = _own(self.units, "units")
         if u.ndim != 4 or len(set(u.shape)) != 1:
             raise DimensionMismatchError(f"units must have shape (d, d, d, d), got {u.shape}")
         # np.allclose(units[i, j]^dagger, units[j, i]) for every i <= j: np.isclose's
         # test, which on bounded entries is |a - b| <= atol + rtol |b|. It runs in
         # (j, i, k, l) order, where b = units[j, i] is u itself; a is one C-order
         # copy (np.array always copies: at d = 1 the transpose is u's own layout).
-        a = np.array(u.transpose(1, 0, 3, 2), order="C")
-        np.conjugate(a, out=a)
-        np.subtract(a, u, out=a)
-        gap = np.abs(a)
-        del a
-        close = gap <= STRUCT_TOL + CPMAP_RTOL * np.abs(u)
-        if not close.all():
-            bad = np.argwhere(np.triu(~close.all(axis=(2, 3)).T))
+        if not checked:
+            a = np.array(u.transpose(1, 0, 3, 2), order="C")
+            np.conjugate(a, out=a)
+            np.subtract(a, u, out=a)
+            gap = np.abs(a)
+            del a
+            bad = np.argwhere(np.triu((gap > STRUCT_TOL + CPMAP_RTOL * np.abs(u)).any(axis=(2, 3)).T))
             if bad.size:
                 i, j = bad[0]
                 raise NotHermitianError(f"units[{i},{j}]^dagger differs from units[{j},{i}]")
@@ -135,7 +136,8 @@ class CpMap:
 def cp_identity(d: int) -> CpMap:
     d = _size(d, "d")
     check_dense_size((d, d))
-    return CpMap(_Fresh(np.eye(d * d, dtype=complex).reshape(d, d, d, d), bounded=True))  # bounded: entries 0 and 1
+    # checked: the units are 0 and 1, units[i, j] = e_ij.
+    return CpMap(_Fresh(np.eye(d * d, dtype=complex).reshape(d, d, d, d), checked=True))
 
 
 def cp_from_kraus(ops) -> CpMap:
@@ -147,9 +149,11 @@ def cp_from_kraus(ops) -> CpMap:
     check_dense_size((d, d))
     m = ks.reshape(n, d * d)  # row k holds K_k flattened over (a, i)
     # units[i, j] = sum_k K_k e_ij K_k^dagger, entrywise sum_k K_k[a, i] conj(K_k[b, j]):
-    # one product indexed ((a, i), (b, j)). An image past the bound ends in CpMap's
-    # bound error.
-    return CpMap(_Fresh((m.T @ m.conj()).reshape(d, d, d, d).transpose(1, 3, 0, 2)))
+    # one product indexed ((a, i), (b, j)). An image past the bound is the units'
+    # bound error, raised here. checked: the product is Hermitian, so units[j, i] is
+    # units[i, j]^dagger up to rounding.
+    units = (m.T @ m.conj()).reshape(d, d, d, d).transpose(1, 3, 0, 2)
+    return CpMap(_Fresh(_bounded(units, "units"), checked=True))
 
 
 def classical_cpmap(conditional) -> CpMap:
@@ -164,7 +168,8 @@ def classical_cpmap(conditional) -> CpMap:
     a, i = np.arange(d)[:, None], np.arange(d)[None, :]
     units = _zeros((d * d, d * d), "operator", complex).reshape(d, d, d, d)
     units[a, a, i, i] = c
-    return CpMap(_Fresh(units, bounded=True))  # bounded: c was read by _as_matrix
+    # checked: c was read by _as_matrix, and each nonzero unit is a real diagonal.
+    return CpMap(_Fresh(units, checked=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +202,8 @@ def qcp_from_channel(cp: CpMap) -> QcpOperator:
     bad = _first_non_psd(pi)
     if bad:
         raise NotCPError(f"conditional operator has eigenvalue {bad[1]:.3e}; map is not CP")
-    # bounded: pi is a permutation of the units, which CpMap holds to the bound.
-    return QcpOperator(FactoredOperator(_Fresh(pi, bounded=True), (d, d)), cp)
+    # checked: pi is a permutation of the units, which CpMap holds to the bound.
+    return QcpOperator(FactoredOperator(_Fresh(pi, checked=True), (d, d)), cp)
 
 
 def _qcp_matrix(pi) -> tuple[np.ndarray, int]:
@@ -242,10 +247,10 @@ def ohya_lift(rho, parties: int = 2) -> FactoredOperator:
     copies = v
     for _ in range(parties - 1):
         copies = (copies[:, None, :] * v[None, :, :]).reshape(-1, d)
-    # bounded=True: the weights are clipped eigenvalues of a checked state, in
+    # checked: the weights are clipped eigenvalues of a checked state, in
     # [0, 1] up to the trace and PSD tolerances, and the columns are unit
     # vectors, so every entry is at most about 1 in modulus.
-    return FactoredOperator(_Fresh((copies * w) @ copies.conj().T, bounded=True), (d,) * parties)
+    return FactoredOperator(_Fresh((copies * w) @ copies.conj().T, checked=True), (d,) * parties)
 
 
 def _link_kernel(l: np.ndarray, d: int, last: bool, real: bool) -> np.ndarray:
@@ -477,5 +482,5 @@ def choi_matrix(phi: Callable[[np.ndarray], np.ndarray], d: int) -> FactoredOper
     choi = images.transpose(0, 2, 1, 3).reshape(d * d, d * d)
     del images
     choi /= d
-    # bounded: the images were read by _as_array, and are divided by d.
-    return FactoredOperator(_Fresh(choi, bounded=True), (d, d))
+    # checked: the images were read by _as_array, and are divided by d.
+    return FactoredOperator(_Fresh(choi, checked=True), (d, d))

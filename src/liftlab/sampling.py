@@ -117,5 +117,6 @@ def circulant_spec(g: np.random.Generator, d: int) -> CirculantSpec:
         b = (1.0 - mix) * b + mix * np.diag(b.diagonal().real)
         b /= b.trace().real
         blocks.append(weights[alpha] * b)
-    # bounded: each block is PSD with unit trace times a probability, so no entry exceeds 1.
-    return CirculantSpec(_Fresh(np.array(blocks), bounded=True))
+    # checked: each block is a convex mix of PSD matrices with unit trace, times the
+    # probability weights[alpha], so it is PSD with trace weights[alpha] and no entry exceeds 1.
+    return CirculantSpec(_Fresh(np.array(blocks), checked=True))

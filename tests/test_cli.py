@@ -67,6 +67,13 @@ def test_channel_dilate_known_values(capsys):
     assert blob["doubly_stochastic"] is False
 
 
+@pytest.mark.parametrize("n, perm, sigma", [("-1", "[0]", "[1]"), ("-2", "[0,1,2,3]", "[0.5,0.5]")])
+def test_channel_dilate_refuses_a_negative_size(capsys, n, perm, sigma):
+    # n * n matches the permutation's size, so only reading n as a size refuses it.
+    assert cli.main(["channel", "dilate", "--n", n, "--perm", perm, "--sigma", sigma]) == 2
+    assert capsys.readouterr() == ("", f"error: n must be at least 1, got {n}\n")
+
+
 def test_lift_classical_copying_tensor(capsys):
     tensor = {"n1": 2, "n2": 2, "data": [1, 0, 0, 0, 0, 0, 0, 1]}
     code, blob = run_cli(

@@ -28,6 +28,11 @@ from liftlab.jsonio import lifting_tensor_to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CLI = ("-m", "liftlab.cli")
+# Identity units of side 64 built fresh, with no copy, and not marked checked.
+UNCHECKED_UNITS_64 = (
+    "import numpy as np; from liftlab.matcore import _Fresh; from liftlab.qlift import CpMap; "
+    "CpMap(_Fresh(np.eye(4096, dtype=complex).reshape(64, 64, 64, 64)))"
+)
 
 # Columns: input files (name: JSON value, passed as @{name}), child
 # arguments after the interpreter, cap in KiB, exit code, stdout (None for
@@ -53,13 +58,14 @@ BUDGETS = {
         (*CLI, "channel", "kraus", "--matrix", "@{w60}", "--out", os.devnull),
         409600, 0, None, "",
     ),
-    # cp_identity(64) builds 256 MiB of units. CpMap takes them as they are,
-    # and its Hermiticity test holds 1.5 times as much again at its peak, so
-    # the run peaks at about 740 MiB of address space (VmPeak); a copy of the
-    # units took it to 1139 MiB and a MemoryError under this 832 MiB cap.
+    # 256 MiB of identity units, handed over fresh but not checked. CpMap
+    # takes them as they are, and its Hermiticity test holds 1.5 times as
+    # much again at its peak, so the run peaks at about 740 MiB of address
+    # space (VmPeak); a copy of the units took it to 1139 MiB and a
+    # MemoryError under this 832 MiB cap.
     "channel-within-2.5-times-its-units": (
         {},
-        ("-c", "from liftlab import cp_identity; cp_identity(64)"),
+        ("-c", UNCHECKED_UNITS_64),
         851968, 0, None, "",
     ),
     # The control: the same call under the 400 MiB cap cannot hold its 256
@@ -68,8 +74,16 @@ BUDGETS = {
     # refusals above exit 2 with or without one.
     "cap-is-applied": (
         {},
-        ("-c", "from liftlab import cp_identity; cp_identity(64)"),
+        ("-c", UNCHECKED_UNITS_64),
         409600, 1, None, r"(?s).*MemoryError: .*",
+    ),
+    # cp_identity(64) builds the same units checked, so CpMap runs no
+    # Hermiticity test on them and the run peaks at about 356 MiB (VmPeak);
+    # with the test it peaked at 740 MiB and died under this 400 MiB cap.
+    "trusted-units-are-held-once": (
+        {},
+        ("-c", "from liftlab import cp_identity; cp_identity(64)"),
+        409600, 0, None, "",
     ),
     # A 400-letter lift bell asks for a 160000 x 160000 state, past the
     # bound, so the call must end in exit 2 and one error line before the

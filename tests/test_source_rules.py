@@ -8,6 +8,10 @@
   size policy (_zeros refuses an array past MAX_DENSE_BYTES, at its dtype's
   entry size, before np.zeros runs), so a bare np.zeros elsewhere would
   allocate unchecked.
+- No ``checked=True`` in jsonio.py or cli.py: those modules read outside
+  input, and a checked _Fresh array skips its receiving type's checks
+  (CpMap's Hermiticity test, CirculantSpec's PSD gate and trace sum), so
+  decoded wire data must always reach them unchecked.
 """
 import re
 from pathlib import Path
@@ -16,17 +20,19 @@ import pytest
 
 LIBRARY = Path(__file__).resolve().parent.parent / "src" / "liftlab"
 
-# name: (pattern, files exempt from it)
+# name: (pattern, files it covers (None for every module), files exempt from it)
 RULES = {
-    "no-silenced-numpy-errors": (r"np.errstate", ()),
-    "no-unguarded-np-zeros": (r"np\.zeros\(", ("matcore.py",)),
+    "no-silenced-numpy-errors": (r"np.errstate", None, ()),
+    "no-unguarded-np-zeros": (r"np\.zeros\(", None, ("matcore.py",)),
+    "no-trusted-wire-data": (r"checked=True", ("jsonio.py", "cli.py"), ()),
 }
 
 
 @pytest.mark.parametrize("rule", RULES)
 def test_library_source_keeps_the_rule(rule):
-    pattern, exempt = RULES[rule]
-    sources = sorted(p for p in LIBRARY.rglob("*.py") if p.name not in exempt)
+    pattern, covered, exempt = RULES[rule]
+    sources = sorted(p for p in LIBRARY.rglob("*.py")
+                     if (covered is None or p.name in covered) and p.name not in exempt)
     assert sources
     hits = [f"{p.relative_to(LIBRARY)}:{n}: {line.strip()}"
             for p in sources

@@ -10,13 +10,16 @@ The constructors' positivity gates are held to the eigensolve they skip
 when a Cholesky factorization certifies their input. CpMap, its
 constructors, the gates and choi_matrix are held to a traced peak, and
 CpMap's units and CirculantSpec's blocks to one bound scan unless their
-constructor knows them bounded. Every constructor whose output outgrows its
+constructor built them checked. Each constructor that hands over a checked
+array passes, on its output, the checks that the receiving type then
+skips, and unchecked or decoded arrays still raise the same errors. Every constructor whose output outgrows its
 input refuses a size past the bound before it allocates, with its message
 pinned where the guard is matcore's allocators', and every sampling draw
 refuses one before it draws. A lift that a semantic check refuses allocates
 none of its output.
 """
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -27,7 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftlab import jsonio, matcore, sampling
+from liftlab import circulant, jsonio, matcore, qlift, sampling
 from liftlab.circulant import (
     BellSpectrum,
     CirculantSpec,
@@ -50,12 +53,14 @@ from liftlab.clift import (
     separable_n_state,
 )
 from liftlab.errors import (
+    BlockNotPSDError,
     DimensionMismatchError,
     LiftlabError,
     MathDomainError,
     NotAStateError,
     NotHermitianError,
     SchemaError,
+    TraceNotOneError,
 )
 from liftlab.matcore import (
     STRUCT_TOL,
@@ -65,6 +70,7 @@ from liftlab.matcore import (
     _check_hermitian,
     _cholesky_certifies,
     _first_non_psd,
+    _Fresh,
     _kron,
     _psd_stack,
     check_state,
@@ -180,6 +186,75 @@ def test_cpmap_hermiticity_check_keeps_one_by_one_units():
         CpMap(np.full((1, 1, 1, 1), 1 + 1j))
     u = np.full((1, 1, 1, 1), 2.0 + 1e-12j)
     np.testing.assert_array_equal(CpMap(u).units, u)
+
+
+def _unit_disc(g, shape) -> np.ndarray:
+    """Complex entries of modulus at most 1."""
+    return np.sqrt(g.random(shape)) * np.exp(2j * np.pi * g.random(shape))
+
+
+@SETTINGS
+@given(d=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_checked_cpmap_units_pass_the_hermiticity_test_they_skip(d, data, seed):
+    # cp_identity, classical_cpmap and cp_from_kraus hand CpMap checked units,
+    # so CpMap skips its Hermiticity test: each output must pass it.
+    g = rng(seed)
+    n = data.draw(st.integers(1, 2 * d), label="Kraus operators")
+    for cp in (cp_identity(d), classical_cpmap(g.standard_normal((d, d))), cp_from_kraus(_unit_disc(g, (n, d, d)))):
+        assert _head_cpmap_offender(np.array(cp.units)) is None
+
+
+@SETTINGS
+@given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_sampled_circulant_blocks_pass_the_gate_they_skip(d, seed):
+    blocks = circulant_spec(rng(seed), d).blocks
+    assert _first_non_psd(blocks) is None
+    circulant._check_trace_sum(blocks)  # the trace sum within TOL
+
+
+def _skew_units() -> np.ndarray:
+    """Identity units of side 2 with units[0, 1][0, 0] = 1j, so that
+    units[0, 1]^dagger differs from units[1, 0]."""
+    u = np.array(cp_identity(2).units)
+    u[0, 1, 0, 0] = 1j
+    return u
+
+
+def test_checked_units_are_taken_as_they_are():
+    u = _skew_units()
+    assert CpMap(_Fresh(u, checked=True)).units is u
+
+
+def test_unchecked_and_decoded_units_raise_one_hermiticity_error():
+    doc = jsonio.cpmap_to_json(CpMap(_Fresh(_skew_units(), checked=True)))
+    builds = (lambda: CpMap(_Fresh(_skew_units())), lambda: CpMap(_skew_units()), lambda: jsonio.json_to_cpmap(doc))
+    for build in builds:
+        with pytest.raises(NotHermitianError, match=r"^units\[0,1\]\^dagger differs from units\[1,0\]$"):
+            build()
+
+
+@pytest.mark.parametrize("blocks, error, message", [
+    ([[[0.6, 0], [0, -0.1]], [[0.5, 0], [0, 0]]], BlockNotPSDError, "block 0 has eigenvalue -1.000e-01"),
+    ([[[0.5, 0], [0, 0]], [[0.4, 0], [0, 0]]], TraceNotOneError, "block traces sum to 0.9, expected 1"),
+])
+def test_unchecked_and_decoded_blocks_raise_one_error(blocks, error, message):
+    blocks = np.array(blocks, dtype=complex)
+    assert CirculantSpec(_Fresh(blocks, checked=True)).blocks is blocks
+    doc = jsonio.circulant_to_json(CirculantSpec(_Fresh(blocks, checked=True)))
+    builds = (lambda: CirculantSpec(_Fresh(blocks.copy())), lambda: CirculantSpec(blocks),
+              lambda: jsonio.json_to_circulant(doc))
+    for build in builds:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_sampled_circulant_specs_run_no_gate(monkeypatch):
+    gated = []
+    monkeypatch.setattr(circulant, "_first_non_psd", lambda ms: gated.append(ms.shape))
+    circulant_spec(rng(4), 4)
+    assert gated == []
+    CirculantSpec(np.array(circulant_spec(rng(4), 4).blocks))  # the spy is live on the public path
+    assert gated == [(4, 4, 4)]
 
 
 @pytest.mark.parametrize("value, count, what", [
@@ -385,7 +460,8 @@ def test_constructors_hand_over_complex_arrays(op):
 
 @pytest.fixture
 def bound_scans(monkeypatch):
-    """Record every array that the number policy's bound check is asked about."""
+    """Record every array that the number policy's bound check is asked about,
+    in matcore and where qlift looks it up (cp_from_kraus scans its own units)."""
     arrays = []
     real = matcore._bounded
 
@@ -394,6 +470,7 @@ def bound_scans(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(matcore, "_bounded", spy)
+    monkeypatch.setattr(qlift, "_bounded", spy)
     return arrays
 
 
@@ -510,12 +587,14 @@ def test_choi_matrix_holds_its_images_and_one_transposed_copy():
 
 
 @pytest.mark.parametrize("name, scans", [
-    ("CpMap", 1), ("cp_identity", 0), ("classical_cpmap", 0), ("json_to_cpmap", 0), ("cp_from_kraus", 1),
+    ("CpMap", 1), ("cp_identity", 0), ("classical_cpmap", 0), ("json_to_cpmap", 1), ("cp_from_kraus", 1),
     ("channel_from_compound", 1),
 ])
 def test_cpmap_units_are_scanned_once_unless_bounded(name, scans, bound_scans):
-    # Identity and classical units hold 0, 1 and read probabilities, and JSON
-    # units were read by _as_array; Kraus and compound products may pass the bound.
+    # Identity and classical units hold 0, 1 and read probabilities, and come
+    # checked. Decoded JSON units are never trusted, so CpMap scans them;
+    # cp_from_kraus scans its product itself, as Kraus products may pass the
+    # bound, and compound products are scanned by CpMap.
     build = _cpmap_builds(2)[name]
     bound_scans.clear()
     cp = build()
@@ -547,15 +626,17 @@ def test_decoded_circulant_blocks_are_held_within_four_and_a_half_times():
     assert peak < 4.5 * 16**3 * 16, peak / 16**3 / 16
 
 
-def test_circulant_blocks_are_scanned_once_unless_decoded(bound_scans):
-    # json_to_circulant hands over blocks that _as_array decoded matrix by
-    # matrix, and circulant_spec blocks whose entries are at most 1; a
-    # caller's array is scanned as it is copied.
+def test_circulant_blocks_are_scanned_once_unless_sampled(bound_scans):
+    # circulant_spec hands over checked blocks, whose entries are at most 1.
+    # json_to_circulant's blocks are decoded wire data, never trusted, so
+    # CirculantSpec scans the stack once more; a caller's array is scanned as
+    # it is copied.
     obj = _circulant_json(3)
     bound_scans.clear()
-    jsonio.json_to_circulant(obj)
     circulant_spec(rng(3), 3)
     assert [x.shape for x in bound_scans if x.ndim == 3] == []
+    jsonio.json_to_circulant(obj)
+    assert [x.shape for x in bound_scans if x.ndim == 3] == [(3, 3, 3)]
     blocks = np.array(jsonio.json_to_circulant(obj).blocks)
     bound_scans.clear()
     CirculantSpec(blocks)
