@@ -14,6 +14,7 @@ from liftlab import (
     circulant_partial_transpose,
     circulant_subspaces,
     is_ppt_circulant,
+    is_psd,
     partial_transpose,
 )
 
@@ -43,8 +44,7 @@ for alpha in range(2):
 verdict, lows = is_ppt_circulant(spec)
 print("block test says PPT:", verdict, " lowest eigenvalue per block:", lows)
 full = partial_transpose(state, 1)
-print("matches the dense partial transpose:",
-      bool(np.linalg.eigvalsh(full.matrix).min() >= -1e-12) == verdict)
+print("matches the dense partial transpose:", is_psd(full)[0] == verdict)
 
 print()
 print("=== Lifting a state along circulant profiles ===")

@@ -35,10 +35,10 @@ from .matcore import (
     _hermitian_spectra,
     _own,
     _psd_verdicts,
+    _read_state,
     _size,
     _zeros,
     check_dense_size,
-    check_state,
 )
 
 
@@ -158,14 +158,6 @@ def is_ppt_circulant(spec: CirculantSpec) -> tuple[bool, np.ndarray]:
     return bool(ok.all()), lows
 
 
-def _state_diagonal(rho, d: int, what: str) -> np.ndarray:
-    """Real diagonal of the state rho, checked to have side d (the size of ``what``)."""
-    state = check_state(rho)
-    if state.matrix.shape[0] != d:
-        raise DimensionMismatchError(f"state side {state.matrix.shape[0]} != {what} {d}")
-    return state.matrix.diagonal().real
-
-
 def circulant_lift(cs, rho) -> FactoredOperator:
     """Lift a state along fixed circulant profiles.
 
@@ -178,7 +170,7 @@ def circulant_lift(cs, rho) -> FactoredOperator:
     blocks' trace sum is checked again.
     """
     profiles = _as_blocks(cs)
-    diagonal = _state_diagonal(rho, profiles.shape[0], "block count")
+    diagonal = _read_state(rho, profiles.shape[0], "block count").diagonal().real
     bad = _first_non_psd(profiles)
     traces = profiles.trace(axis1=1, axis2=2).real
     off = np.flatnonzero(np.abs(traces - 1.0) > TOL)
@@ -201,11 +193,10 @@ def circulant_lift_isometry(cvecs, rho) -> tuple[FactoredOperator, np.ndarray]:
     """
     c = _as_matrix(cvecs, "cvecs")
     d = c.shape[0]
-    for alpha in range(d):
-        nrm = np.linalg.norm(c[alpha])
-        if abs(nrm - 1.0) > TOL:
-            raise NotNormalizedError(f"vector {alpha} has norm {float(nrm)!r}, expected 1")
-    diagonal = _state_diagonal(rho, d, "vector count")
+    off = np.flatnonzero(np.abs(np.linalg.norm(c, axis=1) - 1.0) > TOL)
+    if off.size:
+        raise NotNormalizedError(f"vector {off[0]} has norm {float(np.linalg.norm(c[off[0]]))!r}, expected 1")
+    diagonal = _read_state(rho, d, "vector count").diagonal().real
     check_dense_size((d, d))
     partners = circulant_subspaces(d)
     k = np.arange(d)
@@ -285,7 +276,7 @@ def bell_diagonal_lift(p, rho) -> tuple[FactoredOperator, BellSpectrum]:
     """
     weights = as_probability_vector(p)
     d = weights.size
-    diagonal = _state_diagonal(rho, d, "weight count")
+    diagonal = _read_state(rho, d, "weight count").diagonal().real
     check_dense_size((d, d))
     spectrum = BellSpectrum(np.outer(weights, diagonal))
     phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)

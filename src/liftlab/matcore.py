@@ -28,9 +28,11 @@ a tolerance argument, defaulting to the same value.
                      sums of these (scaled by the entry count, except in
                      is_unital and is_stochastic)
 
-The lowest-eigenvalue test is is_psd's. The constructors' gates
-(check_state, qcp_from_channel, channel_from_compound, CirculantSpec, the
-circulant profiles, separable_n_state's images) read the
+The lowest-eigenvalue test, an eigenvalue of at least -TOL times the
+spectral norm floored at 1, is written once, in _psd_verdicts: is_psd,
+herm_sqrt and the gates' fallback read their verdicts there. The
+constructors' gates (check_state, qcp_from_channel, channel_from_compound,
+CirculantSpec, the circulant profiles, separable_n_state's images) read the
 eigenvalue only to word a failure, so they first certify positivity by one
 Cholesky factorization of the Hermitian part plus (TOL / 2) I, the shift
 added in place (_first_non_psd), and run the eigensolve on the same
@@ -45,12 +47,16 @@ another object, and it is finite with modulus at most _MAX_MODULUS (2**60),
 for a complex number each of its parts: anything else is a SchemaError.
 The count at _MAX_MODULUS shows that no product or sum the package forms
 from such numbers leaves the float range, so no inf or NaN test follows the
-readers and no overflow is silenced. Only the JSON writers skip the bound. Each kind of input has one reader. _size
-reads sizes, indices and party counts (operator.index, no bool, one lower
-bound; party counts at most _MAX_FACTORS, which FactoredOperator also holds
-its dims to); _as_matrix square matrices; classical._read_probabilities
-probability data: no entry below -PROB_TOL, each sum within PROB_TOL per
-entry of 1. Other sums go through _abs_close, np.allclose(rtol=0)'s verdict.
+readers and no overflow is silenced. Only the JSON writers skip the bound.
+Each kind of input has one reader. _size reads sizes, indices and party
+counts (operator.index, no bool, one lower bound; party counts at most
+_MAX_FACTORS, which FactoredOperator also holds its dims to); _as_matrix
+square matrices; _read_state a lift's input state (check_state, then its
+side); qlift._read_square a map's d x d argument; qlift._qcp_matrix a chain
+link (a QcpOperator is read as its operator, its source map aside);
+classical._read_probabilities probability data: no entry below -PROB_TOL,
+each sum within PROB_TOL per entry of 1. Other sums go through _abs_close,
+np.allclose(rtol=0)'s verdict.
 
 Copies and checks: one rule, _own, decides for FactoredOperator(m),
 CpMap(units) and CirculantSpec(blocks) whether the array is copied and
@@ -424,16 +430,15 @@ def check_dense_size(dims) -> None:
     _check_bytes((side, side), "operator")
 
 
-def sandwich_right(x, r) -> np.ndarray:
-    """(I x r) x (I x r) with the k x k matrix r on the rightmost slots of x.
+def _sandwich_right(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(I x r) x (I x r) with the k x k matrix r on the rightmost slots of x,
+    for arrays the caller has read.
 
     r multiplies each k-row block of x from the left (a batched product on
     the (side/k, k, side) reshape), then each k-column block from the right
     (one product on the (side^2/k, k) reshape): O(side^2 k) in all, and
     I x r is never formed.
     """
-    x = np.asarray(x)
-    r = np.asarray(r)
     side, k = x.shape[0], r.shape[0]
     if x.shape != (side, side) or r.shape != (k, k) or side % k:
         raise DimensionMismatchError(f"cannot sandwich shape {x.shape} with a {r.shape} right factor")
@@ -499,11 +504,6 @@ def partial_transpose(op: FactoredOperator, factor: int) -> FactoredOperator:
     return FactoredOperator(_Fresh(t.reshape(side, side), checked=True), op.dims)
 
 
-def _spectral_scale(w: np.ndarray) -> np.ndarray:
-    """Tolerance scale of each spectrum (last axis): spectral norm floored at 1."""
-    return np.maximum.reduce(np.abs(w), axis=-1, initial=1.0)
-
-
 def _check_hermitian(m: np.ndarray, tol: float = TOL) -> np.ndarray:
     """Hermitian part 0.5 * (m + m^dagger), rounded once, of each matrix of a
     (..., n, n) stack; raises for the first that is not Hermitian."""
@@ -535,9 +535,10 @@ def _hermitian_spectra(ms: np.ndarray, tol: float = TOL) -> np.ndarray:
 def _psd_verdicts(w: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
     """:func:`is_psd` of every matrix in a Hermitian (..., n, n) stack, read
     from its (..., n) eigenvalues ``w``: (ok, min_eigenvalue) arrays of the
-    stack's shape."""
+    stack's shape. ok is the lowest eigenvalue at least -tol times the
+    spectral norm floored at 1: the one place that threshold is written."""
     lows = np.minimum.reduce(w, axis=-1, initial=np.inf)  # a 0 x 0 matrix passes
-    return lows >= -tol * _spectral_scale(w), lows
+    return lows >= -tol * np.maximum.reduce(np.abs(w), axis=-1, initial=1.0), lows
 
 
 def _psd_stack(ms: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -600,8 +601,9 @@ def herm_sqrt(m) -> np.ndarray:
     """
     h = _check_hermitian(_as_matrix(m))
     w, v = _eig(np.linalg.eigh, h)
-    if w.size and w[0] < -TOL * _spectral_scale(w):  # eigh sorts ascending; a 0 x 0 matrix passes
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e}, below PSD tolerance")
+    ok, low = _psd_verdicts(w)
+    if not ok:
+        raise NotPSDError(f"matrix has eigenvalue {low:.3e}, below PSD tolerance")
     w = np.maximum(w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 
@@ -622,3 +624,11 @@ def check_state(op) -> FactoredOperator:
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotAStateError(f"state trace {tr} differs from 1")
     return fo
+
+
+def _read_state(rho, d: int, what: str) -> np.ndarray:
+    """The matrix of :func:`check_state` (rho), required to have side d, the size of ``what``."""
+    m = check_state(rho).matrix
+    if m.shape[0] != d:
+        raise DimensionMismatchError(f"state side {m.shape[0]} != {what} {d}")
+    return m

@@ -49,13 +49,14 @@ from .matcore import (
     _Fresh,
     _kron,
     _own,
+    _read_state,
+    _sandwich_right,
     _size,
     _zeros,
     check_dense_size,
     check_state,
     herm_sqrt,
     partial_trace,
-    sandwich_right,
 )
 
 
@@ -74,6 +75,14 @@ from .matcore import (
 _REAL_CHAIN_MAX_D = 4
 # A column of 1 and i: the two rows s of a real chain kernel (_link_kernel).
 _ONE_I = np.array([[1], [1j]])
+
+
+def _read_square(x, d: int, what: str) -> np.ndarray:
+    """_as_matrix of x, required to be d x d."""
+    m = _as_matrix(x, what)
+    if m.shape != (d, d):
+        raise DimensionMismatchError(f"{what} shape {m.shape}, expected {(d, d)}")
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,17 +129,11 @@ class CpMap:
 
     def apply(self, x) -> np.ndarray:
         """Evaluate Lambda(x) by linearity over matrix units."""
-        xm = _as_matrix(x, "input")
-        if xm.shape != (self.d, self.d):
-            raise DimensionMismatchError(f"input shape {xm.shape}, expected {(self.d, self.d)}")
-        return np.einsum("ij,ijkl->kl", xm, self.units)
+        return np.einsum("ij,ijkl->kl", _read_square(x, self.d, "input"), self.units)
 
     def adjoint_apply(self, rho) -> np.ndarray:
         """Adjoint under the bilinear pairing Tr(Lambda(a) rho) = Tr(a Lambda#(rho))."""
-        rm = _as_matrix(rho, "input")
-        if rm.shape != (self.d, self.d):
-            raise DimensionMismatchError(f"input shape {rm.shape}, expected {(self.d, self.d)}")
-        return np.einsum("ijkl,lk->ji", self.units, rm)
+        return np.einsum("ijkl,lk->ji", self.units, _read_square(rho, self.d, "input"))
 
 
 def cp_identity(d: int) -> CpMap:
@@ -182,7 +185,7 @@ class QcpOperator:
 
     @property
     def d(self) -> int:
-        return self.source.d
+        return self.op.dims[0]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -207,8 +210,9 @@ def qcp_from_channel(cp: CpMap) -> QcpOperator:
 
 
 def _qcp_matrix(pi) -> tuple[np.ndarray, int]:
+    """A link's d^2 x d^2 matrix and d; a QcpOperator is read as its operator."""
     if isinstance(pi, QcpOperator):
-        return pi.matrix, pi.d
+        pi = pi.op
     if isinstance(pi, FactoredOperator):
         if pi.n_factors != 2 or pi.dims[0] != pi.dims[1]:
             raise DimensionMismatchError(f"conditional operator needs dims (d, d), got {pi.dims}")
@@ -303,10 +307,7 @@ def _read_links(pis: list, rho):
     check_dense_size(dims)
     root = None
     if rho is not None:
-        state = check_state(rho).matrix
-        if state.shape[0] != d:
-            raise DimensionMismatchError(f"state side {state.shape[0]} != conditional side {d}")
-        root = herm_sqrt(state)
+        root = herm_sqrt(_read_state(rho, d, "conditional side"))
     links = {key: m for key, (m, _) in mats.items()}
     bounded = all(np.abs(m).max(initial=0.0) <= d for m in links.values())
     roots = {key: herm_sqrt(links[key]) for key in dict.fromkeys(map(id, pis[-2::-1]))}
@@ -348,7 +349,7 @@ def _chain(pis, rho=None) -> FactoredOperator:
     d = dims[0]
     cur = links[id(pis[-1])]  # a caller's array when pis has one element
     if len(pis) == 1:
-        cur = cur.copy() if rho is None else sandwich_right(cur, root)
+        cur = cur.copy() if rho is None else _sandwich_right(cur, root)
         return FactoredOperator(_Fresh(cur, bounded), dims)
     real = d <= _REAL_CHAIN_MAX_D
     inner = pis[-2:0:-1]  # the links of every stage but the last, in stage order
@@ -409,9 +410,7 @@ def channel_from_compound(theta: FactoredOperator, rho) -> CpMap:
     if not isinstance(theta, FactoredOperator) or theta.n_factors != 2 or theta.dims[0] != theta.dims[1]:
         raise DimensionMismatchError("compound state must be a FactoredOperator with dims (d, d)")
     d = theta.dims[0]
-    rm = _as_matrix(rho, "marginal")
-    if rm.shape != (d, d):
-        raise DimensionMismatchError(f"marginal shape {rm.shape}, expected {(d, d)}")
+    rm = _read_square(rho, d, "marginal")
     w, v = _eig(np.linalg.eigh, _check_hermitian(rm))
     if w[0] <= TOL:
         raise NotFaithfulError(f"marginal has eigenvalue {w[0]:.3e}; need strict positivity")
@@ -433,9 +432,7 @@ def robertson_map(x) -> np.ndarray:
     1/2 [[I tr X22, X12 + R(X21)], [X21 + R(X12), I tr X11]] where
     R(Y) = I tr Y - Y.
     """
-    xm = _as_matrix(x, "input")
-    if xm.shape != (4, 4):
-        raise DimensionMismatchError(f"input shape {xm.shape}, expected (4, 4)")
+    xm = _read_square(x, 4, "input")
     x11, x12 = xm[:2, :2], xm[:2, 2:]
     x21, x22 = xm[2:, :2], xm[2:, 2:]
     eye2 = np.eye(2)

@@ -500,7 +500,7 @@ def test_library_faults_keep_the_library_order(capsys):
 
 
 def test_quantum_lifts_check_the_state_once(capsys, monkeypatch):
-    import liftlab.circulant
+    import liftlab.matcore
     import liftlab.qlift
 
     calls = []
@@ -511,7 +511,7 @@ def test_quantum_lifts_check_the_state_once(capsys, monkeypatch):
             return check(rho)
         return wrapper
 
-    for module in (liftlab.qlift, liftlab.circulant):
+    for module in (liftlab.qlift, liftlab.matcore):  # ohya_lift's check_state, and _read_state's
         monkeypatch.setattr(module, "check_state", counted(module.check_state))
     identity = {"d": 2, "units": [{"rows": 2, "cols": 2, "data": [[float(k == u), 0] for k in range(4)]}
                                   for u in range(4)]}

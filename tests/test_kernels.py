@@ -7,7 +7,7 @@ products sum the same terms in another order, so every comparison holds to
 1e-13 (times the number of Kraus operators) over seeded d = 1..9 and 16.
 channel_from_compound's broadcast product is held to the three-operand
 einsum it replaced. The N-party chain reference is the earlier two-product
-stage, cur x I_d in a zeroed buffer then sandwich_right with sqrt(pi); the
+stage, cur x I_d in a zeroed buffer then _sandwich_right with sqrt(pi); the
 library's one-product stages agree with it to 1e-12 at d = 1..5, as real
 products up to qlift._REAL_CHAIN_MAX_D and as complex ones above it.
 """
@@ -40,7 +40,7 @@ from liftlab.errors import (
     NotPSDError,
     TraceNotOneError,
 )
-from liftlab.matcore import herm_sqrt, partial_transpose, sandwich_right, unit_matrix
+from liftlab.matcore import _sandwich_right, herm_sqrt, partial_transpose, unit_matrix
 from liftlab import qlift
 from liftlab.qlift import (
     CpMap,
@@ -403,11 +403,11 @@ def _kron_eye(x, d):
 
 def _two_product_chain(mats):
     """The composite chained from mats (innermost link first), one stage at
-    a time as sandwich_right(cur x I_d, sqrt(pi))."""
+    a time as _sandwich_right(cur x I_d, sqrt(pi))."""
     d = int(round(mats[0].shape[0] ** 0.5))
     cur = mats[-1]
     for m in mats[-2::-1]:
-        cur = sandwich_right(_kron_eye(cur, d), herm_sqrt(m))
+        cur = _sandwich_right(_kron_eye(cur, d), herm_sqrt(m))
     return cur
 
 
@@ -428,11 +428,11 @@ def test_one_product_chain_matches_two_product_stages(d):
                                    _two_product_chain([p.matrix for p in alternating[: parties - 1]]),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(n_nonlinear_lift(pi, rho, parties).matrix,
-                                   sandwich_right(repeated, herm_sqrt(rho)), rtol=0, atol=1e-12)
+                                   _sandwich_right(repeated, herm_sqrt(rho)), rtol=0, atol=1e-12)
     # One link: the caller's operator, copied; parties=2: the plain sandwich.
     pi, rho = qcp_from_channel(unital_cpmap(g, d)), density(g, d)
     np.testing.assert_array_equal(n_compose_qcp([pi]).matrix, pi.matrix)
-    np.testing.assert_array_equal(n_nonlinear_lift(pi, rho, 2).matrix, sandwich_right(pi.matrix, herm_sqrt(rho)))
+    np.testing.assert_array_equal(n_nonlinear_lift(pi, rho, 2).matrix, _sandwich_right(pi.matrix, herm_sqrt(rho)))
 
 
 def test_chain_roots_still_raise_the_square_root_errors():

@@ -342,8 +342,17 @@ NAMED = [
      "conditional operator needs dims (d, d), got (2, 3)"),
     (lambda: liftlab.n_compose_qcp([np.eye(4) / 2, np.eye(9) / 3]), "DimensionMismatchError",
      "conditional operators must share one factor size"),
+    # A state one side too large, as every lift words it (matcore._read_state).
     (lambda: liftlab.nonlinear_lift(np.eye(4) / 2, np.eye(3) / 3), "DimensionMismatchError",
      "state side 3 != conditional side 2"),
+    (lambda: liftlab.n_nonlinear_lift(np.eye(4) / 2, np.eye(3) / 3, 3), "DimensionMismatchError",
+     "state side 3 != conditional side 2"),
+    (lambda: liftlab.circulant_lift(np.stack([I2 / 2, I2 / 2]), np.eye(3) / 3), "DimensionMismatchError",
+     "state side 3 != block count 2"),
+    (lambda: liftlab.circulant_lift_isometry(I2, np.eye(3) / 3), "DimensionMismatchError",
+     "state side 3 != vector count 2"),
+    (lambda: liftlab.bell_diagonal_lift([0.5, 0.5], np.eye(3) / 3), "DimensionMismatchError",
+     "state side 3 != weight count 2"),
     (lambda: liftlab.channel_from_compound(np.eye(4) / 4, I2 / 2), "DimensionMismatchError",
      "compound state must be a FactoredOperator with dims (d, d)"),
     (lambda: probability_vector(rng(0), -1), "DimensionMismatchError", "n must be at least 0, got -1"),

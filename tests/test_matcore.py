@@ -13,12 +13,12 @@ from liftlab.errors import (
 )
 from liftlab.matcore import (
     FactoredOperator,
+    _sandwich_right,
     check_state,
     herm_sqrt,
     is_psd,
     partial_trace,
     partial_transpose,
-    sandwich_right,
     tensor,
     trace_out,
     unit_matrix,
@@ -192,11 +192,11 @@ def test_sandwich_right_matches_kron_sandwich():
         x = g.standard_normal((side, side)) + 1j * g.standard_normal((side, side))
         r = g.standard_normal((k, k)) + 1j * g.standard_normal((k, k))
         s = np.kron(np.eye(side // k), r)
-        np.testing.assert_allclose(sandwich_right(x, r), s @ x @ s, atol=1e-12)
+        np.testing.assert_allclose(_sandwich_right(x, r), s @ x @ s, atol=1e-12)
     with pytest.raises(DimensionMismatchError):
-        sandwich_right(np.eye(6), np.eye(4))
+        _sandwich_right(np.eye(6), np.eye(4))
     with pytest.raises(DimensionMismatchError):
-        sandwich_right(np.eye(6), np.ones((3, 2)))
+        _sandwich_right(np.eye(6), np.ones((3, 2)))
 
 
 def _no_convergence(*args, **kwargs):

@@ -27,6 +27,7 @@ from liftlab.clift import (
 from liftlab.matcore import FactoredOperator, herm_sqrt, is_psd, partial_trace, trace_out
 from liftlab.qlift import (
     CpMap,
+    QcpOperator,
     channel_from_compound,
     choi_matrix,
     classical_cpmap,
@@ -524,14 +525,14 @@ def test_n_party_lift_reads_each_input_once(monkeypatch):
     pi, rho = qcp_from_channel(unital_cpmap(g, 2)), density(g, 2)
     want = n_nonlinear_lift(pi, rho, 6)
     calls = []
-    for name in ("_qcp_matrix", "check_dense_size", "check_state"):
-        def spy(x, real=getattr(qlift, name), name=name):
+    for name in ("_qcp_matrix", "check_dense_size", "_read_state"):
+        def spy(x, *rest, real=getattr(qlift, name), name=name):
             calls.append((name, x))
-            return real(x)
+            return real(x, *rest)
 
         monkeypatch.setattr(qlift, name, spy)
     got = n_nonlinear_lift(pi, rho, 6)
-    assert [name for name, _ in calls] == ["_qcp_matrix", "check_dense_size", "check_state"]
+    assert [name for name, _ in calls] == ["_qcp_matrix", "check_dense_size", "_read_state"]
     assert calls[0][1] is pi and calls[2][1] is rho
     np.testing.assert_array_equal(got.matrix, want.matrix)
     # Two link objects in a chain are each decoded once, in list order.
@@ -539,6 +540,17 @@ def test_n_party_lift_reads_each_input_once(monkeypatch):
     calls.clear()
     n_compose_qcp([pi, raw, pi, raw])
     assert [id(x) for name, x in calls if name == "_qcp_matrix"] == [id(pi), id(raw)]
+
+
+def test_a_hand_built_qcp_operator_is_read_as_its_operator():
+    # Its source map has side 2 and its operator side 3: the chain reads the operator alone.
+    h = QcpOperator(FactoredOperator(np.eye(9) / 3, (3, 3)), cp_identity(2))
+    assert h.d == 3
+    for lift in (lambda: nonlinear_lift(h, np.eye(2) / 2), lambda: n_nonlinear_lift(h, np.eye(2) / 2, 3)):
+        with pytest.raises(DimensionMismatchError) as info:
+            lift()
+        assert str(info.value) == "state side 2 != conditional side 3"
+    np.testing.assert_array_equal(n_compose_qcp([h, h]).matrix, n_compose_qcp([h.op, h.op]).matrix)
 
 
 @pytest.mark.parametrize("scale", [2.0**40, 2.0**50, 2.0**60])

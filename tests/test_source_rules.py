@@ -12,6 +12,9 @@
   input, and a checked _Fresh array skips its receiving type's checks
   (CpMap's Hermiticity test, CirculantSpec's PSD gate and trace sum), so
   decoded wire data must always reach them unchecked.
+- The text ``state side`` only in matcore.py: matcore._read_state is the one
+  reader of a lift's input state (check_state, then its side), and a second
+  copy of that check would word its refusal apart from it.
 """
 import re
 from pathlib import Path
@@ -25,6 +28,7 @@ RULES = {
     "no-silenced-numpy-errors": (r"np.errstate", None, ()),
     "no-unguarded-np-zeros": (r"np\.zeros\(", None, ("matcore.py",)),
     "no-trusted-wire-data": (r"checked=True", ("jsonio.py", "cli.py"), ()),
+    "one-state-reader": (r"state side", None, ("matcore.py",)),
 }
 
 

@@ -12,8 +12,8 @@ import liftlab
 from liftlab.circulant import circulant_lift_isometry
 from liftlab.classical import as_probability_vector, is_stochastic, is_unital
 from liftlab.clift import MarkovSpec, as_lifting_tensor, gamma_lifting, is_nondemolition, ohya_tensor
-from liftlab.errors import NegativeEntryError, NotAStateError, NotCompatibleError, NotNormalizedError
-from liftlab.matcore import check_state
+from liftlab.errors import NegativeEntryError, NotAStateError, NotCompatibleError, NotNormalizedError, NotPSDError
+from liftlab.matcore import check_state, herm_sqrt, is_psd
 from liftlab.qlift import CpMap, channel_from_compound, cp_identity, nonlinear_lift, qcp_from_channel
 
 TUNABLE = {
@@ -53,6 +53,25 @@ def test_isometry_vector_norms_use_the_spectral_tolerance():
     circulant_lift_isometry(np.eye(2) * (1 + 5e-10), rho)
     with pytest.raises(NotNormalizedError, match="norm"):
         circulant_lift_isometry(np.eye(2) * (1 + 2e-9), rho)
+
+
+# The lowest eigenvalue's edge, -TOL times the spectral norm floored at 1,
+# at norms 1 and 10: herm_sqrt refuses exactly what is_psd refuses.
+@pytest.mark.parametrize("diagonal, accepted", [
+    ([1, -1e-9], True),
+    ([10, -1e-8], True),
+    ([1, -1.1e-9], False),
+    ([10, -1.1e-8], False),
+])
+def test_herm_sqrt_and_is_psd_share_one_psd_edge(diagonal, accepted):
+    m = np.diag(diagonal)
+    assert is_psd(m)[0] is accepted
+    try:
+        herm_sqrt(m)
+    except NotPSDError:
+        assert not accepted
+    else:
+        assert accepted
 
 
 def test_probability_sum_tolerance_scales_with_the_entry_count():
