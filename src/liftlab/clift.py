@@ -102,12 +102,12 @@ def lift(t, p) -> FactoredOperator:
     return n_lift(t, p, 2)
 
 
-def is_nondemolition(t, atol: float = PROB_TOL) -> bool:
+def is_nondemolition(t) -> bool:
     """True when summing out the new factor returns the identity:
     sum_j E[i, j, k] = delta(i, k), so the retained marginal equals the
-    input for every state."""
+    input for every state. Each sum is held to PROB_TOL per entry summed."""
     e = as_lifting_tensor(t)
-    return _abs_close(e.sum(axis=1), np.eye(e.shape[0]), atol * max(1, e.shape[1]))
+    return _abs_close(e.sum(axis=1), np.eye(e.shape[0]), PROB_TOL * max(1, e.shape[1]))
 
 
 def is_markovian_lifting(t) -> tuple[bool, np.ndarray | None]:
@@ -251,13 +251,14 @@ def transition_expectation_sides(spec: MarkovSpec, observables) -> tuple[float, 
     return float(lhs), rhs
 
 
-def verify_transition_expectation(spec: MarkovSpec, parties: int, observables, atol: float = PROB_TOL) -> bool:
-    """Check the joint expectation against the nested one-step form."""
+def verify_transition_expectation(spec: MarkovSpec, parties: int, observables) -> bool:
+    """Check the joint expectation against the nested one-step form, to
+    PROB_TOL relative to the larger side (floored at 1)."""
     obs = list(observables)
     if len(obs) != _size(parties, "parties", 1, _MAX_FACTORS):
         raise DimensionMismatchError(f"{len(obs)} observables for {parties} parties")
     lhs, rhs = transition_expectation_sides(spec, obs)
-    return abs(lhs - rhs) <= atol * max(1.0, abs(lhs), abs(rhs))
+    return abs(lhs - rhs) <= PROB_TOL * max(1.0, abs(lhs), abs(rhs))
 
 
 def separable_n_state(p, maps) -> FactoredOperator:

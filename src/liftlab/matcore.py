@@ -8,9 +8,8 @@ order, and factor labels passed to :func:`partial_trace` and
 system 1). Basis indices are 0-based everywhere.
 
 Tolerance policy: every check in liftlab compares against one of the
-constants below. Only is_psd, is_unital, is_stochastic, is_doubly_stochastic,
-is_nondemolition, verify_transition_expectation and run_suite (--tol) take
-a tolerance argument, defaulting to the same value.
+constants below. Only is_unital, is_stochastic, is_doubly_stochastic and
+run_suite (--tol) take a tolerance argument, defaulting to the same value.
 
   TOL         1e-9   relative: Hermiticity (to the largest entry) and the
                      lowest eigenvalue (to the spectral norm, floored at 1)
@@ -30,15 +29,16 @@ a tolerance argument, defaulting to the same value.
 
 The lowest-eigenvalue test, an eigenvalue of at least -TOL times the
 spectral norm floored at 1, is written once, in _psd_verdicts: is_psd,
-herm_sqrt and the gates' fallback read their verdicts there. The
-constructors' gates (check_state, qcp_from_channel, channel_from_compound,
-CirculantSpec, the circulant profiles, separable_n_state's images) read the
-eigenvalue only to word a failure, so they first certify positivity by one
-Cholesky factorization of the Hermitian part plus (TOL / 2) I, the shift
-added in place (_first_non_psd), and run the eigensolve on the same
-Hermitian part, formed again, only when that fails, for the verdict and the
-message. is_psd, herm_sqrt and everything verify measures keep the
-eigensolve.
+herm_sqrt and the gates' fallback read their verdicts there. The gates
+(check_state, QcpOperator, a chain's unrooted outermost link,
+channel_from_compound, CirculantSpec, the circulant profiles,
+separable_n_state's images) read the eigenvalue only to word a failure,
+so they first certify positivity by one Cholesky factorization of the
+Hermitian part plus (TOL / 2) I, the shift added in place (_first_non_psd),
+and run the eigensolve on the same Hermitian part, formed again, only when
+that fails, for the verdict and the message. is_psd, herm_sqrt and
+everything verify measures keep the eigensolve. No PSD test takes a
+tolerance: TOL is read where it is used.
 
 Inputs: numpy converts caller data only in _as_array, which holds library
 arrays and the JSON decoders' lists to one number policy. A number is an
@@ -53,10 +53,9 @@ counts (operator.index, no bool, one lower bound; party counts at most
 _MAX_FACTORS, which FactoredOperator also holds its dims to); _as_matrix
 square matrices; _read_state a lift's input state (check_state, then its
 side); qlift._read_square a map's d x d argument; qlift._qcp_matrix a chain
-link (a QcpOperator is read as its operator, its source map aside);
-classical._read_probabilities probability data: no entry below -PROB_TOL,
-each sum within PROB_TOL per entry of 1. Other sums go through _abs_close,
-np.allclose(rtol=0)'s verdict.
+link (a QcpOperator is a checked link); classical._read_probabilities
+probability data: no entry below -PROB_TOL, each sum within PROB_TOL per
+entry of 1. Other sums go through _abs_close, np.allclose(rtol=0)'s verdict.
 
 Copies and checks: one rule, _own, decides for FactoredOperator(m),
 CpMap(units) and CirculantSpec(blocks) whether the array is copied and
@@ -169,6 +168,8 @@ MMAP_DIAGONAL_SIDE = 2048
 # d^2 2^60.5 (qlift._chain), under 2^934 in all.
 _MAX_MODULUS = 2.0**60
 _PAST_BOUND = "{} must hold finite numbers of modulus at most 2**60"
+# herm_sqrt's refusal, which qlift's chains also give an outermost link.
+_NOT_PSD = "matrix has eigenvalue {:.3e}, below PSD tolerance"
 # Types that np.array reads as numbers but that are not numbers here.
 _BOOLS = frozenset((bool, np.bool_))
 
@@ -504,16 +505,17 @@ def partial_transpose(op: FactoredOperator, factor: int) -> FactoredOperator:
     return FactoredOperator(_Fresh(t.reshape(side, side), checked=True), op.dims)
 
 
-def _check_hermitian(m: np.ndarray, tol: float = TOL) -> np.ndarray:
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
     """Hermitian part 0.5 * (m + m^dagger), rounded once, of each matrix of a
-    (..., n, n) stack; raises for the first that is not Hermitian."""
+    (..., n, n) stack; raises for the first that is not Hermitian to TOL
+    times its largest entry, floored at 1."""
     scale = np.maximum.reduce(np.abs(m), axis=(-2, -1), initial=1.0)
     mh = m.swapaxes(-1, -2).conj()
     dev = np.maximum.reduce(np.abs(m - mh), axis=(-2, -1), initial=0.0)
-    bad = dev > tol * scale
+    bad = dev > TOL * scale
     if bad.any():
         k = int(np.argmax(bad))
-        raise NotHermitianError(f"deviation from Hermiticity {dev.flat[k]:.3e} exceeds {tol:.1e} * {scale.flat[k]:.3e}")
+        raise NotHermitianError(f"deviation from Hermiticity {dev.flat[k]:.3e} exceeds {TOL:.1e} * {scale.flat[k]:.3e}")
     return 0.5 * (m + mh)
 
 
@@ -526,38 +528,39 @@ def _eig(solve, h: np.ndarray):
         raise EigensolverError(f"Hermitian eigensolver failed: {exc}") from None
 
 
-def _hermitian_spectra(ms: np.ndarray, tol: float = TOL) -> np.ndarray:
+def _hermitian_spectra(ms: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of the Hermitian part of each matrix in a
     (..., n, n) stack, from one stacked eigensolve: a (..., n) array."""
-    return _eig(np.linalg.eigvalsh, _check_hermitian(ms, tol))
+    return _eig(np.linalg.eigvalsh, _check_hermitian(ms))
 
 
-def _psd_verdicts(w: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
+def _psd_verdicts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`is_psd` of every matrix in a Hermitian (..., n, n) stack, read
     from its (..., n) eigenvalues ``w``: (ok, min_eigenvalue) arrays of the
-    stack's shape. ok is the lowest eigenvalue at least -tol times the
+    stack's shape. ok is the lowest eigenvalue at least -TOL times the
     spectral norm floored at 1: the one place that threshold is written."""
     lows = np.minimum.reduce(w, axis=-1, initial=np.inf)  # a 0 x 0 matrix passes
-    return lows >= -tol * np.maximum.reduce(np.abs(w), axis=-1, initial=1.0), lows
+    return lows >= -TOL * np.maximum.reduce(np.abs(w), axis=-1, initial=1.0), lows
 
 
-def _psd_stack(ms: np.ndarray, tol: float = TOL) -> tuple[np.ndarray, np.ndarray]:
+def _psd_stack(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_psd_verdicts` of the Hermitian part of each matrix in ms."""
-    return _psd_verdicts(_hermitian_spectra(ms, tol), tol)
+    return _psd_verdicts(_hermitian_spectra(ms))
 
 
-def _cholesky_certifies(h: np.ndarray, tol: float = TOL) -> bool:
-    """True when one Cholesky factorization of h + (tol / 2) I, for the
+def _cholesky_certifies(h: np.ndarray) -> bool:
+    """True when one Cholesky factorization of h + (TOL / 2) I, for the
     finite Hermitian (..., n, n) stack h, succeeds with a finite factor.
 
     The shift is added to h's diagonal in place, through a reshaped view:
-    h must be C-contiguous, and is the caller's to give up. Then every lowest eigenvalue is above -tol / 2
-    up to rounding far below that, so every matrix passes :func:`is_psd`.
+    h must be C-contiguous, and is the caller's to give up. Then every
+    lowest eigenvalue is above -TOL / 2 up to rounding far below that, so
+    every matrix passes :func:`is_psd`.
     False says only that the factorization failed. An empty stack or a
     0 x 0 matrix passes.
     """
     n = h.shape[-1]
-    h.reshape(*h.shape[:-2], n * n)[..., :: n + 1] += tol / 2  # the diagonal, as a strided view
+    h.reshape(*h.shape[:-2], n * n)[..., :: n + 1] += TOL / 2  # the diagonal, as a strided view
     try:
         return bool(np.isfinite(np.linalg.cholesky(h)).all())
     except np.linalg.LinAlgError:
@@ -581,15 +584,15 @@ def _first_non_psd(ms: np.ndarray) -> tuple[int, float] | None:
     return k, np.ravel(lows)[k]
 
 
-def is_psd(m, tol: float = TOL) -> tuple[bool, float]:
+def is_psd(m) -> tuple[bool, float]:
     """Positivity test for a Hermitian matrix.
 
     Returns ``(ok, min_eigenvalue)`` where ok means the smallest eigenvalue
-    is above ``-tol`` relative to the spectral-norm estimate. Raises
-    :class:`NotHermitianError` on non-Hermitian input and
+    is at least -TOL times the spectral norm floored at 1 (_psd_verdicts).
+    Raises :class:`NotHermitianError` on non-Hermitian input and
     :class:`SchemaError` on an entry past the number policy (_as_array).
     """
-    ok, lo = _psd_stack(_as_matrix(m), tol)
+    ok, lo = _psd_stack(_as_matrix(m))
     return bool(ok), float(lo)
 
 
@@ -603,7 +606,7 @@ def herm_sqrt(m) -> np.ndarray:
     w, v = _eig(np.linalg.eigh, h)
     ok, low = _psd_verdicts(w)
     if not ok:
-        raise NotPSDError(f"matrix has eigenvalue {low:.3e}, below PSD tolerance")
+        raise NotPSDError(_NOT_PSD.format(low))
     w = np.maximum(w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 

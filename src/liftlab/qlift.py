@@ -31,10 +31,12 @@ from .errors import (
     NotCPError,
     NotFaithfulError,
     NotHermitianError,
+    NotPSDError,
     NotUnitalError,
 )
 from .matcore import (
     _MAX_FACTORS,
+    _NOT_PSD,
     CPMAP_RTOL,
     STRUCT_TOL,
     TOL,
@@ -175,13 +177,32 @@ def classical_cpmap(conditional) -> CpMap:
     return CpMap(_Fresh(units, checked=True))
 
 
+def _link_side(op) -> int:
+    """d of a FactoredOperator link, required to have dims (d, d)."""
+    if not isinstance(op, FactoredOperator) or op.n_factors != 2 or op.dims[0] != op.dims[1]:
+        raise DimensionMismatchError(f"conditional operator needs dims (d, d), got {getattr(op, 'dims', None)}")
+    return op.dims[0]
+
+
 @dataclass(frozen=True, eq=False)
 class QcpOperator:
     """Conditional-probability operator pi = sum_ij e_ij x Lambda(e_ij)
-    together with its source map."""
+    together with its source map.
+
+    The operator is checked at construction, the one gate of a conditional
+    operator: a FactoredOperator with dims (d, d) (DimensionMismatchError)
+    that is PSD (NotCPError, by _first_non_psd). A chain trusts it from then
+    on. The source map is kept as given and never read.
+    """
 
     op: FactoredOperator
     source: CpMap
+
+    def __post_init__(self):
+        _link_side(self.op)
+        bad = _first_non_psd(self.op.matrix)
+        if bad:
+            raise NotCPError(f"conditional operator has eigenvalue {bad[1]:.3e}; map is not CP")
 
     @property
     def d(self) -> int:
@@ -196,27 +217,24 @@ def qcp_from_channel(cp: CpMap) -> QcpOperator:
     """Build pi from a unital CP map and validate both properties.
 
     Raises NotUnitalError when the unit-sum of images differs from the
-    identity and NotCPError when pi fails positive semidefiniteness.
+    identity, and then QcpOperator's NotCPError when pi fails positive
+    semidefiniteness.
     """
     d = cp.d
     if not cp.unital:
         raise NotUnitalError("sum of diagonal-unit images differs from the identity")
     pi = cp.units.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    bad = _first_non_psd(pi)
-    if bad:
-        raise NotCPError(f"conditional operator has eigenvalue {bad[1]:.3e}; map is not CP")
     # checked: pi is a permutation of the units, which CpMap holds to the bound.
     return QcpOperator(FactoredOperator(_Fresh(pi, checked=True), (d, d)), cp)
 
 
 def _qcp_matrix(pi) -> tuple[np.ndarray, int]:
-    """A link's d^2 x d^2 matrix and d; a QcpOperator is read as its operator."""
+    """A link's d^2 x d^2 matrix and d; a QcpOperator, checked when it was
+    built, is read as its operator."""
     if isinstance(pi, QcpOperator):
-        pi = pi.op
+        return pi.matrix, pi.d
     if isinstance(pi, FactoredOperator):
-        if pi.n_factors != 2 or pi.dims[0] != pi.dims[1]:
-            raise DimensionMismatchError(f"conditional operator needs dims (d, d), got {pi.dims}")
-        return pi.matrix, pi.dims[0]
+        return pi.matrix, _link_side(pi)
     m = _as_array(pi, "conditional operator", complex)
     d = int(round(m.shape[0] ** 0.5)) if m.ndim == 2 else 0
     if d == 0 or m.shape != (d * d, d * d):
@@ -294,8 +312,12 @@ def _read_links(pis: list, rho):
     also appears there: a chain never reads its root, and rooting it would
     add a d^2-sided eigensolve to every two-party lift.
 
+    Each distinct link is checked PSD once: a QcpOperator when it was built,
+    a link in pis[:-1] by herm_sqrt as it is rooted, and an unrooted pis[-1]
+    by _first_non_psd, with herm_sqrt's NotHermitianError or NotPSDError.
     rho is checked as a state, then for its side, then rooted. Errors come
-    in the order decoding, dense size, state, side, link roots.
+    in the order decoding, dense size, state, side, link roots, outermost
+    link, so an input with a bad inner link fails on that link's root.
     """
     if not pis:
         raise DimensionMismatchError("need at least one conditional operator")
@@ -305,12 +327,14 @@ def _read_links(pis: list, rho):
         raise DimensionMismatchError("conditional operators must share one factor size")
     dims = (d,) * _size(len(pis) + 1, "parties", 2, _MAX_FACTORS)
     check_dense_size(dims)
-    root = None
-    if rho is not None:
-        root = herm_sqrt(_read_state(rho, d, "conditional side"))
+    root = None if rho is None else herm_sqrt(_read_state(rho, d, "conditional side"))
     links = {key: m for key, (m, _) in mats.items()}
     bounded = all(np.abs(m).max(initial=0.0) <= d for m in links.values())
     roots = {key: herm_sqrt(links[key]) for key in dict.fromkeys(map(id, pis[-2::-1]))}
+    # The outermost link, unless a root or its QcpOperator checked it already.
+    bad = None if id(pis[-1]) in roots or isinstance(pis[-1], QcpOperator) else _first_non_psd(links[id(pis[-1])])
+    if bad:
+        raise NotPSDError(_NOT_PSD.format(bad[1]))
     return links, dims, root, bounded, roots
 
 
@@ -333,8 +357,8 @@ def _chain(pis, rho=None) -> FactoredOperator:
     _REAL_CHAIN_MAX_D every product runs on the float view of pairs against
     the real form of the kernels, built once per distinct link.
 
-    Every link but pis[-1] is PSD (herm_sqrt checks it), and sqrt(rho) has
-    norm at most 1. A link's entries have parts of modulus at most 2**60 (the
+    Every link is PSD (_read_links checks each once), and sqrt(rho) has norm
+    at most 1. A link's entries have parts of modulus at most 2**60 (the
     readers' bound), so its norm is at most d^2 2^60.5 and a stage multiplies
     the composite's norm by at most that: over the at most 15 links, with
     d^(2(N-1)) <= 2^26 on the at most 2^13-sided output (check_dense_size),

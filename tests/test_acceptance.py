@@ -223,7 +223,7 @@ def test_criterion_06_composition_chain_peeling():
         pis = [qcp_from_channel(unital_cpmap(g, 2)) for _ in range(3)]
         for length in range(2, 4):
             composite = n_compose_qcp(pis[:length])
-            psd_ok = psd_ok and is_psd(composite.matrix, 1e-9)[0]
+            psd_ok = psd_ok and is_psd(composite.matrix)[0]
             peeled = trace_out(composite, {composite.n_factors})
             shorter = n_compose_qcp(pis[: length - 1])
             worst = max(worst, float(np.abs(peeled.matrix - shorter.matrix).max()))
@@ -280,7 +280,7 @@ def test_criterion_08_circulant_partial_transpose_and_ppt():
         generic = partial_transpose(state, 1).matrix
         worst = max(worst, float(np.abs(rebuilt - generic).max()))
         block_verdict, _ = is_ppt_circulant(spec)
-        full_verdict, _ = is_psd(generic, 1e-9)
+        full_verdict, _ = is_psd(generic)
         agreements += int(block_verdict == full_verdict)
     passed = worst < 1e-12 and agreements == 1000
     report(8, passed, f"entrywise {worst:.2e}, oracle agreement {agreements}/1000")

@@ -145,7 +145,7 @@ def test_ppt_oracle_agreement():
         spec = circulant_spec(g, d)
         verdict, lows = is_ppt_circulant(spec)
         pt = partial_transpose(build_circulant(spec), 1)
-        full_ok, _ = is_psd(pt.matrix, 1e-9)
+        full_ok, _ = is_psd(pt.matrix)
         assert verdict == full_ok
         assert lows.shape == (d,)
 
@@ -335,4 +335,9 @@ def test_bell_diagonal_lift_random_projections():
                 weight = np.trace(proj @ lifted.matrix).real
                 assert weight == pytest.approx(p[m] * pops[n], abs=1e-12)
                 assert spectrum.p[m, n] == pytest.approx(p[m] * pops[n], abs=1e-12)
-        assert is_psd(lifted.matrix, 1e-10)[0]
+        # is_psd's test at 1e-10 in place of TOL: Hermitian to 1e-10 of the largest
+        # entry, lowest eigenvalue at least -1e-10 times the spectral norm floored at 1.
+        m = lifted.matrix
+        assert np.abs(m - m.conj().T).max() <= 1e-10 * max(1.0, np.abs(m).max())
+        w = np.linalg.eigvalsh(m)
+        assert w[0] >= -1e-10 * max(1.0, np.abs(w).max()), w[0]

@@ -117,7 +117,7 @@ def test_nondemolition_means_marginal_preserved():
         p = probability_vector(g, n1)
         kept = trace_out(lift(e, p), {2})
         preserved = np.allclose(np.diag(kept.matrix).real, p, atol=1e-10)
-        assert preserved == is_nondemolition(e, atol=1e-10)
+        assert preserved == is_nondemolition(e)
 
 
 def test_markovian_detection():
@@ -276,7 +276,7 @@ def test_transition_expectation_identity():
         parties = int(g.integers(1, 5))
         random_spec = markov_spec(g, n)
         obs = [g.uniform(-1, 1, n) for _ in range(parties)]
-        assert verify_transition_expectation(random_spec, parties, obs, atol=1e-11)
+        assert verify_transition_expectation(random_spec, parties, obs)
 
 
 def test_transition_expectation_needs_matching_count():

@@ -435,8 +435,9 @@ def test_one_product_chain_matches_two_product_stages(d):
     np.testing.assert_array_equal(n_nonlinear_lift(pi, rho, 2).matrix, _sandwich_right(pi.matrix, herm_sqrt(rho)))
 
 
-def test_chain_roots_still_raise_the_square_root_errors():
-    pi = qcp_from_channel(unital_cpmap(rng(770), 2)).matrix
+def test_chain_roots_still_raise_the_square_root_errors(monkeypatch):
+    qcp = qcp_from_channel(unital_cpmap(rng(770), 2))
+    pi = qcp.matrix
     skew = pi.copy()
     skew[0, 1] += 0.5
     negative = pi - 2 * np.eye(4)
@@ -445,5 +446,18 @@ def test_chain_roots_still_raise_the_square_root_errors():
             n_compose_qcp([bad, pi])
         with pytest.raises(error):
             n_nonlinear_lift(bad, np.eye(2) / 2, 3)
-        # The outermost link is used as given, and no root of it is taken.
-        assert n_compose_qcp([pi, bad]).dims == (2, 2, 2)
+        # The outermost link is checked as well, with the inner link's error.
+        with pytest.raises(error):
+            n_compose_qcp([pi, bad])
+    # A valid outermost link is used as given: no root of it is taken.
+    rooted = []
+    real = qlift.herm_sqrt
+    monkeypatch.setattr(qlift, "herm_sqrt", lambda m: rooted.append(m) or real(m))
+    rho = np.eye(2) / 2
+    for outer in (pi.copy(), qcp.op, qcp):
+        rooted.clear()
+        assert n_compose_qcp([pi, outer]).dims == (2, 2, 2)
+        assert [id(m) for m in rooted] == [id(pi)]
+        rooted.clear()
+        nonlinear_lift(outer, rho)
+        assert [m.shape for m in rooted] == [(2, 2)]  # sqrt(rho) alone

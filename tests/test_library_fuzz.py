@@ -342,6 +342,13 @@ NAMED = [
      "conditional operator needs dims (d, d), got (2, 3)"),
     (lambda: liftlab.n_compose_qcp([np.eye(4) / 2, np.eye(9) / 3]), "DimensionMismatchError",
      "conditional operators must share one factor size"),
+    # A hand-built conditional operator is checked when it is built.
+    (lambda: liftlab.QcpOperator(np.eye(4) / 2, liftlab.cp_identity(2)), "DimensionMismatchError",
+     "conditional operator needs dims (d, d), got None"),
+    (lambda: liftlab.QcpOperator(FactoredOperator(np.eye(6), (2, 3)), liftlab.cp_identity(2)),
+     "DimensionMismatchError", "conditional operator needs dims (d, d), got (2, 3)"),
+    (lambda: liftlab.QcpOperator(FactoredOperator(np.diag([1.0, 1, 1, -1]), (2, 2)), liftlab.cp_identity(2)),
+     "NotCPError", "conditional operator has eigenvalue -1.000e+00; map is not CP"),
     # A state one side too large, as every lift words it (matcore._read_state).
     (lambda: liftlab.nonlinear_lift(np.eye(4) / 2, np.eye(3) / 3), "DimensionMismatchError",
      "state side 3 != conditional side 2"),

@@ -11,6 +11,7 @@ from liftlab.errors import (
     NotCPError,
     NotFaithfulError,
     NotHermitianError,
+    NotPSDError,
     NotUnitalError,
     SchemaError,
 )
@@ -132,8 +133,12 @@ def test_qcp_positivity_and_marginal():
     for _ in range(20):
         d = int(g.integers(2, 5))
         pi = qcp_from_channel(unital_cpmap(g, d))
-        ok, lo = is_psd(pi.matrix, 1e-10)
-        assert ok, lo
+        # is_psd's test at 1e-10 in place of TOL: Hermitian to 1e-10 of the largest
+        # entry, lowest eigenvalue at least -1e-10 times the spectral norm floored at 1.
+        m = pi.matrix
+        assert np.abs(m - m.conj().T).max() <= 1e-10 * max(1.0, np.abs(m).max())
+        w = np.linalg.eigvalsh(m)
+        assert w[0] >= -1e-10 * max(1.0, np.abs(w).max()), w[0]
         left = trace_out(pi.op, {2}).matrix
         np.testing.assert_allclose(left, np.eye(d), atol=1e-10)
 
@@ -161,7 +166,7 @@ def test_nonlinear_lift_marginals():
         np.testing.assert_allclose(
             partial_trace(lifted, {2}).matrix, cp.adjoint_apply(state).T, atol=1e-10
         )
-        assert is_psd(lifted.matrix, 1e-9)[0]
+        assert is_psd(lifted.matrix)[0]
 
 
 def test_nonlinear_lift_identity_on_maximally_mixed():
@@ -208,7 +213,7 @@ def test_compound_chain_peeling():
         peeled = trace_out(full, {full.n_factors})
         shorter = n_compose_qcp(pis[: length - 1])
         np.testing.assert_allclose(peeled.matrix, shorter.matrix, atol=1e-9)
-        assert is_psd(full.matrix, 1e-9)[0]
+        assert is_psd(full.matrix)[0]
 
 
 def test_n_nonlinear_lift_two_party_case():
@@ -301,7 +306,7 @@ def test_lifting_assisted_map_closed_form():
         )
         np.testing.assert_allclose(got, expect, atol=1e-11)
         assert np.trace(got) == pytest.approx(1.0, abs=1e-11)
-        assert is_psd(got, 1e-9)[0]
+        assert is_psd(got)[0]
 
 
 def test_lifting_assisted_map_is_omega_independent():
@@ -331,8 +336,8 @@ def test_positive_map_witnessed_not_cp():
     phi = lifting_assisted_map(robertson_map, np.eye(2) / 2)
     for _ in range(20):
         state = density(g, 2)
-        assert is_psd(phi(state), 1e-9)[0]
-    assert not is_psd(choi_matrix(phi, 2).matrix, 1e-9)[0]
+        assert is_psd(phi(state))[0]
+    assert not is_psd(choi_matrix(phi, 2).matrix)[0]
 
 
 def _dense_sandwich(x, r):
@@ -551,6 +556,70 @@ def test_a_hand_built_qcp_operator_is_read_as_its_operator():
             lift()
         assert str(info.value) == "state side 2 != conditional side 3"
     np.testing.assert_array_equal(n_compose_qcp([h, h]).matrix, n_compose_qcp([h.op, h.op]).matrix)
+
+
+# A non-Hermitian and a non-PSD link, as raw arrays and as FactoredOperators.
+BAD_LINKS = {
+    "skew": np.triu(np.ones((4, 4))),
+    "negative": np.diag([1.0, 1, 1, -1]),
+    "skew operator": FactoredOperator(np.triu(np.ones((4, 4))), (2, 2)),
+    "negative operator": FactoredOperator(np.diag([1.0, 1, 1, -1]), (2, 2)),
+}
+_PI = qcp_from_channel(cp_identity(2))
+_RHO = np.eye(2) / 2
+# Each position a link takes in a chain: rooted when inner, used unrooted when outermost.
+POSITIONS = {
+    "n_compose_qcp inner": lambda bad: n_compose_qcp([bad, _PI]),
+    "n_compose_qcp outermost": lambda bad: n_compose_qcp([_PI, bad]),
+    "n_compose_qcp only": lambda bad: n_compose_qcp([bad]),
+    "compose_qcp outermost": lambda bad: compose_qcp(np.eye(4) / 2, bad),
+    "n_nonlinear_lift inner and outermost": lambda bad: n_nonlinear_lift(bad, _RHO, 3),
+    "n_nonlinear_lift outermost": lambda bad: n_nonlinear_lift(bad, _RHO, 2),
+    "nonlinear_lift": lambda bad: nonlinear_lift(bad, _RHO),
+}
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+@pytest.mark.parametrize("link", BAD_LINKS)
+def test_a_bad_link_is_refused_alike_in_every_position(link, position):
+    bad = BAD_LINKS[link]
+    with pytest.raises((NotHermitianError, NotPSDError)) as want:
+        herm_sqrt(bad)
+    with pytest.raises(type(want.value)) as got:
+        POSITIONS[position](bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_conditional_operator_is_checked_once_when_it_is_built(monkeypatch):
+    g = rng(72)
+    checked = []
+    real = qlift._first_non_psd
+    monkeypatch.setattr(qlift, "_first_non_psd", lambda m: checked.append(m) or real(m))
+    pi, other = qcp_from_channel(unital_cpmap(g, 2)), qcp_from_channel(unital_cpmap(g, 2))
+    assert len(checked) == 2
+    rho = density(g, 2)
+    nonlinear_lift(pi, rho)
+    n_nonlinear_lift(pi, rho, 4)
+    n_compose_qcp([pi, other, pi])
+    compose_qcp(pi, other)
+    assert len(checked) == 2
+    # A raw outermost link is checked once, unless a root checks it.
+    raw = np.array(pi.matrix)
+    n_compose_qcp([other, raw])
+    assert len(checked) == 3 and checked[2] is raw
+    n_compose_qcp([raw, raw])
+    n_nonlinear_lift(raw, rho, 3)
+    assert len(checked) == 3
+    # A map that is neither unital nor CP is reported as not unital.
+    swap = np.zeros((2, 2, 2, 2))
+    for i in range(2):
+        for j in range(2):
+            swap[i, j, j, i] = 2.0
+    with pytest.raises(NotUnitalError):
+        qcp_from_channel(CpMap(swap))
+    with pytest.raises(NotCPError):
+        qcp_from_channel(CpMap(swap / 2))
+    assert len(checked) == 4
 
 
 @pytest.mark.parametrize("scale", [2.0**40, 2.0**50, 2.0**60])

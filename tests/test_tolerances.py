@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import liftlab
+from liftlab import matcore
 from liftlab.circulant import circulant_lift_isometry
 from liftlab.classical import as_probability_vector, is_stochastic, is_unital
 from liftlab.clift import MarkovSpec, as_lifting_tensor, gamma_lifting, is_nondemolition, ohya_tensor
@@ -17,12 +18,9 @@ from liftlab.matcore import check_state, herm_sqrt, is_psd
 from liftlab.qlift import CpMap, channel_from_compound, cp_identity, nonlinear_lift, qcp_from_channel
 
 TUNABLE = {
-    "is_psd",
     "is_unital",
     "is_stochastic",
     "is_doubly_stochastic",
-    "is_nondemolition",
-    "verify_transition_expectation",
     "run_suite",
 }
 
@@ -40,6 +38,15 @@ def test_only_the_checks_callers_tune_take_a_tolerance():
         if {"tol", "atol"} & set(params):
             tunable.add(name)
     assert tunable == TUNABLE
+
+
+@pytest.mark.parametrize("helper", [
+    "_check_hermitian", "_hermitian_spectra", "_psd_verdicts", "_psd_stack", "_cholesky_certifies", "is_psd",
+])
+def test_the_psd_threshold_takes_no_tolerance(helper):
+    # The PSD rule reads TOL in place: no helper on its path carries a knob.
+    params = inspect.signature(getattr(matcore, helper)).parameters
+    assert not {"tol", "atol"} & set(params)
 
 
 def test_state_trace_tolerance_is_ten_times_the_spectral_one():
@@ -118,7 +125,7 @@ SUM_CHECKS = {
     "as_lifting_tensor": lambda s: _accepts(as_lifting_tensor, ohya_tensor(2) * s),
     "gamma_lifting": lambda s: _accepts(gamma_lifting, np.eye(4) * s, [0.5, 0.5], [0.5, 0.5]),
     "MarkovSpec": lambda s: _accepts(MarkovSpec, np.eye(2) * s, [0.5, 0.5]),
-    "is_nondemolition": lambda s: _accepts(is_nondemolition, _nondemolition_tensor(s - 1), atol=2e-6),
+    "is_nondemolition": lambda s: _accepts(is_nondemolition, _nondemolition_tensor(s - 1)),
     "is_unital": lambda s: _accepts(is_unital, np.eye(2) * s),
     "is_stochastic": lambda s: _accepts(is_stochastic, np.eye(2) * s),
     "CpMap.unital": lambda s: CpMap(cp_identity(2).units * s).unital,

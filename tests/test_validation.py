@@ -799,7 +799,7 @@ def test_psd_certificate_gives_the_eigensolve_outcomes(low, scale, k, d, zeros, 
         lambda: separable_n_state(np.full(k, 1.0 / max(k, 1)), [images, images]),
     ]
     certified = [_outcome(call) for call in calls]
-    with mock.patch.object(matcore, "_cholesky_certifies", lambda h, tol=TOL: False):
+    with mock.patch.object(matcore, "_cholesky_certifies", lambda h: False):
         solved = [_outcome(call) for call in calls]
     assert certified == solved
     if low >= 0 and scale == 1 and d >= 2:
@@ -836,7 +836,7 @@ def test_gates_on_valid_input_run_no_eigensolve(eigensolves, monkeypatch):
     # the profile's eigenvalues are the weights p, already validated.
     checked = []
     real = matcore._cholesky_certifies
-    monkeypatch.setattr(matcore, "_cholesky_certifies", lambda h, tol=TOL: checked.append(h.shape) or real(h, tol))
+    monkeypatch.setattr(matcore, "_cholesky_certifies", lambda h: checked.append(h.shape) or real(h))
     bell_diagonal_lift(p, rho)
     assert checked == [(8, 8)]
 
