@@ -29,7 +29,7 @@ rotate = cp_from_kraus([h])
 pi = qcp_from_channel(rotate)
 print("for the Hadamard rotation the 4 x 4 operator is PSD with unit left marginal:")
 print(pi.matrix.real)
-print("left marginal:", np.diag(trace_out(pi.op, {2}).matrix).real)
+print("left marginal:", np.diag(trace_out(pi, {2}).matrix).real)
 
 print()
 print("=== Compound state of a channel over an input state ===")

@@ -71,20 +71,21 @@ def permutation_inverse(perm) -> np.ndarray:
     return np.argsort(as_permutation(perm))
 
 
-def is_unital(weights, atol: float = PROB_TOL) -> bool:
+def is_unital(weights) -> bool:
     """Columns sum to one (the identity observable is preserved)."""
-    w = as_channel(weights)
-    return _abs_close(w.sum(0), 1.0, atol)
+    return _abs_close(as_channel(weights).sum(0), 1.0, PROB_TOL)
 
 
-def is_stochastic(weights, atol: float = PROB_TOL) -> bool:
+def is_stochastic(weights) -> bool:
     """Rows sum to one (the state action preserves total probability)."""
-    w = as_channel(weights)
-    return _abs_close(w.sum(1), 1.0, atol)
+    return _abs_close(as_channel(weights).sum(1), 1.0, PROB_TOL)
 
 
 def is_doubly_stochastic(weights, atol: float = PROB_TOL) -> bool:
-    return is_unital(weights, atol) and is_stochastic(weights, atol)
+    """Columns and rows sum to one, each sum within atol of 1: the channel
+    is unital and its state action preserves total probability."""
+    w = as_channel(weights)
+    return _abs_close(w.sum(0), 1.0, atol) and _abs_close(w.sum(1), 1.0, atol)
 
 
 def _contract(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -184,7 +185,7 @@ def classical_choi(weights) -> FactoredOperator:
     uniform. Requires unitality.
     """
     w = as_channel(weights)
-    if not is_unital(w):
+    if not _abs_close(w.sum(0), 1.0, PROB_TOL):
         raise NotUnitalError(f"columns sum to {w.sum(0).tolist()}, expected all 1")
     return diagonal_operator(w / w.shape[1], w.shape)
 

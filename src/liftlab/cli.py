@@ -98,7 +98,7 @@ def cmd_lift_ohya(args) -> tuple[dict, int]:
 
 
 def cmd_lift_qcp(args) -> tuple[dict, int]:
-    return {"operator": jsonio.factored_to_json(qcp_from_channel(args.channel).op)}, 0
+    return {"operator": jsonio.factored_to_json(qcp_from_channel(args.channel))}, 0
 
 
 def cmd_lift_nonlinear(args) -> tuple[dict, int]:

@@ -246,7 +246,7 @@ def transition_expectation_sides(spec: MarkovSpec, observables) -> tuple[float, 
         lhs = np.tensordot(a, lhs, axes=(0, 0))
     x = obs[-1]
     for k in range(n_parties - 2, -1, -1):
-        x = markov_operator(spec, x) * obs[k]
+        x = (spec.conditional.T @ x) * obs[k]  # the step P of markov_operator, on read data
     rhs = float(spec.initial @ x)
     return float(lhs), rhs
 

@@ -8,8 +8,8 @@ order, and factor labels passed to :func:`partial_trace` and
 system 1). Basis indices are 0-based everywhere.
 
 Tolerance policy: every check in liftlab compares against one of the
-constants below. Only is_unital, is_stochastic, is_doubly_stochastic and
-run_suite (--tol) take a tolerance argument, defaulting to the same value.
+constants below. Only is_doubly_stochastic and run_suite (--tol) take a
+tolerance argument, defaulting to the same value.
 
   TOL         1e-9   relative: Hermiticity (to the largest entry) and the
                      lowest eigenvalue (to the spectral norm, floored at 1)
@@ -25,7 +25,7 @@ run_suite (--tol) take a tolerance argument, defaulting to the same value.
   PROB_TOL    1e-12  absolute: negative probabilities, channel weights,
                      lifting-tensor, joint-channel and Markov entries, and
                      sums of these (scaled by the entry count, except in
-                     is_unital and is_stochastic)
+                     is_unital, is_stochastic and is_doubly_stochastic)
 
 The lowest-eigenvalue test, an eigenvalue of at least -TOL times the
 spectral norm floored at 1, is written once, in _psd_verdicts: is_psd,
@@ -53,7 +53,8 @@ counts (operator.index, no bool, one lower bound; party counts at most
 _MAX_FACTORS, which FactoredOperator also holds its dims to); _as_matrix
 square matrices; _read_state a lift's input state (check_state, then its
 side); qlift._read_square a map's d x d argument; qlift._qcp_matrix a chain
-link (a QcpOperator is a checked link); classical._read_probabilities
+link (a QcpOperator is a FactoredOperator with dims (d, d), checked PSD when
+it is built, so a checked link); classical._read_probabilities
 probability data: no entry below -PROB_TOL, each sum within PROB_TOL per
 entry of 1. Other sums go through _abs_close, np.allclose(rtol=0)'s verdict.
 

@@ -177,40 +177,33 @@ def classical_cpmap(conditional) -> CpMap:
     return CpMap(_Fresh(units, checked=True))
 
 
-def _link_side(op) -> int:
+def _link_side(op: FactoredOperator) -> int:
     """d of a FactoredOperator link, required to have dims (d, d)."""
-    if not isinstance(op, FactoredOperator) or op.n_factors != 2 or op.dims[0] != op.dims[1]:
-        raise DimensionMismatchError(f"conditional operator needs dims (d, d), got {getattr(op, 'dims', None)}")
+    if op.n_factors != 2 or op.dims[0] != op.dims[1]:
+        raise DimensionMismatchError(f"conditional operator needs dims (d, d), got {op.dims}")
     return op.dims[0]
 
 
 @dataclass(frozen=True, eq=False)
-class QcpOperator:
-    """Conditional-probability operator pi = sum_ij e_ij x Lambda(e_ij)
-    together with its source map.
+class QcpOperator(FactoredOperator):
+    """Conditional-probability operator pi = sum_ij e_ij x Lambda(e_ij): a
+    FactoredOperator on two d-dimensional factors.
 
-    The operator is checked at construction, the one gate of a conditional
-    operator: a FactoredOperator with dims (d, d) (DimensionMismatchError)
-    that is PSD (NotCPError, by _first_non_psd). A chain trusts it from then
-    on. The source map is kept as given and never read.
+    It is checked at construction, the one gate of a conditional operator:
+    after FactoredOperator's own checks, dims (d, d) (DimensionMismatchError)
+    and PSD (NotCPError, by _first_non_psd). A chain trusts it from then on.
     """
 
-    op: FactoredOperator
-    source: CpMap
-
     def __post_init__(self):
-        _link_side(self.op)
-        bad = _first_non_psd(self.op.matrix)
+        super().__post_init__()
+        _link_side(self)
+        bad = _first_non_psd(self.matrix)
         if bad:
             raise NotCPError(f"conditional operator has eigenvalue {bad[1]:.3e}; map is not CP")
 
     @property
     def d(self) -> int:
-        return self.op.dims[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
+        return self.dims[0]
 
 
 def qcp_from_channel(cp: CpMap) -> QcpOperator:
@@ -225,14 +218,12 @@ def qcp_from_channel(cp: CpMap) -> QcpOperator:
         raise NotUnitalError("sum of diagonal-unit images differs from the identity")
     pi = cp.units.transpose(0, 2, 1, 3).reshape(d * d, d * d)
     # checked: pi is a permutation of the units, which CpMap holds to the bound.
-    return QcpOperator(FactoredOperator(_Fresh(pi, checked=True), (d, d)), cp)
+    return QcpOperator(_Fresh(pi, checked=True), (d, d))
 
 
 def _qcp_matrix(pi) -> tuple[np.ndarray, int]:
-    """A link's d^2 x d^2 matrix and d; a QcpOperator, checked when it was
-    built, is read as its operator."""
-    if isinstance(pi, QcpOperator):
-        return pi.matrix, pi.d
+    """A link's d^2 x d^2 matrix and d; a FactoredOperator (a QcpOperator
+    among them) is read as its matrix."""
     if isinstance(pi, FactoredOperator):
         return pi.matrix, _link_side(pi)
     m = _as_array(pi, "conditional operator", complex)
@@ -374,7 +365,7 @@ def _chain(pis, rho=None) -> FactoredOperator:
     cur = links[id(pis[-1])]  # a caller's array when pis has one element
     if len(pis) == 1:
         cur = cur.copy() if rho is None else _sandwich_right(cur, root)
-        return FactoredOperator(_Fresh(cur, bounded), dims)
+        return FactoredOperator(_Fresh(cur, checked=bounded), dims)
     real = d <= _REAL_CHAIN_MAX_D
     inner = pis[-2:0:-1]  # the links of every stage but the last, in stage order
     kernels = {key: _link_kernel(roots[key], d, False, real) for key in dict.fromkeys(map(id, inner))}
@@ -389,7 +380,7 @@ def _chain(pis, rho=None) -> FactoredOperator:
     cur = np.matmul(pairs, _link_kernel(last, d, True, real))
     if real:
         cur = cur.view(complex)
-    return FactoredOperator(_Fresh(cur.reshape(a * d * d, a * d * d), bounded), dims)
+    return FactoredOperator(_Fresh(cur.reshape(a * d * d, a * d * d), checked=bounded), dims)
 
 
 def compose_qcp(pi1, pi2) -> FactoredOperator:

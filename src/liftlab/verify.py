@@ -399,7 +399,7 @@ def _qcp_unital(g):
     d = int(g.integers(2, 4))
     q = qcp_from_channel(sampling.unital_cpmap(g, d))
     _, lo = is_psd(q.matrix)
-    return -min(lo, 0.0), _dev(partial_trace(q.op, {1}).matrix, np.eye(d))
+    return -min(lo, 0.0), _dev(partial_trace(q, {1}).matrix, np.eye(d))
 
 
 @_check(

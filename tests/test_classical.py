@@ -11,6 +11,7 @@ from liftlab.errors import (
     NotUnitalError,
     SchemaError,
 )
+from liftlab import classical
 from liftlab.classical import (
     apply_kraus,
     apply_to_observable,
@@ -199,3 +200,16 @@ def test_validators_reject_non_finite_entries():
             as_probability_vector([bad, 1.0])
         with pytest.raises(SchemaError, match="channel weights must hold finite numbers"):
             as_channel([[bad, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_doubly_stochastic([[0.3, 0.7], [0.7, 0.3]]),
+    lambda: classical_choi([[0.3, 0.7], [0.7, 0.3]]),
+    lambda: max_correlated_state([1, 2, 0]),
+], ids=["is_doubly_stochastic", "classical_choi", "max_correlated_state"])
+def test_channel_weights_are_read_once(monkeypatch, call):
+    reads = []
+    real = classical.as_channel
+    monkeypatch.setattr(classical, "as_channel", lambda w: reads.append(w) or real(w))
+    call()
+    assert len(reads) == 1

@@ -1,6 +1,8 @@
 """End-to-end tests of the command line interface via its main() entry point."""
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,6 +21,17 @@ def run_cli(capsys, *argv):
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
 
+
+def test_the_console_script_is_cli_run():
+    # pyproject.toml's [project.scripts], read by pattern (no tomllib on Python 3.10).
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    scripts = dict(re.findall(r'^(\S+)\s*=\s*"([^"]*)"', section, re.M))
+    assert scripts == {"liftlab": "liftlab.cli:run"}
+    module, attr = scripts["liftlab"].split(":")
+    assert getattr(importlib.import_module(module), attr) is cli.run
 
 def test_channel_apply_identity(capsys):
     code, blob = run_cli(

@@ -30,7 +30,7 @@ from liftlab.clift import (
     transition_expectation_sides,
     verify_transition_expectation,
 )
-from liftlab import matcore
+from liftlab import clift, matcore
 from liftlab.matcore import partial_trace, trace_out
 from liftlab.qlift import ohya_lift
 from liftlab.sampling import lifting_tensor, markov_spec, probability_vector, rng
@@ -111,13 +111,35 @@ def test_nondemolition_predicate():
 
 def test_nondemolition_means_marginal_preserved():
     g = rng(31)
+    draws = []
     for _ in range(40):
         n1, n2 = int(g.integers(2, 5)), int(g.integers(2, 5))
-        e = lifting_tensor(g, n1, n2)
-        p = probability_vector(g, n1)
+        draws.append((lifting_tensor(g, n1, n2), probability_vector(g, n1)))
+    # Draws that are nondemolition, so that the True side is compared as well.
+    for n in (2, 3, 4):
+        draws.append((markov_tensor(markov_spec(g, n).conditional), probability_vector(g, n)))
+        mix = 0.5 * ohya_tensor(n) + 0.5 * product_tensor(probability_vector(g, n), n)
+        draws.append((mix, probability_vector(g, n)))
+    verdicts = set()
+    for e, p in draws:
         kept = trace_out(lift(e, p), {2})
         preserved = np.allclose(np.diag(kept.matrix).real, p, atol=1e-10)
         assert preserved == is_nondemolition(e)
+        verdicts.add(preserved)
+    assert verdicts == {False, True}
+
+
+def test_transition_expectation_reads_each_observable_once(monkeypatch):
+    # Every observable is within the bound; the nested side's intermediates
+    # (2**118 and past) are not re-read as observables.
+    spec = MarkovSpec(np.full((2, 2), 0.5), [0.5, 0.5])
+    obs = [2.0**59 * np.ones(2)] * 3
+    stepped = []
+    monkeypatch.setattr(clift, "markov_operator", lambda *a: stepped.append(a))
+    lhs, rhs = transition_expectation_sides(spec, obs)
+    assert lhs == rhs == 2.0**177
+    assert verify_transition_expectation(spec, 3, obs)
+    assert stepped == []
 
 
 def test_markovian_detection():

@@ -40,7 +40,7 @@ from liftlab.errors import (
     NotPSDError,
     TraceNotOneError,
 )
-from liftlab.matcore import _sandwich_right, herm_sqrt, partial_transpose, unit_matrix
+from liftlab.matcore import FactoredOperator, _sandwich_right, herm_sqrt, partial_transpose, unit_matrix
 from liftlab import qlift
 from liftlab.qlift import (
     CpMap,
@@ -454,7 +454,7 @@ def test_chain_roots_still_raise_the_square_root_errors(monkeypatch):
     real = qlift.herm_sqrt
     monkeypatch.setattr(qlift, "herm_sqrt", lambda m: rooted.append(m) or real(m))
     rho = np.eye(2) / 2
-    for outer in (pi.copy(), qcp.op, qcp):
+    for outer in (pi.copy(), FactoredOperator(qcp.matrix, qcp.dims), qcp):
         rooted.clear()
         assert n_compose_qcp([pi, outer]).dims == (2, 2, 2)
         assert [id(m) for m in rooted] == [id(pi)]

@@ -1,10 +1,11 @@
 """Tests for quantum conditional probability operators and quantum liftings."""
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from liftlab import matcore, qlift
+from liftlab import jsonio, matcore, qlift
 from liftlab.errors import (
     DimensionMismatchError,
     NotCompatibleError,
@@ -25,7 +26,16 @@ from liftlab.clift import (
     transition_expectation_sides,
     verify_transition_expectation,
 )
-from liftlab.matcore import FactoredOperator, herm_sqrt, is_psd, partial_trace, trace_out
+from liftlab.matcore import (
+    FactoredOperator,
+    check_state,
+    herm_sqrt,
+    is_psd,
+    partial_trace,
+    partial_transpose,
+    tensor,
+    trace_out,
+)
 from liftlab.qlift import (
     CpMap,
     QcpOperator,
@@ -139,7 +149,7 @@ def test_qcp_positivity_and_marginal():
         assert np.abs(m - m.conj().T).max() <= 1e-10 * max(1.0, np.abs(m).max())
         w = np.linalg.eigvalsh(m)
         assert w[0] >= -1e-10 * max(1.0, np.abs(w).max()), w[0]
-        left = trace_out(pi.op, {2}).matrix
+        left = trace_out(pi, {2}).matrix
         np.testing.assert_allclose(left, np.eye(d), atol=1e-10)
 
 
@@ -548,14 +558,56 @@ def test_n_party_lift_reads_each_input_once(monkeypatch):
 
 
 def test_a_hand_built_qcp_operator_is_read_as_its_operator():
-    # Its source map has side 2 and its operator side 3: the chain reads the operator alone.
-    h = QcpOperator(FactoredOperator(np.eye(9) / 3, (3, 3)), cp_identity(2))
+    # A side-3 operator built by hand: a lift of a side-2 state is refused against side 3.
+    h = QcpOperator(np.eye(9) / 3, (3, 3))
     assert h.d == 3
     for lift in (lambda: nonlinear_lift(h, np.eye(2) / 2), lambda: n_nonlinear_lift(h, np.eye(2) / 2, 3)):
         with pytest.raises(DimensionMismatchError) as info:
             lift()
         assert str(info.value) == "state side 2 != conditional side 3"
-    np.testing.assert_array_equal(n_compose_qcp([h, h]).matrix, n_compose_qcp([h.op, h.op]).matrix)
+    np.testing.assert_array_equal(n_compose_qcp([h, h]).matrix, n_compose_qcp([FactoredOperator(h.matrix, h.dims)] * 2).matrix)
+
+
+def test_a_conditional_operator_is_a_factored_operator():
+    pi = qcp_from_channel(cp_identity(2))
+    assert isinstance(pi, FactoredOperator) and pi.dims == (2, 2) and pi.d == 2
+    assert [f.name for f in dataclasses.fields(QcpOperator)] == ["matrix", "dims"]
+
+
+# Every operator function, on pi and on the FactoredOperator of pi's matrix and dims.
+OPERATOR_FUNCTIONS = {
+    "partial_trace": lambda op: partial_trace(op, {1}),
+    "trace_out": lambda op: trace_out(op, {2}),
+    "partial_transpose": lambda op: partial_transpose(op, 1),
+    "tensor": lambda op: tensor(op, op),
+    "factored_to_json": jsonio.factored_to_json,
+    "check_state": check_state,
+    "channel_from_compound": lambda op: channel_from_compound(op, np.eye(op.dims[0])),
+}
+
+
+def _outcome(call, op):
+    """call(op) as a tuple of comparable parts: a typed error's type name and
+    text, or the result's arrays (a JSON document as it is)."""
+    try:
+        out = call(op)
+    except Exception as exc:  # compared by type and text
+        return type(exc).__name__, str(exc)
+    if isinstance(out, FactoredOperator):
+        return out.matrix, out.dims
+    return (out.units,) if isinstance(out, CpMap) else (out,)
+
+
+@pytest.mark.parametrize("name", OPERATOR_FUNCTIONS)
+def test_operator_functions_take_a_conditional_operator_as_its_operator(name):
+    g = rng(73)
+    for d in (2, 3):
+        pi = qcp_from_channel(unital_cpmap(g, d))
+        got = _outcome(OPERATOR_FUNCTIONS[name], pi)
+        want = _outcome(OPERATOR_FUNCTIONS[name], FactoredOperator(pi.matrix, pi.dims))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 # A non-Hermitian and a non-PSD link, as raw arrays and as FactoredOperators.

@@ -18,8 +18,6 @@ from liftlab.matcore import check_state, herm_sqrt, is_psd
 from liftlab.qlift import CpMap, channel_from_compound, cp_identity, nonlinear_lift, qcp_from_channel
 
 TUNABLE = {
-    "is_unital",
-    "is_stochastic",
     "is_doubly_stochastic",
     "run_suite",
 }
