@@ -23,9 +23,8 @@ from .errors import (
     TraceNotOneError,
 )
 from .matcore import (
-    PROB_TOL,
-    STRUCT_TOL,
     TOL,
+    TRACE_TOL,
     FactoredOperator,
     _as_array,
     _as_matrix,
@@ -68,8 +67,10 @@ def _as_blocks(blocks) -> np.ndarray:
 
 
 def _check_trace_sum(blocks: np.ndarray) -> None:
+    """Refuses blocks whose traces, which sum to the state's trace, sum to more
+    than TRACE_TOL away from one: check_state's bound on a trace."""
     total = blocks.trace(axis1=1, axis2=2).real.sum()
-    if abs(total - 1.0) > TOL:
+    if abs(total - 1.0) > TRACE_TOL:
         raise TraceNotOneError(f"block traces sum to {float(total)!r}, expected 1")
 
 
@@ -167,13 +168,14 @@ def circulant_lift(cs, rho) -> FactoredOperator:
 
     Block alpha's eigenvalues are rho[alpha, alpha] >= -TOL times those of
     cs[alpha], so the profile check stands in for a block check; only the
-    blocks' trace sum is checked again.
+    blocks' trace sum is checked again. Each profile's trace and that sum
+    are a state's trace, held to TRACE_TOL as check_state holds it.
     """
     profiles = _as_blocks(cs)
     diagonal = _read_state(rho, profiles.shape[0], "block count").diagonal().real
     bad = _first_non_psd(profiles)
     traces = profiles.trace(axis1=1, axis2=2).real
-    off = np.flatnonzero(np.abs(traces - 1.0) > TOL)
+    off = np.flatnonzero(np.abs(traces - 1.0) > TRACE_TOL)
     if bad and not (off.size and off[0] < bad[0]):  # the first profile with either fault
         raise BlockNotPSDError(f"profile {bad[0]} has eigenvalue {bad[1]:.3e}")
     if off.size:
@@ -237,17 +239,20 @@ def bell_state(m: int, n: int, d: int) -> FactoredOperator:
 
 @dataclass(frozen=True, eq=False)
 class BellSpectrum:
-    """Joint weights p[m, n] over the d^2 Bell projectors."""
+    """Joint weights p[m, n] over the d^2 Bell projectors: the spectrum of a
+    Bell-diagonal state, so held to check_state's bounds. Its lowest weight
+    passes _psd_verdicts (at least -TOL times the largest weight, floored at
+    1) and is clipped to 0; its sum is within TRACE_TOL of one."""
 
     p: np.ndarray
 
     def __post_init__(self):
         p = _as_matrix(self.p, "spectrum", float)
-        low = p.min(initial=0.0)  # a 0 x 0 spectrum fails the sum check below
-        if low < -PROB_TOL:
+        ok, low = _psd_verdicts(p.ravel())  # a 0 x 0 spectrum fails the sum check below
+        if not ok:
             raise BlockNotPSDError(f"spectrum has negative weight {low:.3e}")
         total = p.sum()
-        if abs(total - 1.0) > STRUCT_TOL:
+        if abs(total - 1.0) > TRACE_TOL:
             raise TraceNotOneError(f"spectrum sums to {float(total)!r}, expected 1")
         p = np.maximum(p, 0.0)
         p.setflags(write=False)
@@ -268,11 +273,12 @@ def bell_diagonal_lift(p, rho) -> tuple[FactoredOperator, BellSpectrum]:
 
     Checks, in order and all before the d^4 output is allocated: p is a
     probability vector, rho a state of side d, the output fits
-    (check_dense_size), and the spectrum p_m rho[n, n] passes BellSpectrum
-    (no weight below -PROB_TOL, sum within STRUCT_TOL of one). The profile
-    has no gate of its own: it is exactly Hermitian with eigenvalues the p_m
-    already read, and BellSpectrum's sum is the blocks' trace sum, held to a
-    tighter bound than TOL.
+    (check_dense_size), and the spectrum p_m rho[n, n] passes BellSpectrum.
+    The profile has no gate of its own: it is exactly Hermitian with
+    eigenvalues the p_m already read, and BellSpectrum's sum is the blocks'
+    trace sum. So on this profile it accepts what circulant_lift accepts:
+    both hold the same sum, p's sum times rho's trace, to TRACE_TOL up to
+    rounding, and a checked rho's diagonal is at least -TOL.
     """
     weights = as_probability_vector(p)
     d = weights.size

@@ -11,25 +11,30 @@ Tolerance policy: every check in liftlab compares against one of the
 constants below. Only is_doubly_stochastic and run_suite (--tol) take a
 tolerance argument, defaulting to the same value.
 
-  TOL         1e-9   relative: Hermiticity (to the largest entry) and the
-                     lowest eigenvalue (to the spectral norm, floored at 1)
-                     of states, circulant blocks and profiles, conditional
-                     operators and separable-map images;
-                     absolute: circulant trace sums, isometry vector norms,
-                     the compound-state marginal and faithfulness floor, and
+  TOL         1e-9   relative: Hermiticity (to the largest entry, floored
+                     at 1) of states, circulant blocks and profiles,
+                     conditional operators, separable-map images and CpMap
+                     units (pi's Hermiticity), and the lowest eigenvalue (to
+                     the spectral norm, floored at 1) of the same operators
+                     except CpMap units, and of the Bell spectrum;
+                     absolute: CpMap unitality, isometry vector norms, the
+                     compound-state marginal and faithfulness floor, and
                      the CLI's Kraus self-check and doubly-stochastic flag
-  TRACE_TOL   1e-8   absolute: a state's trace (10 * TOL)
-  STRUCT_TOL  1e-10  absolute: CpMap Hermiticity preservation and
-                     unitality, the BellSpectrum sum
-  CPMAP_RTOL  1e-5   relative: CpMap Hermiticity preservation
+  TRACE_TOL   1e-8   absolute: a state's trace (10 * TOL): check_state's,
+                     each circulant profile's, the circulant blocks' trace
+                     sum and the Bell spectrum's sum
   PROB_TOL    1e-12  absolute: negative probabilities, channel weights,
                      lifting-tensor, joint-channel and Markov entries, and
                      sums of these (scaled by the entry count, except in
                      is_unital, is_stochastic and is_doubly_stochastic)
 
-The lowest-eigenvalue test, an eigenvalue of at least -TOL times the
-spectral norm floored at 1, is written once, in _psd_verdicts: is_psd,
-herm_sqrt and the gates' fallback read their verdicts there. The gates
+The Hermiticity test, a largest |m - m^dagger| of at most TOL times the
+largest |m| floored at 1, is written once, in _require_hermitian:
+_check_hermitian and CpMap (on pi's entries, read in units' layout) take
+their verdict and message there. The lowest-eigenvalue test, an eigenvalue
+of at least -TOL times the spectral norm floored at 1, is written once, in
+_psd_verdicts: is_psd, herm_sqrt, BellSpectrum's weights and the gates'
+fallback read their verdicts there. The gates
 (check_state, QcpOperator, a chain's unrooted outermost link,
 channel_from_compound, CirculantSpec, the circulant profiles,
 separable_n_state's images) read the eigenvalue only to word a failure,
@@ -139,8 +144,6 @@ from .errors import (
 # The tolerance policy; the table in the module docstring says what each bounds.
 TOL = 1e-9
 TRACE_TOL = 10 * TOL
-STRUCT_TOL = 1e-10
-CPMAP_RTOL = 1e-5
 PROB_TOL = 1e-12
 # Largest dense array that any constructor may allocate, when its output
 # outgrows its input (_zeros, _kron, check_dense_size): a 2^13-sided complex
@@ -506,17 +509,23 @@ def partial_transpose(op: FactoredOperator, factor: int) -> FactoredOperator:
     return FactoredOperator(_Fresh(t.reshape(side, side), checked=True), op.dims)
 
 
-def _check_hermitian(m: np.ndarray) -> np.ndarray:
-    """Hermitian part 0.5 * (m + m^dagger), rounded once, of each matrix of a
-    (..., n, n) stack; raises for the first that is not Hermitian to TOL
-    times its largest entry, floored at 1."""
-    scale = np.maximum.reduce(np.abs(m), axis=(-2, -1), initial=1.0)
-    mh = m.swapaxes(-1, -2).conj()
-    dev = np.maximum.reduce(np.abs(m - mh), axis=(-2, -1), initial=0.0)
+def _require_hermitian(dev: np.ndarray, scale: np.ndarray) -> None:
+    """The Hermiticity verdict, the one place its threshold and message are
+    written: raises for the first matrix whose largest |m - m^dagger| (dev)
+    exceeds TOL times its largest |m| floored at 1 (scale). dev and scale are
+    numpy arrays or scalars of one shape."""
     bad = dev > TOL * scale
     if bad.any():
         k = int(np.argmax(bad))
         raise NotHermitianError(f"deviation from Hermiticity {dev.flat[k]:.3e} exceeds {TOL:.1e} * {scale.flat[k]:.3e}")
+
+
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
+    """Hermitian part 0.5 * (m + m^dagger), rounded once, of each matrix of a
+    (..., n, n) stack, after :func:`_require_hermitian` of each."""
+    scale = np.maximum.reduce(np.abs(m), axis=(-2, -1), initial=1.0)
+    mh = m.swapaxes(-1, -2).conj()
+    _require_hermitian(np.maximum.reduce(np.abs(m - mh), axis=(-2, -1), initial=0.0), scale)
     return 0.5 * (m + mh)
 
 

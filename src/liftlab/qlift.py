@@ -30,15 +30,12 @@ from .errors import (
     NotCompatibleError,
     NotCPError,
     NotFaithfulError,
-    NotHermitianError,
     NotPSDError,
     NotUnitalError,
 )
 from .matcore import (
     _MAX_FACTORS,
     _NOT_PSD,
-    CPMAP_RTOL,
-    STRUCT_TOL,
     TOL,
     FactoredOperator,
     _abs_close,
@@ -52,6 +49,7 @@ from .matcore import (
     _kron,
     _own,
     _read_state,
+    _require_hermitian,
     _sandwich_right,
     _size,
     _zeros,
@@ -92,10 +90,12 @@ class CpMap:
     """Linear map on M_d stored by its images on matrix units.
 
     units[i, j] holds the image of e_ij; Hermiticity preservation
-    (units[i, j]^dagger == units[j, i]) is enforced at construction unless
-    the package built the array checked (cp_identity, cp_from_kraus,
-    classical_cpmap). The units passed in are copied, as FactoredOperator
-    copies its matrix, and stored read-only.
+    (units[i, j]^dagger == units[j, i], so that pi is Hermitian) is enforced
+    at construction by the verdict QcpOperator gives pi, to TOL times the
+    largest entry floored at 1, unless the package built the array checked
+    (cp_identity, cp_from_kraus, classical_cpmap). The units passed in are
+    copied, as FactoredOperator copies its matrix, and stored read-only.
+    unital holds the diagonal units' sum to the identity within TOL.
     """
 
     units: np.ndarray
@@ -104,20 +104,15 @@ class CpMap:
         u, checked = _own(self.units, "units")
         if u.ndim != 4 or len(set(u.shape)) != 1:
             raise DimensionMismatchError(f"units must have shape (d, d, d, d), got {u.shape}")
-        # np.allclose(units[i, j]^dagger, units[j, i]) for every i <= j: np.isclose's
-        # test, which on bounded entries is |a - b| <= atol + rtol |b|. It runs in
-        # (j, i, k, l) order, where b = units[j, i] is u itself; a is one C-order
-        # copy (np.array always copies: at d = 1 the transpose is u's own layout).
+        # The Hermiticity of pi, pi[(i, k), (j, l)] = units[i, j][k, l], without
+        # forming it: a = pi^dagger - pi in units' layout is one C-order copy
+        # (np.array always copies: at d = 1 the transpose is u's own layout), and
+        # max |u| is max |pi|, so the verdict and its message are _check_hermitian(pi)'s.
         if not checked:
             a = np.array(u.transpose(1, 0, 3, 2), order="C")
             np.conjugate(a, out=a)
             np.subtract(a, u, out=a)
-            gap = np.abs(a)
-            del a
-            bad = np.argwhere(np.triu((gap > STRUCT_TOL + CPMAP_RTOL * np.abs(u)).any(axis=(2, 3)).T))
-            if bad.size:
-                i, j = bad[0]
-                raise NotHermitianError(f"units[{i},{j}]^dagger differs from units[{j},{i}]")
+            _require_hermitian(np.abs(a).max(initial=0.0), np.abs(u).max(initial=1.0))
         object.__setattr__(self, "units", u)
 
     @property
@@ -127,7 +122,7 @@ class CpMap:
     @property
     def unital(self) -> bool:
         total = self.units[np.arange(self.d), np.arange(self.d)].sum(axis=0)
-        return _abs_close(total, np.eye(self.d), STRUCT_TOL)
+        return _abs_close(total, np.eye(self.d), TOL)
 
     def apply(self, x) -> np.ndarray:
         """Evaluate Lambda(x) by linearity over matrix units."""

@@ -1,6 +1,7 @@
 """Tests for circulant-supported two-party states and Bell-diagonal liftings."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftlab.errors import (
     BlockNotPSDError,
@@ -27,8 +28,8 @@ from liftlab.circulant import (
     maximally_entangled,
     shift_matrix,
 )
-from liftlab.matcore import is_psd, partial_transpose
-from liftlab.sampling import circulant_spec, density, faithful_density, probability_vector, rng
+from liftlab.matcore import TOL, TRACE_TOL, check_state, is_psd, partial_transpose
+from liftlab.sampling import circulant_spec, density, faithful_density, probability_vector, rng, unitary
 
 
 def test_subspaces_partition_all_pairs():
@@ -214,12 +215,13 @@ def test_circulant_lift_rejects_bad_profiles():
 
 
 def test_circulant_lift_checks_the_lifted_trace_sum():
-    # rho passes check_state (trace 1 + 5e-9 <= 1e-8) but the blocks'
-    # traces sum to 1 + 5e-9, beyond the 1e-9 trace-sum tolerance.
-    with pytest.raises(TraceNotOneError, match="block traces sum to"):
-        circulant_lift([np.eye(2) / 2, np.eye(2) / 2], np.diag([0.6, 0.4 + 5e-9]))
-    lifted = circulant_lift([np.eye(2) / 2, np.eye(2) / 2], np.diag([0.6, 0.4 + 5e-10]))
-    assert lifted.trace().real == pytest.approx(1.0, abs=1e-9)
+    # The profiles (trace 1 + 9e-9 each) and rho (trace 1 + 9e-9) pass their
+    # TRACE_TOL checks, but the blocks' traces sum to about 1 + 1.8e-8.
+    profiles = [np.eye(2) * (0.5 + 4.5e-9)] * 2
+    with pytest.raises(TraceNotOneError, match=r"^block traces sum to 1\.000000018"):
+        circulant_lift(profiles, np.diag([0.6, 0.4 + 9e-9]))
+    lifted = circulant_lift([np.eye(2) / 2, np.eye(2) / 2], np.diag([0.6, 0.4 + 5e-9]))
+    assert lifted.trace().real == pytest.approx(1.0, abs=1e-8)
 
 
 def test_isometry_lift():
@@ -306,19 +308,39 @@ def test_bell_diagonal_lift_worked_spectrum():
 
 
 def test_bell_lift_edges_are_the_spectrums_bounds():
-    # check_state accepts every rho here; the lift refuses what BellSpectrum
-    # refuses: a sum off by more than STRUCT_TOL, a weight below -PROB_TOL.
+    # BellSpectrum holds the spectrum to check_state's bounds, a sum within
+    # TRACE_TOL and no weight below -TOL (times the largest weight, floored
+    # at 1; tests/test_tolerances.py pins both edges), so the lift accepts
+    # these rho, which check_state accepts.
     p = [0.75, 0.25]
-    with pytest.raises(TraceNotOneError, match="^spectrum sums to"):
-        bell_diagonal_lift(p, np.diag([0.6, 0.4 + 5e-10]))
-    bell_diagonal_lift(p, np.diag([0.6, 0.4 + 5e-11]))
-    with pytest.raises(BlockNotPSDError, match="^spectrum has negative weight"):
-        bell_diagonal_lift(p, np.diag([1 + 4e-10, -4e-10]))
-    _, spectrum = bell_diagonal_lift(p, np.diag([1 + 1e-12, -1e-12]))
+    bell_diagonal_lift(p, np.diag([0.6, 0.4 + 5e-9]))
+    _, spectrum = bell_diagonal_lift(p, np.diag([1 + 4e-10, -4e-10]))
     assert spectrum.p.min() == 0.0
     lifted, spectrum = bell_diagonal_lift([0.0, 1.0], np.diag([0.6, 0.4]))
     np.testing.assert_array_equal(spectrum.p, [[0.0, 0.0], [0.6, 0.4]])
     assert lifted.trace().real == pytest.approx(1.0, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), low=st.floats(-0.5, 0.0), excess=st.floats(-0.5, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_bell_lift_accepts_the_states_circulant_lift_accepts(d, low, excess, seed):
+    # rho within half of check_state's bounds: a lowest eigenvalue down to
+    # -TOL / 2 and a trace off by up to TRACE_TOL / 2. The Bell lift and
+    # circulant_lift of its profile take the same rho to the same state.
+    g = rng(seed)
+    p = probability_vector(g, d)
+    w = probability_vector(g, d)
+    w[0] = low * TOL
+    w[1] += 1.0 - w.sum() + excess * TRACE_TOL
+    u = unitary(g, d)
+    rho = (u * w) @ u.conj().T
+    rho = (rho + rho.conj().T) / 2
+    check_state(rho)
+    lifted, _ = bell_diagonal_lift(p, rho)
+    phases = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
+    profile = np.einsum("m,mk,ml->kl", p, phases, phases.conj()) / d
+    via = circulant_lift(np.stack([profile] * d), rho)
+    np.testing.assert_allclose(lifted.matrix, via.matrix, rtol=0, atol=1e-15)
 
 
 def test_bell_diagonal_lift_random_projections():

@@ -126,13 +126,18 @@ def test_lift_ohya_three_parties(capsys):
     np.testing.assert_allclose(np.diag(op.matrix).real, expect, atol=1e-12)
 
 
-def test_lift_qcp_identity_channel(capsys):
-    units = [
+def _identity_units():
+    """The JSON units of the identity channel on M_2."""
+    return [
         {"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [0, 0]]},
         {"rows": 2, "cols": 2, "data": [[0, 0], [1, 0], [0, 0], [0, 0]]},
         {"rows": 2, "cols": 2, "data": [[0, 0], [0, 0], [1, 0], [0, 0]]},
         {"rows": 2, "cols": 2, "data": [[0, 0], [0, 0], [0, 0], [1, 0]]},
     ]
+
+
+def test_lift_qcp_identity_channel(capsys):
+    units = _identity_units()
     code, blob = run_cli(
         capsys, "lift", "qcp", "--channel", json.dumps({"d": 2, "units": units})
     )
@@ -148,12 +153,7 @@ def test_lift_qcp_identity_channel(capsys):
 
 
 def test_lift_nonlinear_identity_gives_maximally_entangled(capsys):
-    units = [
-        {"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [0, 0]]},
-        {"rows": 2, "cols": 2, "data": [[0, 0], [1, 0], [0, 0], [0, 0]]},
-        {"rows": 2, "cols": 2, "data": [[0, 0], [0, 0], [1, 0], [0, 0]]},
-        {"rows": 2, "cols": 2, "data": [[0, 0], [0, 0], [0, 0], [1, 0]]},
-    ]
+    units = _identity_units()
     code, blob = run_cli(
         capsys,
         "lift", "nonlinear",
@@ -193,6 +193,26 @@ def test_lift_bell_worked_example(capsys):
     np.testing.assert_allclose(blob["spectrum"]["p"], [[0.45, 0.30], [0.15, 0.10]], atol=1e-12)
     op = json_to_factored(blob["state"])
     assert op.trace().real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_channel_off_hermitian_gets_the_pi_gates_refusal(capsys):
+    # units[0, 1][0, 1] of the identity channel 1e-7 off: the decoder's CpMap
+    # refuses it with the line that QcpOperator's gate gives its pi.
+    units = _identity_units()
+    units[1]["data"][1] = [1 + 1e-7, 0]
+    channel = json.dumps({"d": 2, "units": units})
+    for argv in (["lift", "qcp", "--channel", channel],
+                 ["lift", "nonlinear", "--channel", channel, "--rho", "[[0.5,0],[0,0.5]]"]):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: deviation from Hermiticity 1.000e-07 exceeds 1.0e-09 * 1.000e+00\n")
+
+
+def test_lift_bell_accepts_a_state_that_check_state_accepts(capsys):
+    # rho's trace is 1 + 5e-10, within TRACE_TOL, and so is the spectrum's sum.
+    code, blob = run_cli(capsys, "lift", "bell", "--p", "[0.75,0.25]", "--rho", "[[0.6,0],[0,0.4000000005]]")
+    assert code == 0
+    assert np.sum(blob["spectrum"]["p"]) == pytest.approx(1 + 5e-10, abs=1e-15)
 
 
 def test_teleport_transcript(capsys):

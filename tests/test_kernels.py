@@ -288,32 +288,29 @@ def test_stacked_checks_name_the_lowest_bad_index():
     profiles[1] = np.eye(d) / 2
     with pytest.raises(TraceNotOneError, match=r"^profile 1 has trace"):
         circulant_lift(profiles, state)
+
+
+def test_cpmap_hermiticity_edge_is_tol_times_the_largest_unit_entry():
+    # pi is one matrix, so the refusal names its largest deviation and its
+    # largest entry, floored at 1, as _check_hermitian(pi) does, and no pair.
     units = cp_identity(3).units.copy()
     units[2, 1] += np.eye(3)
     units[0, 2] += np.eye(3)
-    with pytest.raises(NotHermitianError, match=r"^units\[0,2\]\^dagger differs from units\[2,0\]$"):
+    with pytest.raises(NotHermitianError, match=r"^deviation from Hermiticity 1\.000e\+00 exceeds 1\.0e-09 \* 1\.000e\+00$"):
         CpMap(units)
     units = cp_identity(3).units.copy()
     units[1, 2] += np.eye(3)
     units[2, 1] += 2 * np.eye(3)
-    with pytest.raises(NotHermitianError, match=r"^units\[1,2\]\^dagger differs from units\[2,1\]$"):
+    with pytest.raises(NotHermitianError, match=r"^deviation from Hermiticity 1\.000e\+00 exceeds 1\.0e-09 \* 2\.000e\+00$"):
         CpMap(units)
-
-
-def test_cpmap_hermiticity_keeps_allclose_tolerances():
-    # Pair (i, j) passes when |a - b| <= 1e-10 + 1e-5 |b|, with a from
-    # units[i, j]^dagger and b from units[j, i], as np.allclose(a, b) does.
-    units = cp_identity(2).units * 1e3
-    units[0, 1, 0, 1] += 5e-3
-    CpMap(units)
-    units[0, 1, 0, 1] += 1.5e-2
-    with pytest.raises(NotHermitianError, match=r"units\[0,1\]"):
+    # units[i, j] against units[j, i] and the swapped pair meet one edge.
+    for i, j in ((0, 1), (1, 0)):
+        units = cp_identity(2).units.copy()
+        units[i, j, 0, 0] = 9e-10
         CpMap(units)
-    # Only pairs with i <= j are compared: b = 1.000005e-10 against a = 0
-    # passes, and the swapped comparison would fail.
-    units = cp_identity(2).units.copy()
-    units[1, 0, 0, 0] = 1.000005e-10
-    CpMap(units)
+        units[i, j, 0, 0] = 1.1e-9
+        with pytest.raises(NotHermitianError, match=r"^deviation from Hermiticity 1\.100e-09 exceeds"):
+            CpMap(units)
 
 
 def test_separable_state_matches_kron_sum():

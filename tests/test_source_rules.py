@@ -15,6 +15,13 @@
 - The text ``state side`` only in matcore.py: matcore._read_state is the one
   reader of a lift's input state (check_state, then its side), and a second
   copy of that check would word its refusal apart from it.
+- No float literal in exponent form (``1e-9``) outside matcore.py and
+  verify.py: the tolerances live in matcore's one block, so a literal
+  elsewhere would be a second tolerance policy. verify.py is exempt, as its
+  per-check tolerances are the report's anchors, not verdicts on input.
+- ``raise NotHermitianError`` only in matcore.py: matcore._require_hermitian
+  holds the one Hermiticity threshold and message, which CpMap and the PSD
+  gates share, so a second raise would give the same fact a second verdict.
 """
 import re
 from pathlib import Path
@@ -29,6 +36,8 @@ RULES = {
     "no-unguarded-np-zeros": (r"np\.zeros\(", None, ("matcore.py",)),
     "no-trusted-wire-data": (r"checked=True", ("jsonio.py", "cli.py"), ()),
     "one-state-reader": (r"state side", None, ("matcore.py",)),
+    "tolerances-live-in-matcore": (r"\d[eE]-\d", None, ("matcore.py", "verify.py")),
+    "one-hermiticity-verdict": (r"raise NotHermitianError", None, ("matcore.py",)),
 }
 
 

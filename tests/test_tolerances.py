@@ -4,16 +4,26 @@ The values live in one block in ``liftlab.matcore``; these tests pin the
 edges that each fixed check sits on.
 """
 import inspect
+import re
 
 import numpy as np
 import pytest
 
 import liftlab
 from liftlab import matcore
-from liftlab.circulant import circulant_lift_isometry
+from liftlab.circulant import BellSpectrum, CirculantSpec, circulant_lift, circulant_lift_isometry
 from liftlab.classical import as_probability_vector, is_stochastic, is_unital
 from liftlab.clift import MarkovSpec, as_lifting_tensor, gamma_lifting, is_nondemolition, ohya_tensor
-from liftlab.errors import NegativeEntryError, NotAStateError, NotCompatibleError, NotNormalizedError, NotPSDError
+from liftlab.errors import (
+    BlockNotPSDError,
+    NegativeEntryError,
+    NotAStateError,
+    NotCompatibleError,
+    NotHermitianError,
+    NotNormalizedError,
+    NotPSDError,
+    TraceNotOneError,
+)
 from liftlab.matcore import check_state, herm_sqrt, is_psd
 from liftlab.qlift import CpMap, channel_from_compound, cp_identity, nonlinear_lift, qcp_from_channel
 
@@ -51,6 +61,53 @@ def test_state_trace_tolerance_is_ten_times_the_spectral_one():
     check_state(np.eye(2) * (0.5 + 4.5e-9))  # trace 1 + 9e-9
     with pytest.raises(NotAStateError, match="trace"):
         check_state(np.eye(2) * (0.5 + 1e-8))  # trace 1 + 2e-8
+
+
+def test_matcore_keeps_three_tolerances():
+    assert {name for name in vars(matcore) if name == "TOL" or name.endswith("_TOL")} == {"TOL", "TRACE_TOL", "PROB_TOL"}
+    assert (matcore.TOL, matcore.TRACE_TOL, matcore.PROB_TOL) == (1e-9, 1e-8, 1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_cpmap_hermiticity_edge_is_tol_times_the_largest_entry(scale):
+    # The edge QcpOperator gives pi: |units[0, 1][0, 1] - conj(units[1, 0][1, 0])|
+    # against TOL times the largest entry, here the scale.
+    units = cp_identity(2).units * scale
+    units[0, 1, 0, 1] += 0.5e-9 * scale
+    CpMap(units)
+    units[0, 1, 0, 1] += 1.5e-9 * scale
+    with pytest.raises(NotHermitianError, match=re.escape(f"exceeds 1.0e-09 * {scale:.3e}")):
+        CpMap(units)
+
+
+def test_cpmap_unital_uses_the_spectral_tolerance():
+    units = cp_identity(2).units.copy()
+    units[0, 0, 0, 0] += 5e-10
+    assert CpMap(units).unital
+    units[0, 0, 0, 0] += 1.5e-9
+    assert not CpMap(units).unital
+
+
+def test_bell_spectrum_is_held_to_check_states_bounds():
+    # Weights: the lowest eigenvalue's edge, -TOL (times the largest weight,
+    # floored at 1); those kept are clipped to 0. The sum: TRACE_TOL.
+    assert BellSpectrum(np.diag([1 + 5e-10, -5e-10])).p.min() == 0.0
+    with pytest.raises(BlockNotPSDError, match="^spectrum has negative weight -2.000e-09$"):
+        BellSpectrum(np.diag([1 + 2e-9, -2e-9]))
+    BellSpectrum(np.diag([0.6, 0.4 + 5e-9]))
+    with pytest.raises(TraceNotOneError, match="spectrum sums to"):
+        BellSpectrum(np.diag([0.6, 0.4 + 2e-8]))
+
+
+def test_circulant_traces_use_the_state_trace_tolerance():
+    blocks = np.stack([np.eye(2) / 4] * 2).astype(complex)
+    CirculantSpec(blocks * (1 + 5e-9))
+    with pytest.raises(TraceNotOneError, match="block traces sum to"):
+        CirculantSpec(blocks * (1 + 2e-8))
+    rho = np.diag([0.6, 0.4])
+    circulant_lift([np.eye(2) / 2 * (1 + 5e-9), np.eye(2) / 2], rho)
+    with pytest.raises(TraceNotOneError, match="^profile 0 has trace"):
+        circulant_lift([np.eye(2) / 2 * (1 + 2e-8), np.eye(2) / 2], rho)
 
 
 def test_isometry_vector_norms_use_the_spectral_tolerance():

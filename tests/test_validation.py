@@ -1,9 +1,9 @@
 """The per-call validation helpers against the numpy calls they stand for.
 
 matcore._kron is np.kron for two matrices, matcore._abs_close is
-np.allclose(rtol=0) for finite arrays, and CpMap's Hermiticity test is
-np.isclose's formula written out. These tests hold them to those calls bit
-for bit and verdict for verdict, pin the error type and message of every
+np.allclose(rtol=0) for finite arrays, and CpMap's Hermiticity test is the
+verdict QcpOperator's gate gives pi. These tests hold them to those calls
+bit for bit and verdict for verdict, pin the error type and message of every
 check whose code changed, and cover FactoredOperator's integer dims and the
 finiteness scan that N-party chains skip only when every link is bounded.
 The constructors' positivity gates are held to the eigensolve they skip
@@ -58,12 +58,12 @@ from liftlab.errors import (
     LiftlabError,
     MathDomainError,
     NotAStateError,
+    NotCPError,
     NotHermitianError,
     SchemaError,
     TraceNotOneError,
 )
 from liftlab.matcore import (
-    STRUCT_TOL,
     TOL,
     FactoredOperator,
     _abs_close,
@@ -154,35 +154,43 @@ def test_abs_close_gives_np_allclose_verdicts_on_finite_arrays(shape, atol, seed
     assert _abs_close(w, z, atol) == bool(np.allclose(w, z, rtol=0, atol=atol))
 
 
-def _head_cpmap_offender(u):
-    """The Hermiticity test CpMap ran through np.isclose: the first (i, j),
-    i <= j, whose units[i, j]^dagger is not close to units[j, i]."""
-    close = np.isclose(u.transpose(0, 1, 3, 2).conj(), u.transpose(1, 0, 2, 3), rtol=1e-5, atol=STRUCT_TOL)
-    bad = np.argwhere(np.triu(~close.all(axis=(2, 3))))
-    return tuple(int(k) for k in bad[0]) if bad.size else None
+def _pi_refusal(u):
+    """The Hermiticity refusal, as text, that QcpOperator's gate gives
+    pi[(i, k), (j, l)] = units[i, j][k, l]; None when pi passes that test
+    (a pi that is not PSD then raises NotCPError)."""
+    d = u.shape[0]
+    try:
+        QcpOperator(u.transpose(0, 2, 1, 3).reshape(d * d, d * d), (d, d))
+    except NotHermitianError as exc:
+        return str(exc)
+    except NotCPError:
+        pass
+    return None
 
 
 @SETTINGS
-@given(d=st.integers(1, 4), scale=st.sampled_from([1e-11, 1e-10, 1e-6, 1e-5, 1e-3]), seed=st.integers(0, 2**32 - 1))
-def test_cpmap_hermiticity_check_matches_np_isclose(d, scale, seed):
+@given(d=st.integers(1, 4), scale=st.sampled_from([1e-11, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3]),
+       magnitude=st.sampled_from([1.0, 10.0, 1000.0]), seed=st.integers(0, 2**32 - 1))
+def test_cpmap_refuses_exactly_the_units_whose_pi_the_gate_refuses(d, scale, magnitude, seed):
+    # One Hermiticity verdict: CpMap and QcpOperator's gate on pi agree on the
+    # outcome and on the message, at relative noise on either side of TOL.
     g = rng(seed)
     u = np.array(unital_cpmap(g, d).units)
     mask = g.random(u.shape) < 0.2
-    u = u + mask * scale * (g.standard_normal(u.shape) + 1j * g.standard_normal(u.shape))
-    offender = _head_cpmap_offender(u)
-    if offender is None:
+    u = magnitude * (u + mask * scale * (g.standard_normal(u.shape) + 1j * g.standard_normal(u.shape)))
+    refusal = _pi_refusal(u)
+    if refusal is None:
         CpMap(u)
     else:
-        i, j = offender
         with pytest.raises(NotHermitianError) as info:
             CpMap(u)
-        assert str(info.value) == f"units[{i},{j}]^dagger differs from units[{j},{i}]"
+        assert str(info.value) == refusal
 
 
 def test_cpmap_hermiticity_check_keeps_one_by_one_units():
     # At d = 1 the (j, i, l, k) transpose of units is units' own layout; the
     # check must conjugate a copy, not the units themselves.
-    with pytest.raises(NotHermitianError, match=r"^units\[0,0\]\^dagger differs from units\[0,0\]$"):
+    with pytest.raises(NotHermitianError, match=r"^deviation from Hermiticity 2\.000e\+00 exceeds 1\.0e-09 \* 1\.414e\+00$"):
         CpMap(np.full((1, 1, 1, 1), 1 + 1j))
     u = np.full((1, 1, 1, 1), 2.0 + 1e-12j)
     np.testing.assert_array_equal(CpMap(u).units, u)
@@ -201,7 +209,7 @@ def test_checked_cpmap_units_pass_the_hermiticity_test_they_skip(d, data, seed):
     g = rng(seed)
     n = data.draw(st.integers(1, 2 * d), label="Kraus operators")
     for cp in (cp_identity(d), classical_cpmap(g.standard_normal((d, d))), cp_from_kraus(_unit_disc(g, (n, d, d)))):
-        assert _head_cpmap_offender(np.array(cp.units)) is None
+        assert _pi_refusal(np.array(cp.units)) is None
 
 
 @SETTINGS
@@ -209,7 +217,7 @@ def test_checked_cpmap_units_pass_the_hermiticity_test_they_skip(d, data, seed):
 def test_sampled_circulant_blocks_pass_the_gate_they_skip(d, seed):
     blocks = circulant_spec(rng(seed), d).blocks
     assert _first_non_psd(blocks) is None
-    circulant._check_trace_sum(blocks)  # the trace sum within TOL
+    circulant._check_trace_sum(blocks)  # the trace sum within TRACE_TOL
 
 
 def _skew_units() -> np.ndarray:
@@ -229,7 +237,7 @@ def test_unchecked_and_decoded_units_raise_one_hermiticity_error():
     doc = jsonio.cpmap_to_json(CpMap(_Fresh(_skew_units(), checked=True)))
     builds = (lambda: CpMap(_Fresh(_skew_units())), lambda: CpMap(_skew_units()), lambda: jsonio.json_to_cpmap(doc))
     for build in builds:
-        with pytest.raises(NotHermitianError, match=r"^units\[0,1\]\^dagger differs from units\[1,0\]$"):
+        with pytest.raises(NotHermitianError, match=r"^deviation from Hermiticity 1\.000e\+00 exceeds 1\.0e-09 \* 1\.000e\+00$"):
             build()
 
 
@@ -387,7 +395,7 @@ ERRORS = [
      "joint channel rows must sum to 1 (trace preservation)"),
     (lambda x: qcp_from_channel(CpMap(np.kron(x, x).reshape(2, 2, 2, 2))), NON_HERMITIAN, "NotUnitalError",
      "sum of diagonal-unit images differs from the identity"),
-    (CpMap, SKEW_UNITS, "NotHermitianError", "units[0,1]^dagger differs from units[1,0]"),
+    (CpMap, SKEW_UNITS, "NotHermitianError", "deviation from Hermiticity 3.000e-01 exceeds 1.0e-09 * 1.000e+00"),
     (lambda x: channel_from_compound(FactoredOperator(np.eye(4) / 4, (2, 2)), x), np.diag([0.6, 0.4]),
      "NotCompatibleError", "first-slot partial trace of the compound state differs from the marginal"),
 ]
@@ -999,9 +1007,13 @@ def _not_a_state(d: int) -> np.ndarray:
 
 
 def _refused_bell():
+    # p sums to 1 + 5e-11, within PROB_TOL per entry, and rho's trace to
+    # 1 + 1e-8 - 1e-11, within TRACE_TOL; the spectrum's sum, their product, is not.
+    p = np.full(64, 1 / 64)
+    p[0] += 5e-11
     rho = np.eye(64) / 64
-    rho[0, 0] += 5e-10  # check_state and circulant_lift accept it; BellSpectrum's sum does not
-    return bell_diagonal_lift, (np.full(64, 1 / 64), rho)
+    rho[0, 0] += 1e-8 - 1e-11
+    return bell_diagonal_lift, (p, rho)
 
 
 def _refused_circulant():
